@@ -406,6 +406,8 @@ def parse_script(text: str) -> Script:
         factory = _OccFactory(index)
         claim = _parse_claim(m.group(2), factory, lineno)
         assertions.append(Assertion(index, claim, m.group(2)))
+    if not assertions:
+        raise ScriptError("script holds no assertions")
     script = Script(tuple(assertions), shape_id, disjoint)
     _resolve_references(script)
     return script

@@ -9,9 +9,7 @@ The default addition is cross-multiplication, (a*d + b*c, b*d). A verbatim
 mode computing (a*c + b*d, b*d) instead is available for fidelity
 experiments; it does not agree with rational addition.
 
-The integer components are exact bignums. Which integer shape they are
-read as is a session-wide configuration knob; every supported choice
-presents the same integers, so it does not affect values.
+The integer components are exact bignums.
 """
 
 from __future__ import annotations
@@ -20,23 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import OpenTerm, UnsupportedShape
-from .terms import Add, Div, Lit, Mul, Neg, Sub, Term, Var
-
-INTEGER_SHAPES = ("int.signed", "int.diffpair")
-
-_integer_shape = "int.signed"
-
-
-def set_integer_shape(shape_id: str) -> None:
-    global _integer_shape
-    if shape_id not in INTEGER_SHAPES:
-        raise UnsupportedShape(f"ratio-number components need an int shape, not {shape_id!r}")
-    _integer_shape = shape_id
-
-
-def integer_shape() -> str:
-    return _integer_shape
+from .errors import OpenTerm
+from .terms import Add, Lit, Mul, Neg, Sub, Term, Var, fold
 
 
 @dataclass(frozen=True)
@@ -123,24 +106,30 @@ def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:
     """Interpret a closed term in the ratio-number algebra.
 
     Subtraction desugars to addition of a negation; the algebra itself has
-    no subtraction rule.
+    no subtraction rule. NumOf and DenomOf apply to the whole term inside
+    them.
     """
-    if isinstance(t, NumOf):
-        return rn_num(rn_eval(t.arg, verbatim))
-    if isinstance(t, DenomOf):
-        return rn_denom(rn_eval(t.arg, verbatim))
-    if isinstance(t, Lit):
-        return RatioNumber(t.value, 1)
-    if isinstance(t, Var):
-        raise OpenTerm(f"cannot evaluate variable {t.name!r}")
-    if isinstance(t, Neg):
-        return rn_neg(rn_eval(t.operand, verbatim))
-    if isinstance(t, Add):
-        return rn_add(rn_eval(t.left, verbatim), rn_eval(t.right, verbatim), verbatim)
-    if isinstance(t, Sub):
-        return rn_eval(Add(t.left, Neg(t.right)), verbatim)
-    if isinstance(t, Mul):
-        return rn_mul(rn_eval(t.left, verbatim), rn_eval(t.right, verbatim))
-    if isinstance(t, Div):
-        return rn_div(rn_eval(t.left, verbatim), rn_eval(t.right, verbatim))
-    raise TypeError(f"not a term: {t!r}")
+    extractions = []
+    while isinstance(t, (NumOf, DenomOf)):
+        extractions.append(rn_num if isinstance(t, NumOf) else rn_denom)
+        t = t.arg
+
+    def ev(node: Term, x=None, y=None) -> RatioNumber:
+        if isinstance(node, Lit):
+            return RatioNumber(node.value, 1)
+        if isinstance(node, Var):
+            raise OpenTerm(f"cannot evaluate variable {node.name!r}")
+        if isinstance(node, Neg):
+            return rn_neg(x)
+        if isinstance(node, Add):
+            return rn_add(x, y, verbatim)
+        if isinstance(node, Sub):
+            return rn_add(x, rn_neg(y), verbatim)
+        if isinstance(node, Mul):
+            return rn_mul(x, y)
+        return rn_div(x, y)
+
+    pair = fold(t, ev)
+    for extract in reversed(extractions):
+        pair = extract(pair)
+    return pair

@@ -22,6 +22,7 @@ general (a zero divisor can be multiplied away).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import NotSimple, OpenTerm, StrategyInapplicable
@@ -38,6 +39,7 @@ from .terms import (
     contains_var,
     denom,
     erase_decorations,
+    fold,
     format_term,
     num,
 )
@@ -71,19 +73,21 @@ class RewriteTrace:
         ]
 
 
+_INT_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _int_node(node: Term, *args: int) -> int:
+    if isinstance(node, Lit):
+        return node.value
+    op = _INT_OPS.get(type(node))
+    if op is None:
+        raise ValueError(f"not division-free: {node!r}")
+    return op(*args)
+
+
 def _int_value(t: Term) -> int:
     """Exact value of a division-free closed term."""
-    if isinstance(t, Lit):
-        return t.value
-    if isinstance(t, Neg):
-        return -_int_value(t.operand)
-    if isinstance(t, Add):
-        return _int_value(t.left) + _int_value(t.right)
-    if isinstance(t, Sub):
-        return _int_value(t.left) - _int_value(t.right)
-    if isinstance(t, Mul):
-        return _int_value(t.left) * _int_value(t.right)
-    raise ValueError(f"not division-free: {t!r}")
+    return fold(t, _int_node)
 
 
 def _pure(t: Term) -> bool:

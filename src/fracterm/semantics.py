@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedPeripheral,
 )
-from .terms import Add, Div, Lit, Mul, Neg, Sub, Term, Var
+from .terms import Add, Lit, Mul, Neg, Sub, Term, Var, fold
 
 POLICIES = ("partial", "suppes-ono", "common-meadow")
 PERIPHERALS = ("bot", "inf", "+inf", "-inf", "nan")
@@ -65,10 +65,6 @@ class EvalConfig:
 _BOT = shapes.BOT
 
 
-def _is_zero(shape: shapes.Shape, inst) -> bool:
-    return shape.decode(inst) == 0
-
-
 def eval_term(t: Term, cfg: EvalConfig = EvalConfig()) -> Fracvalue:
     """Evaluate a closed term to a fracvalue under the configured policy."""
     shape = shapes.get_shape(cfg.shape_id)
@@ -83,42 +79,31 @@ def eval_term(t: Term, cfg: EvalConfig = EvalConfig()) -> Fracvalue:
             return BOTTOM
         return NumberValue(shapes.Instance("rat.rns", (pair.a, pair.b)))
 
-    def ev(node: Term):
+    def ev(node: Term, a=None, b=None):
         if isinstance(node, Lit):
             return shape.encode_exact(Fraction(node.value))
         if isinstance(node, Var):
             raise OpenTerm(f"cannot evaluate variable {node.name!r}")
+        if a is _BOT or b is _BOT:
+            return _BOT
         if isinstance(node, Neg):
-            v = ev(node.operand)
-            if v is _BOT:
-                return _BOT
-            return shape.neg(v)
-        if isinstance(node, (Add, Sub, Mul)):
-            a = ev(node.left)
-            b = ev(node.right)
-            if a is _BOT or b is _BOT:
-                return _BOT
-            if isinstance(node, Add):
-                return shape.add(a, b)
-            if isinstance(node, Sub):
-                return shape.add(a, shape.neg(b))
+            return shape.neg(a)
+        if isinstance(node, Add):
+            return shape.add(a, b)
+        if isinstance(node, Sub):
+            return shape.add(a, shape.neg(b))
+        if isinstance(node, Mul):
             return shape.mul(a, b)
-        if isinstance(node, Div):
-            a = ev(node.left)
-            b = ev(node.right)
-            if a is _BOT or b is _BOT:
-                return _BOT
-            divide_by_zero = _is_zero(shape, b) or shape.decode(b) is None
-            if divide_by_zero:
-                if cfg.policy == "partial":
-                    raise DivisionByZero(f"zero divisor in {node}")
-                if cfg.policy == "suppes-ono":
-                    return shape.encode(0)
-                return _BOT
-            return shape.div(a, b)
-        raise TypeError(f"not a term: {node!r}")
+        # A division: the policy decides what a zero or bottom-class divisor gives.
+        if shape.decode(b) in (0, None):
+            if cfg.policy == "partial":
+                raise DivisionByZero(f"zero divisor in {node}")
+            if cfg.policy == "suppes-ono":
+                return shape.encode(0)
+            return _BOT
+        return shape.div(a, b)
 
-    result = ev(t)
+    result = fold(t, ev)
     if result is _BOT:
         return BOTTOM
     if shape.decode(result) is None:

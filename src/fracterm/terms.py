@@ -4,6 +4,10 @@ Decimal integer literals are primitive atoms (sugar for the 0/1 fragment;
 see ``desugar_literals``). Division nodes may carry a level decoration,
 ``ft`` (read as a fracterm) or ``fv`` (read as a fracvalue), written
 ``/ft`` and ``/fv`` in place of ``/``.
+
+The parser, the printer, ``subterms`` and ``fold`` keep their own stacks
+instead of recursing, so memory, not the recursion limit, bounds the depth
+of a term. The dataclass-generated ``==``, ``hash`` and ``repr`` still recurse.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .errors import NotAFracterm, ParseError
 
@@ -34,20 +38,6 @@ class Level(Enum):
     FRACTERM = "ft"
     FRACVALUE = "fv"
     FRAXION = "fx"  # the unresolved disjunction of the other four
-
-
-# FRAXION stays outside the chain: it is the undecided reading.
-ABSTRACTION_ORDER = {
-    Level.OCCURRENCE: 0,
-    Level.SIGN: 1,
-    Level.FRACTERM: 2,
-    Level.FRACVALUE: 3,
-}
-
-
-def more_abstract(a: Level, b: Level) -> bool:
-    """True when level a sits strictly above level b in the hierarchy."""
-    return ABSTRACTION_ORDER[a] > ABSTRACTION_ORDER[b]
 
 
 @dataclass(frozen=True)
@@ -116,19 +106,16 @@ def lit(n: int) -> Lit:
     return Lit(str(n))
 
 
+_BINARY = (Add, Sub, Mul, Div)
+
+
 # --------------------------------------------------------------------------
-# Lexer
+# Lexer: a token is a plain tuple (kind, text, pos), where kind is one of
+# num | ident | op | div | frac | end.
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | div | frac | end
-    text: str
-    pos: int
-
-
-def _tokenize(text: str, div_char: Optional[str]) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str, div_char: Optional[str]) -> list[tuple[str, str, int]]:
+    tokens = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -139,7 +126,7 @@ def _tokenize(text: str, div_char: Optional[str]) -> list[_Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("num", text[i:j], i))
+            tokens.append(("num", text[i:j], i))
             i = j
             continue
         if c.isalpha():
@@ -152,11 +139,11 @@ def _tokenize(text: str, div_char: Optional[str]) -> list[_Token]:
                 if text[j : j + 3] in ("_ft", "_fv"):
                     deco = text[j + 1 : j + 3]
                     j += 3
-                tokens.append(_Token("frac", deco, i))
+                tokens.append(("frac", deco, i))
             elif word in RESERVED_WORDS:
                 raise ParseError(f"reserved word {word!r}", position=i)
             else:
-                tokens.append(_Token("ident", word, i))
+                tokens.append(("ident", word, i))
             i = j
             continue
         if div_char is not None and c == div_char:
@@ -164,18 +151,18 @@ def _tokenize(text: str, div_char: Optional[str]) -> list[_Token]:
             # the printer parenthesizes denominators that would collide.
             tag = text[i + 1 : i + 3]
             if tag in ("ft", "fv"):
-                tokens.append(_Token("div", tag, i))
+                tokens.append(("div", tag, i))
                 i += 3
                 continue
-            tokens.append(_Token("div", "", i))
+            tokens.append(("div", "", i))
             i += 1
             continue
         if c in "+-*(),":
-            tokens.append(_Token("op", c, i))
+            tokens.append(("op", c, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {c!r}", position=i)
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
@@ -188,93 +175,97 @@ def _tokenize(text: str, div_char: Optional[str]) -> list[_Token]:
 #
 # A "-" immediately followed (no gap) by digits in factor position is a
 # signed literal; any other "-" in factor position is unary negation.
+#
+# Operator precedence with explicit stacks. The operator stack holds
+# (precedence, class, decoration) entries and, with precedence 0 so that
+# no reduction passes them, one frame per open group: the whole input, a
+# parenthesis or frac denominator, or a frac numerator. After an operand,
+# a token that is no binary operator must close the innermost frame;
+# otherwise the error names what that frame expected, at that token.
+
+_NEG = (3, Neg, None)
+_BINARY_OPS = {
+    ("op", "+"): (1, Add, None),
+    ("op", "-"): (1, Sub, None),
+    ("op", "*"): (2, Mul, None),
+    **{("div", tag): (2, Div, tag or None) for tag in ("", "ft", "fv")},
+}
+_CLOSERS = {"input": ("end", ""), "group": ("op", ")"), "numerator": ("op", ",")}
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], fmt: str):
-        self.tokens = tokens
-        self.fmt = fmt
-        self.i = 0
+def _reduce(op: tuple, operands: list) -> None:
+    _, cls, deco = op
+    if cls is Neg:
+        operands[-1] = Neg(operands[-1])
+        return
+    right = operands.pop()
+    operands[-1] = Div(operands[-1], right, deco) if cls is Div else cls(operands[-1], right)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", position=tok.pos)
-        return self.take()
-
-    def parse_expr(self) -> Term:
-        node = self.parse_term()
+def _parse(tokens: list[tuple[str, str, int]]) -> Term:
+    operands: list[Term] = []
+    ops: list[tuple] = [(0, "input", None)]
+    i = 0
+    while True:
+        # Factor position: prefix minus and openers, until one atom.
+        kind, text, pos = tokens[i]
+        i += 1
+        if kind == "num":
+            operands.append(Lit(text))
+        elif kind == "ident":
+            operands.append(Var(text))
+        elif kind == "op" and text == "-":
+            nkind, ntext, npos = tokens[i]
+            if nkind != "num" or npos != pos + 1:
+                ops.append(_NEG)
+                continue
+            i += 1
+            operands.append(Lit("-" + ntext))
+        elif kind == "op" and text == "(":
+            ops.append((0, "group", None))
+            continue
+        elif kind == "frac":
+            nkind, ntext, npos = tokens[i]
+            if nkind != "op" or ntext != "(":
+                raise ParseError("expected '('", position=npos)
+            i += 1
+            ops.append((0, "numerator", text or None))
+            continue
+        else:
+            raise ParseError("expected a factor", position=pos)
+        # Operator position: binary operators and closers, until the next
+        # factor position or the end.
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.take()
-                right = self.parse_term()
-                node = Add(node, right) if tok.text == "+" else Sub(node, right)
-            else:
-                return node
-
-    def parse_term(self) -> Term:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.take()
-                node = Mul(node, self.parse_factor())
-            elif tok.kind == "div":
-                self.take()
-                node = Div(node, self.parse_factor(), tok.text or None)
-            else:
-                return node
-
-    def parse_factor(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.take()
-            nxt = self.peek()
-            if nxt.kind == "num" and nxt.pos == tok.pos + 1:
-                self.take()
-                return Lit("-" + nxt.text)
-            return Neg(self.parse_factor())
-        if tok.kind == "op" and tok.text == "(":
-            self.take()
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        if tok.kind == "num":
-            self.take()
-            return Lit(tok.text)
-        if tok.kind == "ident":
-            self.take()
-            return Var(tok.text)
-        if tok.kind == "frac":
-            self.take()
-            self.expect_op("(")
-            left = self.parse_expr()
-            self.expect_op(",")
-            right = self.parse_expr()
-            self.expect_op(")")
-            return Div(left, right, tok.text or None)
-        raise ParseError("expected a factor", position=tok.pos)
+            kind, text, pos = tokens[i]
+            i += 1
+            op = _BINARY_OPS.get((kind, text))
+            if op is not None:
+                while ops[-1][0] >= op[0]:
+                    _reduce(ops.pop(), operands)
+                ops.append(op)
+                break
+            while ops[-1][0]:
+                _reduce(ops.pop(), operands)
+            _, role, deco = ops.pop()
+            closer = _CLOSERS[role]
+            if (kind, text) != closer:
+                if role == "input":
+                    raise ParseError(f"trailing input {text!r}", position=pos)
+                raise ParseError(f"expected {closer[1]!r}", position=pos)
+            if role == "input":
+                return operands[0]
+            if role == "numerator":
+                # frac(a,b) is the factor (a) DIV (b): the division waits on
+                # the stack above the group that holds the denominator.
+                ops += ((2, Div, deco), (0, "group", None))
+                break
 
 
 def parse_term(text: str, fmt: str = "inline") -> Term:
     """Parse term text in the given format (inline, colon, or frac)."""
     _check_format(fmt)
     div_char = {"inline": "/", "colon": ":", "frac": None}[fmt]
-    parser = _Parser(_tokenize(text, div_char), fmt)
-    node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"trailing input {tail.text!r}", position=tail.pos)
-    return node
+    return _parse(_tokenize(text, div_char))
 
 
 def _check_format(fmt: str) -> None:
@@ -286,10 +277,7 @@ def _check_format(fmt: str) -> None:
 # Printer
 
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Lit: 4, Var: 4}
-
-
-def _prec(t: Term) -> int:
-    return _PREC[type(t)]
+_SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
 
 
 def format_term(t: Term, fmt: str = "inline") -> str:
@@ -298,55 +286,101 @@ def format_term(t: Term, fmt: str = "inline") -> str:
     return _fmt(t, fmt)
 
 
-def _wrap(t: Term, fmt: str, parens: bool) -> str:
-    s = _fmt(t, fmt)
-    return f"({s})" if parens else s
-
-
 def _fmt(t: Term, fmt: str) -> str:
-    if isinstance(t, Lit):
-        return t.digits
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Neg):
-        # Parenthesize literal operands so "-(3)" cannot re-lex as "-3".
-        inner = _wrap(t.operand, fmt, isinstance(t.operand, Lit) or _prec(t.operand) < _PREC[Neg])
-        return "-" + inner
-    if isinstance(t, (Add, Sub)):
-        op = "+" if isinstance(t, Add) else "-"
-        left = _wrap(t.left, fmt, _prec(t.left) < 1)
-        right = _wrap(t.right, fmt, _prec(t.right) <= 1)
-        return f"{left}{op}{right}"
-    if isinstance(t, Mul):
-        left = _wrap(t.left, fmt, _prec(t.left) < 2)
-        right = _wrap(t.right, fmt, _prec(t.right) <= 2)
-        return f"{left}*{right}"
-    if isinstance(t, Div):
-        tag = t.decoration or ""
-        if fmt == "frac":
-            head = "frac" + (f"_{tag}" if tag else "")
-            return f"{head}({_fmt(t.left, fmt)},{_fmt(t.right, fmt)})"
-        sym = ("/" if fmt == "inline" else ":") + tag
-        left = _wrap(t.left, fmt, _prec(t.left) < 2)
-        right = _wrap(t.right, fmt, _prec(t.right) <= 2)
-        if not tag and right[:2] in ("ft", "fv"):
-            right = f"({right})"
-        return f"{left}{sym}{right}"
-    raise TypeError(f"not a term: {t!r}")
+    # The stack holds terms still to print and strings to emit as they are.
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is str:
+            out.append(node)
+        elif cls is Lit:
+            out.append(node.digits)
+        elif cls is Var:
+            out.append(node.name)
+        elif cls is Neg:
+            # Parenthesize literal operands so "-(3)" cannot re-lex as "-3".
+            inner = node.operand
+            if type(inner) is Lit or _PREC[type(inner)] < 3:
+                todo += (")", inner, "-(")
+            else:
+                todo += (inner, "-")
+        elif cls in _BINARY:
+            left, right = node.left, node.right
+            prec = _PREC[cls]
+            if cls is not Div:
+                sym = _SYMBOLS[cls]
+                wrap_right = _PREC[type(right)] <= prec
+            else:
+                tag = node.decoration or ""
+                if fmt == "frac":
+                    todo += (")", right, ",", left, f"frac_{tag}(" if tag else "frac(")
+                    continue
+                sym = ("/" if fmt == "inline" else ":") + tag
+                # Only a bare variable can start an unparenthesized
+                # denominator with letters, which would re-lex as a tag.
+                wrap_right = _PREC[type(right)] <= prec or (
+                    not tag and type(right) is Var and right.name[:2] in ("ft", "fv")
+                )
+            todo += (")", right, "(") if wrap_right else (right,)
+            todo.append(sym)
+            todo += (")", left, "(") if _PREC[type(left)] < prec else (left,)
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
-# Structure helpers
+# Traversal
+
+R = TypeVar("R")
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of t, the term itself first."""
-    yield t
-    if isinstance(t, Neg):
-        yield from subterms(t.operand)
-    elif isinstance(t, (Add, Sub, Mul, Div)):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
+    """All subterms of t in preorder, the term itself first."""
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        yield node
+        cls = type(node)
+        if cls is Neg:
+            todo.append(node.operand)
+        elif cls in _BINARY:
+            todo += (node.right, node.left)
+
+
+def fold(t: Term, alg: Callable[..., R]) -> R:
+    """Fold t bottom-up: alg(node, *child_results) for every node.
+
+    Nodes are visited in postorder, left subtree first, as a recursive
+    evaluation visits them; so when alg raises, it raises at the same node.
+    """
+    # Pushing left before right lists the nodes in mirror preorder, which
+    # read backwards is the postorder.
+    order = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        cls = type(node)
+        if cls is Neg:
+            todo.append(node.operand)
+        elif cls in _BINARY:
+            todo += (node.left, node.right)
+        elif cls is not Lit and cls is not Var:
+            raise TypeError(f"not a term: {node!r}")
+    results = []
+    for node in reversed(order):
+        cls = type(node)
+        if cls is Lit or cls is Var:
+            results.append(alg(node))
+        elif cls is Neg:
+            results.append(alg(node, results.pop()))
+        else:
+            right = results.pop()
+            results[-1] = alg(node, results[-1], right)
+    return results[0]
 
 
 def contains_div(t: Term) -> bool:
@@ -358,19 +392,7 @@ def contains_var(t: Term) -> bool:
 
 
 def erase_decorations(t: Term) -> Term:
-    if isinstance(t, (Lit, Var)):
-        return t
-    if isinstance(t, Neg):
-        return Neg(erase_decorations(t.operand))
-    if isinstance(t, Add):
-        return Add(erase_decorations(t.left), erase_decorations(t.right))
-    if isinstance(t, Sub):
-        return Sub(erase_decorations(t.left), erase_decorations(t.right))
-    if isinstance(t, Mul):
-        return Mul(erase_decorations(t.left), erase_decorations(t.right))
-    if isinstance(t, Div):
-        return Div(erase_decorations(t.left), erase_decorations(t.right))
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, lambda node, *kids: type(node)(*kids) if kids else node)
 
 
 # --------------------------------------------------------------------------
@@ -452,32 +474,25 @@ def denom(t: Term) -> Term:
 
 
 def expand_literal(n: int) -> Term:
-    if n < 0:
-        return Neg(expand_literal(-n))
-    if n == 0:
-        return Lit("0")
-    if n == 1:
-        return Lit("1")
-    two = Add(Lit("1"), Lit("1"))
-    half = expand_literal(n // 2)
-    doubled = Mul(two, half)
-    return doubled if n % 2 == 0 else Add(doubled, Lit("1"))
+    """Horner form of n's binary digits: each digit after the leading 1
+    doubles, (1+1)*t, and a set digit then adds 1."""
+    m = abs(n)
+    t: Term = Lit(str(min(m, 1)))
+    for bit in bin(m)[3:]:
+        t = Mul(Add(Lit("1"), Lit("1")), t)
+        if bit == "1":
+            t = Add(t, Lit("1"))
+    return Neg(t) if n < 0 else t
+
+
+def _desugar(node: Term, *kids: Term) -> Term:
+    if isinstance(node, Lit):
+        return node if node.digits in ("0", "1") else expand_literal(node.value)
+    if isinstance(node, Div):
+        return Div(*kids, node.decoration)
+    return type(node)(*kids) if kids else node
 
 
 def desugar_literals(t: Term) -> Term:
     """Replace every numeral other than 0 and 1 by its 0/1 expansion."""
-    if isinstance(t, Lit):
-        return t if t.digits in ("0", "1") else expand_literal(t.value)
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, Neg):
-        return Neg(desugar_literals(t.operand))
-    if isinstance(t, Add):
-        return Add(desugar_literals(t.left), desugar_literals(t.right))
-    if isinstance(t, Sub):
-        return Sub(desugar_literals(t.left), desugar_literals(t.right))
-    if isinstance(t, Mul):
-        return Mul(desugar_literals(t.left), desugar_literals(t.right))
-    if isinstance(t, Div):
-        return Div(desugar_literals(t.left), desugar_literals(t.right), t.decoration)
-    raise TypeError(f"not a term: {t!r}")
+    return fold(t, _desugar)

@@ -172,6 +172,14 @@ def test_fractalk_missing_file(capsys):
     assert code == 1 and json.loads(err)["error"] == "FractermError"
 
 
+def test_fractalk_empty_script(capsys, tmp_path):
+    script = tmp_path / "empty.ftk"
+    script.write_text("# nothing asserted\n")
+    code, out, err = run(capsys, "fractalk", "check", str(script))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ScriptError", "message": "script holds no assertions"}
+
+
 def test_demo_runs_whole_corpus(capsys):
     data = run_json(capsys, "demo")
     assert data["A"]["blocked_at"] == 5

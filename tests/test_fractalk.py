@@ -61,6 +61,12 @@ def test_parse_errors():
         parse_script("1: 1/2 is rational\n1: 1/2 is fracterm")
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n@shape rat.pcs\n@disjoint true"])
+def test_empty_script_rejected(text):
+    with pytest.raises(ScriptError, match="script holds no assertions"):
+        parse_script(text)
+
+
 def test_dangling_references():
     with pytest.raises(DanglingReference):
         parse_script("1: level(3) = ft\n2: 2/3 is rational")

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracterm.errors import OpenTerm, UnsupportedShape
+from fracterm.errors import OpenTerm
 from fracterm.ratio import (
     DenomOf,
     NumOf,
     RatioNumber,
-    integer_shape,
     rn_add,
     rn_denom,
     rn_div,
@@ -23,7 +22,6 @@ from fracterm.ratio import (
     rn_num,
     rn_one,
     rn_zero,
-    set_integer_shape,
     sign,
 )
 from fracterm.terms import parse_term
@@ -178,13 +176,3 @@ def test_reconstruction_modulo_label(x):
     if x.b != 0:
         assert rn_label_eq(rn_div(rn_num(x), rn_denom(x)), x)
 
-
-def test_integer_shape_configuration():
-    assert integer_shape() == "int.signed"
-    set_integer_shape("int.diffpair")
-    try:
-        assert integer_shape() == "int.diffpair"
-    finally:
-        set_integer_shape("int.signed")
-    with pytest.raises(UnsupportedShape):
-        set_integer_shape("rat.pcs")

@@ -70,18 +70,57 @@ def test_parse_colon_and_frac_formats():
     assert parse_term("frac(1+frac(2,3),5)", "frac") == parse_term("(1+2/3)/5")
 
 
-def test_parse_errors_carry_position():
+# (text, format, position of the ParseError), one row per malformed input.
+PARSE_ERRORS = [
+    ("1/+", "inline", 2),
+    ("1/+", "frac", 1),
+    ("", "inline", 0),
+    ("", "frac", 0),
+    ("(1+2", "inline", 4),
+    ("(1+2", "frac", 4),
+    ("1/ft", "inline", 4),
+    ("1/ft", "frac", 1),
+    ("1 2", "inline", 2),
+    ("1 2", "frac", 2),
+    ("(1,2)", "inline", 2),
+    ("(1,2)", "frac", 2),
+    (")", "inline", 0),
+    (")", "frac", 0),
+    ("1)", "inline", 1),
+    ("1)", "frac", 1),
+    ("frac(1)", "inline", 0),
+    ("frac(1)", "frac", 6),
+    ("frac(1,2,3)", "inline", 0),
+    ("frac(1,2,3)", "frac", 8),
+    ("frac 1", "inline", 0),
+    ("frac 1", "frac", 5),
+    ("(", "inline", 1),
+    ("(", "frac", 1),
+    ("-", "inline", 1),
+    ("-", "frac", 1),
+    ("1+", "inline", 2),
+    ("1+", "frac", 2),
+    ("1*(2+)", "inline", 5),
+    ("1*(2+)", "frac", 5),
+    ("frac(1,(2)", "inline", 0),
+    ("frac(1,(2)", "frac", 10),
+    ("((1)))", "inline", 5),
+    ("((1)))", "frac", 5),
+    ("1:2", "inline", 1),  # colon division is not inline syntax
+    ("1::2", "colon", 2),
+    ("frac_ft 1", "frac", 8),
+    ("frac(", "frac", 5),
+    ("-frac(1,2", "frac", 9),
+    ("1*-(2,3)", "inline", 5),
+    ("x+frac(1,(2,3))", "frac", 11),
+]
+
+
+@pytest.mark.parametrize("text,fmt,position", PARSE_ERRORS)
+def test_parse_errors_carry_position(text, fmt, position):
     with pytest.raises(ParseError) as e:
-        parse_term("1/+")
-    assert e.value.position == 2
-    with pytest.raises(ParseError):
-        parse_term("")
-    with pytest.raises(ParseError):
-        parse_term("1:2")  # colon division is not inline syntax
-    with pytest.raises(ParseError):
-        parse_term("(1+2")
-    with pytest.raises(ParseError):
-        parse_term("1/ft")  # decorated division without a denominator
+        parse_term(text, fmt)
+    assert e.value.position == position
 
 
 def test_reserved_words_rejected():
