@@ -1,8 +1,10 @@
 """Fractalk scripts: numbered assertions about fracsign occurrences.
 
 A script is a sequence of claims, each mentioning zero or more fracsign
-occurrences. Every occurrence gets a level of abstraction (occurrence, sign,
-fracterm, fracvalue, or the undecided fraxion), inferred from:
+occurrences. The claim forms are the rows of ``CLAIM_KINDS``, one per kind:
+its pattern, the level its role demands (rule 4 below) and its checker.
+Every occurrence gets a level of abstraction (occurrence, sign, fracterm,
+fracvalue, or the undecided fraxion), inferred from:
 
 1. an explicit decoration on the sign itself (``2/ft3``, ``2/fv3``);
 2. a level directive ``level(k) = ft|fv|fs`` aimed at assertion k
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 from . import shapes
-from .errors import DanglingReference, LevelConflict, ScriptError
+from .errors import DanglingReference, FractermError, LevelConflict, ScriptError
 from .rewrite import flatten
 from .semantics import BOTTOM, EvalConfig, NumberValue, eval_term, value_eq
 from .terms import Div, Level, Lit, Term, classify, erase_decorations, format_term, parse_term
@@ -59,187 +62,25 @@ class Occurrence:
         return (self.assertion, self.position)
 
 
-# --- claim kinds -----------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class Claim:
-    def occurrences(self) -> tuple[Occurrence, ...]:
-        return ()
+    """One parsed claim.
 
+    ``kind`` names its row in ``CLAIM_KINDS``. ``role`` is the level the
+    claim demands of its occurrences (rule 4), or None to leave them to the
+    default. ``arg`` holds what else the claim states, in the form its row
+    builds: a numeral, a target assertion, a level, flags or a witness term.
+    """
 
-@dataclass(frozen=True)
-class HasNumerator(Claim):
-    occ: Occurrence
-    numeral: int
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class HasDenominator(Claim):
-    occ: Occurrence
-    numeral: int
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class UniqueNumerator(Claim):
-    level: Level
-
-
-@dataclass(frozen=True)
-class Equals(Claim):
-    left: Occurrence
-    right: Occurrence
-    annotation: Optional[Level] = None
-
-    def occurrences(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class IsRational(Claim):
-    occ: Occurrence
+    kind: str
+    occurrences: tuple[Occurrence, ...] = ()
+    role: Optional[Level] = None
     positive: bool = True
+    arg: object = None
 
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class IsFracterm(Claim):
-    occ: Occurrence
-    positive: bool = True
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class TaxonomyIs(Claim):
-    occ: Occurrence
-    flags: tuple[str, ...]
-    positive: bool = True
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class BothLevels(Claim):
-    """The occurrence is a fracterm and a fracvalue at the same time."""
-
-    occ: Occurrence
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class IsFraxion(Claim):
-    occ: Occurrence
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class MayBeRational(Claim):
-    occ: Occurrence
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class EvenInteger(Claim):
-    occ: Occurrence
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class Comparison(Claim):
-    """A numeric judgement such as 4/3 > 1; the sign defaults to its value."""
-
-    occ: Occurrence
-    op: str  # < | <= | > | >=
-    bound: int
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class CanSimplify(Claim):
-    occ: Occurrence
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class WritableFlat(Claim):
-    occ: Occurrence
-    witness: Term
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class AllRationalsFraxions(Claim):
-    pass
-
-
-@dataclass(frozen=True)
-class NotAllFraxionsRational(Claim):
-    pass
-
-
-@dataclass(frozen=True)
-class RationalsNotFracterms(Claim):
-    pass
-
-
-@dataclass(frozen=True)
-class NotAllFractermsRational(Claim):
-    witness: Optional[Occurrence] = None
-
-    def occurrences(self):
-        return (self.witness,) if self.witness else ()
-
-
-@dataclass(frozen=True)
-class LevelDirective(Claim):
-    target: int
-    level: Level
-
-
-@dataclass(frozen=True)
-class Definitional(Claim):
-    text: str
-    reading: Level
-
-
-@dataclass(frozen=True)
-class Contradicts(Claim):
-    occ: Occurrence
-    target: int
-
-    def occurrences(self):
-        return (self.occ,)
-
-
-@dataclass(frozen=True)
-class Conclude(Claim):
-    left: int
-    right: int
+    @property
+    def occ(self) -> Occurrence:
+        return self.occurrences[0]
 
 
 @dataclass(frozen=True)
@@ -267,118 +108,52 @@ class Script:
 
 
 _ASSERTION_RE = re.compile(r"^(\d+)\s*:\s*(.*\S)\s*$")
-_FLAG_WORDS = ("flat", "simple", "simplified", "proper")
 
 
-class _OccFactory:
-    def __init__(self, index: int):
-        self.index = index
-        self.position = 0
-
-    def make(self, text: str, line: int) -> Occurrence:
-        text = text.strip()
-        marked = False
-        if text.startswith("the fraction "):
-            marked = True
-            text = text[len("the fraction ") :].strip()
-        try:
-            term = parse_term(text)
-        except Exception as exc:
-            raise ScriptError(f"bad term {text!r}: {exc}", line=line) from None
-        annotation = None
-        if isinstance(term, Div) and term.decoration is not None:
-            annotation = _LEVEL_TAGS[term.decoration]
-        self.position += 1
-        return Occurrence(
-            assertion=self.index,
-            position=self.position,
-            term=erase_decorations(term),
-            annotation=annotation,
-            fraction_marked=marked,
-        )
+def _occurrence(index: int, position: int, text: str, line: int) -> Occurrence:
+    text = text.strip()
+    marked = False
+    if text.startswith("the fraction "):
+        marked = True
+        text = text[len("the fraction ") :].strip()
+    try:
+        term = parse_term(text)
+    except FractermError as exc:
+        raise ScriptError(f"bad term {text!r}: {exc}", line=line) from None
+    annotation = None
+    if isinstance(term, Div) and term.decoration is not None:
+        annotation = _LEVEL_TAGS[term.decoration]
+    return Occurrence(
+        assertion=index,
+        position=position,
+        term=erase_decorations(term),
+        annotation=annotation,
+        fraction_marked=marked,
+    )
 
 
-def _parse_claim(body: str, occs: _OccFactory, line: int) -> Claim:
-    m = re.match(r"^num\((.+)\)\s*=\s*(-?\d+)$", body)
-    if m:
-        return HasNumerator(occs.make(m.group(1), line), int(m.group(2)))
-    m = re.match(r"^denom\((.+)\)\s*=\s*(-?\d+)$", body)
-    if m:
-        return HasDenominator(occs.make(m.group(1), line), int(m.group(2)))
-    m = re.match(r"^(fraxion|fracterm|fracvalue|fracsign)s have a unique numerator$", body)
-    if m:
-        return UniqueNumerator(_LEVEL_WORDS[m.group(1)])
-    m = re.match(r"^level\((\d+)\)\s*=\s*(ft|fv|fs)$", body)
-    if m:
-        return LevelDirective(int(m.group(1)), _LEVEL_TAGS[m.group(2)])
-    m = re.match(r"^conclude\s+(-?\d+)\s*=\s*(-?\d+)$", body)
-    if m:
-        return Conclude(int(m.group(1)), int(m.group(2)))
-    m = re.match(r"^def:\s*fraction is (number|fracterm|fracsign)$", body)
-    if m:
-        reading = {
-            "number": Level.FRACVALUE,
-            "fracterm": Level.FRACTERM,
-            "fracsign": Level.SIGN,
-        }[m.group(1)]
-        return Definitional(body, reading)
-    if body == "all rationals are fraxions":
-        return AllRationalsFraxions()
-    if body == "not all fraxions are rational":
-        return NotAllFraxionsRational()
-    if body == "rationals are not fracterms":
-        return RationalsNotFracterms()
-    m = re.match(r"^not all fracterms are rational(?:,\s*witness\s+(.+))?$", body)
-    if m:
-        witness = occs.make(m.group(1), line) if m.group(1) else None
-        return NotAllFractermsRational(witness)
-    m = re.match(r"^(.+?)\s*==\s*(.+?)(?:\s*@(ft|fv|fs))?$", body)
-    if m:
-        return Equals(
-            occs.make(m.group(1), line),
-            occs.make(m.group(2), line),
-            _LEVEL_TAGS[m.group(3)] if m.group(3) else None,
-        )
-    m = re.match(r"^(.+?)\s*(<=|>=|<|>)\s*(-?\d+)$", body)
-    if m:
-        return Comparison(occs.make(m.group(1), line), m.group(2), int(m.group(3)))
-    m = re.match(r"^(.+?) is fracterm and fracvalue$", body)
-    if m:
-        return BothLevels(occs.make(m.group(1), line))
-    m = re.match(r"^(.+?) is fraxion$", body)
-    if m:
-        return IsFraxion(occs.make(m.group(1), line))
-    m = re.match(r"^(.+?) may be rational$", body)
-    if m:
-        return MayBeRational(occs.make(m.group(1), line))
-    m = re.match(r"^(.+?) is an even integer$", body)
-    if m:
-        return EvenInteger(occs.make(m.group(1), line))
-    m = re.match(r"^(.+?) can be simplified$", body)
-    if m:
-        return CanSimplify(occs.make(m.group(1), line))
-    m = re.match(r"^(.+?) can be written flat as (.+)$", body)
-    if m:
-        try:
-            witness = parse_term(m.group(2).strip())
-        except Exception as exc:
-            raise ScriptError(f"bad witness term: {exc}", line=line) from None
-        return WritableFlat(occs.make(m.group(1), line), erase_decorations(witness))
-    m = re.match(r"^(.+?) contradicts (\d+)$", body)
-    if m:
-        return Contradicts(occs.make(m.group(1), line), int(m.group(2)))
-    m = re.match(r"^(.+?) is (not )?rational$", body)
-    if m:
-        return IsRational(occs.make(m.group(1), line), m.group(2) is None)
-    m = re.match(r"^(.+?) is (not )?fracterm$", body)
-    if m:
-        return IsFracterm(occs.make(m.group(1), line), m.group(2) is None)
-    flag_alt = "|".join(_FLAG_WORDS)
-    m = re.match(rf"^(.+?) is (not )?({flag_alt})((?: and (?:{flag_alt}))*)$", body)
-    if m:
-        flags = [m.group(3)] + re.findall(rf"and ({flag_alt})", m.group(4) or "")
-        return TaxonomyIs(occs.make(m.group(1), line), tuple(flags), m.group(2) is None)
-    raise ScriptError(f"unrecognized claim {body!r}", line=line)
+def _match_claim(body: str, index: int, line: int) -> Claim:
+    """The claim of the first row of CLAIM_KINDS whose pattern matches.
+
+    Named groups: ``occ`` and ``occ2`` are occurrences, ``neg`` negates the
+    claim and ``tag`` overrides the row's role; the row's ``arg`` reads the
+    rest. The argument is read first, so a bad witness term is reported
+    before a bad occurrence.
+    """
+    for kind, row in CLAIM_KINDS.items():
+        m = re.match(row.pattern, body)
+        if m:
+            break
+    else:
+        raise ScriptError(f"unrecognized claim {body!r}", line=line)
+    groups = m.groupdict()
+    arg = row.arg(m, line) if row.arg else None
+    occurrences = []
+    for text in (groups.get("occ"), groups.get("occ2")):
+        if text:
+            occurrences.append(_occurrence(index, len(occurrences) + 1, text, line))
+    tag = groups.get("tag")
+    return Claim(kind, tuple(occurrences), _LEVEL_TAGS[tag] if tag else row.role, not groups.get("neg"), arg)
 
 
 def parse_script(text: str) -> Script:
@@ -390,11 +165,17 @@ def parse_script(text: str) -> Script:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("@shape"):
-            shape_id = line.split(None, 1)[1].strip()
-            continue
-        if line.startswith("@disjoint"):
-            disjoint = line.split(None, 1)[1].strip() == "true"
+        if line.startswith(("@shape", "@disjoint")):
+            name, *value = line.split(None, 1)
+            if name == "@shape" and value:
+                shape_id = value[0]
+            elif name == "@disjoint" and value in (["true"], ["false"]):
+                disjoint = value == ["true"]
+            else:
+                raise ScriptError(
+                    f"bad pragma {line!r}: expected '@shape <shape id>' or '@disjoint true|false'",
+                    line=lineno,
+                )
             continue
         m = _ASSERTION_RE.match(line)
         if not m:
@@ -403,8 +184,7 @@ def parse_script(text: str) -> Script:
         if index in seen:
             raise ScriptError(f"duplicate assertion index {index}", line=lineno)
         seen.add(index)
-        factory = _OccFactory(index)
-        claim = _parse_claim(m.group(2), factory, lineno)
+        claim = _match_claim(m.group(2), index, lineno)
         assertions.append(Assertion(index, claim, m.group(2)))
     if not assertions:
         raise ScriptError("script holds no assertions")
@@ -417,59 +197,42 @@ def _resolve_references(script: Script) -> None:
     indices = {a.index for a in script.assertions}
     for a in script.assertions:
         claim = a.claim
-        if isinstance(claim, LevelDirective):
-            if claim.target not in indices:
-                raise DanglingReference(f"level directive in {a.index} aims at missing assertion {claim.target}")
-            target = script.assertion(claim.target)
-            if not target.claim.occurrences():
-                raise DanglingReference(f"assertion {claim.target} holds no fracsign occurrence")
-        if isinstance(claim, Contradicts) and claim.target not in indices:
-            raise DanglingReference(f"assertion {a.index} contradicts missing assertion {claim.target}")
+        if claim.kind == "level":
+            target = claim.arg[0]
+            if target not in indices:
+                raise DanglingReference(f"level directive in {a.index} aims at missing assertion {target}")
+            if not script.assertion(target).claim.occurrences:
+                raise DanglingReference(f"assertion {target} holds no fracsign occurrence")
+        if claim.kind == "contradicts" and claim.arg not in indices:
+            raise DanglingReference(f"assertion {a.index} contradicts missing assertion {claim.arg}")
 
 
 # ---------------------------------------------------------------------------
 # Level inference
 
 
-def _role_constraint(claim: Claim, occ: Occurrence) -> Optional[Level]:
-    if isinstance(claim, (HasNumerator, HasDenominator)):
-        return Level.FRACTERM
-    if isinstance(claim, (TaxonomyIs, CanSimplify, WritableFlat, IsFracterm)):
-        return Level.FRACTERM
-    if isinstance(claim, NotAllFractermsRational):
-        return Level.FRACTERM  # the witness is named as a fracterm
-    if isinstance(claim, (IsRational, EvenInteger)):
-        return Level.FRACVALUE
-    if isinstance(claim, Equals):
-        return claim.annotation or Level.FRACVALUE
-    if isinstance(claim, (BothLevels, IsFraxion, MayBeRational, Contradicts)):
-        return Level.FRAXION
-    # Comparison and the like leave the occurrence to the default rule:
-    # the most abstract referent, a fracvalue.
-    return None
-
-
 def infer_levels(script: Script) -> dict[tuple[int, int], Level]:
     """Level for every occurrence, keyed by (assertion index, position)."""
     directives: dict[int, Level] = {}
     for a in script.assertions:
-        if isinstance(a.claim, LevelDirective):
-            prev = directives.get(a.claim.target)
-            if prev is not None and prev != a.claim.level:
+        if a.claim.kind == "level":
+            target, level = a.claim.arg
+            prev = directives.get(target)
+            if prev is not None and prev != level:
                 raise LevelConflict(
-                    f"assertion {a.claim.target} receives levels "
-                    f"{_LEVEL_NAMES[prev]} and {_LEVEL_NAMES[a.claim.level]}"
+                    f"assertion {target} receives levels "
+                    f"{_LEVEL_NAMES[prev]} and {_LEVEL_NAMES[level]}"
                 )
-            directives[a.claim.target] = a.claim.level
+            directives[target] = level
 
     levels: dict[tuple[int, int], Level] = {}
     definition: Optional[Level] = None
     for a in script.assertions:
-        if isinstance(a.claim, Definitional):
-            definition = a.claim.reading
+        if a.claim.kind == "def":
+            definition = a.claim.arg
             continue
         directive = directives.get(a.index)
-        for occ in a.claim.occurrences():
+        for occ in a.claim.occurrences:
             forced = occ.annotation
             if directive is not None:
                 if forced is not None and forced != directive:
@@ -481,7 +244,7 @@ def infer_levels(script: Script) -> dict[tuple[int, int], Level]:
             if forced is None and occ.fraction_marked and definition is not None:
                 forced = definition
             if forced is None:
-                forced = _role_constraint(a.claim, occ)
+                forced = a.claim.role
             if forced is None:
                 forced = Level.FRACVALUE  # the most abstract referent
             levels[occ.key()] = forced
@@ -530,24 +293,21 @@ class Verdict:
 
 @dataclass
 class _Env:
+    script: Script
     shape_id: str
     disjoint: bool
     levels: dict[tuple[int, int], Level]
-    statuses: dict[int, StepStatus] = field(default_factory=dict)
-    numerators: list = field(default_factory=list)  # (occ, numeral, level, index, ok)
-    equalities: list = field(default_factory=list)  # (claim, level, index, ok)
-    unique_levels: list = field(default_factory=list)  # (resolved level, index)
-    rational_claims: list = field(default_factory=list)  # (occ, level, index, ok)
-    fracterm_claims: list = field(default_factory=list)  # (occ, level, index, ok)
+    checked: list[tuple[Assertion, bool]] = field(default_factory=list)  # (step, valid) so far
 
     def level(self, occ: Occurrence) -> Level:
         return self.levels[occ.key()]
 
+    @cached_property
     def cfg(self) -> EvalConfig:
         return EvalConfig("common-meadow", self.shape_id)
 
     def value_of(self, term: Term):
-        return eval_term(term, self.cfg())
+        return eval_term(term, self.cfg)
 
     def fracterm_is_number(self, term: Term) -> bool:
         """Whether the fracterm itself is one of the shape's numbers."""
@@ -555,62 +315,67 @@ class _Env:
             return False
         return classify(term).simplified
 
+    def premises(self, *kinds: str) -> list[tuple[Assertion, bool]]:
+        """The steps checked so far that affirm a claim of one of `kinds`."""
+        return [(a, ok) for a, ok in self.checked if a.claim.kind in kinds and a.claim.positive]
 
-def _name(level: Level) -> str:
-    return _LEVEL_NAMES[level]
+
+# A checker returns (status, explanation).
+_VALID = ("valid", None)
 
 
-def _check_has_component(env: _Env, a: Assertion, which: str):
-    claim = a.claim
-    occ = claim.occ
-    level = env.level(occ)
+def _valid(env: _Env, claim: Claim):
+    return _VALID
+
+
+def _check_component(env: _Env, claim: Claim):
+    which = "numerator" if claim.kind == "num" else "denominator"
+    level = env.level(claim.occ)
     if level is Level.FRACVALUE:
-        return StepStatus(
-            a.index,
+        return (
             "level-conflict",
             f"the occurrence is read as a fracvalue, and a fracvalue has no "
             f"{which}: values do not split into numerator and denominator",
         )
-    term = occ.term
+    term = claim.occ.term
     if not classify(term).is_fracterm:
-        return StepStatus(a.index, "invalid", f"{format_term(term)} has no leading division")
+        return "invalid", f"{format_term(term)} has no leading division"
     component = term.left if which == "numerator" else term.right
-    ok = isinstance(component, Lit) and component.value == claim.numeral
-    if not ok:
-        return StepStatus(
-            a.index,
+    if not (isinstance(component, Lit) and component.value == claim.arg):
+        return (
             "invalid",
-            f"the {which} of {format_term(term)} is {format_term(component)},"
-            f" not {claim.numeral}",
+            f"the {which} of {format_term(term)} is {format_term(component)}, not {claim.arg}",
         )
-    return StepStatus(a.index, "valid")
+    return _VALID
 
 
-def _check_equals(env: _Env, a: Assertion):
-    claim = a.claim
-    ll, rl = env.level(claim.left), env.level(claim.right)
+def _check_unique_numerator(env: _Env, claim: Claim):
+    if claim.arg is Level.FRACVALUE:
+        return "invalid", "fracvalues do not split, so nothing is extracted uniquely"
+    return _VALID
+
+
+def _check_equals(env: _Env, claim: Claim):
+    left, right = claim.occurrences
+    ll, rl = env.level(left), env.level(right)
     if ll != rl:
-        return StepStatus(
-            a.index,
+        return (
             "invalid",
-            f"cross-level equation: left occurrence is a {_name(ll)}, right a {_name(rl)}",
+            f"cross-level equation: left occurrence is a {_LEVEL_NAMES[ll]}, right a {_LEVEL_NAMES[rl]}",
         )
     if ll is Level.FRACVALUE:
-        ok = value_eq(env.value_of(claim.left.term), env.value_of(claim.right.term))
+        ok = value_eq(env.value_of(left.term), env.value_of(right.term))
     else:
-        ok = claim.left.term == claim.right.term
+        ok = left.term == right.term
     if not ok:
-        return StepStatus(
-            a.index,
+        return (
             "invalid",
-            f"{format_term(claim.left.term)} and {format_term(claim.right.term)} "
-            f"differ as {_name(ll)}s",
+            f"{format_term(left.term)} and {format_term(right.term)} differ as {_LEVEL_NAMES[ll]}s",
         )
-    return StepStatus(a.index, "valid")
+    return _VALID
 
 
-def _check_is_rational(env: _Env, a: Assertion):
-    claim = a.claim
+def _check_is_rational(env: _Env, claim: Claim):
     occ = claim.occ
     level = env.level(occ)
     if level is Level.FRACVALUE:
@@ -624,14 +389,13 @@ def _check_is_rational(env: _Env, a: Assertion):
         )
     else:
         actual = False
-        detail = f"a {_name(level)} is not a number"
+        detail = f"a {_LEVEL_NAMES[level]} is not a number"
     if actual == claim.positive:
-        return StepStatus(a.index, "valid")
-    return StepStatus(a.index, "invalid", detail)
+        return _VALID
+    return "invalid", detail
 
 
-def _check_is_fracterm(env: _Env, a: Assertion):
-    claim = a.claim
+def _check_is_fracterm(env: _Env, claim: Claim):
     level = env.level(claim.occ)
     if level is Level.FRACTERM:
         actual = classify(claim.occ.term).is_fracterm
@@ -640,255 +404,279 @@ def _check_is_fracterm(env: _Env, a: Assertion):
     else:
         actual = False
     if actual == claim.positive:
-        return StepStatus(a.index, "valid")
-    return StepStatus(
-        a.index,
+        return _VALID
+    return (
         "invalid",
-        f"read as a {_name(level)}, {format_term(claim.occ.term)} is "
+        f"read as a {_LEVEL_NAMES[level]}, {format_term(claim.occ.term)} is "
         f"{'not ' if claim.positive else ''}a fracterm",
     )
 
 
-def _check_taxonomy(env: _Env, a: Assertion):
-    claim = a.claim
-    level = env.level(claim.occ)
-    if level is Level.FRACVALUE:
-        return StepStatus(
-            a.index,
-            "level-conflict",
-            "syntactic classification applies to fracterms, not fracvalues",
-        )
+def _check_taxonomy(env: _Env, claim: Claim):
+    if env.level(claim.occ) is Level.FRACVALUE:
+        return "level-conflict", "syntactic classification applies to fracterms, not fracvalues"
     flags = classify(claim.occ.term)
-    for flag in claim.flags:
+    for flag in claim.arg:
         actual = getattr(flags, flag)
         if actual is None:
-            return StepStatus(
-                a.index, "invalid", "proper is defined only for simple fracterms"
-            )
+            return "invalid", "proper is defined only for simple fracterms"
         if actual != claim.positive:
-            return StepStatus(
-                a.index,
+            return (
                 "invalid",
                 f"{format_term(claim.occ.term)} is {'not ' if claim.positive else ''}{flag}",
             )
-    return StepStatus(a.index, "valid")
+    return _VALID
 
 
-def _check_contradicts(env: _Env, a: Assertion, script: Script):
-    claim = a.claim
-    target = script.assertion(claim.target).claim
-    if not isinstance(target, (RationalsNotFracterms, NotAllFractermsRational)):
-        return StepStatus(a.index, "invalid", "the cited assertion is not a universal claim")
+def _check_both_levels(env: _Env, claim: Claim):
+    if env.fracterm_is_number(claim.occ.term):
+        return _VALID
+    if env.disjoint:
+        return "invalid", "fracterms and fracvalues are disjoint collections; no reading makes both true"
+    return "invalid", f"{format_term(claim.occ.term)} is not one of the shape's numbers"
+
+
+def _check_may_be_rational(env: _Env, claim: Claim):
+    level = env.level(claim.occ)
+    if level in (Level.FRAXION, Level.FRACVALUE):
+        return _VALID
+    return (
+        "invalid",
+        f"the fracvalue reading of this occurrence was ruled out (it is a {_LEVEL_NAMES[level]})",
+    )
+
+
+def _check_even_integer(env: _Env, claim: Claim):
+    value = env.value_of(claim.occ.term)
+    if value == BOTTOM:
+        return "invalid", "the value is bottom, not an integer"
+    exact = shapes.decode(value.instance)
+    if exact.denominator == 1 and exact.numerator % 2 == 0:
+        return _VALID
+    return "invalid", f"the value {exact} is not an even integer"
+
+
+def _check_comparison(env: _Env, claim: Claim):
+    level = env.level(claim.occ)
+    if level is not Level.FRACVALUE:
+        return (
+            "level-conflict",
+            f"a numeric comparison needs the fracvalue reading, not a {_LEVEL_NAMES[level]}",
+        )
+    value = env.value_of(claim.occ.term)
+    if value == BOTTOM:
+        return "invalid", "the value is bottom and compares with nothing"
+    exact = shapes.decode(value.instance)
+    op, bound = claim.arg
+    holds = {
+        "<": exact < bound,
+        "<=": exact <= bound,
+        ">": exact > bound,
+        ">=": exact >= bound,
+    }[op]
+    if holds:
+        return _VALID
+    return "invalid", f"{exact} {op} {bound} does not hold"
+
+
+def _check_can_simplify(env: _Env, claim: Claim):
+    flags = classify(claim.occ.term)
+    if flags.simple and not flags.simplified and claim.occ.term.right.value != 0:
+        return _VALID
+    return "invalid", "no simplification step applies"
+
+
+def _check_writable_flat(env: _Env, claim: Claim):
+    term, witness = claim.occ.term, claim.arg
+    flat_form, _ = flatten(term)
+    witness_flags = classify(witness)
+    flat_flags = classify(flat_form)
+    ok = (
+        (flat_flags.flat or not flat_flags.is_fracterm)
+        and witness_flags.flat
+        and value_eq(env.value_of(term), env.value_of(witness))
+    )
+    if ok:
+        return _VALID
+    return "invalid", f"{format_term(witness)} is not a flat form of {format_term(term)}"
+
+
+def _check_rationals_not_fracterms(env: _Env, claim: Claim):
+    if env.disjoint:
+        return _VALID
+    return "invalid", "under this shape the simplified simple fracterms are the rational numbers"
+
+
+def _check_not_all_fracterms_rational(env: _Env, claim: Claim):
+    if claim.occurrences and not env.disjoint and classify(claim.occ.term).simplified:
+        return "invalid", f"{format_term(claim.occ.term)} is one of the shape's numbers"
+    return _VALID
+
+
+def _check_contradicts(env: _Env, claim: Claim):
+    target = env.script.assertion(claim.arg).claim
+    if target.kind not in ("rationals-not-fracterms", "not-all-fracterms-rational"):
+        return "invalid", "the cited assertion is not a universal claim"
     sign = claim.occ.term
-    rationals = [p for p in env.rational_claims if p[0].term == sign]
-    fracterms = [p for p in env.fracterm_claims if p[0].term == sign]
+    # "x is fracterm and fracvalue" asserts both premises of one occurrence.
+    rationals = [p for p in env.premises("rational", "both-levels") if p[0].claim.occ.term == sign]
+    fracterms = [p for p in env.premises("fracterm", "both-levels") if p[0].claim.occ.term == sign]
     if not rationals or not fracterms:
-        return StepStatus(a.index, "invalid", "no premises support a contradiction")
-    valid_r = [p for p in rationals if p[3]]
-    valid_f = [p for p in fracterms if p[3]]
+        return "invalid", "no premises support a contradiction"
+    valid_r = [a for a, ok in rationals if ok]
+    valid_f = [a for a, ok in fracterms if ok]
     if not valid_r or not valid_f:
         broken = rationals if not valid_r else fracterms
-        return StepStatus(
-            a.index,
+        return (
             "invalid",
-            f"the contradiction dissolves: the premise in step {broken[0][2]} "
+            f"the contradiction dissolves: the premise in step {broken[0][0].index} "
             f"is itself invalid",
         )
-    if any(r[1] == f[1] for r in valid_r for f in valid_f):
+    r_levels = [env.level(a.claim.occ) for a in valid_r]
+    f_levels = [env.level(a.claim.occ) for a in valid_f]
+    if set(r_levels) & set(f_levels):
         # Both premises genuinely hold of a single reading of the sign.
-        return StepStatus(a.index, "valid")
-    r_occ, r_level, r_index, _ = valid_r[0]
-    f_occ, f_level, f_index, _ = valid_f[0]
-    return StepStatus(
-        a.index,
+        return _VALID
+    return (
         "invalid",
-        f"the sign {format_term(sign)} is a {_name(r_level)} in step {r_index} "
-        f"and a {_name(f_level)} in step {f_index}; distinct occurrences of one "
+        f"the sign {format_term(sign)} is a {_LEVEL_NAMES[r_levels[0]]} in step {valid_r[0].index} "
+        f"and a {_LEVEL_NAMES[f_levels[0]]} in step {valid_f[0].index}; distinct occurrences of one "
         f"sign do not combine into a single entity",
     )
 
 
-def _check_conclude(env: _Env, a: Assertion):
-    claim = a.claim
-    if claim.left == claim.right:
-        return StepStatus(a.index, "valid")
-    left = [p for p in env.numerators if p[1] == claim.left and p[4]]
-    right = [p for p in env.numerators if p[1] == claim.right and p[4]]
+def _check_conclude(env: _Env, claim: Claim):
+    left_n, right_n = claim.arg
+    if left_n == right_n:
+        return _VALID
+    numerators = [a for a, ok in env.premises("num") if ok]
+    left = [a for a in numerators if a.claim.arg == left_n]
+    right = [a for a in numerators if a.claim.arg == right_n]
     if not left or not right:
-        return StepStatus(a.index, "invalid", "does not follow from the preceding assertions")
-    l_occ, _, l_level, l_index, _ = left[-1]
-    r_occ, _, r_level, r_index, _ = right[-1]
-    pair = {format_term(l_occ.term), format_term(r_occ.term)}
+        return "invalid", "does not follow from the preceding assertions"
+    left, right = left[-1], right[-1]
+    l_level, r_level = env.level(left.claim.occ), env.level(right.claim.occ)
+    pair = {format_term(left.claim.occ.term), format_term(right.claim.occ.term)}
     matching = [
-        (eq, level, index)
-        for (eq, level, index, ok) in env.equalities
-        if ok and {format_term(eq.left.term), format_term(eq.right.term)} == pair
+        a
+        for a, ok in env.premises("equals")
+        if ok and {format_term(o.term) for o in a.claim.occurrences} == pair
     ]
     if not matching:
-        return StepStatus(
-            a.index, "invalid", "no equality connects the two numerator bearers"
-        )
-    eq, eq_level, eq_index = matching[-1]
-    if not env.unique_levels:
-        return StepStatus(
-            a.index, "invalid", "uniqueness of numerators was never established"
-        )
-    uniq_level, uniq_index = env.unique_levels[-1]
+        return "invalid", "no equality connects the two numerator bearers"
+    eq = matching[-1]
+    eq_level = env.level(eq.claim.occ)
+    unique = [a for a, ok in env.premises("unique-numerator") if ok]
+    if not unique:
+        return "invalid", "uniqueness of numerators was never established"
+    # The fraxion reading resolves to the fracterm level: extraction fits
+    # terms, not values.
+    uniq_level = unique[-1].claim.arg
+    if uniq_level is Level.FRAXION:
+        uniq_level = Level.FRACTERM
     if l_level == r_level == eq_level == uniq_level:
-        return StepStatus(a.index, "valid")
-    return StepStatus(
-        a.index,
+        return _VALID
+    return (
         "invalid",
-        f"numerators were taken at the {_name(l_level)} level (steps {l_index} and "
-        f"{r_index}) and their uniqueness holds at the {_name(uniq_level)} level, but "
-        f"the equality in step {eq_index} holds at the {_name(eq_level)} level; the "
+        f"numerators were taken at the {_LEVEL_NAMES[l_level]} level (steps {left.index} and "
+        f"{right.index}) and their uniqueness holds at the {_LEVEL_NAMES[uniq_level]} level, but "
+        f"the equality in step {eq.index} holds at the {_LEVEL_NAMES[eq_level]} level; the "
         f"conclusion does not transfer across levels",
     )
 
 
-def _check_claim(env: _Env, a: Assertion, script: Script) -> StepStatus:
-    claim = a.claim
-    if isinstance(claim, HasNumerator):
-        return _check_has_component(env, a, "numerator")
-    if isinstance(claim, HasDenominator):
-        return _check_has_component(env, a, "denominator")
-    if isinstance(claim, UniqueNumerator):
-        if claim.level is Level.FRACVALUE:
-            return StepStatus(
-                a.index, "invalid", "fracvalues do not split, so nothing is extracted uniquely"
-            )
-        return StepStatus(a.index, "valid")
-    if isinstance(claim, Equals):
-        return _check_equals(env, a)
-    if isinstance(claim, IsRational):
-        return _check_is_rational(env, a)
-    if isinstance(claim, IsFracterm):
-        return _check_is_fracterm(env, a)
-    if isinstance(claim, TaxonomyIs):
-        return _check_taxonomy(env, a)
-    if isinstance(claim, BothLevels):
-        if env.fracterm_is_number(claim.occ.term):
-            return StepStatus(a.index, "valid")
-        reason = (
-            "fracterms and fracvalues are disjoint collections; no reading makes both true"
-            if env.disjoint
-            else f"{format_term(claim.occ.term)} is not one of the shape's numbers"
-        )
-        return StepStatus(a.index, "invalid", reason)
-    if isinstance(claim, IsFraxion):
-        return StepStatus(a.index, "valid")
-    if isinstance(claim, MayBeRational):
-        level = env.level(claim.occ)
-        if level in (Level.FRAXION, Level.FRACVALUE):
-            return StepStatus(a.index, "valid")
-        return StepStatus(
-            a.index,
-            "invalid",
-            f"the fracvalue reading of this occurrence was ruled out (it is a {_name(level)})",
-        )
-    if isinstance(claim, EvenInteger):
-        value = env.value_of(claim.occ.term)
-        if value == BOTTOM:
-            return StepStatus(a.index, "invalid", "the value is bottom, not an integer")
-        exact = shapes.decode(value.instance)
-        if exact.denominator == 1 and exact.numerator % 2 == 0:
-            return StepStatus(a.index, "valid")
-        return StepStatus(a.index, "invalid", f"the value {exact} is not an even integer")
-    if isinstance(claim, Comparison):
-        level = env.level(claim.occ)
-        if level is not Level.FRACVALUE:
-            return StepStatus(
-                a.index,
-                "level-conflict",
-                f"a numeric comparison needs the fracvalue reading, not a {_name(level)}",
-            )
-        value = env.value_of(claim.occ.term)
-        if value == BOTTOM:
-            return StepStatus(a.index, "invalid", "the value is bottom and compares with nothing")
-        exact = shapes.decode(value.instance)
-        holds = {
-            "<": exact < claim.bound,
-            "<=": exact <= claim.bound,
-            ">": exact > claim.bound,
-            ">=": exact >= claim.bound,
-        }[claim.op]
-        if holds:
-            return StepStatus(a.index, "valid")
-        return StepStatus(a.index, "invalid", f"{exact} {claim.op} {claim.bound} does not hold")
-    if isinstance(claim, CanSimplify):
-        flags = classify(claim.occ.term)
-        if flags.simple and not flags.simplified and claim.occ.term.right.value != 0:
-            return StepStatus(a.index, "valid")
-        return StepStatus(a.index, "invalid", "no simplification step applies")
-    if isinstance(claim, WritableFlat):
-        flat_form, _ = flatten(claim.occ.term)
-        witness_flags = classify(claim.witness)
-        flat_flags = classify(flat_form)
-        ok = (
-            (flat_flags.flat or not flat_flags.is_fracterm)
-            and witness_flags.flat
-            and value_eq(env.value_of(claim.occ.term), env.value_of(claim.witness))
-        )
-        if ok:
-            return StepStatus(a.index, "valid")
-        return StepStatus(
-            a.index,
-            "invalid",
-            f"{format_term(claim.witness)} is not a flat form of {format_term(claim.occ.term)}",
-        )
-    if isinstance(claim, AllRationalsFraxions):
-        return StepStatus(a.index, "valid")
-    if isinstance(claim, NotAllFraxionsRational):
-        return StepStatus(a.index, "valid")
-    if isinstance(claim, RationalsNotFracterms):
-        if env.disjoint:
-            return StepStatus(a.index, "valid")
-        return StepStatus(
-            a.index,
-            "invalid",
-            "under this shape the simplified simple fracterms are the rational numbers",
-        )
-    if isinstance(claim, NotAllFractermsRational):
-        if claim.witness is not None and not env.disjoint:
-            if classify(claim.witness.term).simplified:
-                return StepStatus(
-                    a.index,
-                    "invalid",
-                    f"{format_term(claim.witness.term)} is one of the shape's numbers",
-                )
-        return StepStatus(a.index, "valid")
-    if isinstance(claim, LevelDirective):
-        return StepStatus(a.index, "valid")
-    if isinstance(claim, Definitional):
-        return StepStatus(a.index, "valid")
-    if isinstance(claim, Contradicts):
-        return _check_contradicts(env, a, script)
-    if isinstance(claim, Conclude):
-        return _check_conclude(env, a)
-    raise TypeError(f"unknown claim {claim!r}")
+# ---------------------------------------------------------------------------
+# The claim table
 
 
-def _record_premises(env: _Env, a: Assertion, status: StepStatus) -> None:
-    claim = a.claim
-    ok = status.valid
-    if isinstance(claim, HasNumerator):
-        env.numerators.append((claim.occ, claim.numeral, env.level(claim.occ), a.index, ok))
-    elif isinstance(claim, Equals):
-        env.equalities.append((claim, env.level(claim.left), a.index, ok))
-    elif isinstance(claim, UniqueNumerator):
-        # The fraxion reading resolves to the fracterm level: extraction
-        # fits terms, not values.
-        resolved = Level.FRACTERM if claim.level is Level.FRAXION else claim.level
-        if ok:
-            env.unique_levels.append((resolved, a.index))
-    elif isinstance(claim, IsRational) and claim.positive:
-        env.rational_claims.append((claim.occ, env.level(claim.occ), a.index, ok))
-    elif isinstance(claim, IsFracterm) and claim.positive:
-        env.fracterm_claims.append((claim.occ, env.level(claim.occ), a.index, ok))
-    elif isinstance(claim, BothLevels):
-        # Asserts rationality and fractermhood of one occurrence at once.
-        env.rational_claims.append((claim.occ, env.level(claim.occ), a.index, ok))
-        env.fracterm_claims.append((claim.occ, env.level(claim.occ), a.index, ok))
+class _Kind(NamedTuple):
+    pattern: str  # matched with re.match, in table order: the first match wins
+    role: Optional[Level]  # rule 4; None leaves the occurrences to the default
+    arg: Optional[Callable[[re.Match, int], object]]  # (match, line) -> Claim.arg
+    check: Callable[[_Env, Claim], tuple[str, Optional[str]]]
+
+
+def _int_arg(m: re.Match, line: int) -> int:
+    return int(m["n"])
+
+
+def _witness_arg(m: re.Match, line: int) -> Term:
+    try:
+        witness = parse_term(m["witness"].strip())
+    except FractermError as exc:
+        raise ScriptError(f"bad witness term: {exc}", line=line) from None
+    return erase_decorations(witness)
+
+
+_FLAG_WORDS = "flat|simple|simplified|proper"
+_DEFINITIONS = {"number": Level.FRACVALUE, "fracterm": Level.FRACTERM, "fracsign": Level.SIGN}
+
+CLAIM_KINDS: dict[str, _Kind] = {
+    "num": _Kind(r"^num\((?P<occ>.+)\)\s*=\s*(?P<n>-?\d+)$", Level.FRACTERM, _int_arg, _check_component),
+    "denom": _Kind(r"^denom\((?P<occ>.+)\)\s*=\s*(?P<n>-?\d+)$", Level.FRACTERM, _int_arg, _check_component),
+    "unique-numerator": _Kind(
+        r"^(?P<word>fraxion|fracterm|fracvalue|fracsign)s have a unique numerator$",
+        None,
+        lambda m, line: _LEVEL_WORDS[m["word"]],
+        _check_unique_numerator,
+    ),
+    "level": _Kind(
+        r"^level\((?P<n>\d+)\)\s*=\s*(?P<to>ft|fv|fs)$",
+        None,
+        lambda m, line: (int(m["n"]), _LEVEL_TAGS[m["to"]]),
+        _valid,
+    ),
+    "conclude": _Kind(
+        r"^conclude\s+(?P<left>-?\d+)\s*=\s*(?P<right>-?\d+)$",
+        None,
+        lambda m, line: (int(m["left"]), int(m["right"])),
+        _check_conclude,
+    ),
+    "def": _Kind(
+        r"^def:\s*fraction is (?P<reading>number|fracterm|fracsign)$",
+        None,
+        lambda m, line: _DEFINITIONS[m["reading"]],
+        _valid,
+    ),
+    "all-rationals-fraxions": _Kind(r"^all rationals are fraxions$", None, None, _valid),
+    "not-all-fraxions-rational": _Kind(r"^not all fraxions are rational$", None, None, _valid),
+    "rationals-not-fracterms": _Kind(r"^rationals are not fracterms$", None, None, _check_rationals_not_fracterms),
+    # The witness is named as a fracterm.
+    "not-all-fracterms-rational": _Kind(
+        r"^not all fracterms are rational(?:,\s*witness\s+(?P<occ>.+))?$",
+        Level.FRACTERM,
+        None,
+        _check_not_all_fracterms_rational,
+    ),
+    "equals": _Kind(
+        r"^(?P<occ>.+?)\s*==\s*(?P<occ2>.+?)(?:\s*@(?P<tag>ft|fv|fs))?$", Level.FRACVALUE, None, _check_equals
+    ),
+    # A numeric judgement such as 4/3 > 1 leaves the sign to the default:
+    # the most abstract referent, a fracvalue.
+    "comparison": _Kind(
+        r"^(?P<occ>.+?)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?\d+)$",
+        None,
+        lambda m, line: (m["op"], int(m["n"])),
+        _check_comparison,
+    ),
+    "both-levels": _Kind(r"^(?P<occ>.+?) is fracterm and fracvalue$", Level.FRAXION, None, _check_both_levels),
+    "fraxion": _Kind(r"^(?P<occ>.+?) is fraxion$", Level.FRAXION, None, _valid),
+    "may-be-rational": _Kind(r"^(?P<occ>.+?) may be rational$", Level.FRAXION, None, _check_may_be_rational),
+    "even-integer": _Kind(r"^(?P<occ>.+?) is an even integer$", Level.FRACVALUE, None, _check_even_integer),
+    "can-simplify": _Kind(r"^(?P<occ>.+?) can be simplified$", Level.FRACTERM, None, _check_can_simplify),
+    "writable-flat": _Kind(
+        r"^(?P<occ>.+?) can be written flat as (?P<witness>.+)$", Level.FRACTERM, _witness_arg, _check_writable_flat
+    ),
+    "contradicts": _Kind(r"^(?P<occ>.+?) contradicts (?P<n>\d+)$", Level.FRAXION, _int_arg, _check_contradicts),
+    "rational": _Kind(r"^(?P<occ>.+?) is (?P<neg>not )?rational$", Level.FRACVALUE, None, _check_is_rational),
+    "fracterm": _Kind(r"^(?P<occ>.+?) is (?P<neg>not )?fracterm$", Level.FRACTERM, None, _check_is_fracterm),
+    "taxonomy": _Kind(
+        rf"^(?P<occ>.+?) is (?P<neg>not )?(?P<flags>(?:{_FLAG_WORDS})(?: and (?:{_FLAG_WORDS}))*)$",
+        Level.FRACTERM,
+        lambda m, line: tuple(m["flags"].split(" and ")),
+        _check_taxonomy,
+    ),
+}
 
 
 def check(
@@ -907,13 +695,11 @@ def check(
         disjoint = script.disjoint
     if disjoint is None:
         disjoint = shape_id != "rat.ssft"
-    levels = infer_levels(script)
-    env = _Env(shape_id=shape_id, disjoint=disjoint, levels=levels)
+    env = _Env(script, shape_id, disjoint, infer_levels(script))
     statuses: list[StepStatus] = []
     for a in script.assertions:
-        status = _check_claim(env, a, script)
-        env.statuses[a.index] = status
-        _record_premises(env, a, status)
+        status = StepStatus(a.index, *CLAIM_KINDS[a.claim.kind].check(env, a.claim))
+        env.checked.append((a, status.valid))
         statuses.append(status)
     bad = [s for s in statuses if not s.valid]
     if not bad:

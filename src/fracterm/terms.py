@@ -114,6 +114,13 @@ _BINARY = (Add, Sub, Mul, Div)
 # num | ident | op | div | frac | end.
 
 
+# ASCII only, as Lit and Var require: str.isdigit and str.isalpha also
+# accept other scripts' digits and letters, and superscripts.
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_ALNUM = _LETTERS | _DIGITS
+
+
 def _tokenize(text: str, div_char: Optional[str]) -> list[tuple[str, str, int]]:
     tokens = []
     i, n = 0, len(text)
@@ -122,16 +129,16 @@ def _tokenize(text: str, div_char: Optional[str]) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("num", text[i:j], i))
             i = j
             continue
-        if c.isalpha():
+        if c in _LETTERS:
             j = i
-            while j < n and text[j].isalnum():
+            while j < n and text[j] in _ALNUM:
                 j += 1
             word = text[i:j]
             if word == "frac" and div_char is None:

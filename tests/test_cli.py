@@ -180,6 +180,15 @@ def test_fractalk_empty_script(capsys, tmp_path):
     assert json.loads(err) == {"error": "ScriptError", "message": "script holds no assertions"}
 
 
+def test_fractalk_malformed_pragma(capsys, tmp_path):
+    script = tmp_path / "pragma.ftk"
+    script.write_text("@disjoint\n1: 2/3 is rational\n")
+    code, out, err = run(capsys, "fractalk", "check", str(script))
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ScriptError" and error["message"].startswith("line 1: bad pragma")
+
+
 def test_demo_runs_whole_corpus(capsys):
     data = run_json(capsys, "demo")
     assert data["A"]["blocked_at"] == 5
@@ -202,6 +211,13 @@ def test_demo_text_mode(capsys):
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "parse", "1/+")
     assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("text", ["x²", "٣/4"])
+def test_non_ascii_term_exit_code(capsys, text):
+    code, out, err = run(capsys, "parse", text)
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParseError"
 
 

@@ -3,15 +3,7 @@ from importlib import resources
 import pytest
 
 from fracterm.errors import DanglingReference, LevelConflict, ScriptError
-from fracterm.fractalk import (
-    Equals,
-    HasNumerator,
-    LevelDirective,
-    check,
-    check_text,
-    infer_levels,
-    parse_script,
-)
+from fracterm.fractalk import CLAIM_KINDS, check, check_text, infer_levels, parse_script
 from fracterm.terms import Level, parse_term
 
 
@@ -30,24 +22,24 @@ def corpus_verdict(name: str, **kwargs):
 def test_parse_num_claim():
     script = parse_script("1: num(1/2) = 1")
     claim = script.assertions[0].claim
-    assert isinstance(claim, HasNumerator)
+    assert claim.kind == "num"
     assert claim.occ.key() == (1, 1)
     assert claim.occ.term == parse_term("1/2")
-    assert claim.numeral == 1
+    assert claim.arg == 1
 
 
 def test_parse_annotated_equality():
     script = parse_script("4: 1/2 == 2/4 @fv")
     claim = script.assertions[0].claim
-    assert isinstance(claim, Equals)
-    assert claim.annotation is Level.FRACVALUE
+    assert claim.kind == "equals"
+    assert claim.role is Level.FRACVALUE
 
 
 def test_parse_level_directive():
     script = parse_script("1: level(2) = ft\n2: 2/3 is rational")
     claim = script.assertions[0].claim
-    assert isinstance(claim, LevelDirective)
-    assert claim.target == 2 and claim.level is Level.FRACTERM
+    assert claim.kind == "level"
+    assert claim.arg == (2, Level.FRACTERM)
 
 
 def test_parse_errors():
@@ -59,6 +51,20 @@ def test_parse_errors():
         parse_script("1: num(1//2) = 1")
     with pytest.raises(ScriptError):
         parse_script("1: 1/2 is rational\n1: 1/2 is fracterm")
+
+
+@pytest.mark.parametrize(
+    "pragma", ["@shape", "@disjoint", "@shapefoo rat.ssft", "@disjointtrue", "@disjoint yes", "@disjoint True"]
+)
+def test_malformed_pragma_rejected(pragma):
+    with pytest.raises(ScriptError) as e:
+        parse_script(f"# header\n{pragma}\n1: 2/3 is rational")
+    assert e.value.line == 2
+
+
+def test_pragmas_set_script_defaults():
+    script = parse_script("@shape rat.ssft\n@disjoint false\n1: 2/3 is rational")
+    assert (script.shape_id, script.disjoint) == ("rat.ssft", False)
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n@shape rat.pcs\n@disjoint true"])
@@ -75,6 +81,129 @@ def test_dangling_references():
     with pytest.raises(DanglingReference):
         # The directive's target holds no fracsign occurrence.
         parse_script("1: level(2) = ft\n2: rationals are not fracterms")
+
+
+# ---------------------------------------------------------------------------
+# Claim kinds: one row per kind, in table order. Each example's last
+# assertion parses to the kind and checks, under the default shape or the
+# script's own pragma, to the recorded (status, explanation). The examples
+# sit on the boundaries of the first-match-wins patterns.
+
+CLAIM_ROWS = [
+    ('num', [
+        ('1: num(1/2) = 1', 'valid', None),
+        ('1: num(2/4) = 1', 'invalid', 'the numerator of 2/4 is 2, not 1'),
+        ('1: num(2/fv4) = 2', 'level-conflict', 'the occurrence is read as a fracvalue, and a fracvalue has no numerator: values do not split into numerator and denominator'),
+    ]),
+    ('denom', [
+        ('1: denom(the fraction 2/6) = 6', 'valid', None),
+        ('1: def: fraction is number\n2: denom(the fraction 2/6) = 6', 'level-conflict', 'the occurrence is read as a fracvalue, and a fracvalue has no denominator: values do not split into numerator and denominator'),
+        ('1: denom(3) = 1', 'invalid', '3 has no leading division'),
+    ]),
+    ('unique-numerator', [
+        ('1: fracterms have a unique numerator', 'valid', None),
+        ('1: fracvalues have a unique numerator', 'invalid', 'fracvalues do not split, so nothing is extracted uniquely'),
+    ]),
+    ('level', [
+        ('1: 2/3 is rational\n2: level(1) = ft', 'valid', None),
+    ]),
+    ('conclude', [
+        ('1: conclude 2 = 2', 'valid', None),
+        ('1: num(1/2) = 1\n2: num(2/4) = 2\n3: fraxions have a unique numerator\n4: 1/2 == 2/4\n5: conclude 1 = 2', 'invalid', 'numerators were taken at the fracterm level (steps 1 and 2) and their uniqueness holds at the fracterm level, but the equality in step 4 holds at the fracvalue level; the conclusion does not transfer across levels'),
+        ('1: num(1/2) = 1\n2: conclude 1 = 2', 'invalid', 'does not follow from the preceding assertions'),
+        ('1: num(1/2) = 1\n2: num(2/4) = 2\n3: conclude 1 = 2', 'invalid', 'no equality connects the two numerator bearers'),
+        ('1: num(1/2) = 1\n2: num(2/4) = 2\n3: 1/2 == 2/4\n4: conclude 1 = 2', 'invalid', 'uniqueness of numerators was never established'),
+    ]),
+    ('def', [
+        ('1: def: fraction is fracterm', 'valid', None),
+    ]),
+    ('all-rationals-fraxions', [
+        ('1: all rationals are fraxions', 'valid', None),
+    ]),
+    ('not-all-fraxions-rational', [
+        ('1: not all fraxions are rational', 'valid', None),
+    ]),
+    ('rationals-not-fracterms', [
+        ('1: rationals are not fracterms', 'valid', None),
+        ('@shape rat.ssft\n1: rationals are not fracterms', 'invalid', 'under this shape the simplified simple fracterms are the rational numbers'),
+    ]),
+    ('not-all-fracterms-rational', [
+        ('1: not all fracterms are rational, witness 2/3', 'valid', None),
+        ('@shape rat.ssft\n1: not all fracterms are rational, witness 2/3', 'invalid', "2/3 is one of the shape's numbers"),
+    ]),
+    ('equals', [
+        ('1: 1/2 == 2/4 @fv', 'valid', None),
+        ('1: 1/2 == 2/4 @ft', 'invalid', '1/2 and 2/4 differ as fracterms'),
+        ('1: 1/ft2 == 2/4', 'invalid', 'cross-level equation: left occurrence is a fracterm, right a fracvalue'),
+    ]),
+    ('comparison', [
+        ('1: 4/3 > 1', 'valid', None),
+        ('1: 4/3 >= 2', 'invalid', '4/3 >= 2 does not hold'),
+        ('1: 1/0 < 1', 'invalid', 'the value is bottom and compares with nothing'),
+        ('1: level(2) = ft\n2: 4/3 > 1', 'level-conflict', 'a numeric comparison needs the fracvalue reading, not a fracterm'),
+    ]),
+    ('both-levels', [
+        ('@shape rat.ssft\n1: 2/3 is fracterm and fracvalue', 'valid', None),
+        ('1: 2/3 is fracterm and fracvalue', 'invalid', 'fracterms and fracvalues are disjoint collections; no reading makes both true'),
+    ]),
+    ('fraxion', [
+        ('1: 2/3 is fraxion', 'valid', None),
+    ]),
+    ('may-be-rational', [
+        ('1: 2/3 may be rational', 'valid', None),
+        ('1: 2/ft3 may be rational', 'invalid', 'the fracvalue reading of this occurrence was ruled out (it is a fracterm)'),
+    ]),
+    ('even-integer', [
+        ('1: the fraction 4/2 is an even integer', 'valid', None),
+        ('1: 1/0 is an even integer', 'invalid', 'the value is bottom, not an integer'),
+        ('1: 2/4 is an even integer', 'invalid', 'the value 1/2 is not an even integer'),
+    ]),
+    ('can-simplify', [
+        ('1: 2/4 can be simplified', 'valid', None),
+        ('1: 1/2 can be simplified', 'invalid', 'no simplification step applies'),
+    ]),
+    ('writable-flat', [
+        ('1: 5/(1+3) can be written flat as 5/4', 'valid', None),
+        ('1: 5/(1+3) can be written flat as 5/3', 'invalid', '5/3 is not a flat form of 5/(1+3)'),
+    ]),
+    ('contradicts', [
+        ('@shape rat.ssft\n1: 2/3 is fracterm and fracvalue\n2: not all fracterms are rational\n3: 2/3 contradicts 2', 'valid', None),
+        ('1: 2/3 is rational\n2: 2/3 is fracterm\n3: rationals are not fracterms\n4: 2/3 contradicts 3', 'invalid', 'the sign 2/3 is a fracvalue in step 1 and a fracterm in step 2; distinct occurrences of one sign do not combine into a single entity'),
+        ('1: level(2) = ft\n2: 2/3 is rational\n3: 2/3 is fracterm\n4: rationals are not fracterms\n5: 2/3 contradicts 4', 'invalid', 'the contradiction dissolves: the premise in step 2 is itself invalid'),
+        ('1: 2/3 is rational\n2: 2/3 contradicts 1', 'invalid', 'the cited assertion is not a universal claim'),
+        ('1: 2/3 is rational\n2: rationals are not fracterms\n3: 2/3 contradicts 2', 'invalid', 'no premises support a contradiction'),
+    ]),
+    ('rational', [
+        ('1: 2/3 is rational', 'valid', None),
+        ('1: 2/3 is not rational', 'invalid', 'the fracvalue of 2/3'),
+        ('1: 2/ft3 is rational', 'invalid', 'the occurrence is fixed at the fracterm level, and no fracterm is a rational number under the disjoint reading'),
+    ]),
+    ('fracterm', [
+        ('1: 2/3 is fracterm', 'valid', None),
+        ('1: 2/3 is not fracterm', 'invalid', 'read as a fracterm, 2/3 is a fracterm'),
+        ('1: 2/fv3 is fracterm', 'invalid', 'read as a fracvalue, 2/3 is not a fracterm'),
+    ]),
+    ('taxonomy', [
+        ('1: 4/3 is simple and simplified', 'valid', None),
+        ('1: 2/4 is simplified', 'invalid', '2/4 is not simplified'),
+        ('1: 5/4 is not proper', 'valid', None),
+        ('1: (1+2)/3 is proper', 'invalid', 'proper is defined only for simple fracterms'),
+        ('1: 2/fv4 is flat', 'level-conflict', 'syntactic classification applies to fracterms, not fracvalues'),
+    ]),
+]
+
+
+def test_claim_rows_cover_every_kind_in_table_order():
+    assert [kind for kind, _ in CLAIM_ROWS] == list(CLAIM_KINDS)
+
+
+@pytest.mark.parametrize("kind,examples", CLAIM_ROWS, ids=[kind for kind, _ in CLAIM_ROWS])
+def test_claim_kind_golden(kind, examples):
+    for text, status, explanation in examples:
+        script = parse_script(text)
+        assert script.assertions[-1].claim.kind == kind, text
+        step = check(script).steps[-1]
+        assert (step.status, step.explanation) == (status, explanation), text
 
 
 # ---------------------------------------------------------------------------

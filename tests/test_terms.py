@@ -113,6 +113,13 @@ PARSE_ERRORS = [
     ("-frac(1,2", "frac", 9),
     ("1*-(2,3)", "inline", 5),
     ("x+frac(1,(2,3))", "frac", 11),
+    # Digits and letters are ASCII only.
+    ("x²", "inline", 1),
+    ("x²", "colon", 1),
+    ("x²", "frac", 1),
+    ("٣/4", "inline", 0),
+    ("٣/4", "colon", 0),
+    ("٣/4", "frac", 0),
 ]
 
 
