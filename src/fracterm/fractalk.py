@@ -25,14 +25,23 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from . import shapes
 from .errors import DanglingReference, FractermError, LevelConflict, ScriptError
 from .rewrite import flatten
 from .semantics import BOTTOM, EvalConfig, NumberValue, eval_term, value_eq
-from .terms import Div, Level, Lit, Term, classify, erase_decorations, format_term, parse_term
+from .terms import (
+    Div,
+    Level,
+    Lit,
+    Term,
+    classify,
+    erase_decorations,
+    format_term,
+    parse_term,
+    term_eq,
+)
 
 _LEVEL_TAGS = {"ft": Level.FRACTERM, "fv": Level.FRACVALUE, "fs": Level.SIGN}
 _LEVEL_WORDS = {
@@ -294,17 +303,13 @@ class Verdict:
 @dataclass
 class _Env:
     script: Script
-    shape_id: str
+    cfg: EvalConfig
     disjoint: bool
     levels: dict[tuple[int, int], Level]
     checked: list[tuple[Assertion, bool]] = field(default_factory=list)  # (step, valid) so far
 
     def level(self, occ: Occurrence) -> Level:
         return self.levels[occ.key()]
-
-    @cached_property
-    def cfg(self) -> EvalConfig:
-        return EvalConfig("common-meadow", self.shape_id)
 
     def value_of(self, term: Term):
         return eval_term(term, self.cfg)
@@ -366,7 +371,7 @@ def _check_equals(env: _Env, claim: Claim):
     if ll is Level.FRACVALUE:
         ok = value_eq(env.value_of(left.term), env.value_of(right.term))
     else:
-        ok = left.term == right.term
+        ok = term_eq(left.term, right.term)
     if not ok:
         return (
             "invalid",
@@ -519,8 +524,8 @@ def _check_contradicts(env: _Env, claim: Claim):
         return "invalid", "the cited assertion is not a universal claim"
     sign = claim.occ.term
     # "x is fracterm and fracvalue" asserts both premises of one occurrence.
-    rationals = [p for p in env.premises("rational", "both-levels") if p[0].claim.occ.term == sign]
-    fracterms = [p for p in env.premises("fracterm", "both-levels") if p[0].claim.occ.term == sign]
+    rationals = [p for p in env.premises("rational", "both-levels") if term_eq(p[0].claim.occ.term, sign)]
+    fracterms = [p for p in env.premises("fracterm", "both-levels") if term_eq(p[0].claim.occ.term, sign)]
     if not rationals or not fracterms:
         return "invalid", "no premises support a contradiction"
     valid_r = [a for a, ok in rationals if ok]
@@ -695,7 +700,9 @@ def check(
         disjoint = script.disjoint
     if disjoint is None:
         disjoint = shape_id != "rat.ssft"
-    env = _Env(script, shape_id, disjoint, infer_levels(script))
+    # The shape is checked here, before any step, even when no claim
+    # evaluates a value.
+    env = _Env(script, EvalConfig("common-meadow", shape_id), disjoint, infer_levels(script))
     statuses: list[StepStatus] = []
     for a in script.assertions:
         status = StepStatus(a.index, *CLAIM_KINDS[a.claim.kind].check(env, a.claim))

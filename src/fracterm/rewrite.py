@@ -17,6 +17,14 @@ The plain collapse would silently turn x/(c/0) into a number, so the guarded
 variant keeps the zero in the denominator. Value preservation is stated for
 the common-meadow policy; the zero-totalizing policy is not preserved in
 general (a zero divisor can be multiplied away).
+
+Each phase (``numeral-eval`` first, then the other rules) rewrites the
+innermost-leftmost match until none is left. It runs as one postorder walk
+with its own stack, which carries division-freeness up the tree and never
+re-enters a finished subtree; a step rebuilds only the path from the match
+to the root. So a phase takes time linear in the size of its input and of
+the nodes the rules build, plus the depth of each match; nothing in this
+module recurses.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ from .terms import (
     fold,
     format_term,
     num,
+    subterms,
+    term_eq,
 )
 
 STRATEGIES = ("cross", "same-denom", "numeral", "trivial")
@@ -61,16 +71,20 @@ class RewriteTrace:
     def replay(self, start: Term) -> Term:
         cur = start
         for step in self.steps:
-            if step.before != cur:
+            if not term_eq(step.before, cur):
                 raise ValueError(f"trace does not compose at rule {step.rule!r}")
             cur = step.after
         return cur
 
     def to_json(self):
-        return [
-            {"rule": s.rule, "before": format_term(s.before), "after": format_term(s.after)}
-            for s in self.steps
-        ]
+        # Each step starts from the term the one before it ended on, so
+        # every distinct term is printed once.
+        out, last, text = [], None, None
+        for s in self.steps:
+            before = text if s.before is last else format_term(s.before)
+            last, text = s.after, format_term(s.after)
+            out.append({"rule": s.rule, "before": before, "after": text})
+        return out
 
 
 _INT_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul}
@@ -90,48 +104,40 @@ def _int_value(t: Term) -> int:
     return fold(t, _int_node)
 
 
-def _pure(t: Term) -> bool:
-    return not contains_div(t)
+def _flatdiv(t: Term, pure) -> bool:
+    return isinstance(t, Div) and pure(t.left) and pure(t.right)
 
 
-def _flatdiv(t: Term) -> bool:
-    return isinstance(t, Div) and _pure(t.left) and _pure(t.right)
-
-
-def _rebuild(t: Term, left: Term, right: Term) -> Term:
-    return type(t)(left, right)
-
-
-def _numeral_rule(t: Term):
+def _numeral_rule(t: Term, pure):
     # Division operands that are plain closed arithmetic become numerals.
     # This runs as a first phase only, so products built later by the
     # collapse rules stay symbolic.
     if isinstance(t, Div):
-        if _pure(t.left) and not isinstance(t.left, Lit):
+        if pure(t.left) and not isinstance(t.left, Lit):
             return ("numeral-eval", Div(Lit(str(_int_value(t.left))), t.right))
-        if _pure(t.right) and not isinstance(t.right, Lit):
+        if pure(t.right) and not isinstance(t.right, Lit):
             return ("numeral-eval", Div(t.left, Lit(str(_int_value(t.right)))))
     return None
 
 
-def _node_rule(t: Term):
+def _node_rule(t: Term, pure):
     if isinstance(t, Neg):
-        if _flatdiv(t.operand):
+        if _flatdiv(t.operand, pure):
             inner = t.operand
             return ("neg-lift", Div(Neg(inner.left), inner.right))
         return None
 
     if isinstance(t, Div):
         l, r = t.left, t.right
-        if _pure(l) and _pure(r):
+        if pure(l) and pure(r):
             return None  # already flat
-        if _pure(l) and _flatdiv(r):
+        if pure(l) and _flatdiv(r, pure):
             if _int_value(r.right) != 0:
                 return ("div-collapse", Div(Mul(l, r.right), r.left))
             return ("div-collapse-bot", Div(Mul(l, r.right), Mul(r.left, r.right)))
-        if _flatdiv(l) and _pure(r):
+        if _flatdiv(l, pure) and pure(r):
             return ("div-collapse", Div(l.left, Mul(l.right, r)))
-        if _flatdiv(l) and _flatdiv(r):
+        if _flatdiv(l, pure) and _flatdiv(r, pure):
             if _int_value(r.right) != 0:
                 return ("div-collapse", Div(Mul(l.left, r.right), Mul(l.right, r.left)))
             return (
@@ -142,46 +148,87 @@ def _node_rule(t: Term):
 
     if isinstance(t, (Add, Sub, Mul)):
         l, r = t.left, t.right
-        if _pure(l) and _pure(r):
+        if pure(l) and pure(r):
             return None
         rule = {Add: "add-lift", Sub: "sub-lift", Mul: "mul-lift"}[type(t)]
         if isinstance(t, Mul):
-            if _flatdiv(l) and _flatdiv(r):
+            if _flatdiv(l, pure) and _flatdiv(r, pure):
                 return (rule, Div(Mul(l.left, r.left), Mul(l.right, r.right)))
-            if _flatdiv(l) and _pure(r):
+            if _flatdiv(l, pure) and pure(r):
                 return (rule, Div(Mul(l.left, r), l.right))
-            if _pure(l) and _flatdiv(r):
+            if pure(l) and _flatdiv(r, pure):
                 return (rule, Div(Mul(l, r.left), r.right))
             return None
         cls = type(t)
-        if _flatdiv(l) and _flatdiv(r):
+        if _flatdiv(l, pure) and _flatdiv(r, pure):
             return (
                 rule,
                 Div(cls(Mul(l.left, r.right), Mul(l.right, r.left)), Mul(l.right, r.right)),
             )
-        if _flatdiv(l) and _pure(r):
+        if _flatdiv(l, pure) and pure(r):
             return (rule, Div(cls(l.left, Mul(r, l.right)), l.right))
-        if _pure(l) and _flatdiv(r):
+        if pure(l) and _flatdiv(r, pure):
             return (rule, Div(cls(Mul(l, r.right), r.left), r.right))
         return None
 
     return None
 
 
-def _step(t: Term, rule):
-    """First rewrite found by rule, innermost-leftmost; None when exhausted."""
-    if isinstance(t, Neg):
-        inner = _step(t.operand, rule)
-        if inner is not None:
-            return (inner[0], Neg(inner[1]))
-    elif isinstance(t, (Add, Sub, Mul, Div)):
-        left = _step(t.left, rule)
-        if left is not None:
-            return (left[0], _rebuild(t, left[1], t.right))
-        right = _step(t.right, rule)
-        if right is not None:
-            return (right[0], _rebuild(t, t.left, right[1]))
-    return rule(t)
+def _children(t: Term) -> tuple:
+    cls = type(t)
+    if cls is Neg:
+        return (t.operand,)
+    if cls is Lit:
+        return ()
+    return (t.left, t.right)
+
+
+def _rewrite_all(t: Term, rule, steps: list[RewriteStep]) -> Term:
+    """Apply rule innermost-leftmost until no node matches, recording each step.
+
+    One postorder walk; a frame is [node, children entered]. Whether rule
+    matches a node depends only on the node's subtree, so a finished
+    subtree never matches again. The walk keeps, for every finished node,
+    whether it is division-free, which is all the rules ask through pure,
+    and steps over finished nodes. Nodes are keyed by id: each finished
+    node belongs to a term that steps or the stack keeps alive. A match
+    replaces the top frame's node, rebuilds the spine above it, and the
+    walk goes on into the new node.
+    """
+    done: dict[int, bool] = {}
+
+    def pure(node: Term) -> bool:
+        return done[id(node)]
+
+    frames = [[t, 0]]
+    while frames:
+        frame = frames[-1]
+        node, entered = frame
+        kids = _children(node)
+        if entered < len(kids):
+            frame[1] = entered + 1
+            if id(kids[entered]) not in done:
+                frames.append([kids[entered], 0])
+            continue
+        found = rule(node, pure)
+        if found is None:
+            done[id(node)] = type(node) is not Div and all(done[id(k)] for k in kids)
+            frames.pop()
+            continue
+        name, new = found
+        frame[0], frame[1] = new, 0
+        for k in range(len(frames) - 2, -1, -1):
+            parent, entered = frames[k]
+            child = frames[k + 1][0]
+            if type(parent) is Neg:
+                frames[k][0] = Neg(child)
+            elif entered == 1:
+                frames[k][0] = type(parent)(child, parent.right)
+            else:
+                frames[k][0] = type(parent)(parent.left, child)
+        steps.append(RewriteStep(name, t, frames[0][0]))
+        t = frames[0][0]
+    return t
 
 
 def flatten(t: Term) -> tuple[Term, RewriteTrace]:
@@ -194,21 +241,12 @@ def flatten(t: Term) -> tuple[Term, RewriteTrace]:
         raise OpenTerm(f"cannot flatten open term {t}")
     steps: list[RewriteStep] = []
     current = t
-    erased = erase_decorations(t)
-    if erased != current:
-        steps.append(RewriteStep("erase-decorations", current, erased))
-        current = erased
+    if any(type(s) is Div and s.decoration for s in subterms(t)):
+        current = erase_decorations(t)
+        steps.append(RewriteStep("erase-decorations", t, current))
     if contains_div(current):
         for phase in (_numeral_rule, _node_rule):
-            for _ in range(100_000):
-                found = _step(current, phase)
-                if found is None:
-                    break
-                rule, after = found
-                steps.append(RewriteStep(rule, current, after))
-                current = after
-            else:
-                raise RuntimeError(f"flattening did not terminate on {t}")
+            current = _rewrite_all(current, phase, steps)
     return current, RewriteTrace(tuple(steps))
 
 
@@ -287,7 +325,7 @@ def add_family(t1: Term, t2: Term, strategy: str) -> Term:
         raise StrategyInapplicable(f"{strategy} addition needs flat fracterms")
     a, b = num(t1), denom(t1)
     c, d = num(t2), denom(t2)
-    if strategy == "same-denom" and b == d:
+    if strategy == "same-denom" and term_eq(b, d):
         return Div(Add(a, c), b)
     return Div(Add(Mul(a, d), Mul(b, c)), Mul(b, d))
 

@@ -5,9 +5,10 @@ see ``desugar_literals``). Division nodes may carry a level decoration,
 ``ft`` (read as a fracterm) or ``fv`` (read as a fracvalue), written
 ``/ft`` and ``/fv`` in place of ``/``.
 
-The parser, the printer, ``subterms`` and ``fold`` keep their own stacks
-instead of recursing, so memory, not the recursion limit, bounds the depth
-of a term. The dataclass-generated ``==``, ``hash`` and ``repr`` still recurse.
+The parser, the printer, ``subterms``, ``fold`` and ``term_eq`` keep their
+own stacks instead of recursing, so memory, not the recursion limit, bounds
+the depth of a term. The dataclass-generated ``==``, ``hash`` and ``repr``
+still recurse; code that may meet deep terms compares them with ``term_eq``.
 """
 
 from __future__ import annotations
@@ -388,6 +389,31 @@ def fold(t: Term, alg: Callable[..., R]) -> R:
             right = results.pop()
             results[-1] = alg(node, results[-1], right)
     return results[0]
+
+
+def term_eq(a: Term, b: Term) -> bool:
+    """Structural equality, decorations included, with its own stack."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is Lit:
+            if x.digits != y.digits:
+                return False
+        elif cls is Var:
+            if x.name != y.name:
+                return False
+        elif cls is Neg:
+            todo.append((x.operand, y.operand))
+        else:
+            if cls is Div and x.decoration != y.decoration:
+                return False
+            todo += ((x.right, y.right), (x.left, y.left))
+    return True
 
 
 def contains_div(t: Term) -> bool:

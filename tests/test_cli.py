@@ -189,6 +189,15 @@ def test_fractalk_malformed_pragma(capsys, tmp_path):
     assert error["error"] == "ScriptError" and error["message"].startswith("line 1: bad pragma")
 
 
+@pytest.mark.parametrize("pragma,argv", [("@shape bogus\n", []), ("", ["--shape", "bogus"])])
+def test_fractalk_unknown_shape(capsys, tmp_path, pragma, argv):
+    script = tmp_path / "shape.ftk"
+    script.write_text(pragma + "1: 2/3 is fraxion\n2: rationals are not fracterms\n")
+    code, out, err = run(capsys, "fractalk", "check", str(script), *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "UnsupportedShape", "message": "unknown shape 'bogus'"}
+
+
 def test_demo_runs_whole_corpus(capsys):
     data = run_json(capsys, "demo")
     assert data["A"]["blocked_at"] == 5

@@ -14,7 +14,9 @@ import pytest
 
 from fracterm.cli import main
 from fracterm.errors import DivisionByZero
+from fracterm.fractalk import check_text
 from fracterm.ratio import DenomOf, NumOf, RatioNumber, rn_eval
+from fracterm.rewrite import flatten
 from fracterm.semantics import BOTTOM, POLICIES, EvalConfig, eval_term, value_to_json
 from fracterm.terms import (
     Div,
@@ -136,3 +138,84 @@ def test_cli_parse_and_eval_deep_inputs(capsys):
     assert main(["eval", "--json", text]) == 0
     total = sum(map(int, signed_digits(DEEP)))
     assert json.loads(capsys.readouterr().out) == {"kind": "number", "shape": "rat.pcs", "value": [total, 1]}
+
+
+# A flatten trace prints the whole term at every step, so it grows at least
+# quadratically with depth; these depths keep it to a few megabytes.
+NEG_DEPTH = 1000
+HALVES = 600
+
+
+def neg_chain_step_text(k):
+    """The term after k neg-lifts of -...-(1/2), NEG_DEPTH minus signs."""
+    inner = "1/2" if k == 0 else "-" * k + "(1)/2"
+    outer = NEG_DEPTH - k
+    return "-" * outer + f"({inner})" if outer else inner
+
+
+def test_flatten_negation_chain():
+    t = parse_term(neg_chain_step_text(0))
+    result, trace = flatten(t)
+    assert format_term(result) == neg_chain_step_text(NEG_DEPTH) == "-" * NEG_DEPTH + "(1)/2"
+    assert trace.to_json() == [
+        {"rule": "neg-lift", "before": neg_chain_step_text(k), "after": neg_chain_step_text(k + 1)}
+        for k in range(NEG_DEPTH)
+    ]
+    assert trace.replay(t) is result
+
+
+def test_flatten_long_sum_of_halves():
+    # Each add-lift turns (a)/(b) + 1/2 into (a*2+b*1)/(b*2).
+    t = parse_term("+".join(["1/2"] * HALVES))
+    result, trace = flatten(t)
+    a, b = "1", "2"
+    for k in range(HALVES - 1):
+        a = f"{a if k == 0 else f'({a})'}*2+{b}*1"
+        b += "*2"
+    assert format_term(result) == f"({a})/({b})"
+    assert [s.rule for s in trace.steps] == ["add-lift"] * (HALVES - 1)
+    assert trace.replay(t) is result
+
+
+def test_cli_flatten_deep_negation_chain(capsys):
+    assert main(["flatten", "--json", "--", neg_chain_step_text(0)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["result"] == neg_chain_step_text(NEG_DEPTH)
+    assert len(data["trace"]) == NEG_DEPTH
+
+
+# Fractalk compares signs structurally; a 3000-deep sign must check as its
+# shallow analogue does.
+DEEP_SIGNS = [("--(1/2)", "-" * 3000 + "(1/2)"), ("1/--(2)", "1/" + "-" * 3000 + "(2)")]
+SIGN_SCRIPTS = [
+    "1: {T} == {T} @ft",
+    "1: {T} == {T} @fs",
+    "1: {T} == -{T} @ft",
+    "1: {T} is rational\n2: {T} is fracterm\n3: rationals are not fracterms\n4: {T} contradicts 3",
+    "@shape rat.ssft\n1: {T} is fracterm and fracvalue\n2: not all fracterms are rational\n3: {T} contradicts 2",
+]
+
+
+def verdict_shape(text):
+    verdict = check_text(text)
+    return [s.status for s in verdict.steps], verdict.overall, verdict.blocked_at
+
+
+@pytest.mark.parametrize("template", SIGN_SCRIPTS, ids=["eq-ft", "eq-fs", "neq-ft", "contradicts", "contradicts-ssft"])
+@pytest.mark.parametrize("shallow,deep", DEEP_SIGNS, ids=["neg-chain", "deep-denominator"])
+def test_fractalk_deep_sign_checks_as_shallow(template, shallow, deep):
+    assert verdict_shape(template.format(T=deep)) == verdict_shape(template.format(T=shallow))
+
+
+def test_cli_fractalk_deep_equality(capsys, tmp_path):
+    deep = DEEP_SIGNS[0][1]
+    script = tmp_path / "deep.ftk"
+    script.write_text(f"1: {deep} == {deep} @ft\n")
+    assert main(["fractalk", "check", "--json", str(script)]) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] == "sound"
+
+
+def test_cli_add_same_denominator_deep(capsys):
+    d = "-" * 3000 + "(2)"
+    assert main(["add", "--json", "--strategy", "same-denom", "1/" + d, "3/" + d]) == 0
+    assert json.loads(capsys.readouterr().out) == {"result": "(1+3)/" + d}

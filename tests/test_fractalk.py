@@ -2,7 +2,13 @@ from importlib import resources
 
 import pytest
 
-from fracterm.errors import DanglingReference, LevelConflict, ScriptError
+from fracterm.errors import (
+    DanglingReference,
+    LevelConflict,
+    ScriptError,
+    UnsupportedOperation,
+    UnsupportedShape,
+)
 from fracterm.fractalk import CLAIM_KINDS, check, check_text, infer_levels, parse_script
 from fracterm.terms import Level, parse_term
 
@@ -65,6 +71,26 @@ def test_malformed_pragma_rejected(pragma):
 def test_pragmas_set_script_defaults():
     script = parse_script("@shape rat.ssft\n@disjoint false\n1: 2/3 is rational")
     assert (script.shape_id, script.disjoint) == ("rat.ssft", False)
+
+
+# No step evaluates a value here, yet the shape is still checked first.
+NO_VALUE_SCRIPT = "1: 2/3 is fraxion\n2: rationals are not fracterms"
+
+
+def test_unknown_shape_rejected_before_any_step():
+    with pytest.raises(UnsupportedShape, match="unknown shape 'bogus'"):
+        check_text("@shape bogus\n" + NO_VALUE_SCRIPT)
+    with pytest.raises(UnsupportedShape, match="unknown shape 'bogus'"):
+        check_text(NO_VALUE_SCRIPT, shape_id="bogus")
+    with pytest.raises(UnsupportedShape, match="unknown shape 'bogus'"):
+        check(parse_script(NO_VALUE_SCRIPT), shape_id="bogus")
+    # An argument still wins over the pragma.
+    assert check_text("@shape bogus\n" + NO_VALUE_SCRIPT, shape_id="rat.pcs").overall == "sound"
+
+
+def test_non_rat_shape_rejected_before_any_step():
+    with pytest.raises(UnsupportedOperation, match="evaluation needs a rat shape"):
+        check_text("@shape nat.vn\n" + NO_VALUE_SCRIPT)
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n@shape rat.pcs\n@disjoint true"])

@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from fracterm import rewrite
 from fracterm.errors import NotSimple, OpenTerm, StrategyInapplicable
 from fracterm.rewrite import (
+    RewriteStep,
+    RewriteTrace,
+    _node_rule,
+    _numeral_rule,
     add_family,
     add_family_all,
     demote,
@@ -18,7 +23,12 @@ from fracterm.terms import (
     Div,
     Lit,
     Mul,
+    Neg,
+    Sub,
     classify,
+    contains_div,
+    erase_decorations,
+    fold,
     format_term,
     parse_term,
 )
@@ -104,6 +114,112 @@ def test_flatten_sound_and_complete_on_random_terms():
             assert step.before != step.after
             assert parse_term(format_term(step.after)) == step.after
     assert bottoms > 20
+
+
+# ---------------------------------------------------------------------------
+# Trace oracle: the search flatten used to run. It finds the innermost-
+# leftmost match by recursion, recomputes purity with contains_div at every
+# node, and starts again from the root after each step.
+
+
+def _ref_pure(t):
+    return not contains_div(t)
+
+
+def _ref_step(t, rule):
+    if isinstance(t, Neg):
+        inner = _ref_step(t.operand, rule)
+        if inner is not None:
+            return (inner[0], Neg(inner[1]))
+    elif isinstance(t, (Add, Sub, Mul, Div)):
+        left = _ref_step(t.left, rule)
+        if left is not None:
+            return (left[0], type(t)(left[1], t.right))
+        right = _ref_step(t.right, rule)
+        if right is not None:
+            return (right[0], type(t)(t.left, right[1]))
+    return rule(t, _ref_pure)
+
+
+def reference_flatten(t):
+    steps = []
+    current = t
+    erased = erase_decorations(t)
+    if erased != current:
+        steps.append(RewriteStep("erase-decorations", current, erased))
+        current = erased
+    if contains_div(current):
+        for phase in (_numeral_rule, _node_rule):
+            while (found := _ref_step(current, phase)) is not None:
+                steps.append(RewriteStep(found[0], current, found[1]))
+                current = found[1]
+    return current, RewriteTrace(tuple(steps))
+
+
+def unit_sum(n):
+    t = Div(Lit("1"), Lit("2"))
+    for k in range(3, n + 2):
+        t = Add(t, Div(Lit("1"), Lit(str(k))))
+    return t
+
+
+def decorate(t, rng):
+    def alg(node, *kids):
+        if isinstance(node, Div):
+            return Div(*kids, rng.choice((None, None, "ft", "fv")))
+        return type(node)(*kids) if kids else node
+
+    return fold(t, alg)
+
+
+def oracle_terms():
+    rng = random.Random(4)
+    terms = [unit_sum(n) for n in range(5, 41)]
+    for k in range(2000):
+        t = random_closed_term(rng, rng.randint(1, 7))
+        terms.append(decorate(t, rng) if k % 4 == 0 else t)
+    return terms
+
+
+def test_flatten_matches_restart_from_root_search():
+    rules = set()
+    for t in oracle_terms():
+        result, trace = flatten(t)
+        want, want_trace = reference_flatten(t)
+        assert result == want
+        assert trace.to_json() == want_trace.to_json()
+        assert trace.replay(t) == result
+        rules.update(s.rule for s in trace.steps)
+    assert rules == {
+        "erase-decorations", "numeral-eval", "neg-lift", "add-lift", "sub-lift",
+        "mul-lift", "div-collapse", "div-collapse-bot",
+    }
+
+
+def test_flatten_asks_contains_div_at_most_once(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return contains_div(t)
+
+    monkeypatch.setattr(rewrite, "contains_div", counting)
+    result, trace = flatten(unit_sum(80))
+    assert len(calls) <= 1
+    assert classify(result).flat
+    assert [s.rule for s in trace.steps] == ["add-lift"] * 79
+
+
+def test_trace_json_prints_each_term_once(monkeypatch):
+    printed = []
+
+    def counting(t, fmt="inline"):
+        printed.append(t)
+        return format_term(t, fmt)
+
+    _, trace = flatten(parse_term("(1/2)/(3/4) + 5/(1+3)"))
+    monkeypatch.setattr(rewrite, "format_term", counting)
+    assert len(trace.to_json()) == len(trace.steps) == len(printed) - 1
 
 
 # ---------------------------------------------------------------------------
