@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import fractalk, ratio, rewrite, semantics, shapes
-from .errors import FractermError
+from .errors import FractermError, UnsupportedShape
 from .terms import classify, denom, format_term, is_fracterm, num, parse_term
 
 CORPUS_ORDER = ("A", "B", "Bprime", "Bpp", "C", "Cprime", "D", "E", "F")
@@ -33,6 +33,13 @@ def _emit(args, data: dict, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise UnsupportedShape(f"malformed JSON: {exc}") from None
 
 
 def _parse_args_term(args, attr="term"):
@@ -129,7 +136,7 @@ def _cmd_shape_encode(args) -> int:
 
 
 def _cmd_shape_convert(args) -> int:
-    inst = shapes.instance_from_json(json.loads(args.instance))
+    inst = shapes.instance_from_json(_load_json(args.instance))
     moved = shapes.convert(inst, args.to)
     data = shapes.instance_to_json(moved)
     _emit(args, data, [json.dumps(data["value"])])
@@ -139,8 +146,7 @@ def _cmd_shape_convert(args) -> int:
 def _cmd_shape_compare(args) -> int:
     shape_id = args.shape or _default_shape()
     shape = shapes.get_shape(shape_id)
-    i = shape.make(shape.payload_from_json(json.loads(args.left)))
-    j = shape.make(shape.payload_from_json(json.loads(args.right)))
+    i, j = shape.from_json(_load_json(args.left)), shape.from_json(_load_json(args.right))
     data = {
         "shape": shape_id,
         "instance_eq": shapes.instance_eq(i, j),

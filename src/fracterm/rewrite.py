@@ -34,6 +34,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import NotSimple, OpenTerm, StrategyInapplicable
+from .ratio import RatioNumber, rn_label_eq
 from .terms import (
     Add,
     Div,
@@ -285,14 +286,14 @@ def demote(t: Term) -> Term:
 
 
 def simple_fracterm_eq(t1: Term, t2: Term) -> bool:
-    """Equivalence of simple fracterms a/b and c/d:
-    (b = 0 and d = 0) or (b != 0 and d != 0 and a*d = b*c).
+    """Equivalence of simple fracterms a/b and c/d: label equality of the
+    ratio numbers (a, b) and (c, d).
     """
     if not classify(t1).simple or not classify(t2).simple:
         raise NotSimple("both operands must be simple fracterms")
-    a, b = t1.left.value, t1.right.value
-    c, d = t2.left.value, t2.right.value
-    return (b == 0 and d == 0) or (b != 0 and d != 0 and a * d == b * c)
+    return rn_label_eq(
+        RatioNumber(t1.left.value, t1.right.value), RatioNumber(t2.left.value, t2.right.value)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ a peripheral. Only bottom is ever produced; the other peripherals (inf,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ratio, shapes
 from .errors import (
@@ -81,7 +80,7 @@ def eval_term(t: Term, cfg: EvalConfig = EvalConfig()) -> Fracvalue:
 
     def ev(node: Term, a=None, b=None):
         if isinstance(node, Lit):
-            return shape.encode_exact(Fraction(node.value))
+            return shape.encode(node.value)
         if isinstance(node, Var):
             raise OpenTerm(f"cannot evaluate variable {node.name!r}")
         if a is _BOT or b is _BOT:

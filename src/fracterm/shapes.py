@@ -7,20 +7,26 @@ of presenting those numbers, carrying two equalities:
 * label equality ``=L`` - "denotes the same number".
 
 A shape is normal when the two coincide on its whole domain, subnormal when
-label equality is strictly coarser. ``decode`` maps instances to exact
-integers/rationals; it exists for testing and conversion, not as part of the
-shape vocabulary itself.
+label equality is strictly coarser.
 
-Pair-valued shapes store plain Python integers as components; the integer
-shape parameter of the ratio-number construction is session configuration
-(see the ratio module), since all supported integer shapes present the same
-numbers.
+A shape defines only its payloads: ``validate``, ``encode`` of an int, a
+Fraction or None (the bottom class), ``decode`` back to an exact number or
+None, ``bounded_instances`` and the JSON form. Label equality, the
+operations of its label and ``convert`` follow from ``decode`` and
+``encode``: the numbers are decoded, combined exactly, with bottom absorbing
+and a zero divisor giving bottom as in common meadows, and encoded again.
+
+Three pair shapes keep their own arithmetic. ``int.diffpair`` and
+``rat.rns`` do because their results are not canonical: (5, 2) + (1, 4) is
+(6, 6). ``rat.pcs`` does because integer pair arithmetic plus a gcd is about
+twice as fast as going through Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -34,9 +40,13 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedShape,
 )
-from .terms import Div, Lit, classify, format_term, parse_term
+from .terms import Div, Lit, Term, classify, format_term, parse_term
 
-LABELS = ("nat", "int", "rat")
+# The operations of each label; every shape of the label offers them.
+OPERATIONS = {"nat": ("add", "mul"), "int": ("add", "mul", "neg"), "rat": ("add", "mul", "neg", "div")}
+LABELS = tuple(OPERATIONS)
+_ARITHMETIC = {"add": ("addition", operator.add), "mul": ("multiplication", operator.mul),
+               "neg": ("negation", operator.neg), "div": ("division", operator.truediv)}
 
 # Recognized labels whose shapes are infinite objects; requests are refused.
 REJECTED_LABELS = ("real", "complex")
@@ -46,7 +56,7 @@ SET_NAT_CAP = 1 << 16
 
 
 class _Bot:
-    """Marker returned by rational division when the shape has no bottom instance."""
+    """Bottom as a result of derived arithmetic, which has no bottom-class instance."""
 
     def __repr__(self):
         return "bot"
@@ -79,13 +89,20 @@ class NormalityReport:
 Number = Union[int, Fraction]
 
 
+def _digits(s) -> bool:
+    return isinstance(s, str) and s.isascii() and s.isdigit()
+
+
 class Shape:
     shape_id: str = ""
     label: str = ""
     normal: bool = True
-    operations: tuple[str, ...] = ()
 
-    # -- construction -------------------------------------------------
+    @property
+    def operations(self) -> tuple[str, ...]:
+        return OPERATIONS[self.label]
+
+    # -- payloads: what each shape defines ------------------------------
 
     def make(self, payload) -> Instance:
         self.validate(payload)
@@ -94,20 +111,41 @@ class Shape:
     def validate(self, payload) -> None:
         raise NotImplementedError
 
-    def encode(self, k: int) -> Instance:
-        """Canonical instance for an external integer."""
+    def encode(self, value: Optional[Number]) -> Instance:
+        """Canonical instance of an exact number; None asks for the bottom class."""
         raise NotImplementedError
-
-    def encode_exact(self, value: Number) -> Instance:
-        if isinstance(value, Fraction) and value.denominator != 1:
-            raise UnsupportedOperation(f"{self.shape_id} holds no non-integer values")
-        return self.encode(int(value))
 
     def decode(self, inst: Instance) -> Optional[Number]:
         """Exact value of an instance; None for a bottom-class instance."""
         raise NotImplementedError
 
-    # -- equality ------------------------------------------------------
+    def bounded_instances(self, bound: int) -> Iterator[Instance]:
+        for k in range(bound + 1):
+            yield self.encode(k)
+
+    def payload_to_json(self, payload):
+        return payload
+
+    def payload_from_json(self, data):
+        return data
+
+    def from_json(self, data) -> Instance:
+        """Checked instance of a JSON payload; a malformed one is UnsupportedShape."""
+        return self.make(self.payload_from_json(data))
+
+    def _integer(self, value: Optional[Number]) -> int:
+        """The int that a nat or int shape encodes, refusing what it cannot hold."""
+        if value is None:
+            raise UnsupportedOperation(f"{self.shape_id} has no bottom-class instance")
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                raise UnsupportedOperation(f"{self.shape_id} holds no non-integer values")
+            value = value.numerator
+        if self.label == "nat" and value < 0:
+            raise NegativeIntoNat(f"{value} < 0")
+        return value
+
+    # -- derived: equality and arithmetic through decode/encode -----------
 
     def instance_eq(self, i: Instance, j: Instance) -> bool:
         return i.payload == j.payload
@@ -115,32 +153,49 @@ class Shape:
     def label_eq(self, i: Instance, j: Instance) -> bool:
         return self.decode(i) == self.decode(j)
 
-    # -- arithmetic ----------------------------------------------------
+    def _apply(self, op: str, *values: Optional[Number]):
+        # Bottom absorbs and a zero divisor gives bottom. Shapes that derive
+        # their arithmetic have no bottom-class instance, so bottom is BOT.
+        name, fn = _ARITHMETIC[op]
+        if op not in OPERATIONS[self.label]:
+            raise UnsupportedOperation(f"{self.shape_id} has no {name}")
+        if values[0] is None or values[-1] is None or (op == "div" and values[1] == 0):
+            return BOT
+        return self.encode(fn(*values))
 
     def add(self, i: Instance, j: Instance) -> Instance:
-        raise UnsupportedOperation(f"{self.shape_id} has no addition")
+        return self._apply("add", self.decode(i), self.decode(j))
 
     def mul(self, i: Instance, j: Instance) -> Instance:
-        raise UnsupportedOperation(f"{self.shape_id} has no multiplication")
+        return self._apply("mul", self.decode(i), self.decode(j))
 
     def neg(self, i: Instance) -> Instance:
-        raise UnsupportedOperation(f"{self.shape_id} has no negation")
+        return self._apply("neg", self.decode(i))
 
     def div(self, i: Instance, j: Instance):
-        raise UnsupportedOperation(f"{self.shape_id} has no division")
+        return self._apply("div", self.decode(i), self.decode(j))
 
-    # -- bounded enumeration (for normality checks) ---------------------
 
-    def bounded_instances(self, bound: int) -> Iterator[Instance]:
-        raise NotImplementedError
+class _PairShape(Shape):
+    """Payloads that are pairs of Python ints; ``_admits`` narrows them."""
 
-    # -- JSON ------------------------------------------------------------
+    bad_pair = ""
+
+    def _admits(self, a: int, b: int) -> bool:
+        return True
+
+    def validate(self, payload):
+        ok = isinstance(payload, tuple) and len(payload) == 2
+        if not (ok and all(isinstance(x, int) for x in payload) and self._admits(*payload)):
+            raise UnsupportedShape(f"{self.bad_pair} {payload!r}")
 
     def payload_to_json(self, payload):
-        return payload
+        return list(payload)
 
     def payload_from_json(self, data):
-        return data
+        if not (isinstance(data, list) and len(data) == 2 and all(type(x) is int for x in data)):
+            raise UnsupportedShape(f"{self.shape_id} payload must be a list of two integers")
+        return tuple(data)
 
 
 # ---------------------------------------------------------------------------
@@ -153,31 +208,20 @@ class _DecimalNat(Shape):
     shape_id = "nat.dec"
     label = "nat"
     normal = False
-    operations = ("add", "mul")
 
     def validate(self, payload):
-        if not isinstance(payload, str) or not payload or not payload.isdigit():
+        if not _digits(payload):
             raise UnsupportedShape(f"bad decimal payload {payload!r}")
 
-    def encode(self, k):
-        if k < 0:
-            raise NegativeIntoNat(f"{k} < 0")
-        return Instance(self.shape_id, str(k))
+    def encode(self, value):
+        return Instance(self.shape_id, str(self._integer(value)))
 
     def decode(self, inst):
         return int(inst.payload)
 
-    def add(self, i, j):
-        return self.encode(self.decode(i) + self.decode(j))
-
-    def mul(self, i, j):
-        return self.encode(self.decode(i) * self.decode(j))
-
     def bounded_instances(self, bound):
-        max_len = len(str(bound)) + 2
-        digits = "0123456789"
-        for length in range(1, max_len + 1):
-            for tup in itertools.product(digits, repeat=length):
+        for length in range(1, len(str(bound)) + 3):
+            for tup in itertools.product("0123456789", repeat=length):
                 yield Instance(self.shape_id, "".join(tup))
 
 
@@ -192,9 +236,7 @@ class _StrictDecimalNat(_DecimalNat):
         if payload != str(int(payload)):
             raise UnsupportedShape(f"redundant leading zero in {payload!r}")
 
-    def bounded_instances(self, bound):
-        for k in range(bound + 1):
-            yield self.encode(k)
+    bounded_instances = Shape.bounded_instances
 
 
 class _DedekindNat(Shape):
@@ -203,46 +245,69 @@ class _DedekindNat(Shape):
     shape_id = "nat.dedekind"
     label = "nat"
     normal = True
-    operations = ("add", "mul")
 
     def validate(self, payload):
-        if not isinstance(payload, int) or payload < 0:
+        if type(payload) is not int or payload < 0:
             raise UnsupportedShape(f"bad successor count {payload!r}")
 
-    def encode(self, k):
-        if k < 0:
-            raise NegativeIntoNat(f"{k} < 0")
-        return Instance(self.shape_id, k)
+    def encode(self, value):
+        return Instance(self.shape_id, self._integer(value))
 
     def decode(self, inst):
         return inst.payload
 
-    def add(self, i, j):
-        return Instance(self.shape_id, i.payload + j.payload)
 
-    def mul(self, i, j):
-        return Instance(self.shape_id, i.payload * j.payload)
+class _SetNat(Shape):
+    """Naturals as nested frozensets: k is ``_succ`` applied k times to the empty set."""
+
+    label = "nat"
+    normal = True
+
+    def _succ(self, s: frozenset) -> frozenset:
+        raise NotImplementedError
+
+    def encode(self, value):
+        k = self._integer(value)
+        if k > SET_NAT_CAP:
+            raise CapacityError(f"{k} exceeds the set-nat cap {SET_NAT_CAP}")
+        s = frozenset()
+        for _ in range(k):
+            s = self._succ(s)
+        return Instance(self.shape_id, s)
 
     def bounded_instances(self, bound):
-        for k in range(bound + 1):
-            yield self.encode(k)
+        s = frozenset()
+        yield Instance(self.shape_id, s)
+        for _ in range(bound):
+            s = self._succ(s)
+            yield Instance(self.shape_id, s)
+
+    def payload_to_json(self, payload):
+        return [self.payload_to_json(e) for e in sorted(payload, key=len)]
+
+    def payload_from_json(self, data):
+        # Nested lists become nested frozensets bottom-up, without recursion.
+        built: dict[int, frozenset] = {}
+        stack = [(data, False)]
+        while stack:
+            node, ready = stack.pop()
+            if ready:
+                built[id(node)] = frozenset(built[id(e)] for e in node)
+            elif isinstance(node, list):
+                stack.append((node, True))
+                stack.extend((e, False) for e in node)
+            else:
+                raise UnsupportedShape(f"{self.shape_id} payload must be nested lists")
+        return built[id(data)]
 
 
-def _vn_succ(s: frozenset) -> frozenset:
-    return s | frozenset([s])
-
-
-def _set_sorted(s: frozenset) -> list:
-    return sorted(s, key=len)
-
-
-class _VonNeumannNat(Shape):
+class _VonNeumannNat(_SetNat):
     """Nested sets with n = {0, ..., n-1}; order coincides with membership."""
 
     shape_id = "nat.vn"
-    label = "nat"
-    normal = True
-    operations = ("add", "mul")
+
+    def _succ(self, s):
+        return s | frozenset([s])
 
     def validate(self, payload):
         if not isinstance(payload, frozenset):
@@ -250,112 +315,33 @@ class _VonNeumannNat(Shape):
         if payload != self.encode(len(payload)).payload:
             raise UnsupportedShape("not a von Neumann natural")
 
-    def encode(self, k):
-        if k < 0:
-            raise NegativeIntoNat(f"{k} < 0")
-        if k > SET_NAT_CAP:
-            raise CapacityError(f"{k} exceeds the set-nat cap {SET_NAT_CAP}")
-        s = frozenset()
-        for _ in range(k):
-            s = _vn_succ(s)
-        return Instance(self.shape_id, s)
-
     def decode(self, inst):
         return len(inst.payload)
 
-    def _count(self, inst) -> int:
-        return len(inst.payload)
 
-    def add(self, i, j):
-        s = i.payload
-        for _ in range(self._count(j)):
-            s = _vn_succ(s)
-        if len(s) > SET_NAT_CAP:
-            raise CapacityError("sum exceeds the set-nat cap")
-        return Instance(self.shape_id, s)
-
-    def mul(self, i, j):
-        return self.encode(self._count(i) * self._count(j))
-
-    def bounded_instances(self, bound):
-        s = frozenset()
-        yield Instance(self.shape_id, s)
-        for _ in range(bound):
-            s = _vn_succ(s)
-            yield Instance(self.shape_id, s)
-
-    def payload_to_json(self, payload):
-        return [self.payload_to_json(e) for e in _set_sorted(payload)]
-
-    def payload_from_json(self, data):
-        return frozenset(self.payload_from_json(e) for e in data)
-
-
-def _zermelo_succ(s: frozenset) -> frozenset:
-    return frozenset([s])
-
-
-def _zermelo_depth(s: frozenset) -> int:
-    depth = 0
-    while s:
-        (s,) = tuple(s)
-        depth += 1
-    return depth
-
-
-class _ZermeloNat(Shape):
+class _ZermeloNat(_SetNat):
     """Singleton chains: n+1 = {n}."""
 
     shape_id = "nat.zermelo"
-    label = "nat"
-    normal = True
-    operations = ("add", "mul")
+
+    def _succ(self, s):
+        return frozenset([s])
 
     def validate(self, payload):
         if not isinstance(payload, frozenset):
             raise UnsupportedShape("Zermelo payload must be a frozenset")
         s = payload
-        while s:
-            if len(s) != 1:
-                raise UnsupportedShape("not a Zermelo natural")
-            (s,) = tuple(s)
-            if not isinstance(s, frozenset):
-                raise UnsupportedShape("not a Zermelo natural")
-
-    def encode(self, k):
-        if k < 0:
-            raise NegativeIntoNat(f"{k} < 0")
-        if k > SET_NAT_CAP:
-            raise CapacityError(f"{k} exceeds the set-nat cap {SET_NAT_CAP}")
-        s = frozenset()
-        for _ in range(k):
-            s = _zermelo_succ(s)
-        return Instance(self.shape_id, s)
+        while isinstance(s, frozenset) and len(s) == 1:
+            (s,) = s
+        if s or not isinstance(s, frozenset):
+            raise UnsupportedShape("not a Zermelo natural")
 
     def decode(self, inst):
-        return _zermelo_depth(inst.payload)
-
-    def add(self, i, j):
-        s = i.payload
-        for _ in range(_zermelo_depth(j.payload)):
-            s = _zermelo_succ(s)
-        return Instance(self.shape_id, s)
-
-    def mul(self, i, j):
-        return self.encode(_zermelo_depth(i.payload) * _zermelo_depth(j.payload))
-
-    def bounded_instances(self, bound):
-        s = frozenset()
-        yield Instance(self.shape_id, s)
-        for _ in range(bound):
-            s = _zermelo_succ(s)
-            yield Instance(self.shape_id, s)
-
-    def payload_to_json(self, payload):
-        return [self.payload_to_json(e) for e in payload]
-
-    def payload_from_json(self, data):
-        return frozenset(self.payload_from_json(e) for e in data)
+        s, depth = inst.payload, 0
+        while s:
+            (s,) = s
+            depth += 1
+        return depth
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +354,17 @@ class _SignedInt(Shape):
     shape_id = "int.signed"
     label = "int"
     normal = True
-    operations = ("add", "mul", "neg")
 
     def validate(self, payload):
         if payload == "0":
             return
-        ok = (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and payload[0] in "+-"
-            and isinstance(payload[1], str)
-            and payload[1].isdigit()
-            and payload[1] == str(int(payload[1]))
-            and int(payload[1]) != 0
-        )
-        if not ok:
+        # A magnitude is a digit string without a leading zero, so never "0".
+        ok = isinstance(payload, tuple) and len(payload) == 2 and payload[0] in ("+", "-")
+        if not (ok and _digits(payload[1]) and payload[1][0] != "0"):
             raise UnsupportedShape(f"bad signed-int payload {payload!r}")
 
-    def encode(self, k):
+    def encode(self, value):
+        k = self._integer(value)
         if k == 0:
             return Instance(self.shape_id, "0")
         sign = "+" if k > 0 else "-"
@@ -397,18 +376,6 @@ class _SignedInt(Shape):
         sign, mag = inst.payload
         return int(mag) if sign == "+" else -int(mag)
 
-    def add(self, i, j):
-        return self.encode(self.decode(i) + self.decode(j))
-
-    def mul(self, i, j):
-        return self.encode(self.decode(i) * self.decode(j))
-
-    def neg(self, i):
-        if i.payload == "0":
-            return i
-        sign, mag = i.payload
-        return Instance(self.shape_id, ("-" if sign == "+" else "+", mag))
-
     def bounded_instances(self, bound):
         for k in range(-bound, bound + 1):
             yield self.encode(k)
@@ -417,37 +384,31 @@ class _SignedInt(Shape):
         return payload if payload == "0" else [payload[0], payload[1]]
 
     def payload_from_json(self, data):
-        return data if data == "0" else (data[0], data[1])
+        if data == "0":
+            return data
+        if not (isinstance(data, list) and len(data) == 2):
+            raise UnsupportedShape('int.signed payload must be "0" or a [sign, magnitude] list')
+        return tuple(data)
 
 
-class _DiffPairInt(Shape):
+class _DiffPairInt(_PairShape):
     """Difference pairs (a, b) of naturals standing for a - b. Subnormal."""
 
     shape_id = "int.diffpair"
     label = "int"
     normal = False
-    operations = ("add", "mul", "neg")
+    bad_pair = "bad difference pair"
 
-    def validate(self, payload):
-        ok = (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and all(isinstance(x, int) and x >= 0 for x in payload)
-        )
-        if not ok:
-            raise UnsupportedShape(f"bad difference pair {payload!r}")
+    def _admits(self, a, b):
+        return a >= 0 and b >= 0
 
-    def encode(self, k):
+    def encode(self, value):
+        k = self._integer(value)
         return Instance(self.shape_id, (k, 0) if k >= 0 else (0, -k))
 
     def decode(self, inst):
         a, b = inst.payload
         return a - b
-
-    def label_eq(self, i, j):
-        a, b = i.payload
-        c, d = j.payload
-        return a + d == c + b
 
     def add(self, i, j):
         a, b = i.payload
@@ -464,24 +425,24 @@ class _DiffPairInt(Shape):
         return Instance(self.shape_id, (b, a))
 
     def bounded_instances(self, bound):
-        for a in range(bound + 1):
-            for b in range(bound + 1):
-                yield Instance(self.shape_id, (a, b))
-
-    def payload_to_json(self, payload):
-        return list(payload)
-
-    def payload_from_json(self, data):
-        return (int(data[0]), int(data[1]))
+        for pair in itertools.product(range(bound + 1), repeat=2):
+            yield Instance(self.shape_id, pair)
 
 
 # ---------------------------------------------------------------------------
 # rat shapes
 
 
+def _coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
+    """(a, b) in lowest terms with 0 < b <= bound and |a| <= bound."""
+    for b in range(1, bound + 1):
+        for a in range(-bound, bound + 1):
+            if math.gcd(a, b) == 1:
+                yield a, b
+
+
 def _pcs_canonical(a: int, b: int) -> tuple[int, int]:
-    # All pairs with zero second component form one class; its
-    # representative is (0, 0).
+    # Every (a, 0) is in the bottom class, whose representative is (0, 0).
     if b == 0:
         return (0, 0)
     if b < 0:
@@ -490,7 +451,23 @@ def _pcs_canonical(a: int, b: int) -> tuple[int, int]:
     return (a // g, b // g)
 
 
-class _PairClassRat(Shape):
+class _RatPair(_PairShape):
+    """Integer pairs (a, b) standing for a/b; every (a, 0) is in the bottom class."""
+
+    label = "rat"
+
+    def encode(self, value):
+        if value is None:
+            return Instance(self.shape_id, (0, 0))
+        q = Fraction(value)
+        return Instance(self.shape_id, (q.numerator, q.denominator))
+
+    def decode(self, inst):
+        a, b = inst.payload
+        return None if b == 0 else Fraction(a, b)
+
+
+class _PairClassRat(_RatPair):
     """Classes of integer pairs, held by canonical representatives.
 
     The class of all (a, 0) pairs is the shape's bottom, representative
@@ -499,38 +476,11 @@ class _PairClassRat(Shape):
     """
 
     shape_id = "rat.pcs"
-    label = "rat"
     normal = True
-    operations = ("add", "mul", "neg", "div")
+    bad_pair = "not a canonical pair:"
 
-    def validate(self, payload):
-        ok = (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and all(isinstance(x, int) for x in payload)
-            and payload == _pcs_canonical(*payload)
-        )
-        if not ok:
-            raise UnsupportedShape(f"not a canonical pair: {payload!r}")
-
-    def encode(self, k):
-        return Instance(self.shape_id, (k, 1))
-
-    def encode_exact(self, value):
-        q = Fraction(value)
-        return Instance(self.shape_id, (q.numerator, q.denominator))
-
-    def encode_bottom(self):
-        return Instance(self.shape_id, (0, 0))
-
-    def decode(self, inst):
-        a, b = inst.payload
-        return None if b == 0 else Fraction(a, b)
-
-    def label_eq(self, i, j):
-        a, b = i.payload
-        c, d = j.payload
-        return (b == 0 and d == 0) or (b != 0 and d != 0 and a * d == b * c)
+    def _admits(self, a, b):
+        return (a, b) == _pcs_canonical(a, b)
 
     def _wrap(self, a, b):
         return Instance(self.shape_id, _pcs_canonical(a, b))
@@ -556,16 +506,8 @@ class _PairClassRat(Shape):
 
     def bounded_instances(self, bound):
         yield Instance(self.shape_id, (0, 0))
-        for b in range(1, bound + 1):
-            for a in range(-bound, bound + 1):
-                if math.gcd(abs(a), b) == 1:
-                    yield Instance(self.shape_id, (a, b))
-
-    def payload_to_json(self, payload):
-        return list(payload)
-
-    def payload_from_json(self, data):
-        return (int(data[0]), int(data[1]))
+        for pair in _coprime_pairs(bound):
+            yield Instance(self.shape_id, pair)
 
 
 class _SimplifiedFractermRat(Shape):
@@ -578,90 +520,50 @@ class _SimplifiedFractermRat(Shape):
     shape_id = "rat.ssft"
     label = "rat"
     normal = True
-    operations = ("add", "mul", "neg", "div")
 
     def validate(self, payload):
         if not (isinstance(payload, Div) and classify(payload).simplified):
-            raise UnsupportedShape(f"not a simplified simple fracterm: {payload!r}")
+            shown = format_term(payload) if isinstance(payload, Term) else repr(payload)
+            raise UnsupportedShape(f"not a simplified simple fracterm: {shown}")
 
-    def encode(self, k):
-        return Instance(self.shape_id, Div(Lit(str(k)), Lit("1")))
+    def _term(self, a: int, b: int) -> Instance:
+        return Instance(self.shape_id, Div(Lit(str(a)), Lit(str(b))))
 
-    def encode_exact(self, value):
+    def encode(self, value):
+        if value is None:
+            raise UnsupportedOperation(f"{self.shape_id} has no bottom-class instance")
         q = Fraction(value)
-        return Instance(self.shape_id, Div(Lit(str(q.numerator)), Lit(str(q.denominator))))
+        return self._term(q.numerator, q.denominator)
 
     def decode(self, inst):
         t = inst.payload
         return Fraction(t.left.value, t.right.value)
 
-    def add(self, i, j):
-        return self.encode_exact(self.decode(i) + self.decode(j))
-
-    def mul(self, i, j):
-        return self.encode_exact(self.decode(i) * self.decode(j))
-
-    def neg(self, i):
-        return self.encode_exact(-self.decode(i))
-
-    def div(self, i, j):
-        d = self.decode(j)
-        if d == 0:
-            return BOT
-        return self.encode_exact(self.decode(i) / d)
-
     def bounded_instances(self, bound):
-        for b in range(1, bound + 1):
-            for a in range(-bound, bound + 1):
-                if math.gcd(abs(a), b) == 1:
-                    yield Instance(self.shape_id, Div(Lit(str(a)), Lit(str(b))))
+        for a, b in _coprime_pairs(bound):
+            yield self._term(a, b)
 
     def payload_to_json(self, payload):
         return format_term(payload)
 
     def payload_from_json(self, data):
+        if not isinstance(data, str):
+            raise UnsupportedShape("rat.ssft payload must be a term string such as \"2/3\"")
         return parse_term(data)
 
 
-class _RatioNumberRat(Shape):
+class _RatioNumberRat(_RatPair):
     """Raw integer pairs as numbers: no canonicalization, hence subnormal."""
 
     shape_id = "rat.rns"
-    label = "rat"
     normal = False
-    operations = ("add", "mul", "neg", "div")
-
-    def validate(self, payload):
-        ok = (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and all(isinstance(x, int) for x in payload)
-        )
-        if not ok:
-            raise UnsupportedShape(f"bad ratio-number payload {payload!r}")
-
-    def encode(self, k):
-        return Instance(self.shape_id, (k, 1))
-
-    def encode_exact(self, value):
-        q = Fraction(value)
-        return Instance(self.shape_id, (q.numerator, q.denominator))
-
-    def encode_bottom(self):
-        return Instance(self.shape_id, (0, 0))
+    bad_pair = "bad ratio-number payload"
 
     def _rn(self, inst) -> ratio.RatioNumber:
         return ratio.RatioNumber(*inst.payload)
 
     def _wrap(self, rn: ratio.RatioNumber) -> Instance:
         return Instance(self.shape_id, (rn.a, rn.b))
-
-    def decode(self, inst):
-        a, b = inst.payload
-        return None if b == 0 else Fraction(a, b)
-
-    def label_eq(self, i, j):
-        return ratio.rn_label_eq(self._rn(i), self._rn(j))
 
     def add(self, i, j):
         return self._wrap(ratio.rn_add(self._rn(i), self._rn(j)))
@@ -678,16 +580,9 @@ class _RatioNumberRat(Shape):
     def bounded_instances(self, bound):
         span = min(bound, 8)
         for m in range(span + 1):
-            for a in range(-m, m + 1):
-                for b in range(-m, m + 1):
-                    if max(abs(a), abs(b)) == m:
-                        yield Instance(self.shape_id, (a, b))
-
-    def payload_to_json(self, payload):
-        return list(payload)
-
-    def payload_from_json(self, data):
-        return (int(data[0]), int(data[1]))
+            for a, b in itertools.product(range(-m, m + 1), repeat=2):
+                if max(abs(a), abs(b)) == m:
+                    yield Instance(self.shape_id, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -696,16 +591,9 @@ class _RatioNumberRat(Shape):
 _SHAPES: dict[str, Shape] = {
     s.shape_id: s
     for s in (
-        _DecimalNat(),
-        _StrictDecimalNat(),
-        _DedekindNat(),
-        _VonNeumannNat(),
-        _ZermeloNat(),
-        _SignedInt(),
-        _DiffPairInt(),
-        _PairClassRat(),
-        _SimplifiedFractermRat(),
-        _RatioNumberRat(),
+        _DecimalNat(), _StrictDecimalNat(), _DedekindNat(), _VonNeumannNat(), _ZermeloNat(),
+        _SignedInt(), _DiffPairInt(),
+        _PairClassRat(), _SimplifiedFractermRat(), _RatioNumberRat(),
     )
 }
 
@@ -717,9 +605,7 @@ def get_shape(shape_id: str) -> Shape:
         return _SHAPES[shape_id]
     head = shape_id.split(".", 1)[0]
     if head in REJECTED_LABELS:
-        raise UnsupportedShape(
-            f"label {head!r} is recognized but has only infinite presentations"
-        )
+        raise UnsupportedShape(f"label {head!r} is recognized but has only infinite presentations")
     raise UnsupportedShape(f"unknown shape {shape_id!r}")
 
 
@@ -775,12 +661,7 @@ def convert(inst: Instance, target_id: str) -> Instance:
     dst = get_shape(target_id)
     if src.label != dst.label:
         raise LabelMismatch(f"{src.label} instance cannot become {dst.label}")
-    value = src.decode(inst)
-    if value is None:
-        if hasattr(dst, "encode_bottom"):
-            return dst.encode_bottom()
-        raise UnsupportedOperation(f"{target_id} has no bottom-class instance")
-    return dst.encode_exact(value)
+    return dst.encode(src.decode(inst))
 
 
 def instance_to_json(inst: Instance):
@@ -788,8 +669,9 @@ def instance_to_json(inst: Instance):
 
 
 def instance_from_json(data) -> Instance:
-    shape = get_shape(data["shape"])
-    return shape.make(shape.payload_from_json(data["value"]))
+    if not (isinstance(data, dict) and isinstance(data.get("shape"), str) and "value" in data):
+        raise UnsupportedShape('an instance is {"shape": <shape id>, "value": <payload>}')
+    return get_shape(data["shape"]).from_json(data["value"])
 
 
 def normality_report(shape_id: str, bound: int) -> NormalityReport:

@@ -131,6 +131,31 @@ def test_shape_normality(capsys):
     assert data["normal"] is True
 
 
+MALFORMED_PAYLOADS = [
+    pytest.param(["compare", "[1]", "[1,2]", "--shape", "rat.rns"], id="short-pair"),
+    pytest.param(["convert", '{"value": 1}', "--to", "nat.dec"], id="missing-shape-key"),
+    pytest.param(["convert", '{"shape": 5, "value": "1"}', "--to", "nat.dec"], id="non-string-shape"),
+    pytest.param(["convert", '{"shape": "nat.dec"}', "--to", "nat.sdn"], id="missing-value-key"),
+    pytest.param(["compare", "5", '"1/2"', "--shape", "rat.ssft"], id="ssft-number"),
+    pytest.param(["compare", "[1,2,3]", '"0"', "--shape", "int.signed"], id="signed-triple"),
+    pytest.param(["compare", "xx", "1", "--shape", "nat.dedekind"], id="not-json"),
+    pytest.param(["compare", "[" * 1500 + "]" * 1500, "[]", "--shape", "nat.vn"], id="json-too-deep"),
+    pytest.param(["compare", "[2.7,1]", "[2,1]", "--shape", "int.diffpair"], id="float-component"),
+    pytest.param(["compare", "true", "1", "--shape", "nat.dedekind"], id="bool-count"),
+    pytest.param(["compare", '"²"', '"2"', "--shape", "nat.dec"], id="non-ascii-digit"),
+    pytest.param(["compare", '["+","²"]', '"0"', "--shape", "int.signed"], id="non-ascii-magnitude"),
+    pytest.param(["compare", "[[], 1]", "[]", "--shape", "nat.vn"], id="set-of-number"),
+    pytest.param(["compare", '"' + "-" * 3000 + '(1/2)"', '"1/2"', "--shape", "rat.ssft"], id="deep-ssft"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_PAYLOADS)
+def test_shape_malformed_payload(capsys, argv):
+    code, out, err = run(capsys, "shape", *argv, "--json")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UnsupportedShape"
+
+
 # ---------------------------------------------------------------------------
 # rns
 

@@ -13,7 +13,9 @@ from fracterm.errors import (
 )
 from fracterm.shapes import (
     BOT,
+    SET_NAT_CAP,
     SHAPE_IDS,
+    Instance,
     convert,
     decode,
     describe,
@@ -97,7 +99,7 @@ def test_label_eq_pcs_golden():
     pcs = get_shape("rat.pcs")
     half = pcs.make((1, 2))
     # (2, 4) is not a canonical pair, so build the class via arithmetic.
-    other = pcs.encode_exact(Fraction(2, 4))
+    other = pcs.encode(Fraction(2, 4))
     assert label_eq(half, other) and instance_eq(half, other)
     rns = get_shape("rat.rns")
     assert label_eq(rns.make((1, 2)), rns.make((2, 4)))
@@ -189,6 +191,85 @@ def test_decode_homomorphism():
                 assert decode(shape_neg(i)) == -decode(i)
             if "div" in shape.operations and decode(j) != 0:
                 assert decode(shape_div(i, j)) == Fraction(decode(i)) / decode(j)
+
+
+def test_set_nat_arithmetic_respects_the_cap():
+    zermelo_cap = encode(SET_NAT_CAP, "nat.zermelo")
+    with pytest.raises(CapacityError):
+        shape_add(zermelo_cap, encode(5, "nat.zermelo"))
+    # A von Neumann natural at the cap would not fit in memory. Its decode
+    # reads only the size of the set, so a stand-in set of that size will do.
+    vn_cap = Instance("nat.vn", frozenset(range(SET_NAT_CAP)))
+    with pytest.raises(CapacityError):
+        shape_add(vn_cap, encode(5, "nat.vn"))
+    for shape_id in ("nat.vn", "nat.zermelo"):
+        big = encode(300, shape_id)
+        with pytest.raises(CapacityError):
+            shape_mul(big, big)
+
+
+def _exact(payload):
+    a, b = payload
+    return None if b == 0 else Fraction(a, b)
+
+
+def _exact_op(op, x, y=None):
+    if x is None or (op != "neg" and y is None):
+        return None
+    if op == "div":
+        return None if y == 0 else x / y
+    return {"add": lambda: x + y, "mul": lambda: x * y, "neg": lambda: -x}[op]()
+
+
+BOTTOM_OPERANDS = [
+    (shape_id, op, left, right)
+    for shape_id, bottoms, zero in (
+        ("rat.pcs", [(0, 0)], (0, 1)),
+        ("rat.rns", [(0, 0), (5, 0), (-2, 0)], (0, 7)),
+    )
+    for bottom in bottoms
+    for op, left, right in (
+        ("add", bottom, (3, 4)),
+        ("add", (3, 4), bottom),
+        ("mul", bottom, (3, 4)),
+        ("mul", (3, 4), bottom),
+        ("neg", bottom, None),
+        ("div", bottom, (3, 4)),
+        ("div", (3, 4), bottom),
+        ("div", (3, 4), zero),
+        ("div", bottom, zero),
+    )
+]
+
+
+@pytest.mark.parametrize("shape_id,op,left,right", BOTTOM_OPERANDS)
+def test_bottom_class_operands(shape_id, op, left, right):
+    expected = _exact_op(op, _exact(left), None if right is None else _exact(right))
+    assert expected is None
+    shape = get_shape(shape_id)
+    operands = [shape.make(p) for p in (left, right) if p is not None]
+    got = {"add": shape_add, "mul": shape_mul, "neg": shape_neg, "div": shape_div}[op](*operands)
+    assert decode(got) is expected
+
+
+@pytest.mark.parametrize("src,bottom", [("rat.pcs", (0, 0)), ("rat.rns", (0, 0)), ("rat.rns", (3, 0))])
+def test_convert_bottom_into_every_rat_shape(src, bottom):
+    inst = make_instance(src, bottom)
+    for dst in SHAPE_IDS:
+        if get_shape(dst).label != "rat":
+            continue
+        if dst == "rat.ssft":
+            with pytest.raises(UnsupportedOperation):
+                convert(inst, dst)
+        else:
+            assert decode(convert(inst, dst)) is None
+
+
+def test_operations_follow_the_label():
+    expected = {"nat": {"add", "mul"}, "int": {"add", "mul", "neg"}, "rat": {"add", "mul", "neg", "div"}}
+    for shape_id in SHAPE_IDS:
+        shape = get_shape(shape_id)
+        assert set(shape.operations) == expected[shape.label]
 
 
 def test_unsupported_operations():
