@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import fractalk, ratio, rewrite, semantics, shapes
 from .errors import FractermError, UnsupportedShape
-from .terms import classify, denom, format_term, is_fracterm, num, parse_term
+from .terms import check_str_digits, classify, denom, format_term, is_fracterm, num, parse_term
 
 CORPUS_ORDER = ("A", "B", "Bprime", "Bpp", "C", "Cprime", "D", "E", "F")
 
@@ -91,6 +91,12 @@ def _cmd_eval(args) -> int:
     if isinstance(value, semantics.PeripheralValue):
         text = f"peripheral {value.name}"
     else:
+        payload = value.instance.payload
+        if isinstance(payload, tuple):
+            # Both outputs write the pair's ints in decimal (the text its
+            # lowest terms, no longer); rat.ssft's encode checked its term.
+            check_str_digits(payload[0])
+            check_str_digits(payload[1])
         exact = shapes.decode(value.instance)
         text = f"{exact} ({shape_id})"
     _emit(args, data, [text])

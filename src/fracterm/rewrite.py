@@ -96,7 +96,7 @@ def _int_node(node: Term, *args: int) -> int:
         return node.value
     op = _INT_OPS.get(type(node))
     if op is None:
-        raise ValueError(f"not division-free: {node!r}")
+        raise ValueError(f"not division-free: {format_term(node)}")
     return op(*args)
 
 

@@ -8,11 +8,25 @@
 A fracvalue is either a number instance of the configured rational shape or
 a peripheral. Only bottom is ever produced; the other peripherals (inf,
 +inf, -inf, nan) are representable but have no algebra here.
+
+Evaluation folds the term in exact integer pairs (a, b) in lowest terms,
+b nonzero, and encodes the result into the configured shape once, at the
+root. The value is the number, which the shape only presents: ``rat.pcs``
+and ``rat.ssft`` are normal, ``decode`` of ``encode`` is the identity, so
+encoding at every node and decoding again would give the same pairs.
+``rat.rns`` is the exception: its results are raw, uncancelled pairs, so it
+evaluates in ratio numbers (``ratio.rn_eval``), under common-meadow only.
+Besides a literal, only the result meets Python's limit on int/str
+conversion: ``rat.ssft`` writes it in decimal digits and refuses one past
+the limit with CapacityError, while ``rat.pcs`` holds plain ints and has
+no limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from . import ratio, shapes
 from .errors import (
@@ -66,8 +80,6 @@ _BOT = shapes.BOT
 
 def eval_term(t: Term, cfg: EvalConfig = EvalConfig()) -> Fracvalue:
     """Evaluate a closed term to a fracvalue under the configured policy."""
-    shape = shapes.get_shape(cfg.shape_id)
-
     if cfg.shape_id == "rat.rns":
         # The ratio-number algebra is total; zero-denominator pairs are the
         # bottom class, which matches only the common-meadow reading.
@@ -78,40 +90,44 @@ def eval_term(t: Term, cfg: EvalConfig = EvalConfig()) -> Fracvalue:
             return BOTTOM
         return NumberValue(shapes.Instance("rat.rns", (pair.a, pair.b)))
 
-    def ev(node: Term, a=None, b=None):
-        if isinstance(node, Lit):
-            return shape.encode(node.value)
-        if isinstance(node, Var):
+    policy = cfg.policy
+
+    def ev(node: Term, x=None, y=None):
+        # A value is _BOT or a pair (a, b) in lowest terms, b != 0; the sign
+        # is left to the Fraction built at the root.
+        cls = type(node)
+        if cls is Lit:
+            return (node.value, 1)
+        if cls is Var:
             raise OpenTerm(f"cannot evaluate variable {node.name!r}")
-        if a is _BOT or b is _BOT:
+        if x is _BOT or y is _BOT:
             return _BOT
-        if isinstance(node, Neg):
-            return shape.neg(a)
-        if isinstance(node, Add):
-            return shape.add(a, b)
-        if isinstance(node, Sub):
-            return shape.add(a, shape.neg(b))
-        if isinstance(node, Mul):
-            return shape.mul(a, b)
-        # A division: the policy decides what a zero or bottom-class divisor gives.
-        if shape.decode(b) in (0, None):
-            if cfg.policy == "partial":
-                raise DivisionByZero(f"zero divisor in {node}")
-            if cfg.policy == "suppes-ono":
-                return shape.encode(0)
+        a, b = x
+        if cls is Neg:
+            return (-a, b)
+        c, d = y
+        if cls is Add:
+            n, m = a * d + b * c, b * d
+        elif cls is Sub:
+            n, m = a * d - b * c, b * d
+        elif cls is Mul:
+            n, m = a * c, b * d
+        elif c:
+            n, m = a * d, b * c
+        # A division by zero: the policy decides what it gives.
+        elif policy == "partial":
+            raise DivisionByZero(f"zero divisor in {node}")
+        elif policy == "suppes-ono":
+            return (0, 1)
+        else:
             return _BOT
-        return shape.div(a, b)
+        g = gcd(n, m)
+        return (n // g, m // g)
 
     result = fold(t, ev)
     if result is _BOT:
         return BOTTOM
-    if shape.decode(result) is None:
-        # A bottom-class instance surfacing outside common-meadow collapses
-        # to the policy's totalization; under common-meadow it is bottom.
-        if cfg.policy == "suppes-ono":
-            return NumberValue(shape.encode(0))
-        return BOTTOM
-    return NumberValue(result)
+    return NumberValue(shapes.get_shape(cfg.shape_id).encode(Fraction(*result)))
 
 
 def value_eq(v: Fracvalue, w: Fracvalue) -> bool:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Optional, TypeVar
 
-from .errors import NotAFracterm, ParseError
+from .errors import CapacityError, NotAFracterm, ParseError
 
 FORMATS = ("inline", "colon", "frac")
 
@@ -57,7 +58,32 @@ class Lit(Term):
 
     @property
     def value(self) -> int:
-        return int(self.digits)
+        # The digits are well formed, so int() can fail only on Python's
+        # limit on the length of an int/str conversion.
+        try:
+            return int(self.digits)
+        except ValueError:
+            raise _too_many_digits() from None
+
+
+def _str_digit_limit() -> int:
+    # The limit exists from Python 3.10.7 on; 0 means no limit.
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_many_digits() -> CapacityError:
+    limit = _str_digit_limit()
+    return CapacityError(f"a number of more than {limit} digits exceeds the int/str digit limit")
+
+
+def check_str_digits(n: int) -> None:
+    """Refuse an int that Python cannot write as a decimal string."""
+    limit = _str_digit_limit()
+    # 2^(3 limit) < 10^limit: only a number longer than 3 limit bits can
+    # have more than limit digits, and only such a number pays for the
+    # exact comparison.
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        raise _too_many_digits()
 
 
 @dataclass(frozen=True)
@@ -101,10 +127,6 @@ class Div(Term):
     def __post_init__(self):
         if self.decoration not in (None, "ft", "fv"):
             raise ValueError(f"bad decoration: {self.decoration!r}")
-
-
-def lit(n: int) -> Lit:
-    return Lit(str(n))
 
 
 _BINARY = (Add, Sub, Mul, Div)

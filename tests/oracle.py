@@ -1,9 +1,9 @@
 """Independent reference evaluator used as the test oracle.
 
 Deliberately separate from the package's evaluator: plain structural
-recursion into exact Fractions, with two flavours of division by zero
-(raise, or an absorbing None standing for bottom). Nothing here imports
-the semantics module.
+recursion into exact Fractions, with three flavours of division by zero
+(raise, an absorbing None standing for bottom, or zero in its place).
+Nothing here imports the semantics module.
 """
 
 from fractions import Fraction
@@ -63,4 +63,25 @@ def eval_exact_bot(t: Term) -> Optional[Fraction]:
         if a is None or b is None or b == 0:
             return None
         return a / b
+    raise TypeError(repr(t))
+
+
+def eval_exact_zero(t: Term) -> Fraction:
+    """Exact value where each zero divisor makes its own division zero."""
+    if isinstance(t, Lit):
+        return Fraction(t.value)
+    if isinstance(t, Var):
+        raise OracleOpenTerm(t.name)
+    if isinstance(t, Neg):
+        return -eval_exact_zero(t.operand)
+    a = eval_exact_zero(t.left)
+    b = eval_exact_zero(t.right)
+    if isinstance(t, Add):
+        return a + b
+    if isinstance(t, Sub):
+        return a - b
+    if isinstance(t, Mul):
+        return a * b
+    if isinstance(t, Div):
+        return a / b if b != 0 else Fraction(0)
     raise TypeError(repr(t))

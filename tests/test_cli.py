@@ -248,6 +248,25 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+HUGE_PRODUCT = "*".join(["9" * 100] * 50)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["1" * 5000], id="literal"),
+        pytest.param([HUGE_PRODUCT], id="product-pcs-text"),
+        pytest.param([HUGE_PRODUCT, "--json"], id="product-pcs"),
+        pytest.param([HUGE_PRODUCT, "--shape", "rat.ssft", "--json"], id="product-ssft"),
+    ],
+)
+def test_eval_past_the_digit_limit(capsys, argv):
+    # 5000 digits exceed Python's limit on int/str conversion (4300).
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "CapacityError"
+
+
 @pytest.mark.parametrize("text", ["x²", "٣/4"])
 def test_non_ascii_term_exit_code(capsys, text):
     code, out, err = run(capsys, "parse", text)

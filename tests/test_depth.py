@@ -16,7 +16,7 @@ from fracterm.cli import main
 from fracterm.errors import DivisionByZero
 from fracterm.fractalk import check_text
 from fracterm.ratio import DenomOf, NumOf, RatioNumber, rn_eval
-from fracterm.rewrite import flatten
+from fracterm.rewrite import _int_value, flatten
 from fracterm.semantics import BOTTOM, POLICIES, EvalConfig, eval_term, value_to_json
 from fracterm.terms import (
     Div,
@@ -175,6 +175,12 @@ def test_flatten_long_sum_of_halves():
     assert format_term(result) == f"({a})/({b})"
     assert [s.rule for s in trace.steps] == ["add-lift"] * (HALVES - 1)
     assert trace.replay(t) is result
+
+
+def test_int_value_names_a_deep_division():
+    t = parse_term(f"({left_sum_text(10**4)})/2")
+    with pytest.raises(ValueError, match="^not division-free: "):
+        _int_value(t)
 
 
 def test_cli_flatten_deep_negation_chain(capsys):

@@ -252,6 +252,13 @@ def test_comparison_checks_values():
     assert verdict.step(2).status == "level-conflict"
 
 
+def test_equality_of_values_past_the_digit_limit():
+    # Each side is a 10,000-digit rat.pcs value; none is written in decimal.
+    p = "*".join(["9" * 100] * 50)
+    assert check_text(f"1: ({p})*({p}) == ({p})*({p})").overall == "sound"
+    assert check_text(f"1: ({p})*({p}) == ({p})*({p})+1").overall == "paradox-blocked"
+
+
 def test_taxonomy_forces_fracterm():
     script = parse_script("1: 4/3 is simple and simplified")
     levels = infer_levels(script)

@@ -1,8 +1,12 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fracterm.errors import (
+    CapacityError,
     DivisionByZero,
     OpenTerm,
     ShapeMismatch,
@@ -11,6 +15,7 @@ from fracterm.errors import (
 )
 from fracterm.semantics import (
     BOTTOM,
+    POLICIES,
     EvalConfig,
     NumberValue,
     PeripheralValue,
@@ -21,10 +26,10 @@ from fracterm.semantics import (
     value_to_json,
 )
 from fracterm.shapes import convert, decode
-from fracterm.terms import Div, Lit, parse_term
+from fracterm.terms import Div, Lit, format_term, parse_term
 
 from gen import random_closed_term, random_context, substitute_hole
-from oracle import eval_exact, eval_exact_bot
+from oracle import eval_exact, eval_exact_bot, eval_exact_zero
 
 CM = EvalConfig("common-meadow", "rat.pcs")
 SO = EvalConfig("suppes-ono", "rat.pcs")
@@ -147,6 +152,66 @@ def test_oracle_equivalence_with_bottom():
             assert got == BOTTOM
         else:
             assert _as_fraction(got) == expected
+
+
+ORACLE_PAIRS = [(p, s) for p in POLICIES for s in ("rat.pcs", "rat.ssft")] + [("common-meadow", "rat.rns")]
+
+
+def _oracle(t, policy):
+    """The oracle's reading of t: a Fraction, None for bottom, or DivisionByZero."""
+    if policy == "suppes-ono":
+        return eval_exact_zero(t)
+    if policy == "common-meadow":
+        return eval_exact_bot(t)
+    try:
+        return eval_exact(t)
+    except ZeroDivisionError:
+        return DivisionByZero
+
+
+@pytest.mark.parametrize("policy,shape_id", ORACLE_PAIRS)
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 7))
+def test_eval_matches_oracle(policy, shape_id, rng, depth):
+    t = random_closed_term(rng, depth)
+    try:
+        v = eval_term(t, EvalConfig(policy, shape_id))
+    except DivisionByZero:
+        got = DivisionByZero
+    else:
+        got = None if v == BOTTOM else _as_fraction(v)
+    assert got == _oracle(t, policy)
+
+
+# ---------------------------------------------------------------------------
+# Huge integers
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("shape_id", ["rat.pcs", "rat.ssft"])
+def test_huge_intermediates_cancel(policy, shape_id):
+    # Both products have 5000 digits, past Python's int/str limit.
+    big = "*".join(["9" * 100] * 50)
+    got = eval_term(parse_term(f"({big})/({big})"), EvalConfig(policy, shape_id))
+    assert _as_fraction(got) == 1
+    if shape_id == "rat.ssft":
+        assert format_term(got.instance.payload) == "1/1"
+
+
+@pytest.mark.parametrize("shape_id", ["rat.pcs", "rat.ssft"])
+def test_results_up_to_the_digit_limit(shape_id):
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    cfg = EvalConfig("common-meadow", shape_id)
+    assert _as_fraction(eval_term(parse_term(f"1/{nines}"), cfg)) * (10**limit - 1) == 1
+    past = parse_term(f"1/({nines}+1)")
+    if shape_id == "rat.ssft":
+        # rat.ssft writes its result in decimal digits.
+        with pytest.raises(CapacityError):
+            eval_term(past, cfg)
+    else:
+        assert _as_fraction(eval_term(past, cfg)) * 10**limit == 1
+    with pytest.raises(CapacityError):
+        eval_term(parse_term(nines + "0"), cfg)
 
 
 # ---------------------------------------------------------------------------
