@@ -182,6 +182,8 @@ def _cmd_rns(args) -> int:
         pair = ratio.rn_num(pair)
     elif args.rns_command == "denom":
         pair = ratio.rn_denom(pair)
+    check_str_digits(pair.a)
+    check_str_digits(pair.b)
     exact = pair.as_fraction()
     data = {"pair": [pair.a, pair.b], "value": None if exact is None else str(exact)}
     text = f"({pair.a}, {pair.b})" + ("" if exact is None else f" = {exact}")

@@ -23,8 +23,10 @@ move a fact across levels are flagged instead of silently accepted.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import shapes
@@ -38,6 +40,7 @@ from .terms import (
     Term,
     classify,
     erase_decorations,
+    fits_str_digits,
     format_term,
     parse_term,
     term_eq,
@@ -105,11 +108,16 @@ class Script:
     shape_id: Optional[str] = None  # from an @shape pragma
     disjoint: Optional[bool] = None  # from an @disjoint pragma
 
+    @functools.cached_property
+    def _by_index(self) -> dict[int, Assertion]:
+        # Built backwards so that, as in a scan, the first of equal indices wins.
+        return {a.index: a for a in reversed(self.assertions)}
+
     def assertion(self, index: int) -> Assertion:
-        for a in self.assertions:
-            if a.index == index:
-                return a
-        raise DanglingReference(f"no assertion {index}")
+        try:
+            return self._by_index[index]
+        except KeyError:
+            raise DanglingReference(f"no assertion {index}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +157,12 @@ def _match_claim(body: str, index: int, line: int) -> Claim:
     rest. The argument is read first, so a bad witness term is reported
     before a bad occurrence.
     """
-    for kind, row in CLAIM_KINDS.items():
-        m = re.match(row.pattern, body)
-        if m:
-            break
-    else:
+    dispatch, rows = _claim_dispatch()
+    found = dispatch.match(body)
+    if found is None:
         raise ScriptError(f"unrecognized claim {body!r}", line=line)
+    kind, row, pattern = rows[found.lastgroup]
+    m = pattern.match(body)
     groups = m.groupdict()
     arg = row.arg(m, line) if row.arg else None
     occurrences = []
@@ -203,14 +211,14 @@ def parse_script(text: str) -> Script:
 
 
 def _resolve_references(script: Script) -> None:
-    indices = {a.index for a in script.assertions}
+    indices = script._by_index
     for a in script.assertions:
         claim = a.claim
         if claim.kind == "level":
             target = claim.arg[0]
             if target not in indices:
                 raise DanglingReference(f"level directive in {a.index} aims at missing assertion {target}")
-            if not script.assertion(target).claim.occurrences:
+            if not indices[target].claim.occurrences:
                 raise DanglingReference(f"assertion {target} holds no fracsign occurrence")
         if claim.kind == "contradicts" and claim.arg not in indices:
             raise DanglingReference(f"assertion {a.index} contradicts missing assertion {claim.arg}")
@@ -458,6 +466,8 @@ def _check_even_integer(env: _Env, claim: Claim):
     exact = shapes.decode(value.instance)
     if exact.denominator == 1 and exact.numerator % 2 == 0:
         return _VALID
+    if not _printable(exact):
+        return "invalid", f"the value of {format_term(claim.occ.term)} is not an even integer"
     return "invalid", f"the value {exact} is not an even integer"
 
 
@@ -481,7 +491,14 @@ def _check_comparison(env: _Env, claim: Claim):
     }[op]
     if holds:
         return _VALID
-    return "invalid", f"{exact} {op} {bound} does not hold"
+    shown = exact if _printable(exact) else format_term(claim.occ.term)
+    return "invalid", f"{shown} {op} {bound} does not hold"
+
+
+def _printable(exact: Fraction) -> bool:
+    # Past Python's int/str digit limit an explanation names the value by
+    # its term instead.
+    return fits_str_digits(exact.numerator) and fits_str_digits(exact.denominator)
 
 
 def _check_can_simplify(env: _Env, claim: Claim):
@@ -595,7 +612,10 @@ def _check_conclude(env: _Env, claim: Claim):
 
 
 class _Kind(NamedTuple):
-    pattern: str  # matched with re.match, in table order: the first match wins
+    # Matched from the start of the claim body, in table order: the first
+    # match wins. The patterns are compiled on first use into one dispatch
+    # (_claim_dispatch) that keeps that rule.
+    pattern: str
     role: Optional[Level]  # rule 4; None leaves the occurrences to the default
     arg: Optional[Callable[[re.Match, int], object]]  # (match, line) -> Claim.arg
     check: Callable[[_Env, Claim], tuple[str, Optional[str]]]
@@ -682,6 +702,25 @@ CLAIM_KINDS: dict[str, _Kind] = {
         _check_taxonomy,
     ),
 }
+
+
+_GROUP_NAME = re.compile(r"\(\?P<\w+>")
+
+
+@functools.cache
+def _claim_dispatch() -> tuple[re.Pattern, dict[str, tuple[str, _Kind, re.Pattern]]]:
+    """One alternation of the rows' patterns, in table order, and each row.
+
+    Row i is wrapped in the group ``k<i>`` and its own named groups are made
+    non-capturing, so ``lastgroup`` of a match names the first row whose
+    pattern matches, as a scan of the table would. The row's own compiled
+    pattern then reads its groups.
+    """
+    rows = {f"k{i}": (kind, row, re.compile(row.pattern)) for i, (kind, row) in enumerate(CLAIM_KINDS.items())}
+    alternation = "|".join(
+        f"(?P<{name}>{_GROUP_NAME.sub('(?:', row.pattern)})" for name, (_, row, _) in rows.items()
+    )
+    return re.compile(alternation), rows
 
 
 def check(

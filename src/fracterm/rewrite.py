@@ -43,6 +43,7 @@ from .terms import (
     Neg,
     Sub,
     Term,
+    check_str_digits,
     classify,
     contains_div,
     contains_var,
@@ -51,7 +52,6 @@ from .terms import (
     fold,
     format_term,
     num,
-    subterms,
     term_eq,
 )
 
@@ -105,6 +105,11 @@ def _int_value(t: Term) -> int:
     return fold(t, _int_node)
 
 
+def _numeral(n: int) -> Lit:
+    check_str_digits(n)
+    return Lit(str(n))
+
+
 def _flatdiv(t: Term, pure) -> bool:
     return isinstance(t, Div) and pure(t.left) and pure(t.right)
 
@@ -115,9 +120,9 @@ def _numeral_rule(t: Term, pure):
     # collapse rules stay symbolic.
     if isinstance(t, Div):
         if pure(t.left) and not isinstance(t.left, Lit):
-            return ("numeral-eval", Div(Lit(str(_int_value(t.left))), t.right))
+            return ("numeral-eval", Div(_numeral(_int_value(t.left)), t.right))
         if pure(t.right) and not isinstance(t.right, Lit):
-            return ("numeral-eval", Div(t.left, Lit(str(_int_value(t.right)))))
+            return ("numeral-eval", Div(t.left, _numeral(_int_value(t.right))))
     return None
 
 
@@ -241,9 +246,8 @@ def flatten(t: Term) -> tuple[Term, RewriteTrace]:
     if contains_var(t):
         raise OpenTerm(f"cannot flatten open term {t}")
     steps: list[RewriteStep] = []
-    current = t
-    if any(type(s) is Div and s.decoration for s in subterms(t)):
-        current = erase_decorations(t)
+    current = erase_decorations(t)
+    if current is not t:
         steps.append(RewriteStep("erase-decorations", t, current))
     if contains_div(current):
         for phase in (_numeral_rule, _node_rule):
@@ -274,7 +278,7 @@ def simplify(t: Term) -> Term:
         d //= g
     if d < 0:
         n, d = -n, -d
-    return Div(Lit(str(n)), Lit(str(d)))
+    return Div(_numeral(n), _numeral(d))
 
 
 def demote(t: Term) -> Term:
@@ -321,7 +325,7 @@ def add_family(t1: Term, t2: Term, strategy: str) -> Term:
             raise StrategyInapplicable("numeral addition needs simple fracterms")
         a, b = t1.left.value, t1.right.value
         c, d = t2.left.value, t2.right.value
-        return Div(Lit(str(a * d + b * c)), Lit(str(b * d)))
+        return Div(_numeral(a * d + b * c), _numeral(b * d))
     if not (c1.flat and c2.flat):
         raise StrategyInapplicable(f"{strategy} addition needs flat fracterms")
     a, b = num(t1), denom(t1)

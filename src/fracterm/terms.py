@@ -9,6 +9,10 @@ The parser, the printer, ``subterms``, ``fold`` and ``term_eq`` keep their
 own stacks instead of recursing, so memory, not the recursion limit, bounds
 the depth of a term. The dataclass-generated ``==``, ``hash`` and ``repr``
 still recurse; code that may meet deep terms compares them with ``term_eq``.
+
+Terms are frozen, so ``erase_decorations`` returns its argument itself when
+no division in it is decorated, and so do ``num`` and ``denom`` for an
+undecorated operand.
 """
 
 from __future__ import annotations
@@ -76,13 +80,18 @@ def _too_many_digits() -> CapacityError:
     return CapacityError(f"a number of more than {limit} digits exceeds the int/str digit limit")
 
 
-def check_str_digits(n: int) -> None:
-    """Refuse an int that Python cannot write as a decimal string."""
+def fits_str_digits(n: int) -> bool:
+    """Whether Python can write n as a decimal string."""
     limit = _str_digit_limit()
     # 2^(3 limit) < 10^limit: only a number longer than 3 limit bits can
     # have more than limit digits, and only such a number pays for the
     # exact comparison.
-    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+    return not (limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit)
+
+
+def check_str_digits(n: int) -> None:
+    """Refuse an int that Python cannot write as a decimal string."""
+    if not fits_str_digits(n):
         raise _too_many_digits()
 
 
@@ -447,6 +456,9 @@ def contains_var(t: Term) -> bool:
 
 
 def erase_decorations(t: Term) -> Term:
+    """t with every division decoration dropped; t itself if it has none."""
+    if not any(type(s) is Div and s.decoration for s in subterms(t)):
+        return t
     return fold(t, lambda node, *kids: type(node)(*kids) if kids else node)
 
 
@@ -482,8 +494,15 @@ def _canonical_numeral(l: Lit) -> bool:
 
 def classify(t: Term) -> TaxonomyFlags:
     fracterm = isinstance(t, Div)
-    closed = not contains_var(t)
-    flat = fracterm and not contains_div(t.left) and not contains_div(t.right)
+    # One walk: t is flat when its leading division is its only one.
+    closed = True
+    divs = 0
+    for s in subterms(t):
+        if isinstance(s, Var):
+            closed = False
+        elif isinstance(s, Div):
+            divs += 1
+    flat = fracterm and divs == 1
     simple = flat and isinstance(t.left, Lit) and isinstance(t.right, Lit)
     safe = False
     simplified = False

@@ -267,6 +267,22 @@ def test_eval_past_the_digit_limit(capsys, argv):
     assert json.loads(err)["error"] == "CapacityError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["rns", "eval", f"({HUGE_PRODUCT})/2"], id="rns-eval"),
+        pytest.param(["flatten", f"({HUGE_PRODUCT})/2"], id="flatten"),
+        pytest.param(["simplify", f"({HUGE_PRODUCT})/2"], id="simplify"),
+        pytest.param(["add", "1/" + "9" * 4000, "1/" + "9" * 4000, "--strategy", "numeral"], id="add-numeral"),
+    ],
+)
+def test_intermediates_past_the_digit_limit(capsys, argv):
+    # Each command would write an integer of more than 4300 digits.
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "CapacityError"
+
+
 @pytest.mark.parametrize("text", ["x²", "٣/4"])
 def test_non_ascii_term_exit_code(capsys, text):
     code, out, err = run(capsys, "parse", text)

@@ -81,6 +81,14 @@ def test_erase_decorations_long_sum():
     assert format_term(erase_decorations(t)) == erased
 
 
+def test_erase_decorations_deep_division():
+    text = "1/(" * DEEP + "2/ft3" + ")" * DEEP
+    t = parse_term(text)
+    erased = erase_decorations(t)
+    assert format_term(erased) == text.replace("/ft", "/")
+    assert erase_decorations(erased) is erased
+
+
 def test_desugar_literals_long_sum():
     digits = signed_digits(LONG)
     t = desugar_literals(parse_term("+".join(digits)))

@@ -1,7 +1,13 @@
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 
+from fracterm import fractalk
 from fracterm.errors import (
     DanglingReference,
     LevelConflict,
@@ -9,8 +15,8 @@ from fracterm.errors import (
     UnsupportedOperation,
     UnsupportedShape,
 )
-from fracterm.fractalk import CLAIM_KINDS, check, check_text, infer_levels, parse_script
-from fracterm.terms import Level, parse_term
+from fracterm.fractalk import CLAIM_KINDS, _match_claim, check, check_text, infer_levels, parse_script
+from fracterm.terms import Level, format_term, parse_term
 
 
 def corpus_text(name: str) -> str:
@@ -107,6 +113,14 @@ def test_dangling_references():
     with pytest.raises(DanglingReference):
         # The directive's target holds no fracsign occurrence.
         parse_script("1: level(2) = ft\n2: rationals are not fracterms")
+
+
+def test_assertion_by_index():
+    script = parse_script("3: 2/3 is rational\n1: level(3) = ft")
+    assert script.assertion(3) is script.assertions[0]
+    assert script.assertion(1) is script.assertions[1]
+    with pytest.raises(DanglingReference, match="no assertion 2"):
+        script.assertion(2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +247,87 @@ def test_claim_kind_golden(kind, examples):
 
 
 # ---------------------------------------------------------------------------
+# Claim dispatch: one compiled alternation stands in for a scan of the table.
+
+
+def _scan_kind(body):
+    """The reference: the first row of CLAIM_KINDS whose pattern matches."""
+    for kind, row in CLAIM_KINDS.items():
+        if re.match(row.pattern, body):
+            return kind
+    return None
+
+
+class _TableScan:
+    """The reference scan, in the shape of the compiled dispatch."""
+
+    def __init__(self, rows):
+        self.names = {kind: name for name, (kind, _, _) in rows.items()}
+
+    def match(self, body):
+        kind = _scan_kind(body)
+        return None if kind is None else SimpleNamespace(lastgroup=self.names[kind])
+
+
+def _outcome(body):
+    try:
+        return repr(_match_claim(body, 1, 1))
+    except ScriptError as exc:
+        return f"ScriptError: {exc}"
+
+
+ONE_BODY_PER_KIND = [examples[0][0].splitlines()[-1].split(": ", 1)[1] for _, examples in CLAIM_ROWS]
+# Bodies that more than one row matches, or whose groups are ambiguous.
+OVERLAPPING_BODIES = [
+    "2/3 contradicts 3 is fraxion",
+    "1/2 can be written flat as 1/2 is rational",
+    "1/2 == 2/4 @ft",
+    "not all fracterms are rational, witness 4/6",
+    "not all fracterms are rational",
+    "1/2 == 2/4 < 3",
+    "1/2 is fraxion is rational",
+    "2/3 is not simple and proper",
+]
+
+
+@pytest.mark.parametrize("body", ONE_BODY_PER_KIND + OVERLAPPING_BODIES)
+def test_claim_dispatch_agrees_with_the_table_scan(body, monkeypatch):
+    expected = _scan_kind(body)
+    assert expected is not None
+    compiled = _outcome(body)
+    if not compiled.startswith("ScriptError"):
+        assert _match_claim(body, 1, 1).kind == expected
+    # The whole claim, or the error, is the one the scan gives.
+    _, rows = fractalk._claim_dispatch()
+    monkeypatch.setattr(fractalk, "_claim_dispatch", lambda: (_TableScan(rows), rows))
+    assert _outcome(body) == compiled
+
+
+def test_claim_dispatch_covers_every_kind():
+    assert [_scan_kind(body) for body in ONE_BODY_PER_KIND] == list(CLAIM_KINDS)
+    assert _scan_kind("1/2 can be written flat as 1/2 is rational") == "writable-flat"
+    assert _outcome("1/2 can be written flat as 1/2 is rational") == (
+        "ScriptError: line 1: bad witness term: trailing input 'is' (at position 4)"
+    )
+
+
+def test_unrecognized_claim():
+    assert _scan_kind("2/3 is purple") is None
+    with pytest.raises(ScriptError, match=r"^line 1: unrecognized claim '2/3 is purple'$"):
+        _match_claim("2/3 is purple", 1, 1)
+
+
+def test_claim_dispatch_compiles_on_first_use():
+    code = (
+        "from fracterm import fractalk\n"
+        "assert fractalk._claim_dispatch.cache_info().currsize == 0\n"
+        "fractalk.parse_script('1: 1/2 is rational')\n"
+        "assert fractalk._claim_dispatch.cache_info().currsize == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+# ---------------------------------------------------------------------------
 # Level inference
 
 
@@ -257,6 +352,21 @@ def test_equality_of_values_past_the_digit_limit():
     p = "*".join(["9" * 100] * 50)
     assert check_text(f"1: ({p})*({p}) == ({p})*({p})").overall == "sound"
     assert check_text(f"1: ({p})*({p}) == ({p})*({p})+1").overall == "paradox-blocked"
+
+
+def test_explanations_past_the_digit_limit():
+    # An odd 10,000-digit value, and its reciprocal: past the limit the
+    # explanation names the value by its term, not by its digits.
+    p = "*".join(["9" * 100] * 50)
+    square, reciprocal = f"({p})*({p})", f"1/(({p})*({p}))"
+    for term, rest, explanation in [
+        (square, "is an even integer", "the value of {} is not an even integer"),
+        (square, "< 1", "{} < 1 does not hold"),
+        (reciprocal, "> 1", "{} > 1 does not hold"),
+    ]:
+        verdict = check_text(f"1: {term} {rest}")
+        assert verdict.overall == "paradox-blocked"
+        assert verdict.explanation == explanation.format(format_term(parse_term(term)))
 
 
 def test_taxonomy_forces_fracterm():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from fracterm.terms import (
     Var,
     classify,
     contains_div,
+    contains_var,
     denom,
     desugar_literals,
     erase_decorations,
@@ -24,6 +27,7 @@ from fracterm.terms import (
     parse_term,
 )
 
+from gen import random_closed_term
 from oracle import eval_exact
 
 
@@ -260,6 +264,29 @@ def test_taxonomy_chain_by_enumeration():
 @given(term_strategy())
 def test_decoration_neutrality(t):
     assert classify(t) == classify(erase_decorations(t))
+
+
+closed_terms = st.builds(
+    lambda seed, depth: random_closed_term(random.Random(seed), depth), st.integers(0, 2**32), st.integers(0, 7)
+)
+
+
+@given(st.one_of(closed_terms, term_strategy()))
+def test_classify_agrees_with_three_walks(t):
+    # The definition before classify made one walk.
+    fracterm = isinstance(t, Div)
+    flat = fracterm and not contains_div(t.left) and not contains_div(t.right)
+    flags = classify(t)
+    assert (flags.is_fracterm, flags.closed, flags.flat) == (fracterm, not contains_var(t), flat)
+
+
+def test_erase_decorations_keeps_an_undecorated_term():
+    t = parse_term("(1+2/3)/(x*4)")
+    assert erase_decorations(t) is t
+    assert num(t) is t.left and denom(t) is t.right
+    decorated = parse_term("(1+2/ft3)/(x*4)")
+    assert erase_decorations(decorated) is not decorated
+    assert erase_decorations(decorated) == t
 
 
 @given(term_strategy())
