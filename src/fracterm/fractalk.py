@@ -43,7 +43,6 @@ from .terms import (
     fits_str_digits,
     format_term,
     parse_term,
-    term_eq,
 )
 
 _LEVEL_TAGS = {"ft": Level.FRACTERM, "fv": Level.FRACVALUE, "fs": Level.SIGN}
@@ -197,7 +196,7 @@ def parse_script(text: str) -> Script:
         m = _ASSERTION_RE.match(line)
         if not m:
             raise ScriptError(f"expected '<index>: <claim>', got {line!r}", line=lineno)
-        index = int(m.group(1))
+        index = _int_arg(m, lineno, 1)
         if index in seen:
             raise ScriptError(f"duplicate assertion index {index}", line=lineno)
         seen.add(index)
@@ -379,7 +378,7 @@ def _check_equals(env: _Env, claim: Claim):
     if ll is Level.FRACVALUE:
         ok = value_eq(env.value_of(left.term), env.value_of(right.term))
     else:
-        ok = term_eq(left.term, right.term)
+        ok = left.term == right.term
     if not ok:
         return (
             "invalid",
@@ -541,8 +540,8 @@ def _check_contradicts(env: _Env, claim: Claim):
         return "invalid", "the cited assertion is not a universal claim"
     sign = claim.occ.term
     # "x is fracterm and fracvalue" asserts both premises of one occurrence.
-    rationals = [p for p in env.premises("rational", "both-levels") if term_eq(p[0].claim.occ.term, sign)]
-    fracterms = [p for p in env.premises("fracterm", "both-levels") if term_eq(p[0].claim.occ.term, sign)]
+    rationals = [p for p in env.premises("rational", "both-levels") if p[0].claim.occ.term == sign]
+    fracterms = [p for p in env.premises("fracterm", "both-levels") if p[0].claim.occ.term == sign]
     if not rationals or not fracterms:
         return "invalid", "no premises support a contradiction"
     valid_r = [a for a, ok in rationals if ok]
@@ -578,11 +577,11 @@ def _check_conclude(env: _Env, claim: Claim):
         return "invalid", "does not follow from the preceding assertions"
     left, right = left[-1], right[-1]
     l_level, r_level = env.level(left.claim.occ), env.level(right.claim.occ)
-    pair = {format_term(left.claim.occ.term), format_term(right.claim.occ.term)}
+    pair = {left.claim.occ.term, right.claim.occ.term}
     matching = [
         a
         for a, ok in env.premises("equals")
-        if ok and {format_term(o.term) for o in a.claim.occurrences} == pair
+        if ok and {o.term for o in a.claim.occurrences} == pair
     ]
     if not matching:
         return "invalid", "no equality connects the two numerator bearers"
@@ -621,8 +620,12 @@ class _Kind(NamedTuple):
     check: Callable[[_Env, Claim], tuple[str, Optional[str]]]
 
 
-def _int_arg(m: re.Match, line: int) -> int:
-    return int(m["n"])
+def _int_arg(m: re.Match, line: int, group="n") -> int:
+    # The patterns admit only digits: int() fails only past the int/str digit limit.
+    try:
+        return int(m[group])
+    except ValueError:
+        raise ScriptError(f"a {len(m[group])}-character number exceeds the int/str digit limit", line=line) from None
 
 
 def _witness_arg(m: re.Match, line: int) -> Term:
@@ -648,13 +651,13 @@ CLAIM_KINDS: dict[str, _Kind] = {
     "level": _Kind(
         r"^level\((?P<n>\d+)\)\s*=\s*(?P<to>ft|fv|fs)$",
         None,
-        lambda m, line: (int(m["n"]), _LEVEL_TAGS[m["to"]]),
+        lambda m, line: (_int_arg(m, line), _LEVEL_TAGS[m["to"]]),
         _valid,
     ),
     "conclude": _Kind(
         r"^conclude\s+(?P<left>-?\d+)\s*=\s*(?P<right>-?\d+)$",
         None,
-        lambda m, line: (int(m["left"]), int(m["right"])),
+        lambda m, line: (_int_arg(m, line, "left"), _int_arg(m, line, "right")),
         _check_conclude,
     ),
     "def": _Kind(
@@ -681,7 +684,7 @@ CLAIM_KINDS: dict[str, _Kind] = {
     "comparison": _Kind(
         r"^(?P<occ>.+?)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?\d+)$",
         None,
-        lambda m, line: (m["op"], int(m["n"])),
+        lambda m, line: (m["op"], _int_arg(m, line)),
         _check_comparison,
     ),
     "both-levels": _Kind(r"^(?P<occ>.+?) is fracterm and fracvalue$", Level.FRAXION, None, _check_both_levels),

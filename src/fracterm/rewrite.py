@@ -20,9 +20,8 @@ general (a zero divisor can be multiplied away).
 
 Each phase (``numeral-eval`` first, then the other rules) rewrites the
 innermost-leftmost match until none is left. It runs as one postorder walk
-with its own stack, which carries division-freeness up the tree and never
-re-enters a finished subtree; a step rebuilds only the path from the match
-to the root. So a phase takes time linear in the size of its input and of
+with its own stack, which never enters a finished or division-free subtree;
+a step rebuilds only the path from the match to the root. So a phase takes time linear in the size of its input and of
 the nodes the rules build, plus the depth of each match; nothing in this
 module recurses.
 """
@@ -47,12 +46,9 @@ from .terms import (
     classify,
     contains_div,
     contains_var,
-    denom,
     erase_decorations,
     fold,
     format_term,
-    num,
-    term_eq,
 )
 
 STRATEGIES = ("cross", "same-denom", "numeral", "trivial")
@@ -72,7 +68,7 @@ class RewriteTrace:
     def replay(self, start: Term) -> Term:
         cur = start
         for step in self.steps:
-            if not term_eq(step.before, cur):
+            if step.before != cur:
                 raise ValueError(f"trace does not compose at rule {step.rule!r}")
             cur = step.after
         return cur
@@ -110,40 +106,38 @@ def _numeral(n: int) -> Lit:
     return Lit(str(n))
 
 
-def _flatdiv(t: Term, pure) -> bool:
-    return isinstance(t, Div) and pure(t.left) and pure(t.right)
+def _flatdiv(t: Term) -> bool:
+    return isinstance(t, Div) and not (t.left.has_div or t.right.has_div)
 
 
-def _numeral_rule(t: Term, pure):
+def _numeral_rule(t: Term):
     # Division operands that are plain closed arithmetic become numerals.
     # This runs as a first phase only, so products built later by the
     # collapse rules stay symbolic.
     if isinstance(t, Div):
-        if pure(t.left) and not isinstance(t.left, Lit):
+        if not t.left.has_div and not isinstance(t.left, Lit):
             return ("numeral-eval", Div(_numeral(_int_value(t.left)), t.right))
-        if pure(t.right) and not isinstance(t.right, Lit):
+        if not t.right.has_div and not isinstance(t.right, Lit):
             return ("numeral-eval", Div(t.left, _numeral(_int_value(t.right))))
     return None
 
 
-def _node_rule(t: Term, pure):
+def _node_rule(t: Term):
     if isinstance(t, Neg):
-        if _flatdiv(t.operand, pure):
+        if _flatdiv(t.operand):
             inner = t.operand
             return ("neg-lift", Div(Neg(inner.left), inner.right))
         return None
 
     if isinstance(t, Div):
         l, r = t.left, t.right
-        if pure(l) and pure(r):
-            return None  # already flat
-        if pure(l) and _flatdiv(r, pure):
+        if not l.has_div and _flatdiv(r):
             if _int_value(r.right) != 0:
                 return ("div-collapse", Div(Mul(l, r.right), r.left))
             return ("div-collapse-bot", Div(Mul(l, r.right), Mul(r.left, r.right)))
-        if _flatdiv(l, pure) and pure(r):
+        if _flatdiv(l) and not r.has_div:
             return ("div-collapse", Div(l.left, Mul(l.right, r)))
-        if _flatdiv(l, pure) and _flatdiv(r, pure):
+        if _flatdiv(l) and _flatdiv(r):
             if _int_value(r.right) != 0:
                 return ("div-collapse", Div(Mul(l.left, r.right), Mul(l.right, r.left)))
             return (
@@ -154,39 +148,28 @@ def _node_rule(t: Term, pure):
 
     if isinstance(t, (Add, Sub, Mul)):
         l, r = t.left, t.right
-        if pure(l) and pure(r):
-            return None
         rule = {Add: "add-lift", Sub: "sub-lift", Mul: "mul-lift"}[type(t)]
         if isinstance(t, Mul):
-            if _flatdiv(l, pure) and _flatdiv(r, pure):
+            if _flatdiv(l) and _flatdiv(r):
                 return (rule, Div(Mul(l.left, r.left), Mul(l.right, r.right)))
-            if _flatdiv(l, pure) and pure(r):
+            if _flatdiv(l) and not r.has_div:
                 return (rule, Div(Mul(l.left, r), l.right))
-            if pure(l) and _flatdiv(r, pure):
+            if not l.has_div and _flatdiv(r):
                 return (rule, Div(Mul(l, r.left), r.right))
             return None
         cls = type(t)
-        if _flatdiv(l, pure) and _flatdiv(r, pure):
+        if _flatdiv(l) and _flatdiv(r):
             return (
                 rule,
                 Div(cls(Mul(l.left, r.right), Mul(l.right, r.left)), Mul(l.right, r.right)),
             )
-        if _flatdiv(l, pure) and pure(r):
+        if _flatdiv(l) and not r.has_div:
             return (rule, Div(cls(l.left, Mul(r, l.right)), l.right))
-        if pure(l) and _flatdiv(r, pure):
+        if not l.has_div and _flatdiv(r):
             return (rule, Div(cls(Mul(l, r.right), r.left), r.right))
         return None
 
     return None
-
-
-def _children(t: Term) -> tuple:
-    cls = type(t)
-    if cls is Neg:
-        return (t.operand,)
-    if cls is Lit:
-        return ()
-    return (t.left, t.right)
 
 
 def _rewrite_all(t: Term, rule, steps: list[RewriteStep]) -> Term:
@@ -194,31 +177,27 @@ def _rewrite_all(t: Term, rule, steps: list[RewriteStep]) -> Term:
 
     One postorder walk; a frame is [node, children entered]. Whether rule
     matches a node depends only on the node's subtree, so a finished
-    subtree never matches again. The walk keeps, for every finished node,
-    whether it is division-free, which is all the rules ask through pure,
-    and steps over finished nodes. Nodes are keyed by id: each finished
-    node belongs to a term that steps or the stack keeps alive. A match
+    subtree never matches again, and no rule matches a division-free one.
+    The walk steps over both: it keeps the ids of the finished nodes, each
+    of which belongs to a term that steps or the stack keeps alive. A match
     replaces the top frame's node, rebuilds the spine above it, and the
-    walk goes on into the new node.
+    walk goes on into the new node, which holds a division.
     """
-    done: dict[int, bool] = {}
-
-    def pure(node: Term) -> bool:
-        return done[id(node)]
-
+    done: set[int] = set()
     frames = [[t, 0]]
     while frames:
         frame = frames[-1]
         node, entered = frame
-        kids = _children(node)
+        kids = (node.operand,) if type(node) is Neg else (node.left, node.right)
         if entered < len(kids):
             frame[1] = entered + 1
-            if id(kids[entered]) not in done:
-                frames.append([kids[entered], 0])
+            kid = kids[entered]
+            if kid.has_div and id(kid) not in done:
+                frames.append([kid, 0])
             continue
-        found = rule(node, pure)
+        found = rule(node)
         if found is None:
-            done[id(node)] = type(node) is not Div and all(done[id(k)] for k in kids)
+            done.add(id(node))
             frames.pop()
             continue
         name, new = found
@@ -270,8 +249,8 @@ def simplify(t: Term) -> Term:
     flags = classify(t)
     if not (flags.is_fracterm and flags.flat and flags.closed):
         raise NotSimple(f"cannot simplify {t}")
-    n = _int_value(erase_decorations(t.left))
-    d = _int_value(erase_decorations(t.right))
+    n = _int_value(t.left)
+    d = _int_value(t.right)
     g = math.gcd(abs(n), abs(d))
     if g:
         n //= g
@@ -328,9 +307,10 @@ def add_family(t1: Term, t2: Term, strategy: str) -> Term:
         return Div(_numeral(a * d + b * c), _numeral(b * d))
     if not (c1.flat and c2.flat):
         raise StrategyInapplicable(f"{strategy} addition needs flat fracterms")
-    a, b = num(t1), denom(t1)
-    c, d = num(t2), denom(t2)
-    if strategy == "same-denom" and term_eq(b, d):
+    # Flat fracterms hold no division below the root, so no decoration.
+    a, b = t1.left, t1.right
+    c, d = t2.left, t2.right
+    if strategy == "same-denom" and b == d:
         return Div(Add(a, c), b)
     return Div(Add(Mul(a, d), Mul(b, c)), Mul(b, d))
 

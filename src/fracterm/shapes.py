@@ -16,13 +16,10 @@ operations of its label and ``convert`` follow from ``decode`` and
 ``encode``: the numbers are decoded, combined exactly, with bottom absorbing
 and a zero divisor giving bottom as in common meadows, and encoded again.
 
-Three pair shapes keep their own arithmetic. ``int.diffpair`` and
-``rat.rns`` do because their results are not canonical: (5, 2) + (1, 4) is
-(6, 6). ``rat.pcs`` does for the speed of ``shape_add``, ``shape_mul`` and
-``shape_div``: integer pair arithmetic plus a gcd is about seven times as
-fast as decoding to Fraction and encoding again. Evaluation uses none of
-these operations: ``semantics.eval_term`` folds a term in exact integer
-pairs and encodes its value once, at the root.
+Only ``int.diffpair`` and ``rat.rns`` keep their own arithmetic, because
+their results are not canonical: (5, 2) + (1, 4) is (6, 6). Evaluation uses
+none of these operations: ``semantics.eval_term`` folds a term in exact
+integer pairs and encodes its value once, at the root.
 """
 
 from __future__ import annotations
@@ -57,9 +54,14 @@ REJECTED_LABELS = ("real", "complex")
 # Size cap for the set-theoretic naturals.
 SET_NAT_CAP = 1 << 16
 
+# Deepest nesting of lists in a set-nat's JSON, where k nests k + 1. At the
+# default recursion limit json.dumps writes at most 990 nested lists from a
+# fresh interpreter; the rest is left to the frames of its callers.
+SET_NAT_JSON_DEPTH = 900
+
 
 class _Bot:
-    """Bottom as a result of derived arithmetic, which has no bottom-class instance."""
+    """Bottom as a result of arithmetic on a shape that has no bottom-class instance."""
 
     def __repr__(self):
         return "bot"
@@ -157,13 +159,16 @@ class Shape:
         return self.decode(i) == self.decode(j)
 
     def _apply(self, op: str, *values: Optional[Number]):
-        # Bottom absorbs and a zero divisor gives bottom. Shapes that derive
-        # their arithmetic have no bottom-class instance, so bottom is BOT.
+        # Bottom absorbs and a zero divisor gives bottom: the shape's
+        # bottom-class instance, or BOT on a shape that has none.
         name, fn = _ARITHMETIC[op]
         if op not in OPERATIONS[self.label]:
             raise UnsupportedOperation(f"{self.shape_id} has no {name}")
         if values[0] is None or values[-1] is None or (op == "div" and values[1] == 0):
-            return BOT
+            try:
+                return self.encode(None)
+            except UnsupportedOperation:
+                return BOT
         return self.encode(fn(*values))
 
     def add(self, i: Instance, j: Instance) -> Instance:
@@ -217,10 +222,13 @@ class _DecimalNat(Shape):
             raise UnsupportedShape(f"bad decimal payload {payload!r}")
 
     def encode(self, value):
-        return Instance(self.shape_id, str(self._integer(value)))
+        k = self._integer(value)
+        check_str_digits(k)
+        return Instance(self.shape_id, str(k))
 
     def decode(self, inst):
-        return int(inst.payload)
+        # A literal refuses digits past the int/str digit limit.
+        return Lit(inst.payload).value
 
     def bounded_instances(self, bound):
         for length in range(1, len(str(bound)) + 3):
@@ -236,7 +244,7 @@ class _StrictDecimalNat(_DecimalNat):
 
     def validate(self, payload):
         super().validate(payload)
-        if payload != str(int(payload)):
+        if payload[0] == "0" and payload != "0":
             raise UnsupportedShape(f"redundant leading zero in {payload!r}")
 
     bounded_instances = Shape.bounded_instances
@@ -266,7 +274,8 @@ class _SetNat(Shape):
     label = "nat"
     normal = True
 
-    def _succ(self, s: frozenset) -> frozenset:
+    def _succ(self, s, kind=frozenset):
+        """The successor of s: a frozenset, or a list of lists for JSON."""
         raise NotImplementedError
 
     def encode(self, value):
@@ -286,7 +295,15 @@ class _SetNat(Shape):
             yield Instance(self.shape_id, s)
 
     def payload_to_json(self, payload):
-        return [self.payload_to_json(e) for e in sorted(payload, key=len)]
+        # The lists are built as k itself is, one successor at a time,
+        # without recursion; json.dumps recurses, once per level.
+        k = self.decode(Instance(self.shape_id, payload))
+        if k >= SET_NAT_JSON_DEPTH:
+            raise CapacityError(f"{self.shape_id} JSON nests {k + 1} lists, past the budget of {SET_NAT_JSON_DEPTH}")
+        value: list = []
+        for _ in range(k):
+            value = self._succ(value, list)
+        return value
 
     def payload_from_json(self, data):
         # Nested lists become nested frozensets bottom-up, without recursion.
@@ -309,8 +326,8 @@ class _VonNeumannNat(_SetNat):
 
     shape_id = "nat.vn"
 
-    def _succ(self, s):
-        return s | frozenset([s])
+    def _succ(self, s, kind=frozenset):
+        return kind((*s, s))
 
     def validate(self, payload):
         if not isinstance(payload, frozenset):
@@ -327,8 +344,8 @@ class _ZermeloNat(_SetNat):
 
     shape_id = "nat.zermelo"
 
-    def _succ(self, s):
-        return frozenset([s])
+    def _succ(self, s, kind=frozenset):
+        return kind((s,))
 
     def validate(self, payload):
         if not isinstance(payload, frozenset):
@@ -368,6 +385,7 @@ class _SignedInt(Shape):
 
     def encode(self, value):
         k = self._integer(value)
+        check_str_digits(k)
         if k == 0:
             return Instance(self.shape_id, "0")
         sign = "+" if k > 0 else "-"
@@ -377,7 +395,7 @@ class _SignedInt(Shape):
         if inst.payload == "0":
             return 0
         sign, mag = inst.payload
-        return int(mag) if sign == "+" else -int(mag)
+        return Lit(mag if sign == "+" else "-" + mag).value
 
     def bounded_instances(self, bound):
         for k in range(-bound, bound + 1):
@@ -444,16 +462,6 @@ def _coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
                 yield a, b
 
 
-def _pcs_canonical(a: int, b: int) -> tuple[int, int]:
-    # Every (a, 0) is in the bottom class, whose representative is (0, 0).
-    if b == 0:
-        return (0, 0)
-    if b < 0:
-        a, b = -a, -b
-    g = math.gcd(abs(a), b)
-    return (a // g, b // g)
-
-
 class _RatPair(_PairShape):
     """Integer pairs (a, b) standing for a/b; every (a, 0) is in the bottom class."""
 
@@ -483,29 +491,8 @@ class _PairClassRat(_RatPair):
     bad_pair = "not a canonical pair:"
 
     def _admits(self, a, b):
-        return (a, b) == _pcs_canonical(a, b)
-
-    def _wrap(self, a, b):
-        return Instance(self.shape_id, _pcs_canonical(a, b))
-
-    def add(self, i, j):
-        a, b = i.payload
-        c, d = j.payload
-        return self._wrap(a * d + b * c, b * d)
-
-    def mul(self, i, j):
-        a, b = i.payload
-        c, d = j.payload
-        return self._wrap(a * c, b * d)
-
-    def neg(self, i):
-        a, b = i.payload
-        return self._wrap(-a, b)
-
-    def div(self, i, j):
-        a, b = i.payload
-        c, d = j.payload
-        return self._wrap(a * d, b * c)
+        # Every (a, 0) is in the bottom class, whose representative is (0, 0).
+        return (a, b) == (0, 0) or (b > 0 and math.gcd(a, b) == 1)
 
     def bounded_instances(self, bound):
         yield Instance(self.shape_id, (0, 0))

@@ -5,13 +5,12 @@ see ``desugar_literals``). Division nodes may carry a level decoration,
 ``ft`` (read as a fracterm) or ``fv`` (read as a fracvalue), written
 ``/ft`` and ``/fv`` in place of ``/``.
 
-The parser, the printer, ``subterms``, ``fold`` and ``term_eq`` keep their
-own stacks instead of recursing, so memory, not the recursion limit, bounds
-the depth of a term. The dataclass-generated ``==``, ``hash`` and ``repr``
-still recurse; code that may meet deep terms compares them with ``term_eq``.
+The parser, the printer, ``fold`` and a term's ``==`` keep their own
+stacks instead of recursing, so memory, not the recursion limit, bounds the
+depth of a term.
 
-Terms are frozen, so ``erase_decorations`` returns its argument itself when
-no division in it is decorated, and so do ``num`` and ``denom`` for an
+Terms are immutable, so ``erase_decorations`` returns its argument itself
+when no division in it is decorated, and so do ``num`` and ``denom`` for an
 undecorated operand.
 """
 
@@ -22,7 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .errors import CapacityError, NotAFracterm, ParseError
 
@@ -46,19 +45,72 @@ class Level(Enum):
     FRAXION = "fx"  # the unresolved disjunction of the other four
 
 
-@dataclass(frozen=True)
+_DIV, _VAR, _DECORATED = 1, 2, 4  # the bits of a node's _facts
+
+
 class Term:
-    def __str__(self) -> str:
-        return format_term(self, "inline")
+    """A node of a term tree, immutable.
+
+    Each node knows from its children, once, at construction: whether its
+    tree holds a division (``has_div``), a variable (``has_var``) or a
+    decorated division (``decorated``), and its structural hash. ``==``
+    compares trees with its own stack, and ``repr`` prints through
+    ``format_term``; no method recurses.
+    """
+
+    __slots__ = ("_facts", "_hash")
+    has_div = property(lambda self: self._facts & _DIV != 0)
+    has_var = property(lambda self: self._facts & _VAR != 0)
+    decorated = property(lambda self: self._facts & _DECORATED != 0)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        """Structural equality, decorations included."""
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            cls = type(x)
+            if cls is not type(y) or x._hash != y._hash:
+                return False
+            if cls is Lit:
+                if x.digits != y.digits:
+                    return False
+            elif cls is Var:
+                if x.name != y.name:
+                    return False
+            elif cls is Neg:
+                todo.append((x.operand, y.operand))
+            else:
+                if cls is Div and x.decoration != y.decoration:
+                    return False
+                todo += ((x.right, y.right), (x.left, y.left))
+        return True
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return format_term(self)
+
+    def __reduce__(self):
+        return parse_term, (format_term(self),)
 
 
-@dataclass(frozen=True)
 class Lit(Term):
-    digits: str
+    __slots__ = ("digits",)
+    _facts = 0  # a leaf's facts are a constant of its class, which shadows the slot
 
-    def __post_init__(self):
-        if not _LIT_RE.match(self.digits):
-            raise ValueError(f"bad literal digits: {self.digits!r}")
+    def __init__(self, digits: str):
+        if not _LIT_RE.match(digits):
+            raise ValueError(f"bad literal digits: {digits!r}")
+        _set_digits(self, digits)
+        _set_hash(self, hash(digits))
 
     @property
     def value(self) -> int:
@@ -95,50 +147,70 @@ def check_str_digits(n: int) -> None:
         raise _too_many_digits()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+    _facts = _VAR
 
-    def __post_init__(self):
-        if not _VAR_RE.match(self.name) or self.name in RESERVED_WORDS:
-            raise ValueError(f"bad variable name: {self.name!r}")
+    def __init__(self, name: str):
+        if not _VAR_RE.match(name) or name in RESERVED_WORDS:
+            raise ValueError(f"bad variable name: {name!r}")
+        _set_name(self, name)
+        _set_hash(self, hash(name))
 
 
-@dataclass(frozen=True)
 class Neg(Term):
-    operand: Term
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Term):
+        _set_operand(self, operand)
+        _set_facts(self, operand._facts)
+        _set_hash(self, hash((Neg, operand._hash)))
 
 
-@dataclass(frozen=True)
-class Add(Term):
-    left: Term
-    right: Term
+class _Binary(Term):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_facts(self, left._facts | right._facts)
+        _set_hash(self, hash((type(self), left._hash, right._hash)))
 
 
-@dataclass(frozen=True)
-class Sub(Term):
-    left: Term
-    right: Term
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Term):
-    left: Term
-    right: Term
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Term):
-    left: Term
-    right: Term
-    decoration: Optional[str] = None  # None | "ft" | "fv"
-
-    def __post_init__(self):
-        if self.decoration not in (None, "ft", "fv"):
-            raise ValueError(f"bad decoration: {self.decoration!r}")
+class Mul(_Binary):
+    __slots__ = ()
 
 
-_BINARY = (Add, Sub, Mul, Div)
+class Div(_Binary):
+    __slots__ = ("decoration",)  # None | "ft" | "fv"
+
+    def __init__(self, left: Term, right: Term, decoration: Optional[str] = None):
+        if decoration not in (None, "ft", "fv"):
+            raise ValueError(f"bad decoration: {decoration!r}")
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_decoration(self, decoration)
+        _set_facts(self, left._facts | right._facts | (_DIV if decoration is None else _DIV | _DECORATED))
+        _set_hash(self, hash((Div, left._hash, right._hash, decoration)))
+
+
+# Construction writes the slots through their descriptors, past the
+# __setattr__ that refuses every later assignment.
+_set_digits = Lit.digits.__set__
+_set_name = Var.name.__set__
+_set_operand = Neg.operand.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_decoration = Div.decoration.__set__
+_set_facts, _set_hash = Term._facts.__set__, Term._hash.__set__
 
 
 # --------------------------------------------------------------------------
@@ -345,7 +417,7 @@ def _fmt(t: Term, fmt: str) -> str:
                 todo += (")", inner, "-(")
             else:
                 todo += (inner, "-")
-        elif cls in _BINARY:
+        elif isinstance(node, _Binary):
             left, right = node.left, node.right
             prec = _PREC[cls]
             if cls is not Div:
@@ -376,19 +448,6 @@ def _fmt(t: Term, fmt: str) -> str:
 R = TypeVar("R")
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of t in preorder, the term itself first."""
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        yield node
-        cls = type(node)
-        if cls is Neg:
-            todo.append(node.operand)
-        elif cls in _BINARY:
-            todo += (node.right, node.left)
-
-
 def fold(t: Term, alg: Callable[..., R]) -> R:
     """Fold t bottom-up: alg(node, *child_results) for every node.
 
@@ -405,7 +464,7 @@ def fold(t: Term, alg: Callable[..., R]) -> R:
         cls = type(node)
         if cls is Neg:
             todo.append(node.operand)
-        elif cls in _BINARY:
+        elif isinstance(node, _Binary):
             todo += (node.left, node.right)
         elif cls is not Lit and cls is not Var:
             raise TypeError(f"not a term: {node!r}")
@@ -422,42 +481,17 @@ def fold(t: Term, alg: Callable[..., R]) -> R:
     return results[0]
 
 
-def term_eq(a: Term, b: Term) -> bool:
-    """Structural equality, decorations included, with its own stack."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        cls = type(x)
-        if cls is not type(y):
-            return False
-        if cls is Lit:
-            if x.digits != y.digits:
-                return False
-        elif cls is Var:
-            if x.name != y.name:
-                return False
-        elif cls is Neg:
-            todo.append((x.operand, y.operand))
-        else:
-            if cls is Div and x.decoration != y.decoration:
-                return False
-            todo += ((x.right, y.right), (x.left, y.left))
-    return True
-
-
 def contains_div(t: Term) -> bool:
-    return any(isinstance(s, Div) for s in subterms(t))
+    return t.has_div
 
 
 def contains_var(t: Term) -> bool:
-    return any(isinstance(s, Var) for s in subterms(t))
+    return t.has_var
 
 
 def erase_decorations(t: Term) -> Term:
     """t with every division decoration dropped; t itself if it has none."""
-    if not any(type(s) is Div and s.decoration for s in subterms(t)):
+    if not t.decorated:
         return t
     return fold(t, lambda node, *kids: type(node)(*kids) if kids else node)
 
@@ -494,15 +528,8 @@ def _canonical_numeral(l: Lit) -> bool:
 
 def classify(t: Term) -> TaxonomyFlags:
     fracterm = isinstance(t, Div)
-    # One walk: t is flat when its leading division is its only one.
-    closed = True
-    divs = 0
-    for s in subterms(t):
-        if isinstance(s, Var):
-            closed = False
-        elif isinstance(s, Div):
-            divs += 1
-    flat = fracterm and divs == 1
+    closed = not t.has_var
+    flat = fracterm and not (t.left.has_div or t.right.has_div)
     simple = flat and isinstance(t.left, Lit) and isinstance(t.right, Lit)
     safe = False
     simplified = False

@@ -283,6 +283,21 @@ def test_intermediates_past_the_digit_limit(capsys, argv):
     assert json.loads(err)["error"] == "CapacityError"
 
 
+def test_shape_compare_past_the_digit_limit(capsys):
+    code, out, err = run(capsys, "shape", "compare", '"' + "1" * 5000 + '"', '"1"', "--shape", "nat.dec")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "CapacityError"
+
+
+def test_zermelo_encode_depth_budget(capsys):
+    for argv in (["--json"], []):
+        code, out, _ = run(capsys, "shape", "encode", "800", "--shape", "nat.zermelo", *argv)
+        assert code == 0 and out.count("[") == 801
+        code, out, err = run(capsys, "shape", "encode", "1000", "--shape", "nat.zermelo", *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "CapacityError"
+
+
 @pytest.mark.parametrize("text", ["x²", "٣/4"])
 def test_non_ascii_term_exit_code(capsys, text):
     code, out, err = run(capsys, "parse", text)

@@ -1,9 +1,7 @@
 """Inputs far deeper than Python's recursion limit.
 
 Every check here runs at the default recursion limit, which no test
-raises. Results are compared with closed forms or printed strings, never
-with ``==`` on deep terms: the dataclass-generated ``__eq__``, ``__hash__``
-and ``__repr__`` of terms still recurse.
+raises.
 """
 
 import json
@@ -14,7 +12,7 @@ import pytest
 
 from fracterm.cli import main
 from fracterm.errors import DivisionByZero
-from fracterm.fractalk import check_text
+from fracterm.fractalk import check_text, parse_script
 from fracterm.ratio import DenomOf, NumOf, RatioNumber, rn_eval
 from fracterm.rewrite import _int_value, flatten
 from fracterm.semantics import BOTTOM, POLICIES, EvalConfig, eval_term, value_to_json
@@ -47,6 +45,19 @@ def signed_digits(n):
 
 def left_sum_text(n):
     return "+".join(signed_digits(n))
+
+
+def test_eq_hash_repr_and_sets_on_deep_terms():
+    text = "-" * DEEP + "(1/2)"
+    t, u = parse_term(text), parse_term(text)
+    assert t is not u and t == u and hash(t) == hash(u)
+    assert u in {t}
+    assert repr(t) == str(t) == text
+    assert t != parse_term("-" * DEEP + "(1/3)")
+    assert t != parse_term("-" * DEEP + "(1/ft2)")
+    s = parse_term(left_sum_text(DEEP))
+    assert s == parse_term(left_sum_text(DEEP)) and s != t
+    assert {s: 1, t: 2}[parse_term(text)] == 2
 
 
 def test_nested_parentheses_all_formats():
@@ -219,6 +230,14 @@ def verdict_shape(text):
 @pytest.mark.parametrize("shallow,deep", DEEP_SIGNS, ids=["neg-chain", "deep-denominator"])
 def test_fractalk_deep_sign_checks_as_shallow(template, shallow, deep):
     assert verdict_shape(template.format(T=deep)) == verdict_shape(template.format(T=shallow))
+
+
+def test_scripts_with_deep_occurrences_compare_equal():
+    shallow, deep = DEEP_SIGNS[0]
+    for template in SIGN_SCRIPTS:
+        script = parse_script(template.format(T=deep))
+        assert script == parse_script(template.format(T=deep))
+        assert script != parse_script(template.format(T=shallow))
 
 
 def test_cli_fractalk_deep_equality(capsys, tmp_path):

@@ -354,6 +354,20 @@ def test_equality_of_values_past_the_digit_limit():
     assert check_text(f"1: ({p})*({p}) == ({p})*({p})+1").overall == "paradox-blocked"
 
 
+ONES = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [f"2: 1/2 < {ONES}", f"2: num(1/2) = {ONES}", f"2: level({ONES}) = ft", f"2: conclude 1 = {ONES}",
+     f"2: 1/2 contradicts {ONES}", f"{ONES}: 1/2 is rational"],
+    ids=["comparison", "num", "level", "conclude", "contradicts", "index"],
+)
+def test_numbers_past_the_digit_limit(claim):
+    with pytest.raises(ScriptError, match="^line 2: a 5000-character number exceeds the int/str digit limit$"):
+        parse_script(f"1: 1/2 is rational\n{claim}")
+
+
 def test_explanations_past_the_digit_limit():
     # An odd 10,000-digit value, and its reciprocal: past the limit the
     # explanation names the value by its term, not by its digits.

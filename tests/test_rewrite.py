@@ -118,12 +118,9 @@ def test_flatten_sound_and_complete_on_random_terms():
 
 # ---------------------------------------------------------------------------
 # Trace oracle: the search flatten used to run. It finds the innermost-
-# leftmost match by recursion, recomputes purity with contains_div at every
-# node, and starts again from the root after each step.
-
-
-def _ref_pure(t):
-    return not contains_div(t)
+# leftmost match by recursion and starts again from the root after each
+# step. The rules read division-freeness from the nodes, which
+# test_terms.test_node_facts_agree_with_a_walk checks against a walk.
 
 
 def _ref_step(t, rule):
@@ -138,7 +135,7 @@ def _ref_step(t, rule):
         right = _ref_step(t.right, rule)
         if right is not None:
             return (right[0], type(t)(t.left, right[1]))
-    return rule(t, _ref_pure)
+    return rule(t)
 
 
 def reference_flatten(t):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from fracterm.errors import (
 from fracterm.shapes import (
     BOT,
     SET_NAT_CAP,
+    SET_NAT_JSON_DEPTH,
     SHAPE_IDS,
     Instance,
     convert,
@@ -383,6 +385,23 @@ def test_instance_json_round_trip():
 def test_vn_json_is_nested_arrays():
     assert instance_to_json(encode(2, "nat.vn"))["value"] == [[], [[]]]
     assert instance_to_json(encode(2, "nat.zermelo"))["value"] == [[[]]]
+
+
+def test_zermelo_json_up_to_the_depth_budget():
+    k = SET_NAT_JSON_DEPTH - 1
+    text = json.dumps(instance_to_json(encode(k, "nat.zermelo")))
+    assert text == '{"shape": "nat.zermelo", "value": ' + "[" * (k + 1) + "]" * (k + 1) + "}"
+    with pytest.raises(CapacityError):
+        instance_to_json(encode(SET_NAT_JSON_DEPTH, "nat.zermelo"))
+
+
+@pytest.mark.parametrize("shape_id,payload", [("nat.dec", "1" * 5000), ("nat.sdn", "1" * 5000),
+                                              ("int.signed", ("-", "1" * 5000))])
+def test_decimal_shapes_past_the_digit_limit(shape_id, payload):
+    with pytest.raises(CapacityError):
+        encode(10**5000, shape_id)
+    with pytest.raises(CapacityError):
+        decode(make_instance(shape_id, payload))
 
 
 def test_make_instance_validates():

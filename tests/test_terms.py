@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -271,13 +273,55 @@ closed_terms = st.builds(
 )
 
 
+def _walked_facts(t):
+    """(has_div, has_var, decorated) of t, found by visiting every node."""
+    facts = [False, False, False]
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            facts[1] = True
+        elif isinstance(node, Neg):
+            todo.append(node.operand)
+        elif not isinstance(node, Lit):
+            if isinstance(node, Div):
+                facts[0] = True
+                facts[2] = facts[2] or node.decoration is not None
+            todo += (node.left, node.right)
+    return tuple(facts)
+
+
 @given(st.one_of(closed_terms, term_strategy()))
-def test_classify_agrees_with_three_walks(t):
-    # The definition before classify made one walk.
+def test_node_facts_agree_with_a_walk(t):
+    has_div, has_var, decorated = _walked_facts(t)
+    assert (t.has_div, t.has_var, t.decorated) == (has_div, has_var, decorated)
+    assert (contains_div(t), contains_var(t)) == (has_div, has_var)
     fracterm = isinstance(t, Div)
-    flat = fracterm and not contains_div(t.left) and not contains_div(t.right)
+    flat = fracterm and not _walked_facts(t.left)[0] and not _walked_facts(t.right)[0]
     flags = classify(t)
-    assert (flags.is_fracterm, flags.closed, flags.flat) == (fracterm, not contains_var(t), flat)
+    assert (flags.is_fracterm, flags.closed, flags.flat) == (fracterm, not has_var, flat)
+
+
+@given(term_strategy(max_leaves=4), term_strategy(max_leaves=4))
+def test_equality_is_identity_of_the_printed_form(a, b):
+    # Decorations print, so a decorated term differs from its erasure.
+    for x, y in ((a, b), (a, parse_term(format_term(a))), (a, erase_decorations(a))):
+        assert (x == y) == (format_term(x) == format_term(y))
+        if x == y:
+            assert hash(x) == hash(y)
+
+
+def test_terms_are_immutable_and_copy():
+    t = parse_term("(007+x)/ft-2")
+    for field, value in (("left", Lit("3")), ("decoration", None), ("has_div", False)):
+        with pytest.raises(AttributeError):
+            setattr(t, field, value)
+        with pytest.raises(AttributeError):
+            delattr(t, field)
+    assert t == Div(Add(Lit("007"), Var("x")), Lit("-2"), "ft")
+    deep = parse_term("-" * 10**4 + "(1/fv2)")
+    for u in (t, deep):
+        assert copy.deepcopy(u) == pickle.loads(pickle.dumps(u)) == u
 
 
 def test_erase_decorations_keeps_an_undecorated_term():
