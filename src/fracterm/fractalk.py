@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -37,12 +36,14 @@ from .terms import (
     Div,
     Level,
     Lit,
+    Record,
     Term,
     classify,
     erase_decorations,
     fits_str_digits,
     format_term,
     parse_term,
+    slot_setters,
 )
 
 _LEVEL_TAGS = {"ft": Level.FRACTERM, "fv": Level.FRACVALUE, "fs": Level.SIGN}
@@ -61,20 +62,25 @@ _LEVEL_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    assertion: int
-    position: int
-    term: Term  # undecorated
-    annotation: Optional[Level] = None  # from an explicit decoration
-    fraction_marked: bool = False  # introduced by the word "fraction"
+class Occurrence(Record):
+    # term is undecorated, annotation comes from an explicit decoration, and
+    # fraction_marked says that the word "fraction" introduced the occurrence.
+    __slots__ = ("assertion", "position", "term", "annotation", "fraction_marked")
+
+    def __init__(
+        self, assertion: int, position: int, term: Term, annotation: Optional[Level] = None, fraction_marked=False
+    ):
+        _set_assertion(self, assertion)
+        _set_position(self, position)
+        _set_term(self, term)
+        _set_annotation(self, annotation)
+        _set_fraction_marked(self, fraction_marked)
 
     def key(self):
         return (self.assertion, self.position)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """One parsed claim.
 
     ``kind`` names its row in ``CLAIM_KINDS``. ``role`` is the level the
@@ -83,34 +89,44 @@ class Claim:
     builds: a numeral, a target assertion, a level, flags or a witness term.
     """
 
-    kind: str
-    occurrences: tuple[Occurrence, ...] = ()
-    role: Optional[Level] = None
-    positive: bool = True
-    arg: object = None
+    __slots__ = ("kind", "occurrences", "role", "positive", "arg")
+
+    def __init__(
+        self, kind: str, occurrences: tuple[Occurrence, ...] = (), role: Optional[Level] = None, positive=True, arg=None
+    ):
+        _set_kind(self, kind)
+        _set_occurrences(self, occurrences)
+        _set_role(self, role)
+        _set_positive(self, positive)
+        _set_arg(self, arg)
 
     @property
     def occ(self) -> Occurrence:
         return self.occurrences[0]
 
 
-@dataclass(frozen=True)
-class Assertion:
-    index: int
-    claim: Claim
-    text: str
+class Assertion(Record):
+    __slots__ = ("index", "claim", "text")
+
+    def __init__(self, index: int, claim: Claim, text: str):
+        _set_index(self, index)
+        _set_claim(self, claim)
+        _set_text(self, text)
 
 
-@dataclass(frozen=True)
-class Script:
-    assertions: tuple[Assertion, ...]
-    shape_id: Optional[str] = None  # from an @shape pragma
-    disjoint: Optional[bool] = None  # from an @disjoint pragma
+class Script(Record):
+    # shape_id and disjoint come from the @shape and @disjoint pragmas;
+    # _by_index maps each index to its assertion, and is no field.
+    __slots__ = ("assertions", "shape_id", "disjoint", "_by_index")
 
-    @functools.cached_property
-    def _by_index(self) -> dict[int, Assertion]:
+    def __init__(
+        self, assertions: tuple[Assertion, ...], shape_id: Optional[str] = None, disjoint: Optional[bool] = None
+    ):
+        _set_assertions(self, assertions)
+        _set_shape_id(self, shape_id)
+        _set_disjoint(self, disjoint)
         # Built backwards so that, as in a scan, the first of equal indices wins.
-        return {a.index: a for a in reversed(self.assertions)}
+        _set_by_index(self, {a.index: a for a in reversed(assertions)})
 
     def assertion(self, index: int) -> Assertion:
         try:
@@ -119,11 +135,18 @@ class Script:
             raise DanglingReference(f"no assertion {index}") from None
 
 
+_set_assertion, _set_position, _set_term, _set_annotation, _set_fraction_marked = slot_setters(Occurrence)
+_set_kind, _set_occurrences, _set_role, _set_positive, _set_arg = slot_setters(Claim)
+_set_index, _set_claim, _set_text = slot_setters(Assertion)
+_set_assertions, _set_shape_id, _set_disjoint, _set_by_index = slot_setters(Script)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
 
-_ASSERTION_RE = re.compile(r"^(\d+)\s*:\s*(.*\S)\s*$")
+# Numbers are ASCII digits, as in terms: \d would also match other scripts' digits.
+_ASSERTION_RE = re.compile(r"^([0-9]+)\s*:\s*(.*\S)\s*$")
 
 
 def _occurrence(index: int, position: int, text: str, line: int) -> Occurrence:
@@ -271,23 +294,27 @@ def infer_levels(script: Script) -> dict[tuple[int, int], Level]:
 # Checking
 
 
-@dataclass(frozen=True)
-class StepStatus:
-    index: int
-    status: str  # valid | invalid | level-conflict
-    explanation: Optional[str] = None
+class StepStatus(Record):
+    __slots__ = ("index", "status", "explanation")  # status: valid | invalid | level-conflict
+
+    def __init__(self, index: int, status: str, explanation: Optional[str] = None):
+        _set_step_index(self, index)
+        _set_status(self, status)
+        _set_explanation(self, explanation)
 
     @property
     def valid(self) -> bool:
         return self.status == "valid"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    steps: tuple[StepStatus, ...]
-    overall: str  # sound | paradox-blocked
-    blocked_at: Optional[int] = None
-    explanation: Optional[str] = None
+class Verdict(Record):
+    __slots__ = ("steps", "overall", "blocked_at", "explanation")  # overall: sound | paradox-blocked
+
+    def __init__(self, steps: tuple[StepStatus, ...], overall: str, blocked_at: Optional[int] = None, explanation=None):
+        _set_steps(self, steps)
+        _set_overall(self, overall)
+        _set_blocked_at(self, blocked_at)
+        _set_verdict_explanation(self, explanation)
 
     def step(self, index: int) -> StepStatus:
         for s in self.steps:
@@ -307,13 +334,19 @@ class Verdict:
         }
 
 
-@dataclass
+_set_step_index, _set_status, _set_explanation = slot_setters(StepStatus)
+_set_steps, _set_overall, _set_blocked_at, _set_verdict_explanation = slot_setters(Verdict)
+
+
 class _Env:
-    script: Script
-    cfg: EvalConfig
-    disjoint: bool
-    levels: dict[tuple[int, int], Level]
-    checked: list[tuple[Assertion, bool]] = field(default_factory=list)  # (step, valid) so far
+    __slots__ = ("script", "cfg", "disjoint", "levels", "checked")
+
+    def __init__(self, script: Script, cfg: EvalConfig, disjoint: bool, levels: dict[tuple[int, int], Level]):
+        self.script = script
+        self.cfg = cfg
+        self.disjoint = disjoint
+        self.levels = levels
+        self.checked: list[tuple[Assertion, bool]] = []  # (step, valid) so far
 
     def level(self, occ: Occurrence) -> Level:
         return self.levels[occ.key()]
@@ -640,8 +673,8 @@ _FLAG_WORDS = "flat|simple|simplified|proper"
 _DEFINITIONS = {"number": Level.FRACVALUE, "fracterm": Level.FRACTERM, "fracsign": Level.SIGN}
 
 CLAIM_KINDS: dict[str, _Kind] = {
-    "num": _Kind(r"^num\((?P<occ>.+)\)\s*=\s*(?P<n>-?\d+)$", Level.FRACTERM, _int_arg, _check_component),
-    "denom": _Kind(r"^denom\((?P<occ>.+)\)\s*=\s*(?P<n>-?\d+)$", Level.FRACTERM, _int_arg, _check_component),
+    "num": _Kind(r"^num\((?P<occ>.+)\)\s*=\s*(?P<n>-?[0-9]+)$", Level.FRACTERM, _int_arg, _check_component),
+    "denom": _Kind(r"^denom\((?P<occ>.+)\)\s*=\s*(?P<n>-?[0-9]+)$", Level.FRACTERM, _int_arg, _check_component),
     "unique-numerator": _Kind(
         r"^(?P<word>fraxion|fracterm|fracvalue|fracsign)s have a unique numerator$",
         None,
@@ -649,13 +682,13 @@ CLAIM_KINDS: dict[str, _Kind] = {
         _check_unique_numerator,
     ),
     "level": _Kind(
-        r"^level\((?P<n>\d+)\)\s*=\s*(?P<to>ft|fv|fs)$",
+        r"^level\((?P<n>[0-9]+)\)\s*=\s*(?P<to>ft|fv|fs)$",
         None,
         lambda m, line: (_int_arg(m, line), _LEVEL_TAGS[m["to"]]),
         _valid,
     ),
     "conclude": _Kind(
-        r"^conclude\s+(?P<left>-?\d+)\s*=\s*(?P<right>-?\d+)$",
+        r"^conclude\s+(?P<left>-?[0-9]+)\s*=\s*(?P<right>-?[0-9]+)$",
         None,
         lambda m, line: (_int_arg(m, line, "left"), _int_arg(m, line, "right")),
         _check_conclude,
@@ -682,7 +715,7 @@ CLAIM_KINDS: dict[str, _Kind] = {
     # A numeric judgement such as 4/3 > 1 leaves the sign to the default:
     # the most abstract referent, a fracvalue.
     "comparison": _Kind(
-        r"^(?P<occ>.+?)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?\d+)$",
+        r"^(?P<occ>.+?)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?[0-9]+)$",
         None,
         lambda m, line: (m["op"], _int_arg(m, line)),
         _check_comparison,
@@ -695,7 +728,7 @@ CLAIM_KINDS: dict[str, _Kind] = {
     "writable-flat": _Kind(
         r"^(?P<occ>.+?) can be written flat as (?P<witness>.+)$", Level.FRACTERM, _witness_arg, _check_writable_flat
     ),
-    "contradicts": _Kind(r"^(?P<occ>.+?) contradicts (?P<n>\d+)$", Level.FRAXION, _int_arg, _check_contradicts),
+    "contradicts": _Kind(r"^(?P<occ>.+?) contradicts (?P<n>[0-9]+)$", Level.FRAXION, _int_arg, _check_contradicts),
     "rational": _Kind(r"^(?P<occ>.+?) is (?P<neg>not )?rational$", Level.FRACVALUE, None, _check_is_rational),
     "fracterm": _Kind(r"^(?P<occ>.+?) is (?P<neg>not )?fracterm$", Level.FRACTERM, None, _check_is_fracterm),
     "taxonomy": _Kind(

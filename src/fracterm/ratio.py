@@ -14,22 +14,26 @@ The integer components are exact bignums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import OpenTerm
-from .terms import Add, Lit, Mul, Neg, Sub, Term, Var, fold
+from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, slot_setters
 
 
-@dataclass(frozen=True)
-class RatioNumber:
-    a: int
-    b: int
+class RatioNumber(Record):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        _set_a(self, a)
+        _set_b(self, b)
 
     def as_fraction(self) -> Optional[Fraction]:
         """Exact ratio, or None for the zero-denominator pairs."""
         return None if self.b == 0 else Fraction(self.a, self.b)
+
+
+_set_a, _set_b = slot_setters(RatioNumber)
 
 
 def sign(p: int) -> int:
@@ -89,16 +93,22 @@ def rn_label_eq(x: RatioNumber, y: RatioNumber) -> bool:
 # Evaluation of terms, extended with numerator/denominator extraction.
 
 
-@dataclass(frozen=True)
-class NumOf:
-    arg: "ExtTerm"
+class NumOf(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: ExtTerm):
+        _set_num_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class DenomOf:
-    arg: "ExtTerm"
+class DenomOf(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: ExtTerm):
+        _set_denom_arg(self, arg)
 
 
+(_set_num_arg,) = slot_setters(NumOf)
+(_set_denom_arg,) = slot_setters(DenomOf)
 ExtTerm = Union[Term, NumOf, DenomOf]
 
 
@@ -108,28 +118,35 @@ def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:
     Subtraction desugars to addition of a negation; the algebra itself has
     no subtraction rule. NumOf and DenomOf apply to the whole term inside
     them.
+
+    The fold runs in plain (a, b) int pairs, each step the pair the rn_*
+    function of its node would give, and builds one RatioNumber at the end.
     """
     extractions = []
     while isinstance(t, (NumOf, DenomOf)):
-        extractions.append(rn_num if isinstance(t, NumOf) else rn_denom)
+        extractions.append(isinstance(t, NumOf))
         t = t.arg
 
-    def ev(node: Term, x=None, y=None) -> RatioNumber:
-        if isinstance(node, Lit):
-            return RatioNumber(node.value, 1)
-        if isinstance(node, Var):
+    def ev(node: Term, x=None, y=None) -> tuple[int, int]:
+        cls = type(node)
+        if cls is Lit:
+            return (node.value, 1)
+        if cls is Var:
             raise OpenTerm(f"cannot evaluate variable {node.name!r}")
-        if isinstance(node, Neg):
-            return rn_neg(x)
-        if isinstance(node, Add):
-            return rn_add(x, y, verbatim)
-        if isinstance(node, Sub):
-            return rn_add(x, rn_neg(y), verbatim)
-        if isinstance(node, Mul):
-            return rn_mul(x, y)
-        return rn_div(x, y)
+        a, b = x
+        if cls is Neg:
+            return (-a, b)
+        c, d = y
+        if cls is Sub:
+            cls, c = Add, -c
+        if cls is Add:
+            return (a * c + b * d, b * d) if verbatim else (a * d + b * c, b * d)
+        if cls is Mul:
+            return (a * c, b * d)
+        # x times rn_inv(y), whose denominator c * sign(d)**2 is 0 when d is.
+        return (a * d, b * c if d else 0)
 
-    pair = fold(t, ev)
-    for extract in reversed(extractions):
-        pair = extract(pair)
-    return pair
+    a, b = fold(t, ev)
+    for numerator in reversed(extractions):
+        a, b = (a if numerator else b), 1
+    return RatioNumber(a, b)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import NotSimple, OpenTerm, StrategyInapplicable
 from .ratio import RatioNumber, rn_label_eq
@@ -40,6 +39,7 @@ from .terms import (
     Lit,
     Mul,
     Neg,
+    Record,
     Sub,
     Term,
     check_str_digits,
@@ -49,21 +49,26 @@ from .terms import (
     erase_decorations,
     fold,
     format_term,
+    slot_setters,
 )
 
 STRATEGIES = ("cross", "same-denom", "numeral", "trivial")
 
 
-@dataclass(frozen=True)
-class RewriteStep:
-    rule: str
-    before: Term
-    after: Term
+class RewriteStep(Record):
+    __slots__ = ("rule", "before", "after")
+
+    def __init__(self, rule: str, before: Term, after: Term):
+        _set_rule(self, rule)
+        _set_before(self, before)
+        _set_after(self, after)
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
-    steps: tuple[RewriteStep, ...]
+class RewriteTrace(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[RewriteStep, ...]):
+        _set_steps(self, steps)
 
     def replay(self, start: Term) -> Term:
         cur = start
@@ -83,6 +88,9 @@ class RewriteTrace:
             out.append({"rule": s.rule, "before": before, "after": text})
         return out
 
+
+_set_rule, _set_before, _set_after = slot_setters(RewriteStep)
+(_set_steps,) = slot_setters(RewriteTrace)
 
 _INT_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 

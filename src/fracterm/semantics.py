@@ -24,7 +24,6 @@ no limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -36,43 +35,50 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedPeripheral,
 )
-from .terms import Add, Lit, Mul, Neg, Sub, Term, Var, fold
+from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, slot_setters
 
 POLICIES = ("partial", "suppes-ono", "common-meadow")
 PERIPHERALS = ("bot", "inf", "+inf", "-inf", "nan")
 
 
-class Fracvalue:
-    pass
+class Fracvalue(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NumberValue(Fracvalue):
-    instance: shapes.Instance
+    __slots__ = ("instance",)
+
+    def __init__(self, instance: shapes.Instance):
+        _set_instance(self, instance)
 
 
-@dataclass(frozen=True)
 class PeripheralValue(Fracvalue):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if self.name not in PERIPHERALS:
-            raise UnsupportedPeripheral(f"unknown peripheral {self.name!r}")
+    def __init__(self, name: str):
+        if name not in PERIPHERALS:
+            raise UnsupportedPeripheral(f"unknown peripheral {name!r}")
+        _set_name(self, name)
 
 
+(_set_instance,) = slot_setters(NumberValue)
+(_set_name,) = slot_setters(PeripheralValue)
 BOTTOM = PeripheralValue("bot")
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    policy: str = "common-meadow"
-    shape_id: str = "rat.pcs"
+class EvalConfig(Record):
+    __slots__ = ("policy", "shape_id")
 
-    def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise UnsupportedOperation(f"unknown policy {self.policy!r}")
-        if shapes.get_shape(self.shape_id).label != "rat":
-            raise UnsupportedOperation(f"evaluation needs a rat shape, got {self.shape_id!r}")
+    def __init__(self, policy: str = "common-meadow", shape_id: str = "rat.pcs"):
+        if policy not in POLICIES:
+            raise UnsupportedOperation(f"unknown policy {policy!r}")
+        if shapes.get_shape(shape_id).label != "rat":
+            raise UnsupportedOperation(f"evaluation needs a rat shape, got {shape_id!r}")
+        _set_policy(self, policy)
+        _set_shape_id(self, shape_id)
+
+
+_set_policy, _set_shape_id = slot_setters(EvalConfig)
 
 
 _BOT = shapes.BOT

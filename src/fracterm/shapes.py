@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -40,7 +39,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedShape,
 )
-from .terms import Div, Lit, Term, check_str_digits, classify, format_term, parse_term
+from .terms import Div, Lit, Record, Term, check_str_digits, classify, format_term, parse_term, slot_setters
 
 # The operations of each label; every shape of the label offers them.
 OPERATIONS = {"nat": ("add", "mul"), "int": ("add", "mul", "neg"), "rat": ("add", "mul", "neg", "div")}
@@ -70,25 +69,36 @@ class _Bot:
 BOT = _Bot()
 
 
-@dataclass(frozen=True)
-class Instance:
-    shape_id: str
-    payload: object
+class Instance(Record):
+    __slots__ = ("shape_id", "payload")
+
+    def __init__(self, shape_id: str, payload: object):
+        _set_instance_shape(self, shape_id)
+        _set_payload(self, payload)
 
 
-@dataclass(frozen=True)
-class ShapeDescriptor:
-    label: str
-    shape_id: str
-    normal: bool
+class ShapeDescriptor(Record):
+    __slots__ = ("label", "shape_id", "normal")
+
+    def __init__(self, label: str, shape_id: str, normal: bool):
+        _set_label(self, label)
+        _set_descriptor_shape(self, shape_id)
+        _set_descriptor_normal(self, normal)
 
 
-@dataclass(frozen=True)
-class NormalityReport:
-    shape_id: str
-    bound: int
-    normal: bool
-    witness: Optional[tuple[Instance, Instance]]
+class NormalityReport(Record):
+    __slots__ = ("shape_id", "bound", "normal", "witness")
+
+    def __init__(self, shape_id: str, bound: int, normal: bool, witness: Optional[tuple[Instance, Instance]]):
+        _set_report_shape(self, shape_id)
+        _set_bound(self, bound)
+        _set_report_normal(self, normal)
+        _set_witness(self, witness)
+
+
+_set_instance_shape, _set_payload = slot_setters(Instance)
+_set_label, _set_descriptor_shape, _set_descriptor_normal = slot_setters(ShapeDescriptor)
+_set_report_shape, _set_bound, _set_report_normal, _set_witness = slot_setters(NormalityReport)
 
 
 Number = Union[int, Fraction]
@@ -268,11 +278,42 @@ class _DedekindNat(Shape):
         return inst.payload
 
 
+def _number_sets(*sets) -> list[int]:
+    """A number for each of sets, equal exactly for equal sets, without recursion.
+
+    Each distinct object under the sets is numbered bottom-up by the
+    frozenset of its elements' numbers, so two sets get one number exactly
+    when their elements do; an element that is no frozenset is numbered by
+    itself. ``==`` on nested frozensets recurses once per level, and takes
+    time exponential in k on two distinct von Neumann encodings of k.
+    """
+    numbers: dict[object, int] = {}
+    by_id: dict[int, int] = {}
+    for root in sets:
+        stack = [(root, False)]
+        while stack:
+            s, ready = stack.pop()
+            if id(s) in by_id:
+                continue
+            if not isinstance(s, frozenset):
+                by_id[id(s)] = numbers.setdefault((s,), len(numbers))
+            elif ready:
+                by_id[id(s)] = numbers.setdefault(frozenset([by_id[id(e)] for e in s]), len(numbers))
+            else:
+                stack.append((s, True))
+                stack += [(e, False) for e in s if id(e) not in by_id]
+    return [by_id[id(s)] for s in sets]
+
+
 class _SetNat(Shape):
     """Naturals as nested frozensets: k is ``_succ`` applied k times to the empty set."""
 
     label = "nat"
     normal = True
+
+    def instance_eq(self, i, j):
+        first, second = _number_sets(i.payload, j.payload)
+        return first == second
 
     def _succ(self, s, kind=frozenset):
         """The successor of s: a frozenset, or a list of lists for JSON."""
@@ -332,7 +373,8 @@ class _VonNeumannNat(_SetNat):
     def validate(self, payload):
         if not isinstance(payload, frozenset):
             raise UnsupportedShape("von Neumann payload must be a frozenset")
-        if payload != self.encode(len(payload)).payload:
+        given, canonical = _number_sets(payload, self.encode(len(payload)).payload)
+        if given != canonical:
             raise UnsupportedShape("not a von Neumann natural")
 
     def decode(self, inst):
@@ -678,10 +720,9 @@ def normality_report(shape_id: str, bound: int) -> NormalityReport:
     shape = get_shape(shape_id)
     seen: dict[object, Instance] = {}
     for inst in shape.bounded_instances(bound):
-        key = shape.decode(inst)
-        prev = seen.get(key)
-        if prev is None:
-            seen[key] = inst
+        # One lookup, so one hash, of each decoded value.
+        prev = seen.setdefault(shape.decode(inst), inst)
+        if prev is inst:
             continue
         if not shape.instance_eq(prev, inst) and shape.label_eq(prev, inst):
             return NormalityReport(shape_id, bound, False, (prev, inst))

@@ -12,6 +12,17 @@ depth of a term.
 Terms are immutable, so ``erase_decorations`` returns its argument itself
 when no division in it is decorated, and so do ``num`` and ``denom`` for an
 undecorated operand.
+
+``Record`` is the base of the package's immutable records, terms included.
+A record's fields are its ``__slots__`` whose names do not start with an
+underscore, in order. From them ``Record`` gives equality (same class,
+equal fields), a hash over the fields, a repr such as
+``RatioNumber(a=1, b=2)``, and ``__reduce__`` for ``copy`` and ``pickle``,
+which calls the class with the fields in order; every assignment raises
+``AttributeError``. Each record writes its own ``__init__``, which sets its
+slots through their descriptors (``slot_setters``), as ``Lit`` and ``Div``
+do: a class built this way costs no import of ``dataclasses`` and is
+quicker to construct than a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -19,7 +30,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, TypeVar
 
@@ -45,10 +55,56 @@ class Level(Enum):
     FRAXION = "fx"  # the unresolved disjunction of the other four
 
 
+class Record:
+    """An immutable record over the fields named by its ``__slots__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Slots named with a leading underscore hold private state.
+        cls._fields = tuple(
+            name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ()) if name[0] != "_"
+        )
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def slot_setters(cls: type) -> tuple[Callable, ...]:
+    """The ``__set__`` of each slot cls itself declares, in order.
+
+    A record's ``__init__`` writes its slots through these, past the
+    ``__setattr__`` that refuses every later assignment.
+    """
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
 _DIV, _VAR, _DECORATED = 1, 2, 4  # the bits of a node's _facts
 
 
-class Term:
+class Term(Record):
     """A node of a term tree, immutable.
 
     Each node knows from its children, once, at construction: whether its
@@ -62,11 +118,6 @@ class Term:
     has_div = property(lambda self: self._facts & _DIV != 0)
     has_var = property(lambda self: self._facts & _VAR != 0)
     decorated = property(lambda self: self._facts & _DECORATED != 0)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
 
     def __eq__(self, other):
         """Structural equality, decorations included."""
@@ -202,15 +253,12 @@ class Div(_Binary):
         _set_hash(self, hash((Div, left._hash, right._hash, decoration)))
 
 
-# Construction writes the slots through their descriptors, past the
-# __setattr__ that refuses every later assignment.
-_set_digits = Lit.digits.__set__
-_set_name = Var.name.__set__
-_set_operand = Neg.operand.__set__
-_set_left = _Binary.left.__set__
-_set_right = _Binary.right.__set__
-_set_decoration = Div.decoration.__set__
-_set_facts, _set_hash = Term._facts.__set__, Term._hash.__set__
+(_set_digits,) = slot_setters(Lit)
+(_set_name,) = slot_setters(Var)
+(_set_operand,) = slot_setters(Neg)
+_set_left, _set_right = slot_setters(_Binary)
+(_set_decoration,) = slot_setters(Div)
+_set_facts, _set_hash = slot_setters(Term)
 
 
 # --------------------------------------------------------------------------
@@ -500,20 +548,30 @@ def erase_decorations(t: Term) -> Term:
 # Taxonomy
 
 
-@dataclass(frozen=True)
-class TaxonomyFlags:
+class TaxonomyFlags(Record):
     """Syntactic classification of a term.
 
     proper is defined (non-None) exactly for simple fracterms.
     """
 
-    is_fracterm: bool
-    closed: bool
-    flat: bool
-    simple: bool
-    safe: bool
-    simplified: bool
-    proper: Optional[bool]
+    __slots__ = ("is_fracterm", "closed", "flat", "simple", "safe", "simplified", "proper")
+
+    def __init__(
+        self, is_fracterm: bool, closed: bool, flat: bool, simple: bool, safe: bool, simplified: bool,
+        proper: Optional[bool],
+    ):
+        _set_is_fracterm(self, is_fracterm)
+        _set_closed(self, closed)
+        _set_flat(self, flat)
+        _set_simple(self, simple)
+        _set_safe(self, safe)
+        _set_simplified(self, simplified)
+        _set_proper(self, proper)
+
+
+_set_is_fracterm, _set_closed, _set_flat, _set_simple, _set_safe, _set_simplified, _set_proper = slot_setters(
+    TaxonomyFlags
+)
 
 
 def is_fracterm(t: Term) -> bool:

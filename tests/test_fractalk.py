@@ -526,3 +526,24 @@ def test_verdict_json_shape():
     assert data["overall"] == "paradox-blocked"
     assert data["blocked_at"] == 5
     assert [s["index"] for s in data["steps"]] == [1, 2, 3, 4, 5]
+
+
+ARABIC_ONE, ARABIC_THREE = "١", "٣"  # Arabic-Indic digits, which \d matches
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"1: num(1/2) = {ARABIC_ONE}",
+        f"1: denom(1/2) = {ARABIC_THREE}",
+        f"{ARABIC_ONE}: 1/2 is rational",
+        f"1: 1/2 is fraxion\n2: level({ARABIC_ONE}) = ft",
+        f"1: conclude {ARABIC_ONE} = 1",
+        f"1: 1/2 < {ARABIC_ONE}",
+        f"1: rationals are not fracterms\n2: 1/2 contradicts {ARABIC_ONE}",
+    ],
+)
+def test_claims_read_only_ascii_digits(text):
+    # The term parser refuses such digits too: "٣/4" is a parse error.
+    with pytest.raises(ScriptError):
+        check_text(text)

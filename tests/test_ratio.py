@@ -24,7 +24,8 @@ from fracterm.ratio import (
     rn_zero,
     sign,
 )
-from fracterm.terms import parse_term
+from fracterm.terms import Add, Lit, Mul, Neg, Sub, format_term, parse_term
+from gen import random_closed_term
 
 pairs = st.builds(RatioNumber, st.integers(-20, 20), st.integers(-20, 20))
 
@@ -108,6 +109,37 @@ def test_eval_division_by_zero_lands_in_bottom_class():
 
 def test_eval_subtraction_desugars():
     assert rn_eval(parse_term("1-1/2")).as_fraction() == Fraction(1, 2)
+
+
+def _rn_reference(t, verbatim):
+    """rn_eval as a composition of the rn_* functions, one per node."""
+    if isinstance(t, NumOf):
+        return rn_num(_rn_reference(t.arg, verbatim))
+    if isinstance(t, DenomOf):
+        return rn_denom(_rn_reference(t.arg, verbatim))
+    if isinstance(t, Lit):
+        return RatioNumber(t.value, 1)
+    if isinstance(t, Neg):
+        return rn_neg(_rn_reference(t.operand, verbatim))
+    x, y = _rn_reference(t.left, verbatim), _rn_reference(t.right, verbatim)
+    if isinstance(t, Add):
+        return rn_add(x, y, verbatim)
+    if isinstance(t, Sub):
+        return rn_add(x, rn_neg(y), verbatim)
+    if isinstance(t, Mul):
+        return rn_mul(x, y)
+    return rn_div(x, y)
+
+
+def test_eval_agrees_with_the_rn_functions():
+    rng = random.Random(11)
+    for i in range(400):
+        t = random_closed_term(rng, 5, -3, 3)
+        for wrap in (lambda u: u, NumOf, DenomOf, lambda u: NumOf(DenomOf(u)), lambda u: DenomOf(NumOf(u))):
+            for verbatim in (False, True):
+                got = rn_eval(wrap(t), verbatim=verbatim)
+                assert type(got) is RatioNumber
+                assert got == _rn_reference(wrap(t), verbatim), (format_term(t), verbatim)
 
 
 def test_eval_open_term():

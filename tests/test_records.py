@@ -1,0 +1,226 @@
+"""The record contract: every record is a slotted ``terms.Record``.
+
+Equality needs the same class and equal fields, the hash follows the
+fields, assignment raises, copy and pickle round-trip, the old keyword
+signatures construct, and the repr is the dataclass-style text the
+records printed before they became slotted classes.
+"""
+
+import ast
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fracterm
+from fracterm import fractalk, ratio, rewrite, semantics, shapes
+from fracterm.errors import DanglingReference, UnsupportedOperation, UnsupportedPeripheral
+from fracterm.terms import Record, TaxonomyFlags, classify, parse_term
+
+SRC = Path(fracterm.__file__).parent
+
+
+def _script():
+    return fractalk.parse_script("@shape rat.ssft\n1: num(the fraction 2/ft4) = 2\n2: 1/2 == 2/4 @ft\n3: 1/2 < 3\n")
+
+
+def _examples():
+    """One record of each class and the repr it printed as a frozen dataclass."""
+    script = _script()
+    verdict = fractalk.check(script)
+    _, trace = rewrite.flatten(parse_term("1/2+1/3"))
+    occurrence = script.assertions[0].claim.occ
+    occ_text = (
+        "Occurrence(assertion=1, position=1, term=2/4, annotation=<Level.FRACTERM: 'ft'>, fraction_marked=True)"
+    )
+    claim_text = f"Claim(kind='num', occurrences=({occ_text},), role=<Level.FRACTERM: 'ft'>, positive=True, arg=2)"
+    equals_text = (
+        "Claim(kind='equals', occurrences=(Occurrence(assertion=2, position=1, term=1/2, annotation=None, "
+        "fraction_marked=False), Occurrence(assertion=2, position=2, term=2/4, annotation=None, "
+        "fraction_marked=False)), role=<Level.FRACTERM: 'ft'>, positive=True, arg=None)"
+    )
+    comparison_text = (
+        "Claim(kind='comparison', occurrences=(Occurrence(assertion=3, position=1, term=1/2, annotation=None, "
+        "fraction_marked=False),), role=None, positive=True, arg=('<', 3))"
+    )
+    step_text = "RewriteStep(rule='add-lift', before=1/2+1/3, after=(1*3+2*1)/(2*3))"
+    statuses = (
+        "StepStatus(index=1, status='valid', explanation=None)",
+        "StepStatus(index=2, status='invalid', explanation='1/2 and 2/4 differ as fracterms')",
+        "StepStatus(index=3, status='valid', explanation=None)",
+    )
+    return [
+        (shapes.encode(2, "int.signed"), "Instance(shape_id='int.signed', payload=('+', '2'))"),
+        (shapes.describe("nat.dec"), "ShapeDescriptor(label='nat', shape_id='nat.dec', normal=False)"),
+        (
+            shapes.normality_report("nat.dec", 5),
+            "NormalityReport(shape_id='nat.dec', bound=5, normal=False, witness=(Instance(shape_id='nat.dec', "
+            "payload='0'), Instance(shape_id='nat.dec', payload='00')))",
+        ),
+        (ratio.RatioNumber(1, 2), "RatioNumber(a=1, b=2)"),
+        (ratio.NumOf(ratio.DenomOf(parse_term("1/2"))), "NumOf(arg=DenomOf(arg=1/2))"),
+        (ratio.DenomOf(parse_term("x")), "DenomOf(arg=x)"),
+        (trace.steps[0], step_text),
+        (trace, f"RewriteTrace(steps=({step_text},))"),
+        (
+            semantics.NumberValue(shapes.encode(1, "rat.ssft")),
+            "NumberValue(instance=Instance(shape_id='rat.ssft', payload=1/1))",
+        ),
+        (semantics.BOTTOM, "PeripheralValue(name='bot')"),
+        (semantics.EvalConfig("partial", "rat.ssft"), "EvalConfig(policy='partial', shape_id='rat.ssft')"),
+        (
+            classify(parse_term("2/4")),
+            "TaxonomyFlags(is_fracterm=True, closed=True, flat=True, simple=True, safe=True, simplified=False, "
+            "proper=True)",
+        ),
+        (occurrence, occ_text),
+        (script.assertions[0].claim, claim_text),
+        (script.assertions[1], f"Assertion(index=2, claim={equals_text}, text='1/2 == 2/4 @ft')"),
+        (
+            script,
+            f"Script(assertions=(Assertion(index=1, claim={claim_text}, text='num(the fraction 2/ft4) = 2'), "
+            f"Assertion(index=2, claim={equals_text}, text='1/2 == 2/4 @ft'), "
+            f"Assertion(index=3, claim={comparison_text}, text='1/2 < 3')), shape_id='rat.ssft', disjoint=None)",
+        ),
+        (verdict.steps[1], statuses[1]),
+        (
+            verdict,
+            f"Verdict(steps=({', '.join(statuses)}), overall='paradox-blocked', blocked_at=2, "
+            "explanation='1/2 and 2/4 differ as fracterms')",
+        ),
+    ]
+
+
+EXAMPLES = _examples()
+RECORD_CLASSES = {
+    shapes.Instance: ("shape_id", "payload"),
+    shapes.ShapeDescriptor: ("label", "shape_id", "normal"),
+    shapes.NormalityReport: ("shape_id", "bound", "normal", "witness"),
+    ratio.RatioNumber: ("a", "b"),
+    ratio.NumOf: ("arg",),
+    ratio.DenomOf: ("arg",),
+    rewrite.RewriteStep: ("rule", "before", "after"),
+    rewrite.RewriteTrace: ("steps",),
+    semantics.NumberValue: ("instance",),
+    semantics.PeripheralValue: ("name",),
+    semantics.EvalConfig: ("policy", "shape_id"),
+    TaxonomyFlags: ("is_fracterm", "closed", "flat", "simple", "safe", "simplified", "proper"),
+    fractalk.Occurrence: ("assertion", "position", "term", "annotation", "fraction_marked"),
+    fractalk.Claim: ("kind", "occurrences", "role", "positive", "arg"),
+    fractalk.Assertion: ("index", "claim", "text"),
+    fractalk.Script: ("assertions", "shape_id", "disjoint"),
+    fractalk.StepStatus: ("index", "status", "explanation"),
+    fractalk.Verdict: ("steps", "overall", "blocked_at", "explanation"),
+}
+IDS = [type(record).__name__ for record, _ in EXAMPLES]
+
+
+def test_every_record_class_has_an_example():
+    assert {type(record) for record, _ in EXAMPLES} == set(RECORD_CLASSES)
+    for cls, fields in RECORD_CLASSES.items():
+        assert issubclass(cls, Record)
+        assert cls._fields == fields
+
+
+@pytest.mark.parametrize("record, text", EXAMPLES, ids=IDS)
+def test_repr_is_the_dataclass_text(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record, text", EXAMPLES, ids=IDS)
+def test_equality_and_hash_follow_the_fields(record, text):
+    cls = type(record)
+    twin = cls(*(getattr(record, name) for name in cls._fields))
+    assert twin is not record and twin == record and not (twin != record)
+    assert hash(twin) == hash(record) == hash(tuple(getattr(record, name) for name in cls._fields))
+    assert record != object() and record != tuple(getattr(record, name) for name in cls._fields)
+    # A different class is never equal, even with equal field values.
+    other = next(r for r, _ in EXAMPLES if type(r) is not cls)
+    assert record != other
+
+
+@pytest.mark.parametrize("record, text", EXAMPLES, ids=IDS)
+def test_fields_refuse_assignment(record, text):
+    assert not hasattr(record, "__dict__")
+    for name in (*type(record)._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("record, text", EXAMPLES, ids=IDS)
+def test_copy_and_pickle_round_trip(record, text):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record and repr(twin) == text
+
+
+@pytest.mark.parametrize("record, text", EXAMPLES, ids=IDS)
+def test_keyword_construction(record, text):
+    cls = type(record)
+    assert cls(**{name: getattr(record, name) for name in cls._fields}) == record
+
+
+def test_defaults_of_the_old_signatures():
+    term = parse_term("1/2")
+    assert fractalk.Occurrence(1, 2, term) == fractalk.Occurrence(1, 2, term, None, False)
+    assert fractalk.Claim("fraxion") == fractalk.Claim("fraxion", (), None, True, None)
+    assert fractalk.Script(()) == fractalk.Script((), None, None)
+    assert fractalk.StepStatus(1, "valid") == fractalk.StepStatus(1, "valid", None)
+    assert fractalk.Verdict((), "sound") == fractalk.Verdict((), "sound", None, None)
+    assert semantics.EvalConfig() == semantics.EvalConfig("common-meadow", "rat.pcs")
+
+
+def test_init_checks_what_post_init_checked():
+    with pytest.raises(UnsupportedPeripheral):
+        semantics.PeripheralValue("zero")
+    with pytest.raises(UnsupportedOperation):
+        semantics.EvalConfig(policy="total")
+    with pytest.raises(UnsupportedOperation):
+        semantics.EvalConfig(shape_id="nat.dec")
+
+
+def test_script_index_keeps_the_first_of_equal_indices():
+    claim = fractalk.Claim("fraxion")
+    first, second = fractalk.Assertion(1, claim, "first"), fractalk.Assertion(1, claim, "second")
+    script = fractalk.Script((first, second, fractalk.Assertion(2, claim, "other")))
+    assert script.assertion(1) is first
+    assert pickle.loads(pickle.dumps(script)).assertion(1).text == "first"
+    with pytest.raises(DanglingReference):
+        script.assertion(3)
+    # The index is no field: it is not compared, hashed or shown.
+    assert "_by_index" not in repr(script)
+    assert script == fractalk.Script((first, second, fractalk.Assertion(2, claim, "other")))
+
+
+def test_check_keeps_its_environment_in_slots():
+    env = fractalk._Env(_script(), semantics.EvalConfig(), True, {})
+    assert not hasattr(env, "__dict__") and env.checked == []
+    assert fractalk.check(_script()).overall == "paradox-blocked"
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, fracterm.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_parses_as_python_3_10(path):
+    # The package supports Python 3.10 (pyproject.toml): no later syntax.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_no_module_imports_dataclasses():
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert all(alias.name != "dataclasses" for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+

@@ -97,6 +97,28 @@ def test_instance_eq_goldens():
     assert instance_eq(encode(2, "nat.vn"), encode(2, "nat.vn"))
 
 
+def test_set_nat_instance_eq_without_recursion():
+    # Two equal encodings deeper than the recursion limit, built apart, so
+    # no element is shared between them.
+    assert instance_eq(encode(3000, "nat.zermelo"), encode(3000, "nat.zermelo"))
+    vn = encode(1200, "nat.vn")
+    assert instance_eq(vn, encode(1200, "nat.vn"))
+    assert not instance_eq(encode(3000, "nat.zermelo"), encode(2999, "nat.zermelo"))
+    # Chains of one depth that differ only at their innermost set.
+    chains = []
+    for bottom in (E, frozenset([E, frozenset([E])])):
+        s = bottom
+        for _ in range(3000):
+            s = frozenset([s])
+        chains.append(Instance("nat.zermelo", s))
+    assert not instance_eq(*chains)
+    # von Neumann payloads of one size are told apart by structure.
+    one = frozenset([E])
+    assert not instance_eq(Instance("nat.vn", frozenset([E, one])), Instance("nat.vn", frozenset([E, frozenset([one])])))
+    # An equal payload is accepted, and checked, without recursion.
+    assert make_instance("nat.vn", vn.payload) is not vn
+
+
 def test_label_eq_pcs_golden():
     pcs = get_shape("rat.pcs")
     half = pcs.make((1, 2))
