@@ -106,7 +106,9 @@ def _cmd_eval(args) -> int:
 def _cmd_flatten(args) -> int:
     t = _parse_args_term(args)
     result, trace = rewrite.flatten(t)
-    data = {"result": format_term(result), "trace": trace.to_json()}
+    steps = trace.to_json()
+    # The result is the term the last step ended on, already printed.
+    data = {"result": steps[-1]["after"] if steps else format_term(result), "trace": steps}
     lines = [f"result: {data['result']}"]
     lines += [f"  {s['rule']}: {s['before']} => {s['after']}" for s in data["trace"]]
     _emit(args, data, lines)

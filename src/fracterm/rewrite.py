@@ -42,6 +42,7 @@ from .terms import (
     Record,
     Sub,
     Term,
+    _fmt,
     check_str_digits,
     classify,
     contains_div,
@@ -79,13 +80,26 @@ class RewriteTrace(Record):
         return cur
 
     def to_json(self):
-        # Each step starts from the term the one before it ended on, so
-        # every distinct term is printed once.
+        """One {"rule", "before", "after"} dict per step, terms printed inline.
+
+        A step rebuilds only the path from its match to the root, so
+        consecutive terms share every other subterm. The steps print through
+        one memo (see ``terms._fmt``): a composite node met in a step and
+        again in that step or the next is printed once more and kept, and
+        from then on its text is spliced in whole. So the Python-level work
+        is linear in the distinct nodes of the trace, and only the joining
+        of strings grows with the output. The ids of the nodes met are kept
+        for two steps only. A step that starts from the term the one before
+        it ended on reuses that text.
+        """
+        older, seen, memo = set(), set(), {}
         out, last, text = [], None, None
         for s in self.steps:
-            before = text if s.before is last else format_term(s.before)
-            last, text = s.after, format_term(s.after)
+            shared = (older, seen, memo)
+            before = text if s.before is last else _fmt(s.before, "inline", shared)
+            last, text = s.after, _fmt(s.after, "inline", shared)
             out.append({"rule": s.rule, "before": before, "after": text})
+            older, seen = seen, set()
         return out
 
 

@@ -70,11 +70,28 @@ BOT = _Bot()
 
 
 class Instance(Record):
+    """A payload of a shape. ``==`` is the shape's instance equality."""
+
     __slots__ = ("shape_id", "payload")
 
     def __init__(self, shape_id: str, payload: object):
         _set_instance_shape(self, shape_id)
         _set_payload(self, payload)
+
+    def __eq__(self, other):
+        # Set-nat payloads compare without frozenset ==, which recurses and
+        # takes time exponential in k on two separately built nat.vn values.
+        # Both equalities are structural, so the payload hash stays valid.
+        if type(other) is not Instance:
+            return NotImplemented
+        if self.shape_id != other.shape_id:
+            return False
+        shape = _SHAPES.get(self.shape_id)
+        if shape is None:
+            return self.payload == other.payload
+        return shape.instance_eq(self, other)
+
+    __hash__ = Record.__hash__
 
 
 class ShapeDescriptor(Record):
@@ -286,22 +303,32 @@ def _number_sets(*sets) -> list[int]:
     when their elements do; an element that is no frozenset is numbered by
     itself. ``==`` on nested frozensets recurses once per level, and takes
     time exponential in k on two distinct von Neumann encodings of k.
+
+    A depth-first walk enters a set only while some element of it has no
+    number yet, and then takes its elements smallest first: the elements
+    of a von Neumann k are 0, ..., k - 1, so each of them finds its own
+    elements numbered, and the walk enters the root alone.
     """
     numbers: dict[object, int] = {}
     by_id: dict[int, int] = {}
     for root in sets:
-        stack = [(root, False)]
+        stack = [iter((root,))]
         while stack:
-            s, ready = stack.pop()
-            if id(s) in by_id:
-                continue
-            if not isinstance(s, frozenset):
-                by_id[id(s)] = numbers.setdefault((s,), len(numbers))
-            elif ready:
-                by_id[id(s)] = numbers.setdefault(frozenset([by_id[id(e)] for e in s]), len(numbers))
+            for e in stack[-1]:
+                if id(e) in by_id:
+                    continue
+                if type(e) is not frozenset:
+                    by_id[id(e)] = numbers.setdefault((e,), len(numbers))
+                    continue
+                try:
+                    key = frozenset(map(by_id.__getitem__, map(id, e)))
+                except KeyError:  # an element without a number: enter e, then meet it again
+                    stack.append(iter((e,)))
+                    stack.append(iter(sorted(e, key=lambda x: len(x) if type(x) is frozenset else -1)))
+                    break
+                by_id[id(e)] = numbers.setdefault(key, len(numbers))
             else:
-                stack.append((s, True))
-                stack += [(e, False) for e in s if id(e) not in by_id]
+                stack.pop()
     return [by_id[id(s)] for s in sets]
 
 

@@ -445,20 +445,56 @@ def format_term(t: Term, fmt: str = "inline") -> str:
     return _fmt(t, fmt)
 
 
-def _fmt(t: Term, fmt: str) -> str:
-    # The stack holds terms still to print and strings to emit as they are.
+def _fmt(t: Term, fmt: str, shared: Optional[tuple[set[int], set[int], dict[int, str]]] = None) -> str:
+    """The text of t in fmt, printed with an explicit stack.
+
+    A node's text depends on the node alone, so calls that print terms
+    sharing nodes can share work through shared = (older, seen, memo):
+    seen collects the ids of the composite nodes this call meets, and older
+    holds those that calls before it met, as far as the caller keeps them.
+    A composite node met again is captured, unless it lies inside another
+    capture: its pieces are joined into memo[id], and from then on its text
+    costs one lookup. Captures never nest, so memo holds no more characters
+    than the outputs. The caller keeps every node alive while it uses memo,
+    so that ids stay unique, and prints in one fmt. Leaves never consult
+    shared.
+    """
+    # The stack holds terms still to print, strings to emit as they are
+    # and, at the end of a capture, its (id, start in out) pair.
     out: list[str] = []
     todo: list = [t]
+    if shared is not None:
+        older, seen, memo = shared
+        capturing = False
     while todo:
         node = todo.pop()
         cls = type(node)
         if cls is str:
             out.append(node)
-        elif cls is Lit:
+            continue
+        if cls is Lit:
             out.append(node.digits)
-        elif cls is Var:
+            continue
+        if cls is Var:
             out.append(node.name)
-        elif cls is Neg:
+            continue
+        if shared is not None:
+            if cls is tuple:
+                key, start = node
+                text = "".join(out[start:])
+                out[start:] = (text,)
+                memo[key] = text
+                capturing = False
+                continue
+            key = id(node)
+            if key in memo:
+                out.append(memo[key])
+                continue
+            if not capturing and (key in seen or key in older):
+                capturing = True
+                todo.append((key, len(out)))
+            seen.add(key)
+        if cls is Neg:
             # Parenthesize literal operands so "-(3)" cannot re-lex as "-3".
             inner = node.operand
             if type(inner) is Lit or _PREC[type(inner)] < 3:

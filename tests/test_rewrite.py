@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracterm import rewrite
 from fracterm.errors import NotSimple, OpenTerm, StrategyInapplicable
@@ -25,6 +27,7 @@ from fracterm.terms import (
     Mul,
     Neg,
     Sub,
+    _fmt,
     classify,
     contains_div,
     erase_decorations,
@@ -208,15 +211,63 @@ def test_flatten_asks_contains_div_at_most_once(monkeypatch):
 
 
 def test_trace_json_prints_each_term_once(monkeypatch):
+    # A step's before is the term the step before it ended on, so each term
+    # goes to the printer once, and a shared subterm is no term of its own.
     printed = []
 
-    def counting(t, fmt="inline"):
+    def counting(t, fmt, shared=None):
         printed.append(t)
-        return format_term(t, fmt)
+        return _fmt(t, fmt, shared)
 
     _, trace = flatten(parse_term("(1/2)/(3/4) + 5/(1+3)"))
-    monkeypatch.setattr(rewrite, "format_term", counting)
+    monkeypatch.setattr(rewrite, "_fmt", counting)
     assert len(trace.to_json()) == len(trace.steps) == len(printed) - 1
+    assert printed == [trace.steps[0].before] + [s.after for s in trace.steps]
+
+
+def printed_steps(trace):
+    """The trace JSON as each step's terms print on their own."""
+    return [{"rule": s.rule, "before": format_term(s.before), "after": format_term(s.after)} for s in trace.steps]
+
+
+# Each input with a rule its trace takes.
+IDENTITY_INPUTS = {
+    **{f"unit-sum-{n}": (unit_sum(n), "add-lift") for n in (5, 10, 20, 40, 80, 160)},
+    "neg-chain-1000": (parse_term("-" * 1000 + "(1/2)"), "neg-lift"),
+    "decorated": (parse_term("(1/ft2 + 3/fv4)/ft(5/6) - 7/(8/fv9)"), "erase-decorations"),
+    "div-collapse-bot": (parse_term("(1/2 + 3/4)/((5/6)/(7/0)) * (1/0)"), "div-collapse-bot"),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_INPUTS)
+def test_trace_json_matches_printing_each_step(name):
+    t, rule = IDENTITY_INPUTS[name]
+    _, trace = flatten(t)
+    assert rule in {s.rule for s in trace.steps}
+    assert trace.to_json() == printed_steps(trace)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_trace_json_matches_printing_each_step_random(seed, depth):
+    _, trace = flatten(random_closed_term(random.Random(seed), depth))
+    assert trace.to_json() == printed_steps(trace)
+
+
+def test_trace_json_of_steps_that_do_not_chain():
+    # Hand-built steps: no before is the after of the step before it, and
+    # terms share nodes across steps and inside one term.
+    x = parse_term("(1+2)/3")
+    y = Mul(x, Neg(x))
+    z = Add(y, parse_term("4/5"))
+    trace = RewriteTrace((
+        RewriteStep("a", x, y),
+        RewriteStep("b", z, Sub(y, x)),
+        RewriteStep("c", Div(z, y), x),
+        RewriteStep("d", y, y),
+        RewriteStep("e", Add(z, z), Mul(Div(z, y), y)),
+    ))
+    assert trace.to_json() == printed_steps(trace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,21 @@ def test_set_nat_instance_eq_without_recursion():
     assert not instance_eq(Instance("nat.vn", frozenset([E, one])), Instance("nat.vn", frozenset([E, frozenset([one])])))
     # An equal payload is accepted, and checked, without recursion.
     assert make_instance("nat.vn", vn.payload) is not vn
+
+
+def test_set_nat_instances_compare_by_instance_eq():
+    # Record equality of instances is the shape's instance equality, so two
+    # separately built deep values compare without frozenset ==.
+    start = time.perf_counter()
+    assert encode(1200, "nat.vn") == encode(1200, "nat.vn")
+    assert time.perf_counter() - start < 1
+    assert encode(1200, "nat.vn") != encode(1199, "nat.vn")
+    assert encode(3000, "nat.zermelo") == encode(3000, "nat.zermelo")
+    assert encode(2, "nat.vn") != encode(2, "nat.zermelo")
+    assert encode(2, "nat.vn") != encode(2, "nat.vn").payload
+    assert hash(encode(1200, "nat.vn")) == hash(encode(1200, "nat.vn"))
+    # Records that hold instances inherit the equality.
+    assert normality_report("nat.vn", 5) == normality_report("nat.vn", 5)
 
 
 def test_label_eq_pcs_golden():
