@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from fracterm import rewrite, semantics
 from fracterm.cli import main
 
 
@@ -197,6 +199,16 @@ def test_fractalk_missing_file(capsys):
     assert code == 1 and json.loads(err)["error"] == "FractermError"
 
 
+@pytest.mark.parametrize("case", ["directory", "not utf-8", "name too long"])
+def test_fractalk_unreadable_script(capsys, tmp_path, case):
+    (tmp_path / "latin1.ftk").write_bytes(b"1: 1/2 == 2/4 @ft \xe9\n")
+    script = {"directory": tmp_path, "not utf-8": tmp_path / "latin1.ftk", "name too long": "a" * 5000}[case]
+    code, out, err = run(capsys, "fractalk", "check", str(script))
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert set(error) == {"error", "message"} and error["error"] == "FractermError"
+
+
 def test_fractalk_empty_script(capsys, tmp_path):
     script = tmp_path / "empty.ftk"
     script.write_text("# nothing asserted\n")
@@ -317,3 +329,49 @@ def test_deterministic_output(capsys):
     first = run(capsys, "flatten", "(1/2)/(3/4)", "--json")
     second = run(capsys, "flatten", "(1/2)/(3/4)", "--json")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# help text and choices: the CLI spells out the library's policies and
+# strategies, so that building the parser imports neither module.
+
+HELP = {
+    (): "usage: fracterm [-h] {parse,classify,eval,flatten,simplify,add,shape,rns,fractalk,demo} ... "
+    "Workbench for fraction terms: taxonomy, shapes, division-by-zero semantics, rewriting, and "
+    "assertion scripts. positional arguments: {parse,classify,eval,flatten,simplify,add,shape,rns,"
+    "fractalk,demo} parse parse a term and print its renderings classify syntactic taxonomy flags of "
+    "a term eval evaluate a closed term to a fracvalue flatten rewrite into a flat fracterm with a "
+    "trace simplify reduce a flat fracterm to simplified form add one member of the addition family "
+    "shape shape encoding, conversion, comparison, normality rns ratio-number evaluation and "
+    "extraction fractalk assertion-script checking demo check the whole packaged corpus options: "
+    "-h, --help show this help message and exit",
+    ("eval",): "usage: fracterm eval [-h] [--format {inline,colon,frac}] [--json] [--policy "
+    "{partial,suppes-ono,common-meadow}] [--shape SHAPE] term positional arguments: term options: "
+    "-h, --help show this help message and exit --format {inline,colon,frac} --json --policy "
+    "{partial,suppes-ono,common-meadow} --shape SHAPE",
+    ("add",): "usage: fracterm add [-h] [--format {inline,colon,frac}] [--json] [--strategy "
+    "{cross,same-denom,numeral,trivial,all}] left right positional arguments: left right options: "
+    "-h, --help show this help message and exit --format {inline,colon,frac} --json --strategy "
+    "{cross,same-denom,numeral,trivial,all}",
+}
+
+
+def help_text(capsys, monkeypatch, *argv):
+    """The help of fracterm [argv] --help, whitespace collapsed (wrapping varies by Python version)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("argv", list(HELP), ids=lambda argv: " ".join(argv) or "top")
+def test_help_text(capsys, monkeypatch, argv):
+    assert help_text(capsys, monkeypatch, *argv) == HELP[argv]
+
+
+def test_choices_are_the_library_values(capsys, monkeypatch):
+    policies = re.search(r"--policy {([^}]*)}", help_text(capsys, monkeypatch, "eval")).group(1)
+    assert policies.split(",") == list(semantics.POLICIES)
+    strategies = re.search(r"--strategy {([^}]*)}", help_text(capsys, monkeypatch, "add")).group(1)
+    assert strategies.split(",") == [*rewrite.STRATEGIES, "all"]
