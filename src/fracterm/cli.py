@@ -14,10 +14,11 @@ import json
 import os
 import sys
 
-from .errors import FractermError, UnsupportedShape
+from .errors import CapacityError, FractermError, UnsupportedShape
 from .terms import check_str_digits, classify, denom, format_term, is_fracterm, num, parse_term
 
 CORPUS_ORDER = ("A", "B", "Bprime", "Bpp", "C", "Cprime", "D", "E", "F")
+SCRIPT_BYTES = 1 << 20  # a longer script raises CapacityError; about 50x an 800-claim one
 
 
 def _default_shape() -> str:
@@ -209,12 +210,14 @@ def _read_script(path_text: str) -> tuple[str, str]:
     from pathlib import Path
     path = Path(path_text)
     try:
-        if path.exists():
-            return path.name, path.read_text(encoding="utf-8")
         # Fall back to the packaged corpus for names like corpus/A.ftk, A.ftk, A.
-        packaged = _corpus_file(path.name.removesuffix(".ftk"))
-        if packaged.is_file():
-            return path.name, packaged.read_text(encoding="utf-8")
+        source = path if path.exists() else _corpus_file(path.name.removesuffix(".ftk"))
+        if source is path or source.is_file():
+            with source.open("rb") as f:  # one byte more tells a longer or endless file
+                data = f.read(SCRIPT_BYTES + 1)
+            if len(data) > SCRIPT_BYTES:
+                raise CapacityError(f"script {path_text} is longer than {SCRIPT_BYTES} bytes")
+            return path.name, data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FractermError(f"cannot read script {path_text}: {exc}") from None
     raise FractermError(f"no such script: {path_text}")

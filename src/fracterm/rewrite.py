@@ -21,9 +21,12 @@ general (a zero divisor can be multiplied away).
 Each phase (``numeral-eval`` first, then the other rules) rewrites the
 innermost-leftmost match until none is left. It runs as one postorder walk
 with its own stack, which never enters a finished or division-free subtree;
-a step rebuilds only the path from the match to the root. So a phase takes time linear in the size of its input and of
-the nodes the rules build, plus the depth of each match; nothing in this
-module recurses.
+a step rebuilds only the path from the match to the root. So a phase takes
+time linear in the size of its input and of the nodes the rules build, plus
+the depth of each match; nothing in this module recurses. Flat forms share
+their denominator products, and exact integer evaluation (``simplify``,
+``numeral-eval``, the zero tests of ``div-collapse``) computes each distinct
+node once: its time is linear in the distinct nodes, not the tree size.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .terms import (
     contains_div,
     contains_var,
     erase_decorations,
-    fold,
     format_term,
     slot_setters,
 )
@@ -109,18 +111,37 @@ _set_rule, _set_before, _set_after = slot_setters(RewriteStep)
 _INT_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _int_node(node: Term, *args: int) -> int:
-    if isinstance(node, Lit):
-        return node.value
-    op = _INT_OPS.get(type(node))
-    if op is None:
-        raise ValueError(f"not division-free: {format_term(node)}")
-    return op(*args)
+def _int_value(t: Term, memo: dict[int, int] | None = None) -> int:
+    """Exact value of a division-free closed term, each shared node computed once.
 
-
-def _int_value(t: Term) -> int:
-    """Exact value of a division-free closed term."""
-    return fold(t, _int_node)
+    memo maps the id of every node met to its value. The term keeps its nodes,
+    and so their ids, alive during the call; a memo passed to several calls
+    needs all their terms alive.
+    """
+    memo = {} if memo is None else memo
+    todo = [t]
+    while todo:
+        node = todo[-1]
+        cls = type(node)
+        if id(node) in memo:
+            todo.pop()
+        elif cls is Lit:
+            memo[id(todo.pop())] = node.value
+        elif cls is Neg:
+            a = memo.get(id(node.operand))
+            if a is None:
+                todo.append(node.operand)
+            else:
+                memo[id(todo.pop())] = _INT_OPS[Neg](a)
+        elif cls in _INT_OPS:
+            a, b = memo.get(id(node.left)), memo.get(id(node.right))
+            if a is None or b is None:
+                todo += [kid for kid, v in ((node.right, b), (node.left, a)) if v is None]
+            else:
+                memo[id(todo.pop())] = _INT_OPS[cls](a, b)
+        else:
+            raise ValueError(f"not division-free: {format_term(node)}")
+    return memo[id(t)]
 
 
 def _numeral(n: int) -> Lit:
@@ -266,13 +287,14 @@ def simplify(t: Term) -> Term:
     The sign moves to the numerator and the components are reduced by their
     gcd; integer-valued inputs come out as n/1. Zero-denominator inputs have
     no simplified form; they reduce to the +-1/0 (or 0/0) representative of
-    their class.
+    their class. Numerator and denominator are evaluated with one memo, so
+    the cost is linear in the distinct nodes of t, not in its size as a tree.
     """
     flags = classify(t)
     if not (flags.is_fracterm and flags.flat and flags.closed):
         raise NotSimple(f"cannot simplify {t}")
-    n = _int_value(t.left)
-    d = _int_value(t.right)
+    memo: dict[int, int] = {}
+    n, d = _int_value(t.left, memo), _int_value(t.right, memo)
     g = math.gcd(abs(n), abs(d))
     if g:
         n //= g

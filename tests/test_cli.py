@@ -4,7 +4,7 @@ import re
 import pytest
 
 from fracterm import rewrite, semantics
-from fracterm.cli import main
+from fracterm.cli import SCRIPT_BYTES, main
 
 
 def run(capsys, *argv):
@@ -207,6 +207,20 @@ def test_fractalk_unreadable_script(capsys, tmp_path, case):
     assert code == 1 and out == ""
     error = json.loads(err)
     assert set(error) == {"error", "message"} and error["error"] == "FractermError"
+
+
+def test_fractalk_script_byte_budget(capsys, tmp_path):
+    claim = b"1: 1/2 == 2/4\n"
+    padding = b"#" * (SCRIPT_BYTES - len(claim) - 1) + b"\n"
+    (tmp_path / "full.ftk").write_bytes(claim + padding)
+    (tmp_path / "over.ftk").write_bytes(claim + b"#" + padding)
+    assert run_json(capsys, "fractalk", "check", str(tmp_path / "full.ftk"))["overall"] == "sound"
+    code, out, err = run(capsys, "fractalk", "check", str(tmp_path / "over.ftk"))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "CapacityError",
+        "message": f"script {tmp_path / 'over.ftk'} is longer than {SCRIPT_BYTES} bytes",
+    }
 
 
 def test_fractalk_empty_script(capsys, tmp_path):

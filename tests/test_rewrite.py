@@ -287,6 +287,37 @@ def test_simplify_zero_denominator_class():
     assert simplify(parse_term("0/0")) == parse_term("0/0")
 
 
+@pytest.mark.parametrize("n", [1, 2, 40, 200])
+def test_simplify_flat_unit_sum_is_its_value(n):
+    # The flat form shares its denominator products; each is evaluated once.
+    flat, _ = flatten(unit_sum(n))
+    value = sum(Fraction(1, k) for k in range(2, n + 2))
+    assert simplify(flat) == Div(Lit(str(value.numerator)), Lit(str(value.denominator)))
+
+
+def test_simplify_zero_denominator_flat_forms():
+    cases = [("1/2+1/0+1/3+1/4", "1"), ("(-1)/0+1/2+1/3", "-1"), ("0/0+1/2+1/3", "0")]
+    for text, numerator in cases:
+        flat, _ = flatten(parse_term(text))
+        assert simplify(flat) == Div(Lit(numerator), Lit("0"))
+
+
+def test_simplify_evaluates_each_shared_node_once(monkeypatch):
+    # x doubles 18 times as Add(x, x): 18 distinct sums, 262,143 as a tree.
+    x = Lit("1")
+    for _ in range(18):
+        x = Add(x, x)
+    adds = []
+
+    def counting_add(a, b):
+        adds.append(None)
+        return a + b
+
+    monkeypatch.setitem(rewrite._INT_OPS, Add, counting_add)
+    assert simplify(Div(x, Lit("3"))) == Div(Lit("262144"), Lit("3"))
+    assert len(adds) == 18
+
+
 def test_simplify_accepts_flat_closed_fracterms():
     result, _ = flatten(parse_term("2/(4/5)"))
     assert simplify(result) == parse_term("5/2")
