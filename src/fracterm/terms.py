@@ -198,6 +198,12 @@ def check_str_digits(n: int) -> None:
         raise _too_many_digits()
 
 
+def numeral(n: int) -> Lit:
+    """The literal of n, refused past the int/str digit limit."""
+    check_str_digits(n)
+    return Lit(str(n))
+
+
 class Var(Term):
     __slots__ = ("name",)
     _facts = _VAR

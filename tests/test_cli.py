@@ -5,6 +5,7 @@ import pytest
 
 from fracterm import rewrite, semantics
 from fracterm.cli import SCRIPT_BYTES, main
+from fracterm.shapes import NORMALITY_BOUND
 
 
 def run(capsys, *argv):
@@ -131,6 +132,18 @@ def test_shape_normality(capsys):
     assert data["normal"] is False and "witness" in data
     data = run_json(capsys, "shape", "normality", "--shape", "rat.pcs", "--bound", "10")
     assert data["normal"] is True
+
+
+def test_shape_normality_bound_budget(capsys):
+    for bound in (NORMALITY_BOUND + 1, 10**4000):
+        code, out, err = run(capsys, "shape", "normality", "--shape", "rat.ssft", "--bound", str(bound))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "CapacityError"
+    # argparse cannot read an int past the int/str digit limit: a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["shape", "normality", "--shape", "rat.pcs", "--bound", "1" + "0" * 5000])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 MALFORMED_PAYLOADS = [

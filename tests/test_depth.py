@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from fracterm.cli import main
-from fracterm.errors import DivisionByZero
+from fracterm.errors import CapacityError, DivisionByZero
 from fracterm.fractalk import check_text, parse_script
 from fracterm.ratio import DenomOf, NumOf, RatioNumber, rn_eval
-from fracterm.rewrite import _int_value, flatten
+from fracterm.rewrite import FLATTEN_DEPTH, _int_value, flatten
 from fracterm.semantics import BOTTOM, POLICIES, EvalConfig, eval_term, value_to_json
 from fracterm.terms import (
     Div,
@@ -194,6 +194,23 @@ def test_flatten_long_sum_of_halves():
     assert format_term(result) == f"({a})/({b})"
     assert [s.rule for s in trace.steps] == ["add-lift"] * (HALVES - 1)
     assert trace.replay(t) is result
+
+
+def test_flatten_depth_budget():
+    assert FLATTEN_DEPTH > NEG_DEPTH  # the chain above has NEG_DEPTH + 1 nodes holding a division
+    for depth in (FLATTEN_DEPTH, DEEP):
+        with pytest.raises(CapacityError):
+            flatten(parse_term("-" * depth + "(1/2)"))
+    # Only nodes that hold a division count: a long sum under one flattens.
+    result, trace = flatten(parse_term(f"({left_sum_text(LONG)})/2"))
+    assert result == Div(Lit(str(sum(map(int, signed_digits(LONG))))), Lit("2"))
+    assert [s.rule for s in trace.steps] == ["numeral-eval"]
+
+
+def test_cli_flatten_past_the_depth_budget(capsys):
+    assert main(["flatten", "--json", "--", "-" * LONG + "(1/2)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == "CapacityError"
 
 
 def test_int_value_names_a_deep_division():

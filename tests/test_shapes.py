@@ -1,10 +1,13 @@
 import json
 import random
 import time
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from fracterm import shapes
 from fracterm.errors import (
     CapacityError,
     LabelMismatch,
@@ -15,6 +18,7 @@ from fracterm.errors import (
 )
 from fracterm.shapes import (
     BOT,
+    NORMALITY_BOUND,
     SET_NAT_CAP,
     SET_NAT_JSON_DEPTH,
     SHAPE_IDS,
@@ -35,8 +39,9 @@ from fracterm.shapes import (
     shape_div,
     shape_mul,
     shape_neg,
+    _coprime_pairs,
 )
-from fracterm.terms import parse_term
+from fracterm.terms import Div, Lit, parse_term
 
 E = frozenset()
 
@@ -406,6 +411,97 @@ def test_normality_matrix_small_bound():
 def test_descriptor_agrees_with_bounded_check():
     for shape_id in SHAPE_IDS:
         assert describe(shape_id).normal == is_normal(shape_id, 12)
+
+
+def reference_witness(shape_id, bound):
+    """Brute force: pair each instance with the first earlier one of equal
+    decode; the witness is the first such pair that is not instance-equal."""
+    shape = get_shape(shape_id)
+    instances = list(shape.bounded_instances(bound))
+    values = [shape.decode(inst) for inst in instances]
+    for k, inst in enumerate(instances):
+        earlier = [j for j in range(k) if values[j] == values[k]]
+        if earlier and not shape.instance_eq(instances[earlier[0]], inst):
+            return instances[earlier[0]], inst
+    return None
+
+
+@pytest.mark.parametrize("shape_id", SHAPE_IDS)
+def test_normality_matches_brute_force(shape_id):
+    for bound in range(1, 9):
+        report, want = normality_report(shape_id, bound), reference_witness(shape_id, bound)
+        assert report.normal is (want is None)
+        if want is not None:
+            assert [instance_to_json(w) for w in report.witness] == [instance_to_json(w) for w in want]
+
+
+@pytest.mark.parametrize("bound", [1, 7, 30])
+def test_ssft_enumeration_shares_its_literals(bound):
+    payloads = [inst.payload for inst in get_shape("rat.ssft").bounded_instances(bound)]
+    assert payloads == [Div(Lit(str(a)), Lit(str(b))) for a, b in _coprime_pairs(bound)]
+    assert len({id(lit) for t in payloads for lit in (t.left, t.right)}) <= 2 * bound + 1
+
+
+class _Box:
+    __slots__ = ("k", "__weakref__")
+
+    def __init__(self, k):
+        self.k = k
+
+
+class _ProbeNat(shapes.Shape):
+    """Naturals in boxes that report how many boxes are alive at each decode."""
+
+    shape_id = "nat.probe"
+    label = "nat"
+
+    def __init__(self):
+        self.live, self.most_live = weakref.WeakSet(), 0
+
+    def bounded_instances(self, bound):
+        for k in (*range(bound + 1), 0):  # 0 again at the end: the witness
+            box = _Box(k)
+            self.live.add(box)
+            yield Instance(self.shape_id, box)
+            del box
+
+    def decode(self, inst):
+        self.most_live = max(self.most_live, len(self.live))
+        return inst.payload.k
+
+
+def test_normality_keeps_no_instance_alive(monkeypatch):
+    probe = _ProbeNat()
+    monkeypatch.setitem(shapes._SHAPES, probe.shape_id, probe)
+    report = normality_report(probe.shape_id, 50)
+    assert not report.normal and [w.payload.k for w in report.witness] == [0, 0]
+    assert probe.most_live <= 2  # the pair compared for the witness
+
+
+def test_normality_keeps_no_instance_per_value():
+    # About 2.3 MB: one (numerator, denominator) pair and one position per
+    # value. Keeping every decoded Fraction and its instance took 9.4 MB.
+    tracemalloc.start()
+    try:
+        assert normality_report("rat.ssft", 120).normal
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_700_000
+
+
+def test_normality_bound_budget(monkeypatch):
+    assert NORMALITY_BOUND >= 200  # the largest bound the benchmark searches
+    assert normality_report("nat.sdn", NORMALITY_BOUND).normal
+
+    def enumerate_nothing(self, bound):
+        raise AssertionError("enumerated past the budget")
+
+    for shape_id in ("rat.pcs", "rat.ssft"):
+        monkeypatch.setattr(type(get_shape(shape_id)), "bounded_instances", enumerate_nothing)
+        for bound in (NORMALITY_BOUND + 1, 10**5000):
+            with pytest.raises(CapacityError):
+                normality_report(shape_id, bound)
 
 
 # ---------------------------------------------------------------------------
