@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import CapacityError, FractermError, UnsupportedShape
@@ -38,6 +39,20 @@ def _load_json(text: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise UnsupportedShape(f"malformed JSON: {exc}") from None
+
+
+def _int_arg(text: str) -> int:
+    """An int argument; digits that int() refuses are past Python's
+    int/str digit limit, a CapacityError rather than a usage error."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            raise
+        raise CapacityError("an integer argument exceeds the int/str digit limit") from None
+
+
+_int_arg.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 def _parse_args_term(args, attr="term"):
@@ -324,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     shape_sub = p.add_subparsers(dest="shape_command", required=True)
 
     q = shape_sub.add_parser("encode")
-    q.add_argument("value", type=int)
+    q.add_argument("value", type=_int_arg)
     q.add_argument("--shape", default=None)
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_shape_encode)
@@ -344,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = shape_sub.add_parser("normality")
     q.add_argument("--shape", default=None)
-    q.add_argument("--bound", type=int, default=50)
+    q.add_argument("--bound", type=_int_arg, default=50)
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_shape_normality)
 
@@ -374,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # A type= function can raise CapacityError, which argparse lets through.
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except FractermError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

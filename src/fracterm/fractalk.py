@@ -43,7 +43,6 @@ from .terms import (
     fits_str_digits,
     format_term,
     parse_term,
-    slot_setters,
 )
 
 _LEVEL_TAGS = {"ft": Level.FRACTERM, "fv": Level.FRACVALUE, "fs": Level.SIGN}
@@ -66,15 +65,7 @@ class Occurrence(Record):
     # term is undecorated, annotation comes from an explicit decoration, and
     # fraction_marked says that the word "fraction" introduced the occurrence.
     __slots__ = ("assertion", "position", "term", "annotation", "fraction_marked")
-
-    def __init__(
-        self, assertion: int, position: int, term: Term, annotation: Optional[Level] = None, fraction_marked=False
-    ):
-        _set_assertion(self, assertion)
-        _set_position(self, position)
-        _set_term(self, term)
-        _set_annotation(self, annotation)
-        _set_fraction_marked(self, fraction_marked)
+    _defaults = {"annotation": None, "fraction_marked": False}
 
     def key(self):
         return (self.assertion, self.position)
@@ -90,15 +81,7 @@ class Claim(Record):
     """
 
     __slots__ = ("kind", "occurrences", "role", "positive", "arg")
-
-    def __init__(
-        self, kind: str, occurrences: tuple[Occurrence, ...] = (), role: Optional[Level] = None, positive=True, arg=None
-    ):
-        _set_kind(self, kind)
-        _set_occurrences(self, occurrences)
-        _set_role(self, role)
-        _set_positive(self, positive)
-        _set_arg(self, arg)
+    _defaults = {"occurrences": (), "role": None, "positive": True, "arg": None}
 
     @property
     def occ(self) -> Occurrence:
@@ -108,37 +91,22 @@ class Claim(Record):
 class Assertion(Record):
     __slots__ = ("index", "claim", "text")
 
-    def __init__(self, index: int, claim: Claim, text: str):
-        _set_index(self, index)
-        _set_claim(self, claim)
-        _set_text(self, text)
-
 
 class Script(Record):
     # shape_id and disjoint come from the @shape and @disjoint pragmas;
     # _by_index maps each index to its assertion, and is no field.
     __slots__ = ("assertions", "shape_id", "disjoint", "_by_index")
+    _defaults = {"shape_id": None, "disjoint": None}
 
-    def __init__(
-        self, assertions: tuple[Assertion, ...], shape_id: Optional[str] = None, disjoint: Optional[bool] = None
-    ):
-        _set_assertions(self, assertions)
-        _set_shape_id(self, shape_id)
-        _set_disjoint(self, disjoint)
+    def __post_init__(self):
         # Built backwards so that, as in a scan, the first of equal indices wins.
-        _set_by_index(self, {a.index: a for a in reversed(assertions)})
+        Script._by_index.__set__(self, {a.index: a for a in reversed(self.assertions)})
 
     def assertion(self, index: int) -> Assertion:
         try:
             return self._by_index[index]
         except KeyError:
             raise DanglingReference(f"no assertion {index}") from None
-
-
-_set_assertion, _set_position, _set_term, _set_annotation, _set_fraction_marked = slot_setters(Occurrence)
-_set_kind, _set_occurrences, _set_role, _set_positive, _set_arg = slot_setters(Claim)
-_set_index, _set_claim, _set_text = slot_setters(Assertion)
-_set_assertions, _set_shape_id, _set_disjoint, _set_by_index = slot_setters(Script)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +264,7 @@ def infer_levels(script: Script) -> dict[tuple[int, int], Level]:
 
 class StepStatus(Record):
     __slots__ = ("index", "status", "explanation")  # status: valid | invalid | level-conflict
-
-    def __init__(self, index: int, status: str, explanation: Optional[str] = None):
-        _set_step_index(self, index)
-        _set_status(self, status)
-        _set_explanation(self, explanation)
+    _defaults = {"explanation": None}
 
     @property
     def valid(self) -> bool:
@@ -309,12 +273,7 @@ class StepStatus(Record):
 
 class Verdict(Record):
     __slots__ = ("steps", "overall", "blocked_at", "explanation")  # overall: sound | paradox-blocked
-
-    def __init__(self, steps: tuple[StepStatus, ...], overall: str, blocked_at: Optional[int] = None, explanation=None):
-        _set_steps(self, steps)
-        _set_overall(self, overall)
-        _set_blocked_at(self, blocked_at)
-        _set_verdict_explanation(self, explanation)
+    _defaults = {"blocked_at": None, "explanation": None}
 
     def step(self, index: int) -> StepStatus:
         for s in self.steps:
@@ -332,10 +291,6 @@ class Verdict(Record):
             "blocked_at": self.blocked_at,
             "explanation": self.explanation,
         }
-
-
-_set_step_index, _set_status, _set_explanation = slot_setters(StepStatus)
-_set_steps, _set_overall, _set_blocked_at, _set_verdict_explanation = slot_setters(Verdict)
 
 
 class _Env:

@@ -18,22 +18,15 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import OpenTerm
-from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, slot_setters
+from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold
 
 
 class RatioNumber(Record):
     __slots__ = ("a", "b")
 
-    def __init__(self, a: int, b: int):
-        _set_a(self, a)
-        _set_b(self, b)
-
     def as_fraction(self) -> Optional[Fraction]:
         """Exact ratio, or None for the zero-denominator pairs."""
         return None if self.b == 0 else Fraction(self.a, self.b)
-
-
-_set_a, _set_b = slot_setters(RatioNumber)
 
 
 def sign(p: int) -> int:
@@ -96,19 +89,11 @@ def rn_label_eq(x: RatioNumber, y: RatioNumber) -> bool:
 class NumOf(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: ExtTerm):
-        _set_num_arg(self, arg)
-
 
 class DenomOf(Record):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: ExtTerm):
-        _set_denom_arg(self, arg)
 
-
-(_set_num_arg,) = slot_setters(NumOf)
-(_set_denom_arg,) = slot_setters(DenomOf)
 ExtTerm = Union[Term, NumOf, DenomOf]
 
 

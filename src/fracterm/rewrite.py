@@ -52,7 +52,6 @@ from .terms import (
     erase_decorations,
     format_term,
     numeral,
-    slot_setters,
 )
 
 STRATEGIES = ("cross", "same-denom", "numeral", "trivial")
@@ -66,17 +65,9 @@ FLATTEN_DEPTH = 1024
 class RewriteStep(Record):
     __slots__ = ("rule", "before", "after")
 
-    def __init__(self, rule: str, before: Term, after: Term):
-        _set_rule(self, rule)
-        _set_before(self, before)
-        _set_after(self, after)
-
 
 class RewriteTrace(Record):
     __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[RewriteStep, ...]):
-        _set_steps(self, steps)
 
     def replay(self, start: Term) -> Term:
         cur = start
@@ -108,10 +99,6 @@ class RewriteTrace(Record):
             out.append({"rule": s.rule, "before": before, "after": text})
             older, seen = seen, set()
         return out
-
-
-_set_rule, _set_before, _set_after = slot_setters(RewriteStep)
-(_set_steps,) = slot_setters(RewriteTrace)
 
 _INT_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
 from . import ratio, shapes
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedPeripheral,
 )
-from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, slot_setters
+from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold
 
 POLICIES = ("partial", "suppes-ono", "common-meadow")
 PERIPHERALS = ("bot", "inf", "+inf", "-inf", "nan")
@@ -48,44 +49,38 @@ class Fracvalue(Record):
 class NumberValue(Fracvalue):
     __slots__ = ("instance",)
 
-    def __init__(self, instance: shapes.Instance):
-        _set_instance(self, instance)
-
 
 class PeripheralValue(Fracvalue):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if name not in PERIPHERALS:
-            raise UnsupportedPeripheral(f"unknown peripheral {name!r}")
-        _set_name(self, name)
+    def __post_init__(self):
+        if self.name not in PERIPHERALS:
+            raise UnsupportedPeripheral(f"unknown peripheral {self.name!r}")
 
 
-(_set_instance,) = slot_setters(NumberValue)
-(_set_name,) = slot_setters(PeripheralValue)
-BOTTOM = PeripheralValue("bot")
+# Built past the class, so that importing semantics builds no __init__.
+BOTTOM = object.__new__(PeripheralValue)
+PeripheralValue.name.__set__(BOTTOM, "bot")
 
 
 class EvalConfig(Record):
     __slots__ = ("policy", "shape_id")
+    _defaults = {"policy": "common-meadow", "shape_id": "rat.pcs"}
 
-    def __init__(self, policy: str = "common-meadow", shape_id: str = "rat.pcs"):
-        if policy not in POLICIES:
-            raise UnsupportedOperation(f"unknown policy {policy!r}")
-        if shapes.get_shape(shape_id).label != "rat":
-            raise UnsupportedOperation(f"evaluation needs a rat shape, got {shape_id!r}")
-        _set_policy(self, policy)
-        _set_shape_id(self, shape_id)
-
-
-_set_policy, _set_shape_id = slot_setters(EvalConfig)
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise UnsupportedOperation(f"unknown policy {self.policy!r}")
+        if shapes.get_shape(self.shape_id).label != "rat":
+            raise UnsupportedOperation(f"evaluation needs a rat shape, got {self.shape_id!r}")
 
 
 _BOT = shapes.BOT
 
 
-def eval_term(t: Term, cfg: EvalConfig = EvalConfig()) -> Fracvalue:
-    """Evaluate a closed term to a fracvalue under the configured policy."""
+def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
+    """Evaluate a closed term to a fracvalue under cfg, by default ``EvalConfig()``."""
+    if cfg is None:
+        cfg = EvalConfig()
     if cfg.shape_id == "rat.rns":
         # The ratio-number algebra is total; zero-denominator pairs are the
         # bottom class, which matches only the common-meadow reading.

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedShape,
 )
-from .terms import Div, Lit, Record, Term, check_str_digits, classify, format_term, numeral, parse_term, slot_setters
+from .terms import Div, Lit, Record, Term, check_str_digits, classify, format_term, numeral, parse_term
 
 # The operations of each label; every shape of the label offers them.
 OPERATIONS = {"nat": ("add", "mul"), "int": ("add", "mul", "neg"), "rat": ("add", "mul", "neg", "div")}
@@ -78,10 +78,6 @@ class Instance(Record):
 
     __slots__ = ("shape_id", "payload")
 
-    def __init__(self, shape_id: str, payload: object):
-        _set_instance_shape(self, shape_id)
-        _set_payload(self, payload)
-
     def __eq__(self, other):
         # Set-nat payloads compare without frozenset ==, which recurses and
         # takes time exponential in k on two separately built nat.vn values.
@@ -101,25 +97,9 @@ class Instance(Record):
 class ShapeDescriptor(Record):
     __slots__ = ("label", "shape_id", "normal")
 
-    def __init__(self, label: str, shape_id: str, normal: bool):
-        _set_label(self, label)
-        _set_descriptor_shape(self, shape_id)
-        _set_descriptor_normal(self, normal)
-
 
 class NormalityReport(Record):
-    __slots__ = ("shape_id", "bound", "normal", "witness")
-
-    def __init__(self, shape_id: str, bound: int, normal: bool, witness: Optional[tuple[Instance, Instance]]):
-        _set_report_shape(self, shape_id)
-        _set_bound(self, bound)
-        _set_report_normal(self, normal)
-        _set_witness(self, witness)
-
-
-_set_instance_shape, _set_payload = slot_setters(Instance)
-_set_label, _set_descriptor_shape, _set_descriptor_normal = slot_setters(ShapeDescriptor)
-_set_report_shape, _set_bound, _set_report_normal, _set_witness = slot_setters(NormalityReport)
+    __slots__ = ("shape_id", "bound", "normal", "witness")  # witness: None or a pair of instances
 
 
 Number = Union[int, Fraction]
@@ -180,7 +160,7 @@ class Shape:
                 raise UnsupportedOperation(f"{self.shape_id} holds no non-integer values")
             value = value.numerator
         if self.label == "nat" and value < 0:
-            raise NegativeIntoNat(f"{value} < 0")
+            raise NegativeIntoNat(f"{self.shape_id} holds no negative values")
         return value
 
     # -- derived: equality and arithmetic through decode/encode -----------
@@ -355,7 +335,7 @@ class _SetNat(Shape):
     def encode(self, value):
         k = self._integer(value)
         if k > SET_NAT_CAP:
-            raise CapacityError(f"{k} exceeds the set-nat cap {SET_NAT_CAP}")
+            raise CapacityError(f"{self.shape_id} holds no value past the set-nat cap {SET_NAT_CAP}")
         s = frozenset()
         for _ in range(k):
             s = self._succ(s)

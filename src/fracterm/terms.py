@@ -19,10 +19,15 @@ underscore, in order. From them ``Record`` gives equality (same class,
 equal fields), a hash over the fields, a repr such as
 ``RatioNumber(a=1, b=2)``, and ``__reduce__`` for ``copy`` and ``pickle``,
 which calls the class with the fields in order; every assignment raises
-``AttributeError``. Each record writes its own ``__init__``, which sets its
-slots through their descriptors (``slot_setters``), as ``Lit`` and ``Div``
-do: a class built this way costs no import of ``dataclasses`` and is
-quicker to construct than a frozen dataclass.
+``AttributeError``. A record declares its fields once, and ``Record`` builds
+its ``__init__``: it takes the fields in order, with trailing defaults from a
+class-level ``_defaults`` (a slot cannot have a class attribute as default),
+sets each slot through its descriptor, and calls the class's
+``__post_init__``, if any, where the records that validate check their
+fields. One ``exec`` builds it at the class's first construction, not at
+import, so a process pays only for the classes it builds. Term nodes write
+their own ``__init__``, which computes their facts. No record costs an import
+of ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    _writes_init = False  # whether the class or a base writes its own __init__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -67,6 +74,18 @@ class Record:
         cls._fields = tuple(
             name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ()) if name[0] != "_"
         )
+        # The stub, unless the class or a base writes an __init__: so a class
+        # never inherits an __init__ built for a base's fields.
+        if "__init__" in vars(cls):
+            cls._writes_init = True
+        elif not cls._writes_init:
+            cls.__init__ = Record.__init__
+
+    def __init__(self, *args, **kwargs):
+        """Build the class's own ``__init__``, install it, and run it."""
+        cls = next(klass for klass in type(self).__mro__ if vars(klass).get("__init__") is Record.__init__)
+        cls.__init__ = init = _build_init(cls)
+        init(self, *args, **kwargs)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -92,10 +111,28 @@ class Record:
         return type(self), self._values()
 
 
-def slot_setters(cls: type) -> tuple[Callable, ...]:
+_GENERATED = "<record __init__>"  # the file name of every built __init__
+
+
+def _build_init(cls: type) -> Callable:
+    # Its globals: _defaults, and each field's slot setter as _set_<field>.
+    scope = {"_defaults": cls._defaults}
+    scope.update((f"_set_{name}", getattr(cls, name).__set__) for name in cls._fields)
+    params = [f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in cls._fields]
+    lines = [f"_set_{name}(self, {name})" for name in cls._fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    body = "\n    ".join(lines or ["pass"])
+    exec(compile(f"def __init__({', '.join(['self', *params])}):\n    {body}\n", _GENERATED, "exec"), scope)
+    init = scope["__init__"]
+    init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+    return init
+
+
+def _slot_setters(cls: type) -> tuple[Callable, ...]:
     """The ``__set__`` of each slot cls itself declares, in order.
 
-    A record's ``__init__`` writes its slots through these, past the
+    A term node's ``__init__`` writes its slots through these, past the
     ``__setattr__`` that refuses every later assignment.
     """
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
@@ -259,12 +296,12 @@ class Div(_Binary):
         _set_hash(self, hash((Div, left._hash, right._hash, decoration)))
 
 
-(_set_digits,) = slot_setters(Lit)
-(_set_name,) = slot_setters(Var)
-(_set_operand,) = slot_setters(Neg)
-_set_left, _set_right = slot_setters(_Binary)
-(_set_decoration,) = slot_setters(Div)
-_set_facts, _set_hash = slot_setters(Term)
+(_set_digits,) = _slot_setters(Lit)
+(_set_name,) = _slot_setters(Var)
+(_set_operand,) = _slot_setters(Neg)
+_set_left, _set_right = _slot_setters(_Binary)
+(_set_decoration,) = _slot_setters(Div)
+_set_facts, _set_hash = _slot_setters(Term)
 
 
 # --------------------------------------------------------------------------
@@ -597,23 +634,6 @@ class TaxonomyFlags(Record):
     """
 
     __slots__ = ("is_fracterm", "closed", "flat", "simple", "safe", "simplified", "proper")
-
-    def __init__(
-        self, is_fracterm: bool, closed: bool, flat: bool, simple: bool, safe: bool, simplified: bool,
-        proper: Optional[bool],
-    ):
-        _set_is_fracterm(self, is_fracterm)
-        _set_closed(self, closed)
-        _set_flat(self, flat)
-        _set_simple(self, simple)
-        _set_safe(self, safe)
-        _set_simplified(self, simplified)
-        _set_proper(self, proper)
-
-
-_set_is_fracterm, _set_closed, _set_flat, _set_simple, _set_safe, _set_simplified, _set_proper = slot_setters(
-    TaxonomyFlags
-)
 
 
 def is_fracterm(t: Term) -> bool:

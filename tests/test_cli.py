@@ -139,11 +139,18 @@ def test_shape_normality_bound_budget(capsys):
         code, out, err = run(capsys, "shape", "normality", "--shape", "rat.ssft", "--bound", str(bound))
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "CapacityError"
-    # argparse cannot read an int past the int/str digit limit: a usage error.
-    with pytest.raises(SystemExit) as exc:
-        main(["shape", "normality", "--shape", "rat.pcs", "--bound", "1" + "0" * 5000])
-    assert exc.value.code == 2
-    assert "invalid int value" in capsys.readouterr().err
+    # An int argument past the int/str digit limit is a CapacityError, and
+    # text that is no number stays a usage error.
+    huge = "1" + "0" * 5000
+    for argv in (["normality", "--shape", "rat.pcs", "--bound", huge], ["encode", huge, "--shape", "nat.dec"]):
+        code, out, err = run(capsys, "shape", *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "CapacityError"
+    for argv in (["normality", "--bound", "ten"], ["encode", "ten"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["shape", *argv])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
 
 
 MALFORMED_PAYLOADS = [

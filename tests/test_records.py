@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fracterm
-from fracterm import fractalk, ratio, rewrite, semantics, shapes
+from fracterm import fractalk, ratio, rewrite, semantics, shapes, terms
 from fracterm.errors import DanglingReference, UnsupportedOperation, UnsupportedPeripheral
 from fracterm.terms import Record, TaxonomyFlags, classify, parse_term
 
@@ -224,3 +224,76 @@ def test_no_module_imports_dataclasses():
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "dataclasses", path.name
 
+
+
+def _built_by_record(cls):
+    """Whether cls's __init__ is Record's stub or one that the stub built."""
+    init = cls.__init__
+    return init is Record.__init__ or init.__code__.co_filename == terms._GENERATED
+
+
+def test_no_record_writes_its_own_init():
+    for cls in RECORD_CLASSES:
+        assert _built_by_record(cls), cls.__name__
+    # A class built once has its own __init__, which takes its fields in order.
+    init = vars(ratio.RatioNumber)["__init__"]
+    assert init is not Record.__init__ and init.__code__.co_filename == terms._GENERATED
+    assert init.__code__.co_varnames[: init.__code__.co_argcount] == ("self", "a", "b")
+
+
+def test_import_builds_no_init():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import fracterm.cli, fracterm.fractalk\n"
+        "from fracterm.terms import Record\n"
+        "def walk(cls):\n"
+        "    for sub in cls.__subclasses__():\n"
+        "        yield sub\n"
+        "        yield from walk(sub)\n"
+        "print(sorted(c.__name__ for c in walk(Record) if vars(c).get('__init__') not in (None, Record.__init__)"
+        " and vars(c)['__init__'].__code__.co_filename == '<record __init__>'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("cls", list(RECORD_CLASSES), ids=lambda cls: cls.__name__)
+def test_a_missing_or_unknown_argument_names_the_field(cls):
+    required = [name for name in cls._fields if name not in cls._defaults]
+    if required:
+        with pytest.raises(TypeError, match=repr(required[0])):
+            cls()
+    with pytest.raises(TypeError, match="'no_such_field'"):
+        cls(*(None for _ in cls._fields), no_such_field=1)
+
+
+def test_a_subclass_gets_an_init_for_its_own_fields():
+    class Triple(ratio.RatioNumber):
+        __slots__ = ("c",)
+        _defaults = {"c": 0}
+
+    assert ratio.RatioNumber(1, 2) == ratio.RatioNumber(b=2, a=1)
+    assert repr(Triple(1, 2)).endswith("Triple(a=1, b=2, c=0)") and Triple(1, 2, 3).c == 3
+    assert ratio.RatioNumber(1, 2).b == 2
+
+
+def test_only_terms_names_the_slot_setters():
+    for path in SRC.glob("*.py"):
+        if path.name == "terms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert all("slot_setters" not in alias.name for alias in node.names), path.name
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                assert "slot_setters" not in name and not name.startswith("_set_"), path.name
+
+
+def test_binary_nodes_keep_their_own_init():
+    x = parse_term("x")
+    for cls in (terms.Add, terms.Sub, terms.Mul):
+        assert cls.__init__ is terms._Binary.__init__ and "__init__" not in vars(cls)
+        node = cls(x, parse_term("1/2"))
+        assert node.has_var and node.has_div and not node.decorated
+        assert hash(node) == hash((cls, x._hash, parse_term("1/2")._hash))
+        assert node == cls(parse_term("x"), parse_term("1/2")) and node != cls(x, x)

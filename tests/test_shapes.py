@@ -10,6 +10,7 @@ import pytest
 from fracterm import shapes
 from fracterm.errors import (
     CapacityError,
+    FractermError,
     LabelMismatch,
     NegativeIntoNat,
     ShapeMismatch,
@@ -87,6 +88,18 @@ def test_encode_errors():
         encode(1, "real.cauchy")
     with pytest.raises(CapacityError):
         encode((1 << 16) + 1, "nat.zermelo")
+
+
+@pytest.mark.parametrize("shape_id", SHAPE_IDS)
+@pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["huge", "minus-huge"])
+def test_encode_of_a_huge_integer_ends_in_an_instance_or_a_fracterm_error(shape_id, value):
+    # Its error message must not print the number: Python cannot write an
+    # int of more than 4,300 digits as a string.
+    try:
+        inst = encode(value, shape_id)
+    except FractermError:
+        return
+    assert type(inst) is Instance and inst.shape_id == shape_id
 
 
 # ---------------------------------------------------------------------------
