@@ -105,14 +105,7 @@ def _cmd_eval(args) -> int:
     if isinstance(value, semantics.PeripheralValue):
         text = f"peripheral {value.name}"
     else:
-        payload = value.instance.payload
-        if isinstance(payload, tuple):
-            # Both outputs write the pair's ints in decimal (the text its
-            # lowest terms, no longer); rat.ssft's encode checked its term.
-            check_str_digits(payload[0])
-            check_str_digits(payload[1])
-        exact = shapes.decode(value.instance)
-        text = f"{exact} ({shape_id})"
+        text = f"{shapes.decode(value.instance)} ({shape_id})"
     _emit(args, data, [text])
     return 0
 

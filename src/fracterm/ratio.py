@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import OpenTerm
-from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold
+from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, value_memo
 
 
 class RatioNumber(Record):
@@ -106,6 +106,7 @@ def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:
 
     The fold runs in plain (a, b) int pairs, each step the pair the rn_*
     function of its node would give, and builds one RatioNumber at the end.
+    A term keeps its pair, one for each addition, in its ``value_memo``.
     """
     extractions = []
     while isinstance(t, (NumOf, DenomOf)):
@@ -131,7 +132,11 @@ def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:
         # x times rn_inv(y), whose denominator c * sign(d)**2 is 0 when d is.
         return (a * d, b * c if d else 0)
 
-    a, b = fold(t, ev)
+    key = "rn-verbatim" if verbatim else "rn"
+    memo = value_memo(t)
+    if key not in memo:
+        memo[key] = fold(t, ev)
+    a, b = memo[key]
     for numerator in reversed(extractions):
         a, b = (a if numerator else b), 1
     return RatioNumber(a, b)

@@ -20,6 +20,14 @@ Besides a literal, only the result meets Python's limit on int/str
 conversion: ``rat.ssft`` writes it in decimal digits and refuses one past
 the limit with CapacityError, while ``rat.pcs`` holds plain ints and has
 no limit.
+
+The pair fold stops at the first zero divisor in postorder, where partial
+raises and common-meadow's bottom arises and absorbs; only Suppes-Ono folds
+again, past it. A term keeps its value once evaluated, with ``rn_eval``'s
+pairs, in ``terms.value_memo``: a later evaluation of the term object, under
+any policy and shape, only encodes at the root. The memo keeps the value's
+integers alive as long as the term lives, keeps no exception, and is no
+part of the term's ``==``, ``hash``, ``repr`` or pickling.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedPeripheral,
 )
-from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold
+from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, value_memo
 
 POLICIES = ("partial", "suppes-ono", "common-meadow")
 PERIPHERALS = ("bot", "inf", "+inf", "-inf", "nan")
@@ -74,35 +82,21 @@ class EvalConfig(Record):
             raise UnsupportedOperation(f"evaluation needs a rat shape, got {self.shape_id!r}")
 
 
-_BOT = shapes.BOT
+class _ZeroDivisor(Exception):
+    """Stops the pair fold at the division node that args[0] names."""
 
 
-def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
-    """Evaluate a closed term to a fracvalue under cfg, by default ``EvalConfig()``."""
-    if cfg is None:
-        cfg = EvalConfig()
-    if cfg.shape_id == "rat.rns":
-        # The ratio-number algebra is total; zero-denominator pairs are the
-        # bottom class, which matches only the common-meadow reading.
-        if cfg.policy != "common-meadow":
-            raise UnsupportedOperation("rat.rns evaluates under common-meadow only")
-        pair = ratio.rn_eval(t)
-        if pair.b == 0:
-            return BOTTOM
-        return NumberValue(shapes.Instance("rat.rns", (pair.a, pair.b)))
-
-    policy = cfg.policy
+def _pair_algebra(totalise: bool):
+    """The pair fold: (a, b) in lowest terms, b != 0, the sign left to the
+    Fraction built at the root. A zero divisor gives (0, 1) if totalise, else
+    it stops the fold there."""
 
     def ev(node: Term, x=None, y=None):
-        # A value is _BOT or a pair (a, b) in lowest terms, b != 0; the sign
-        # is left to the Fraction built at the root.
         cls = type(node)
         if cls is Lit:
             return (node.value, 1)
         if cls is Var:
             raise OpenTerm(f"cannot evaluate variable {node.name!r}")
-        if x is _BOT or y is _BOT:
-            return _BOT
         a, b = x
         if cls is Neg:
             return (-a, b)
@@ -115,20 +109,52 @@ def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
             n, m = a * c, b * d
         elif c:
             n, m = a * d, b * c
-        # A division by zero: the policy decides what it gives.
-        elif policy == "partial":
-            raise DivisionByZero(f"zero divisor in {node}")
-        elif policy == "suppes-ono":
+        elif totalise:
             return (0, 1)
         else:
-            return _BOT
+            raise _ZeroDivisor(node)
         g = gcd(n, m)
         return (n // g, m // g)
 
-    result = fold(t, ev)
-    if result is _BOT:
-        return BOTTOM
-    return NumberValue(shapes.get_shape(cfg.shape_id).encode(Fraction(*result)))
+    return ev
+
+
+_STOP, _TOTALISE = _pair_algebra(False), _pair_algebra(True)
+
+
+def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
+    """Evaluate a closed term to a fracvalue under cfg, by default ``EvalConfig()``."""
+    if cfg is None:
+        cfg = EvalConfig()
+    policy = cfg.policy
+    if cfg.shape_id == "rat.rns":
+        # The ratio-number algebra is total; zero-denominator pairs are the
+        # bottom class, which matches only the common-meadow reading.
+        if policy != "common-meadow":
+            raise UnsupportedOperation("rat.rns evaluates under common-meadow only")
+        pair = ratio.rn_eval(t)
+        if pair.b == 0:
+            return BOTTOM
+        return NumberValue(shapes.Instance("rat.rns", (pair.a, pair.b)))
+
+    memo = value_memo(t)
+    if "stop" not in memo:
+        try:
+            memo["stop"] = (fold(t, _STOP), None)
+        except _ZeroDivisor as exc:
+            memo["stop"] = (None, exc.args[0])
+    pair, zero_divisor = memo["stop"]
+    if zero_divisor is not None:
+        if policy == "partial":
+            raise DivisionByZero(f"zero divisor in {zero_divisor}")
+        # On an open term, the Suppes-Ono fold raises OpenTerm at the first
+        # variable, as common-meadow must too.
+        if policy == "common-meadow" and not t.has_var:
+            return BOTTOM
+        if "suppes-ono" not in memo:
+            memo["suppes-ono"] = fold(t, _TOTALISE)
+        pair = memo["suppes-ono"]
+    return NumberValue(shapes.get_shape(cfg.shape_id).encode(Fraction(*pair)))
 
 
 def value_eq(v: Fracvalue, w: Fracvalue) -> bool:
@@ -154,5 +180,4 @@ def value_denom(v: Fracvalue) -> Fracvalue:
 def value_to_json(v: Fracvalue):
     if isinstance(v, PeripheralValue):
         return {"kind": "peripheral", "value": v.name}
-    data = shapes.instance_to_json(v.instance)
-    return {"kind": "number", "shape": data["shape"], "value": data["value"]}
+    return {"kind": "number", **shapes.instance_to_json(v.instance)}

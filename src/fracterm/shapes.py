@@ -142,6 +142,8 @@ class Shape:
             yield self.encode(k)
 
     def payload_to_json(self, payload):
+        if type(payload) is int:  # nat.dedekind's
+            check_str_digits(payload)
         return payload
 
     def payload_from_json(self, data):
@@ -211,6 +213,8 @@ class _PairShape(Shape):
             raise UnsupportedShape(f"{self.bad_pair} {payload!r}")
 
     def payload_to_json(self, payload):
+        for x in payload:
+            check_str_digits(x)
         return list(payload)
 
     def payload_from_json(self, data):
@@ -658,8 +662,11 @@ def describe(shape_id: str) -> ShapeDescriptor:
     return ShapeDescriptor(label=s.label, shape_id=s.shape_id, normal=s.normal)
 
 
-def _pair_shape(i: Instance, j: Instance) -> Shape:
-    if i.shape_id != j.shape_id:
+def _shape_of(i: Instance, j: Optional[Instance] = None) -> Shape:
+    """The shape of i, which j, if given, must share; BOT is refused."""
+    if i is BOT or j is BOT:
+        raise UnsupportedOperation("bot is no instance: a shape without a bottom class gives it for bottom")
+    if j is not None and i.shape_id != j.shape_id:
         raise ShapeMismatch(f"{i.shape_id} vs {j.shape_id}")
     return get_shape(i.shape_id)
 
@@ -669,7 +676,7 @@ def encode(k: int, shape_id: str) -> Instance:
 
 
 def decode(inst: Instance) -> Optional[Number]:
-    return get_shape(inst.shape_id).decode(inst)
+    return _shape_of(inst).decode(inst)
 
 
 def make_instance(shape_id: str, payload) -> Instance:
@@ -677,31 +684,31 @@ def make_instance(shape_id: str, payload) -> Instance:
 
 
 def instance_eq(i: Instance, j: Instance) -> bool:
-    return _pair_shape(i, j).instance_eq(i, j)
+    return _shape_of(i, j).instance_eq(i, j)
 
 
 def label_eq(i: Instance, j: Instance) -> bool:
-    return _pair_shape(i, j).label_eq(i, j)
+    return _shape_of(i, j).label_eq(i, j)
 
 
 def shape_add(i: Instance, j: Instance) -> Instance:
-    return _pair_shape(i, j).add(i, j)
+    return _shape_of(i, j).add(i, j)
 
 
 def shape_mul(i: Instance, j: Instance) -> Instance:
-    return _pair_shape(i, j).mul(i, j)
+    return _shape_of(i, j).mul(i, j)
 
 
 def shape_neg(i: Instance) -> Instance:
-    return get_shape(i.shape_id).neg(i)
+    return _shape_of(i).neg(i)
 
 
 def shape_div(i: Instance, j: Instance):
-    return _pair_shape(i, j).div(i, j)
+    return _shape_of(i, j).div(i, j)
 
 
 def convert(inst: Instance, target_id: str) -> Instance:
-    src = get_shape(inst.shape_id)
+    src = _shape_of(inst)
     dst = get_shape(target_id)
     if src.label != dst.label:
         raise LabelMismatch(f"{src.label} instance cannot become {dst.label}")
@@ -709,7 +716,8 @@ def convert(inst: Instance, target_id: str) -> Instance:
 
 
 def instance_to_json(inst: Instance):
-    return {"shape": inst.shape_id, "value": get_shape(inst.shape_id).payload_to_json(inst.payload)}
+    shape = _shape_of(inst)
+    return {"shape": shape.shape_id, "value": shape.payload_to_json(inst.payload)}
 
 
 def instance_from_json(data) -> Instance:

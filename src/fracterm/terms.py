@@ -151,7 +151,7 @@ class Term(Record):
     ``format_term``; no method recurses.
     """
 
-    __slots__ = ("_facts", "_hash")
+    __slots__ = ("_facts", "_hash", "_memo")
     has_div = property(lambda self: self._facts & _DIV != 0)
     has_var = property(lambda self: self._facts & _VAR != 0)
     decorated = property(lambda self: self._facts & _DECORATED != 0)
@@ -301,7 +301,15 @@ class Div(_Binary):
 (_set_operand,) = _slot_setters(Neg)
 _set_left, _set_right = _slot_setters(_Binary)
 (_set_decoration,) = _slot_setters(Div)
-_set_facts, _set_hash = _slot_setters(Term)
+_set_facts, _set_hash, _set_memo = _slot_setters(Term)
+
+
+def value_memo(t: Term) -> dict:
+    """The dict in which evaluation keeps its results for t, made on first use.
+    It is no field: ``==``, ``hash``, ``repr`` and pickling ignore it."""
+    if not hasattr(t, "_memo"):
+        _set_memo(t, {})
+    return t._memo
 
 
 # --------------------------------------------------------------------------

@@ -2,19 +2,30 @@
 
 import random
 
-from fracterm.terms import Add, Div, Lit, Mul, Neg, Sub, Term
+from fracterm.terms import Add, Div, Lit, Mul, Neg, Sub, Term, Var
+
+
+def random_term(rng: random.Random, depth: int, lo: int = -9, hi: int = 9, var_share: float = 0.0) -> Term:
+    """A random term of the given maximum depth with literals in [lo, hi].
+
+    Each leaf is the variable x or y with probability var_share; at 0 the
+    term is closed, and the draws are those of random_closed_term.
+    """
+    if depth <= 0 or rng.random() < 0.25:
+        if var_share and rng.random() < var_share:
+            return Var(rng.choice("xy"))
+        return Lit(str(rng.randint(lo, hi)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Neg(random_term(rng, depth - 1, lo, hi, var_share))
+    left = random_term(rng, depth - 1, lo, hi, var_share)
+    right = random_term(rng, depth - 1, lo, hi, var_share)
+    return (Add, Sub, Mul, Div)[kind - 1](left, right)
 
 
 def random_closed_term(rng: random.Random, depth: int, lo: int = -9, hi: int = 9) -> Term:
     """A random closed term of the given maximum depth with literals in [lo, hi]."""
-    if depth <= 0 or rng.random() < 0.25:
-        return Lit(str(rng.randint(lo, hi)))
-    kind = rng.randrange(5)
-    if kind == 0:
-        return Neg(random_closed_term(rng, depth - 1, lo, hi))
-    left = random_closed_term(rng, depth - 1, lo, hi)
-    right = random_closed_term(rng, depth - 1, lo, hi)
-    return (Add, Sub, Mul, Div)[kind - 1](left, right)
+    return random_term(rng, depth, lo, hi)
 
 
 def random_simple_fracterm(rng: random.Random, lo: int = -9, hi: int = 9,

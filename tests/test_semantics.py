@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fracterm import ratio, semantics, terms
 from fracterm.errors import (
     CapacityError,
     DivisionByZero,
+    FractermError,
     OpenTerm,
     ShapeMismatch,
     UnsupportedOperation,
@@ -28,7 +32,7 @@ from fracterm.semantics import (
 from fracterm.shapes import convert, decode
 from fracterm.terms import Div, Lit, format_term, parse_term
 
-from gen import random_closed_term, random_context, substitute_hole
+from gen import random_closed_term, random_context, random_term, substitute_hole
 from oracle import eval_exact, eval_exact_bot, eval_exact_zero
 
 CM = EvalConfig("common-meadow", "rat.pcs")
@@ -252,3 +256,95 @@ def test_value_json():
     assert value_to_json(BOTTOM) == {"kind": "peripheral", "value": "bot"}
     got = value_to_json(eval_term(parse_term("1/2"), CM))
     assert got == {"kind": "number", "shape": "rat.pcs", "value": [1, 2]}
+
+
+# ---------------------------------------------------------------------------
+# The value memo: one term object, every policy and shape
+
+
+CONFIGS = [EvalConfig(p, s) for p, s in ORACLE_PAIRS]
+# The readings of a term: the seven configs, then rn_eval without and with
+# verbatim addition.
+READINGS = [(eval_term, cfg) for cfg in CONFIGS] + [(ratio.rn_eval, False), (ratio.rn_eval, True)]
+
+
+def _outcome(t, reading):
+    fn, arg = reading
+    try:
+        return fn(t, arg)
+    except FractermError as exc:
+        return type(exc), str(exc)
+
+
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 7), var_share=st.sampled_from([0.0, 0.15]))
+def test_a_term_reads_as_a_fresh_copy_in_any_order(rng, depth, var_share):
+    t = random_term(rng, depth, var_share=var_share)
+    text = format_term(t)
+    order = list(range(len(READINGS)))
+    rng.shuffle(order)
+    for _ in range(2):
+        for i in order:
+            assert _outcome(t, READINGS[i]) == _outcome(parse_term(text), READINGS[i])
+
+
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 7))
+def test_a_closed_term_is_folded_at_most_three_times(rng, depth):
+    folds = []
+
+    def counting_fold(t, alg):
+        folds.append(alg)
+        return terms.fold(t, alg)
+
+    t = random_closed_term(rng, depth)
+    try:
+        eval_exact(t)
+        zero_divisor = False
+    except ZeroDivisionError:
+        zero_divisor = True
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(semantics, "fold", counting_fold)
+        m.setattr(ratio, "fold", counting_fold)
+        for _ in range(2):
+            for cfg in CONFIGS:
+                _outcome(t, (eval_term, cfg))
+            ratio.rn_eval(t)
+    assert len(folds) == (3 if zero_divisor else 2)
+
+
+@pytest.mark.parametrize("text", ["1/0+x", "x+1/0", "x/0", "(1/0)/x", "1/(1-1)*x"])
+def test_open_terms_raise_at_their_first_variable_or_zero_divisor(text):
+    t = parse_term(text)
+    for _ in range(2):
+        for policy in POLICIES:
+            with pytest.raises((OpenTerm, DivisionByZero)) as caught:
+                eval_term(t, EvalConfig(policy))
+            if policy == "partial" and text.index("x") > text.index("/"):
+                assert caught.type is DivisionByZero and str(caught.value).startswith("zero divisor in ")
+            else:
+                assert caught.type is OpenTerm and str(caught.value) == "cannot evaluate variable 'x'"
+        with pytest.raises(OpenTerm):
+            ratio.rn_eval(t)
+    assert all(type(v) is tuple for v in t._memo.values())
+
+
+def test_the_memo_is_no_part_of_the_term():
+    t = parse_term("1/(1-1) + 2/3")
+    with pytest.raises(AttributeError):
+        t._memo  # unset until first evaluated
+    fresh = parse_term("1/(1-1) + 2/3")
+    for reading in READINGS:
+        _outcome(t, reading)
+    assert set(t._memo) == {"stop", "suppes-ono", "rn", "rn-verbatim"}
+    assert t._memo["stop"] == (None, t.left)
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    for copied in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert copied == t and not hasattr(copied, "_memo")
+
+
+def test_a_kept_value_is_encoded_on_every_call():
+    limit = sys.get_int_max_str_digits()
+    past = parse_term(f"1/({'9' * limit}+1)")
+    for _ in range(2):
+        with pytest.raises(CapacityError):
+            eval_term(past, EvalConfig("common-meadow", "rat.ssft"))
+        assert _as_fraction(eval_term(past, CM)) * 10**limit == 1

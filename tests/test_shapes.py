@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 import tracemalloc
 import weakref
@@ -232,6 +233,18 @@ def test_pcs_division_by_zero_class():
 def test_ssft_division_by_zero_has_no_instance():
     ssft = get_shape("rat.ssft")
     assert shape_div(ssft.encode(1), ssft.encode(0)) is BOT
+
+
+def test_bot_is_refused_by_every_function_that_takes_an_instance():
+    one = encode(1, "rat.ssft")
+    bot = shape_div(one, encode(0, "rat.ssft"))
+    calls = [lambda: decode(bot), lambda: shape_neg(bot), lambda: convert(bot, "rat.pcs"),
+             lambda: instance_to_json(bot)]
+    for op in (instance_eq, label_eq, shape_add, shape_mul, shape_div):
+        calls += [lambda op=op: op(bot, one), lambda op=op: op(one, bot), lambda op=op: op(bot, bot)]
+    for call in calls:
+        with pytest.raises(UnsupportedOperation, match="bot is no instance"):
+            call()
 
 
 def test_decode_homomorphism():
@@ -527,6 +540,17 @@ def test_instance_json_round_trip():
             inst = encode(k, shape_id)
             data = instance_to_json(inst)
             assert instance_from_json(data) == inst
+
+
+@pytest.mark.parametrize("shape_id,sign", [("nat.dedekind", 1)] + [
+    (shape_id, sign) for shape_id in ("int.diffpair", "rat.pcs", "rat.rns") for sign in (1, -1)
+])
+def test_instance_json_past_the_digit_limit(shape_id, sign):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(CapacityError):
+        instance_to_json(encode(sign * 10**5000, shape_id))
+    data = instance_to_json(encode(sign * (10**limit - 1), shape_id))
+    assert instance_from_json(json.loads(json.dumps(data))) == encode(sign * (10**limit - 1), shape_id)
 
 
 def test_vn_json_is_nested_arrays():
