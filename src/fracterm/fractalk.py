@@ -117,36 +117,33 @@ class Script(Record):
 _ASSERTION_RE = re.compile(r"^([0-9]+)\s*:\s*(.*\S)\s*$")
 
 
-def _occurrence(index: int, position: int, text: str, line: int) -> Occurrence:
+def _occurrence(index: int, position: int, text: str, line: int, parsed: dict) -> Occurrence:
     text = text.strip()
-    marked = False
-    if text.startswith("the fraction "):
-        marked = True
+    marked = text.startswith("the fraction ")
+    if marked:
         text = text[len("the fraction ") :].strip()
-    try:
-        term = parse_term(text)
-    except FractermError as exc:
-        raise ScriptError(f"bad term {text!r}: {exc}", line=line) from None
-    annotation = None
-    if isinstance(term, Div) and term.decoration is not None:
-        annotation = _LEVEL_TAGS[term.decoration]
-    return Occurrence(
-        assertion=index,
-        position=position,
-        term=erase_decorations(term),
-        annotation=annotation,
-        fraction_marked=marked,
-    )
+    if text not in parsed:
+        try:
+            term = parse_term(text)
+        except FractermError as exc:
+            raise ScriptError(f"bad term {text!r}: {exc}", line=line) from None
+        annotation = _LEVEL_TAGS[term.decoration] if isinstance(term, Div) and term.decoration else None
+        parsed[text] = (erase_decorations(term), annotation)
+    term, annotation = parsed[text]
+    return Occurrence(index, position, term, annotation, marked)
 
 
-def _match_claim(body: str, index: int, line: int) -> Claim:
+def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None) -> Claim:
     """The claim of the first row of CLAIM_KINDS whose pattern matches.
 
     Named groups: ``occ`` and ``occ2`` are occurrences, ``neg`` negates the
     claim and ``tag`` overrides the row's role; the row's ``arg`` reads the
     rest. The argument is read first, so a bad witness term is reported
-    before a bad occurrence.
+    before a bad occurrence. parsed maps each occurrence text met so far to
+    its term and annotation, so that equal texts share one term object, and
+    with it the value that evaluation keeps on the term.
     """
+    parsed = {} if parsed is None else parsed
     dispatch, rows = _claim_dispatch()
     found = dispatch.match(body)
     if found is None:
@@ -158,7 +155,7 @@ def _match_claim(body: str, index: int, line: int) -> Claim:
     occurrences = []
     for text in (groups.get("occ"), groups.get("occ2")):
         if text:
-            occurrences.append(_occurrence(index, len(occurrences) + 1, text, line))
+            occurrences.append(_occurrence(index, len(occurrences) + 1, text, line, parsed))
     tag = groups.get("tag")
     return Claim(kind, tuple(occurrences), _LEVEL_TAGS[tag] if tag else row.role, not groups.get("neg"), arg)
 
@@ -168,6 +165,7 @@ def parse_script(text: str) -> Script:
     shape_id = None
     disjoint = None
     seen: set[int] = set()
+    parsed: dict[str, tuple] = {}  # one term per occurrence text, for this script only
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -191,7 +189,7 @@ def parse_script(text: str) -> Script:
         if index in seen:
             raise ScriptError(f"duplicate assertion index {index}", line=lineno)
         seen.add(index)
-        claim = _match_claim(m.group(2), index, lineno)
+        claim = _match_claim(m.group(2), index, lineno, parsed)
         assertions.append(Assertion(index, claim, m.group(2)))
     if not assertions:
         raise ScriptError("script holds no assertions")

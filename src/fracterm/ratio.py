@@ -97,21 +97,8 @@ class DenomOf(Record):
 ExtTerm = Union[Term, NumOf, DenomOf]
 
 
-def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:
-    """Interpret a closed term in the ratio-number algebra.
-
-    Subtraction desugars to addition of a negation; the algebra itself has
-    no subtraction rule. NumOf and DenomOf apply to the whole term inside
-    them.
-
-    The fold runs in plain (a, b) int pairs, each step the pair the rn_*
-    function of its node would give, and builds one RatioNumber at the end.
-    A term keeps its pair, one for each addition, in its ``value_memo``.
-    """
-    extractions = []
-    while isinstance(t, (NumOf, DenomOf)):
-        extractions.append(isinstance(t, NumOf))
-        t = t.arg
+def _rn_algebra(verbatim: bool):
+    """The fold in plain (a, b) int pairs, each the pair of its node's rn_* function."""
 
     def ev(node: Term, x=None, y=None) -> tuple[int, int]:
         cls = type(node)
@@ -132,10 +119,30 @@ def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:
         # x times rn_inv(y), whose denominator c * sign(d)**2 is 0 when d is.
         return (a * d, b * c if d else 0)
 
-    key = "rn-verbatim" if verbatim else "rn"
+    return ev
+
+
+_PLAIN, _VERBATIM = ("rn", _rn_algebra(False)), ("rn-verbatim", _rn_algebra(True))  # (value_memo key, alg)
+
+
+def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:
+    """Interpret a closed term in the ratio-number algebra.
+
+    Subtraction desugars to addition of a negation; the algebra itself has
+    no subtraction rule. NumOf and DenomOf apply to the whole term inside
+    them.
+
+    One RatioNumber is built at the end. A term keeps its pair, one for each
+    addition, in its ``value_memo``.
+    """
+    extractions = []
+    while isinstance(t, (NumOf, DenomOf)):
+        extractions.append(isinstance(t, NumOf))
+        t = t.arg
+    key, alg = _VERBATIM if verbatim else _PLAIN
     memo = value_memo(t)
     if key not in memo:
-        memo[key] = fold(t, ev)
+        memo[key] = fold(t, alg)
     a, b = memo[key]
     for numerator in reversed(extractions):
         a, b = (a if numerator else b), 1

@@ -24,9 +24,10 @@ with its own stack, which never enters a finished or division-free subtree;
 a step rebuilds only the path from the match to the root. So a phase takes
 time linear in the size of its input and of the nodes the rules build, plus
 the depth of each match; nothing in this module recurses. Flat forms share
-their denominator products, and exact integer evaluation (``simplify``,
-``numeral-eval``, the zero tests of ``div-collapse``) computes each distinct
-node once: its time is linear in the distinct nodes, not the tree size.
+their denominator products. Exact integer evaluation (``simplify``,
+``numeral-eval``, the zero tests of ``div-collapse``) is an algebra over
+``terms.fold``, which computes each distinct composite node once: its time
+is linear in the distinct nodes, not the tree size.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .terms import (
     contains_div,
     contains_var,
     erase_decorations,
+    fold,
     format_term,
     numeral,
 )
@@ -103,37 +105,23 @@ class RewriteTrace(Record):
 _INT_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _int_value(t: Term, memo: dict[int, int] | None = None) -> int:
-    """Exact value of a division-free closed term, each shared node computed once.
+def _int_alg(node: Term, *kids: int) -> int:
+    """The fold algebra of exact values of division-free closed terms."""
+    cls = type(node)
+    if cls is Lit:
+        return node.value
+    if cls in _INT_OPS:
+        return _INT_OPS[cls](*kids)
+    raise ValueError(f"not division-free: {format_term(node)}")
 
-    memo maps the id of every node met to its value. The term keeps its nodes,
-    and so their ids, alive during the call; a memo passed to several calls
-    needs all their terms alive.
-    """
-    memo = {} if memo is None else memo
-    todo = [t]
-    while todo:
-        node = todo[-1]
-        cls = type(node)
-        if id(node) in memo:
-            todo.pop()
-        elif cls is Lit:
-            memo[id(todo.pop())] = node.value
-        elif cls is Neg:
-            a = memo.get(id(node.operand))
-            if a is None:
-                todo.append(node.operand)
-            else:
-                memo[id(todo.pop())] = _INT_OPS[Neg](a)
-        elif cls in _INT_OPS:
-            a, b = memo.get(id(node.left)), memo.get(id(node.right))
-            if a is None or b is None:
-                todo += [kid for kid, v in ((node.right, b), (node.left, a)) if v is None]
-            else:
-                memo[id(todo.pop())] = _INT_OPS[cls](a, b)
-        else:
-            raise ValueError(f"not division-free: {format_term(node)}")
-    return memo[id(t)]
+
+def _int_value(t: Term) -> int:
+    return fold(t, _int_alg)
+
+
+def _ratio_alg(node: Term, *kids: int):
+    # The only division of a flat fracterm is its root: its value is the pair.
+    return kids if type(node) is Div else _int_alg(node, *kids)
 
 
 def _flatdiv(t: Term) -> bool:
@@ -277,14 +265,13 @@ def simplify(t: Term) -> Term:
     The sign moves to the numerator and the components are reduced by their
     gcd; integer-valued inputs come out as n/1. Zero-denominator inputs have
     no simplified form; they reduce to the +-1/0 (or 0/0) representative of
-    their class. Numerator and denominator are evaluated with one memo, so
-    the cost is linear in the distinct nodes of t, not in its size as a tree.
+    their class. One fold evaluates numerator and denominator, so the nodes
+    they share are computed once.
     """
     flags = classify(t)
     if not (flags.is_fracterm and flags.flat and flags.closed):
         raise NotSimple(f"cannot simplify {t}")
-    memo: dict[int, int] = {}
-    n, d = _int_value(t.left, memo), _int_value(t.right, memo)
+    n, d = fold(t, _ratio_alg)
     g = math.gcd(abs(n), abs(d))
     if g:
         n //= g

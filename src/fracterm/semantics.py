@@ -11,15 +11,17 @@ a peripheral. Only bottom is ever produced; the other peripherals (inf,
 
 Evaluation folds the term in exact integer pairs (a, b) in lowest terms,
 b nonzero, and encodes the result into the configured shape once, at the
-root. The value is the number, which the shape only presents: ``rat.pcs``
-and ``rat.ssft`` are normal, ``decode`` of ``encode`` is the identity, so
-encoding at every node and decoding again would give the same pairs.
-``rat.rns`` is the exception: its results are raw, uncancelled pairs, so it
-evaluates in ratio numbers (``ratio.rn_eval``), under common-meadow only.
-Besides a literal, only the result meets Python's limit on int/str
-conversion: ``rat.ssft`` writes it in decimal digits and refuses one past
-the limit with CapacityError, while ``rat.pcs`` holds plain ints and has
-no limit.
+root. ``terms.fold`` computes each distinct composite node once, so a
+term that shares subterms, as a flat form does, evaluates in time linear in
+its distinct nodes. The value is the number, which the shape only presents:
+``rat.pcs`` and ``rat.ssft`` are normal, ``decode`` of ``encode`` is the
+identity, so encoding at every node and decoding again would give the same
+pairs. ``rat.rns`` is the exception: its results are raw, uncancelled
+pairs, so it evaluates in ratio numbers (``ratio.rn_eval``), under
+common-meadow only. Besides a literal, only the result meets Python's limit
+on int/str conversion: ``rat.ssft`` writes it in decimal digits and refuses
+one past the limit with CapacityError, while ``rat.pcs`` holds plain ints
+and has no limit.
 
 The pair fold stops at the first zero divisor in postorder, where partial
 raises and common-meadow's bottom arises and absorbs; only Suppes-Ono folds

@@ -7,7 +7,8 @@ see ``desugar_literals``). Division nodes may carry a level decoration,
 
 The parser, the printer, ``fold`` and a term's ``==`` keep their own
 stacks instead of recursing, so memory, not the recursion limit, bounds the
-depth of a term.
+depth of a term. ``fold`` computes each distinct composite node once, so
+evaluation, erasing decorations and desugaring are linear in distinct nodes.
 
 Terms are immutable, so ``erase_decorations`` returns its argument itself
 when no division in it is decorated, and so do ``num`` and ``denom`` for an
@@ -581,38 +582,42 @@ def _fmt(t: Term, fmt: str, shared: Optional[tuple[set[int], set[int], dict[int,
 # Traversal
 
 R = TypeVar("R")
+_DONE = object()  # on fold's stack, above a node whose children are folded
 
 
 def fold(t: Term, alg: Callable[..., R]) -> R:
-    """Fold t bottom-up: alg(node, *child_results) for every node.
+    """Fold t bottom-up: alg(node, *child_results) for each distinct node.
 
-    Nodes are visited in postorder, left subtree first, as a recursive
-    evaluation visits them; so when alg raises, it raises at the same node.
+    A composite node met again (by ``id``) reuses its first result, kept until
+    the fold returns; a leaf is folded where met, once per distinct parent, as
+    that costs less than keeping its result. Calls come in postorder, left
+    subtree first, minus the repeats: if alg depends only on the node and its
+    children's results, it raises at the node where a tree walk would.
     """
-    # Pushing left before right lists the nodes in mirror preorder, which
-    # read backwards is the postorder.
-    order = []
+    done: dict[int, R] = {}  # the result of each composite node folded
+    results: list[R] = []
     todo = [t]
     while todo:
         node = todo.pop()
-        order.append(node)
-        cls = type(node)
-        if cls is Neg:
-            todo.append(node.operand)
-        elif isinstance(node, _Binary):
-            todo += (node.left, node.right)
-        elif cls is not Lit and cls is not Var:
-            raise TypeError(f"not a term: {node!r}")
-    results = []
-    for node in reversed(order):
+        if node is _DONE:
+            node = todo.pop()
+            if type(node) is Neg:
+                results[-1] = done[id(node)] = alg(node, results[-1])
+            else:
+                right = results.pop()
+                results[-1] = done[id(node)] = alg(node, results[-1], right)
+            continue
         cls = type(node)
         if cls is Lit or cls is Var:
             results.append(alg(node))
+        elif id(node) in done:
+            results.append(done[id(node)])
         elif cls is Neg:
-            results.append(alg(node, results.pop()))
+            todo += (node, _DONE, node.operand)
+        elif isinstance(node, _Binary):
+            todo += (node, _DONE, node.right, node.left)
         else:
-            right = results.pop()
-            results[-1] = alg(node, results[-1], right)
+            raise TypeError(f"not a term: {node!r}")
     return results[0]
 
 

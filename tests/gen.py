@@ -23,6 +23,25 @@ def random_term(rng: random.Random, depth: int, lo: int = -9, hi: int = 9, var_s
     return (Add, Sub, Mul, Div)[kind - 1](left, right)
 
 
+def random_dag(rng: random.Random, steps: int, var_share: float = 0.0) -> Term:
+    """A random term that shares subterms.
+
+    Two random terms of depth 2 start a pool; each step adds to it a node
+    over one or two earlier members, mostly recent ones, and the last is the
+    result. So its distinct nodes grow linearly in steps, its tree up to
+    exponentially.
+    """
+    pool = [random_term(rng, 2, var_share=var_share) for _ in range(2)]
+
+    def earlier():
+        return pool[rng.randrange(max(0, len(pool) - 3), len(pool))] if rng.random() < 0.8 else rng.choice(pool)
+
+    for _ in range(steps):
+        kind = rng.randrange(5)
+        pool.append(Neg(earlier()) if kind == 0 else (Add, Sub, Mul, Div)[kind - 1](earlier(), earlier()))
+    return pool[-1]
+
+
 def random_closed_term(rng: random.Random, depth: int, lo: int = -9, hi: int = 9) -> Term:
     """A random closed term of the given maximum depth with literals in [lo, hi]."""
     return random_term(rng, depth, lo, hi)
@@ -57,6 +76,14 @@ def random_flat_fracterm(rng: random.Random, nonzero_den: bool = True) -> Div:
     while nonzero_den and eval_exact(den) == 0:
         den = component(2)
     return Div(num, den)
+
+
+def unit_sum(n: int) -> Term:
+    """1/2 + 1/3 + ... + 1/(n+1), left-leaning: its flat form shares its denominator products."""
+    t: Term = Div(Lit("1"), Lit("2"))
+    for k in range(3, n + 2):
+        t = Add(t, Div(Lit("1"), Lit(str(k))))
+    return t
 
 
 def substitute_hole(t: Term, filler: Term) -> Term:

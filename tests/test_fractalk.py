@@ -123,6 +123,19 @@ def test_assertion_by_index():
         script.assertion(2)
 
 
+def test_equal_occurrence_texts_share_one_term_within_a_script():
+    text = "1: the fraction 2/ft4 is rational\n2: 2/ft4 == 1/2\n3: 2/4 is rational\n4: 2/fv4 is rational"
+    occs = [o for a in parse_script(text).assertions for o in a.claim.occurrences]
+    first, second, plain, other = occs[0], occs[1], occs[3], occs[4]
+    assert first.term is second.term and first.annotation is second.annotation is Level.FRACTERM
+    assert first.fraction_marked and not second.fraction_marked
+    # Texts that differ give terms of their own, equal once erased.
+    assert plain.term is not first.term and plain.term == first.term == other.term
+    assert other.annotation is Level.FRACVALUE
+    # Nothing is kept from one script to the next.
+    assert parse_script(text).assertions[0].claim.occ.term is not first.term
+
+
 # ---------------------------------------------------------------------------
 # Claim kinds: one row per kind, in table order. Each example's last
 # assertion parses to the kind and checks, under the default shape or the

@@ -36,7 +36,7 @@ from fracterm.terms import (
     parse_term,
 )
 
-from gen import random_closed_term, random_flat_fracterm, random_simple_fracterm
+from gen import random_closed_term, random_flat_fracterm, random_simple_fracterm, unit_sum
 from oracle import eval_exact, eval_exact_bot
 
 CM = EvalConfig("common-meadow", "rat.pcs")
@@ -154,13 +154,6 @@ def reference_flatten(t):
                 steps.append(RewriteStep(found[0], current, found[1]))
                 current = found[1]
     return current, RewriteTrace(tuple(steps))
-
-
-def unit_sum(n):
-    t = Div(Lit("1"), Lit("2"))
-    for k in range(3, n + 2):
-        t = Add(t, Div(Lit("1"), Lit(str(k))))
-    return t
 
 
 def decorate(t, rng):

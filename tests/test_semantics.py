@@ -2,12 +2,13 @@ import copy
 import pickle
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracterm import ratio, semantics, terms
+from fracterm import ratio, rewrite, semantics, terms
 from fracterm.errors import (
     CapacityError,
     DivisionByZero,
@@ -30,9 +31,9 @@ from fracterm.semantics import (
     value_to_json,
 )
 from fracterm.shapes import convert, decode
-from fracterm.terms import Div, Lit, format_term, parse_term
+from fracterm.terms import Add, Div, Lit, Neg, format_term, parse_term
 
-from gen import random_closed_term, random_context, random_term, substitute_hole
+from gen import random_closed_term, random_context, random_dag, random_term, substitute_hole, unit_sum
 from oracle import eval_exact, eval_exact_bot, eval_exact_zero
 
 CM = EvalConfig("common-meadow", "rat.pcs")
@@ -348,3 +349,84 @@ def test_a_kept_value_is_encoded_on_every_call():
         with pytest.raises(CapacityError):
             eval_term(past, EvalConfig("common-meadow", "rat.ssft"))
         assert _as_fraction(eval_term(past, CM)) * 10**limit == 1
+
+
+# ---------------------------------------------------------------------------
+# Terms that share subterms: each distinct node is evaluated once
+
+
+@given(rng=st.randoms(use_true_random=False), steps=st.integers(0, 8), var_share=st.sampled_from([0.0, 0.15]))
+def test_a_term_that_shares_subterms_reads_as_its_tree(rng, steps, var_share):
+    t = random_dag(rng, steps, var_share=var_share)
+    tree = parse_term(format_term(t))
+    for reading in READINGS:
+        assert _outcome(t, reading) == _outcome(tree, reading)
+    if t.has_var:
+        return
+    for (policy, _), cfg in zip(ORACLE_PAIRS, CONFIGS):
+        try:
+            v = eval_term(t, cfg)
+        except DivisionByZero:
+            got = DivisionByZero
+        else:
+            got = None if v == BOTTOM else _as_fraction(v)
+        assert got == _oracle(t, policy)
+    bottom = eval_exact_bot(t)
+    pair = ratio.rn_eval(t)
+    assert pair.as_fraction() == bottom and (pair.b == 0) == (bottom is None)
+    # flatten keeps the common-meadow value, and simplify reads it off the
+    # flat form, whose zero tests and numerals fold the shared nodes.
+    simple = rewrite.simplify(rewrite.flatten(Div(t, Lit("1")))[0])
+    assert simple == rewrite.simplify(rewrite.flatten(Div(tree, Lit("1")))[0])
+    n, d = simple.left.value, simple.right.value
+    assert (d == 0) == (bottom is None) and (d == 0 or Fraction(n, d) == bottom)
+
+
+def _doubling_chain(levels):
+    t = Lit("1")
+    for _ in range(levels):
+        t = Add(t, t)
+    return t
+
+
+def test_a_doubling_chain_evaluates_at_once():
+    # As a tree it has 2**61 - 1 nodes; it has 61 distinct ones.
+    t = _doubling_chain(60)
+    for cfg in CONFIGS:
+        assert _as_fraction(eval_term(t, cfg)) == 2**60
+    assert ratio.rn_eval(t) == ratio.RatioNumber(2**60, 1)
+    # Verbatim addition squares: a + a reads as a * a + 1.
+    assert ratio.rn_eval(_doubling_chain(5), verbatim=True) == ratio.RatioNumber(458330, 1)
+    assert rewrite.simplify(Div(t, _doubling_chain(59))) == parse_term("2/1")
+
+
+def _distinct_and_tree_size(t):
+    """How many distinct nodes t has, by id, and how many as a tree."""
+    size = {}
+    todo = [t]
+    while todo:
+        node = todo[-1]
+        kids = (node.operand,) if type(node) is Neg else (node.left, node.right) if hasattr(node, "left") else ()
+        missing = [kid for kid in kids if id(kid) not in size]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        size[id(node)] = 1 + sum(size[id(kid)] for kid in kids)
+    return len(size), size[id(t)]
+
+
+def test_the_flat_form_of_a_long_sum_folds_once_per_distinct_node():
+    flat, _ = rewrite.flatten(unit_sum(400))
+    distinct, tree_size = _distinct_and_tree_size(flat)
+    assert tree_size == 161_997
+    calls = []
+
+    def counting_fold(t, alg):
+        return terms.fold(t, lambda node, *kids: calls.append(node) or alg(node, *kids))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(semantics, "fold", counting_fold)
+        value = eval_term(flat, CM)
+    assert _as_fraction(value) == sum(Fraction(1, k) for k in range(2, 402))
+    assert len(calls) <= 2 * distinct

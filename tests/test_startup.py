@@ -5,6 +5,7 @@ and each name re-exported from it, is imported on first use. A CLI command
 imports only the submodules its handler uses.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -50,6 +51,20 @@ def loaded_submodules(code):
     report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('fracterm.')))"
     out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, check=True)
     return set(out.stdout.splitlines()[-1].split())
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # Each import statement of the package, wherever it stands, is relative
+    # or names a top-level module of the standard library.
+    absolute = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                absolute += [(path.name, node.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                absolute.append((path.name, node.lineno, node.module))
+    assert {name for _, _, name in absolute} >= {"__future__", "re", "fractions"}
+    assert [found for found in absolute if found[2].split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def test_import_loads_only_errors():

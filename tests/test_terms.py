@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 
@@ -24,13 +25,14 @@ from fracterm.terms import (
     desugar_literals,
     erase_decorations,
     expand_literal,
+    fold,
     format_term,
     is_fracterm,
     num,
     parse_term,
 )
 
-from gen import random_closed_term
+from gen import random_closed_term, random_dag, random_term
 from oracle import eval_exact
 
 
@@ -379,6 +381,107 @@ def test_num_denom_goldens():
     assert num(parse_term("1/ft2")) == Lit("1")
     with pytest.raises(NotAFracterm):
         num(parse_term("1+2"))
+
+
+# ---------------------------------------------------------------------------
+# fold
+
+
+def _kids(node):
+    if isinstance(node, Neg):
+        return (node.operand,)
+    return (node.left, node.right) if isinstance(node, (Add, Sub, Mul, Div)) else ()
+
+
+def _recursive_fold(t, alg, calls, memo=None):
+    """The reference: a recursive tree walk, each call listed in calls. With
+    a memo, a composite node met again gives its first result, unentered."""
+    if memo is not None and id(t) in memo:
+        return memo[id(t)]
+    kids = [_recursive_fold(kid, alg, calls, memo) for kid in _kids(t)]
+    calls.append(t)
+    result = alg(t, *kids)
+    if memo is not None and kids:
+        memo[id(t)] = result
+    return result
+
+
+def _distinct_nodes(t):
+    """Each node of t once, by id."""
+    seen = {}
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo += _kids(node)
+    return seen
+
+
+def _describe(node, *kids):
+    return (format_term(node) if not kids else type(node).__name__, *kids)
+
+
+def _logged_fold(t, alg):
+    calls = []
+    return fold(t, lambda node, *kids: calls.append(node) or alg(node, *kids)), calls
+
+
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 7))
+def test_fold_calls_alg_as_a_recursive_walk_does(rng, depth):
+    t = random_term(rng, depth, var_share=0.15)
+    want_calls = []
+    want = _recursive_fold(t, _describe, want_calls)
+    got, calls = _logged_fold(t, _describe)
+    assert got == want
+    assert [id(n) for n in calls] == [id(n) for n in want_calls]
+
+
+@given(rng=st.randoms(use_true_random=False), steps=st.integers(0, 8))
+def test_fold_calls_alg_once_for_each_distinct_composite_node(rng, steps):
+    t = random_dag(rng, steps, var_share=0.15)
+    walk, memo_walk = [], []
+    want = _recursive_fold(t, _describe, walk)
+    assert _recursive_fold(t, _describe, memo_walk, {}) == want
+    got, calls = _logged_fold(t, _describe)
+    assert got == want
+    assert [id(n) for n in calls] == [id(n) for n in memo_walk]
+    # The composite nodes come once each, in the order of their first call
+    # in the tree walk, so a raising alg raises at the node where it would.
+    composite = [id(n) for n in calls if _kids(n)]
+    assert composite == list(dict.fromkeys(id(n) for n in walk if _kids(n)))
+    assert sorted(composite) == sorted(key for key, n in _distinct_nodes(t).items() if _kids(n))
+
+
+@pytest.mark.parametrize("value", [3, "1/2", None, (Lit("1"),)])
+def test_fold_of_a_non_term_raises_type_error(value):
+    calls = []
+    with pytest.raises(TypeError, match="^not a term: "):
+        fold(value, lambda node, *kids: calls.append(node))
+    assert calls == []
+
+
+def test_erase_decorations_of_a_dag_is_a_dag():
+    t = Div(Lit("1"), Lit("2"), "ft")
+    for k in range(60):
+        t = (Add, Mul, Div)[k % 3](t, t)
+    erased = erase_decorations(t)
+    # Counted apart, so that a failure does not print a tree of 2**61 nodes.
+    counts = len(_distinct_nodes(erased)), len(_distinct_nodes(t))
+    assert not erased.decorated and counts == (63, 63)
+
+
+def test_desugar_literals_of_a_doubling_chain():
+    t = Lit("5")
+    for _ in range(60):
+        t = Add(t, t)
+    desugared = desugar_literals(t)
+    # The leaf is expanded for each of the two places it has in its parent.
+    count = len(_distinct_nodes(desugared))
+    assert count == 2 * len(_distinct_nodes(expand_literal(5))) + 60
+    ops = {Add: operator.add, Mul: operator.mul}
+    value = fold(desugared, lambda node, *kids: ops[type(node)](*kids) if kids else node.value)
+    assert value == 5 * 2**60
 
 
 # ---------------------------------------------------------------------------
