@@ -582,42 +582,60 @@ def _fmt(t: Term, fmt: str, shared: Optional[tuple[set[int], set[int], dict[int,
 # Traversal
 
 R = TypeVar("R")
-_DONE = object()  # on fold's stack, above a node whose children are folded
+_DONE = object()  # on fold's first stack, above a node whose children are listed
 
 
 def fold(t: Term, alg: Callable[..., R]) -> R:
-    """Fold t bottom-up: alg(node, *child_results) for each distinct node.
+    """Fold t bottom-up: alg(node, *child_results), once per distinct composite node.
 
-    A composite node met again (by ``id``) reuses its first result, kept until
-    the fold returns; a leaf is folded where met, once per distinct parent, as
-    that costs less than keeping its result. Calls come in postorder, left
-    subtree first, minus the repeats: if alg depends only on the node and its
-    children's results, it raises at the node where a tree walk would.
+    A composite node met again (by ``id``) reuses its result, kept until its
+    last parent reads it, so a tree needs no more memory than a tree walk. A
+    leaf is folded each time a distinct composite node names it as a child.
+    Calls come in postorder, left subtree first, minus the repeats: if alg
+    depends only on the node and its children's results, it raises where a
+    tree walk would.
     """
-    done: dict[int, R] = {}  # the result of each composite node folded
-    results: list[R] = []
+    # The first pass lists the calls in order, giving a repeated composite
+    # node by its id, and counts how often each repeated node is met.
+    seen: set[int] = set()
+    shared: dict[int, int] = {}  # the meetings of each repeated node; then those left to come
+    order: list = []
     todo = [t]
     while todo:
         node = todo.pop()
-        if node is _DONE:
-            node = todo.pop()
-            if type(node) is Neg:
-                results[-1] = done[id(node)] = alg(node, results[-1])
-            else:
-                right = results.pop()
-                results[-1] = done[id(node)] = alg(node, results[-1], right)
-            continue
         cls = type(node)
         if cls is Lit or cls is Var:
-            results.append(alg(node))
-        elif id(node) in done:
-            results.append(done[id(node)])
+            order.append(node)
+        elif node is _DONE:
+            order.append(todo.pop())
+        elif (key := id(node)) in seen:
+            shared[key] = shared.get(key, 1) + 1
+            order.append(key)
         elif cls is Neg:
+            seen.add(key)
             todo += (node, _DONE, node.operand)
         elif isinstance(node, _Binary):
+            seen.add(key)
             todo += (node, _DONE, node.right, node.left)
         else:
             raise TypeError(f"not a term: {node!r}")
+    done: dict[int, R] = {}  # the result of each repeated node, until its last parent reads it
+    results: list[R] = []
+    for node in order:
+        cls = type(node)
+        if cls is Lit or cls is Var:
+            results.append(alg(node))
+        elif cls is int:
+            shared[node] -= 1
+            results.append(done[node] if shared[node] > 1 else done.pop(node))
+        else:
+            if cls is Neg:
+                results[-1] = alg(node, results[-1])
+            else:
+                right = results.pop()
+                results[-1] = alg(node, results[-1], right)
+            if shared and id(node) in shared:
+                done[id(node)] = results[-1]
     return results[0]
 
 

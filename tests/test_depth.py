@@ -6,6 +6,7 @@ raises.
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,26 @@ def test_rn_eval_long_sum_of_halves():
     assert rn_eval(t) == RatioNumber(a, b)
     assert rn_eval(NumOf(t)) == RatioNumber(a, 1)
     assert rn_eval(DenomOf(t)) == RatioNumber(b, 1)
+
+
+@pytest.mark.parametrize(
+    "evaluate, text",
+    [(rn_eval, "+".join(["1/2"] * LONG)), (eval_term, "*".join(["9"] * LONG))],
+    ids=["rn-sum-of-halves", "eval-product"],
+)
+def test_long_fold_keeps_no_result_its_parent_has_read(evaluate, text):
+    # Keeping every node's result until the fold returns held each raw pair
+    # of the sum, about 2i bits at step i: about 60 MB here, and 87 MB for
+    # the product. Dropping a result once read leaves about 4 MB, mostly
+    # the fold's list of calls and the ids it keeps to find repeated nodes.
+    t = parse_term(text)
+    tracemalloc.start()
+    try:
+        evaluate(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
 
 
 def test_expand_literal_thousand_digits():
