@@ -58,6 +58,10 @@ SET_NAT_CAP = 1 << 16
 # fresh interpreter; the rest is left to the frames of its callers.
 SET_NAT_JSON_DEPTH = 900
 
+# Longest set-nat JSON, in characters. nat.vn's doubles with each successor:
+# k = 18 writes 786,430 characters, k = 22 would write 12,582,910.
+SET_NAT_JSON_CHARS = 2**20
+
 # Largest normality bound. rat.pcs and rat.ssft search O(bound^2) instances:
 # at 300 a CLI search takes under 1 s and 34 MB (2-core x86-64, Python 3.11).
 NORMALITY_BOUND = 300
@@ -358,10 +362,16 @@ class _SetNat(Shape):
         k = self.decode(Instance(self.shape_id, payload))
         if k >= SET_NAT_JSON_DEPTH:
             raise CapacityError(f"{self.shape_id} JSON nests {k + 1} lists, past the budget of {SET_NAT_JSON_DEPTH}")
+        chars = self._json_chars(k)
+        if chars > SET_NAT_JSON_CHARS:
+            raise CapacityError(f"{self.shape_id} JSON of {k} has {chars} characters, past the budget of {SET_NAT_JSON_CHARS}")
         value: list = []
         for _ in range(k):
             value = self._succ(value, list)
         return value
+
+    def _json_chars(self, k):  # the length of json.dumps of k's lists
+        return 2 * k + 2
 
     def payload_from_json(self, data):
         # Nested lists become nested frozensets bottom-up, without recursion.
@@ -386,6 +396,9 @@ class _VonNeumannNat(_SetNat):
 
     def _succ(self, s, kind=frozenset):
         return kind((*s, s))
+
+    def _json_chars(self, k):  # k >= 1 lists 0, ..., k - 1, in 3 * 2**k - 2 characters
+        return 3 * 2**k - 2 if k else 2
 
     def validate(self, payload):
         if not isinstance(payload, frozenset):

@@ -10,9 +10,11 @@ stacks instead of recursing, so memory, not the recursion limit, bounds the
 depth of a term. ``fold`` computes each distinct composite node once, so
 evaluation, erasing decorations and desugaring are linear in distinct nodes.
 
-Terms are immutable, so ``erase_decorations`` returns its argument itself
-when no division in it is decorated, and so do ``num`` and ``denom`` for an
-undecorated operand.
+Terms are immutable, so they share freely. A parsed term has one leaf for
+each distinct literal or variable text (``parse_term("2+2")`` has
+``t.left is t.right``), and ``fold`` walks a parsed root in one pass.
+``erase_decorations`` keeps each undecorated subtree, its argument itself
+included, and so do ``num`` and ``denom``.
 
 ``Record`` is the base of the package's immutable records, terms included.
 A record's fields are its ``__slots__`` whose names do not start with an
@@ -139,7 +141,9 @@ def _slot_setters(cls: type) -> tuple[Callable, ...]:
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
-_DIV, _VAR, _DECORATED = 1, 2, 4  # the bits of a node's _facts
+_DIV, _VAR, _DECORATED = 1, 2, 4  # the bits of a node's _facts that a parent inherits
+_INHERITED = _DIV | _VAR | _DECORATED
+_TREE = 8  # on a parsed root: every composite node under it is new and met once
 
 
 class Term(Record):
@@ -258,7 +262,7 @@ class Neg(Term):
 
     def __init__(self, operand: Term):
         _set_operand(self, operand)
-        _set_facts(self, operand._facts)
+        _set_facts(self, operand._facts & _INHERITED)
         _set_hash(self, hash((Neg, operand._hash)))
 
 
@@ -268,7 +272,7 @@ class _Binary(Term):
     def __init__(self, left: Term, right: Term):
         _set_left(self, left)
         _set_right(self, right)
-        _set_facts(self, left._facts | right._facts)
+        _set_facts(self, (left._facts | right._facts) & _INHERITED)
         _set_hash(self, hash((type(self), left._hash, right._hash)))
 
 
@@ -293,7 +297,7 @@ class Div(_Binary):
         _set_left(self, left)
         _set_right(self, right)
         _set_decoration(self, decoration)
-        _set_facts(self, left._facts | right._facts | (_DIV if decoration is None else _DIV | _DECORATED))
+        _set_facts(self, (left._facts | right._facts) & _INHERITED | (_DIV | _DECORATED if decoration else _DIV))
         _set_hash(self, hash((Div, left._hash, right._hash, decoration)))
 
 
@@ -416,22 +420,24 @@ def _reduce(op: tuple, operands: list) -> None:
 def _parse(tokens: list[tuple[str, str, int]]) -> Term:
     operands: list[Term] = []
     ops: list[tuple] = [(0, "input", None)]
+    atoms: dict[str, Term] = {}  # the one leaf of each atom text met so far
     i = 0
     while True:
         # Factor position: prefix minus and openers, until one atom.
         kind, text, pos = tokens[i]
         i += 1
-        if kind == "num":
-            operands.append(Lit(text))
-        elif kind == "ident":
-            operands.append(Var(text))
-        elif kind == "op" and text == "-":
+        if kind == "op" and text == "-":
             nkind, ntext, npos = tokens[i]
             if nkind != "num" or npos != pos + 1:
                 ops.append(_NEG)
                 continue
             i += 1
-            operands.append(Lit("-" + ntext))
+            kind, text = nkind, "-" + ntext
+        if kind == "num" or kind == "ident":
+            leaf = atoms.get(text)
+            if leaf is None:
+                leaf = atoms[text] = Lit(text) if kind == "num" else Var(text)
+            operands.append(leaf)
         elif kind == "op" and text == "(":
             ops.append((0, "group", None))
             continue
@@ -464,7 +470,10 @@ def _parse(tokens: list[tuple[str, str, int]]) -> Term:
                     raise ParseError(f"trailing input {text!r}", position=pos)
                 raise ParseError(f"expected {closer[1]!r}", position=pos)
             if role == "input":
-                return operands[0]
+                root = operands[0]
+                if type(root) is not Lit and type(root) is not Var:
+                    _set_facts(root, root._facts | _TREE)
+                return root
             if role == "numerator":
                 # frac(a,b) is the factor (a) DIV (b): the division waits on
                 # the stack above the group that holds the denominator.
@@ -582,7 +591,7 @@ def _fmt(t: Term, fmt: str, shared: Optional[tuple[set[int], set[int], dict[int,
 # Traversal
 
 R = TypeVar("R")
-_DONE = object()  # on fold's first stack, above a node whose children are listed
+_DONE = object()  # on a stack of fold, above a node whose children are listed
 
 
 def fold(t: Term, alg: Callable[..., R]) -> R:
@@ -593,8 +602,29 @@ def fold(t: Term, alg: Callable[..., R]) -> R:
     leaf is folded each time a distinct composite node names it as a child.
     Calls come in postorder, left subtree first, minus the repeats: if alg
     depends only on the node and its children's results, it raises where a
-    tree walk would.
+    tree walk would. A parsed root, whose composite nodes cannot repeat, is
+    walked once; any other term is first walked to list the calls.
     """
+    if getattr(t, "_facts", 0) & _TREE:
+        results: list[R] = []
+        todo = [t]
+        while todo:
+            node = todo.pop()
+            cls = type(node)
+            if cls is Lit or cls is Var:
+                results.append(alg(node))
+            elif node is _DONE:
+                node = todo.pop()
+                if type(node) is Neg:
+                    results[-1] = alg(node, results[-1])
+                else:
+                    right = results.pop()
+                    results[-1] = alg(node, results[-1], right)
+            elif cls is Neg:
+                todo += (node, _DONE, node.operand)
+            else:
+                todo += (node, _DONE, node.right, node.left)
+        return results[0]
     # The first pass lists the calls in order, giving a repeated composite
     # node by its id, and counts how often each repeated node is met.
     seen: set[int] = set()
@@ -651,7 +681,7 @@ def erase_decorations(t: Term) -> Term:
     """t with every division decoration dropped; t itself if it has none."""
     if not t.decorated:
         return t
-    return fold(t, lambda node, *kids: type(node)(*kids) if kids else node)
+    return fold(t, lambda node, *kids: type(node)(*kids) if node.decorated else node)
 
 
 # --------------------------------------------------------------------------

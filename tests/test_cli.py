@@ -344,6 +344,15 @@ def test_zermelo_encode_depth_budget(capsys):
         assert json.loads(err)["error"] == "CapacityError"
 
 
+def test_vn_encode_character_budget(capsys):
+    code, out, _ = run(capsys, "shape", "encode", "18", "--shape", "nat.vn", "--json")
+    assert code == 0 and len(json.loads(out)["value"]) == 18
+    for k in ("19", "22"):
+        code, out, err = run(capsys, "shape", "encode", k, "--shape", "nat.vn", "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "CapacityError"
+
+
 @pytest.mark.parametrize("text", ["x²", "٣/4"])
 def test_non_ascii_term_exit_code(capsys, text):
     code, out, err = run(capsys, "parse", text)

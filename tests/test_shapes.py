@@ -22,6 +22,7 @@ from fracterm.shapes import (
     BOT,
     NORMALITY_BOUND,
     SET_NAT_CAP,
+    SET_NAT_JSON_CHARS,
     SET_NAT_JSON_DEPTH,
     SHAPE_IDS,
     Instance,
@@ -564,6 +565,20 @@ def test_zermelo_json_up_to_the_depth_budget():
     assert text == '{"shape": "nat.zermelo", "value": ' + "[" * (k + 1) + "]" * (k + 1) + "}"
     with pytest.raises(CapacityError):
         instance_to_json(encode(SET_NAT_JSON_DEPTH, "nat.zermelo"))
+
+
+def test_vn_json_up_to_the_character_budget():
+    # The JSON of k >= 1 has 3 * 2**k - 2 characters.
+    for k in (3, 10, 16):
+        assert len(json.dumps(instance_to_json(encode(k, "nat.vn"))["value"])) == 3 * 2**k - 2
+    assert 3 * 2**18 - 2 <= SET_NAT_JSON_CHARS < 3 * 2**19 - 2
+    assert len(instance_to_json(encode(18, "nat.vn"))["value"]) == 18
+    for k in (19, 22):
+        with pytest.raises(CapacityError, match=f"nat.vn JSON of {k} has {3 * 2**k - 2} characters"):
+            instance_to_json(encode(k, "nat.vn"))
+    # The depth budget is checked first, and keeps its message.
+    with pytest.raises(CapacityError, match="nests 901 lists"):
+        instance_to_json(encode(SET_NAT_JSON_DEPTH, "nat.vn"))
 
 
 @pytest.mark.parametrize("shape_id,payload", [("nat.dec", "1" * 5000), ("nat.sdn", "1" * 5000),

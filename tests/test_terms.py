@@ -2,6 +2,8 @@ import copy
 import operator
 import pickle
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from fracterm.errors import NotAFracterm, ParseError
 from fracterm.terms import (
+    FORMATS,
     RESERVED_WORDS,
     Add,
     Div,
@@ -453,6 +456,76 @@ def test_fold_calls_alg_once_for_each_distinct_composite_node(rng, steps):
     assert sorted(composite) == sorted(key for key, n in _distinct_nodes(t).items() if _kids(n))
 
 
+def _parsed(rng, depth, fmt):
+    """A random term, printed in fmt and parsed back."""
+    return parse_term(format_term(random_term(rng, depth, var_share=0.15), fmt), fmt)
+
+
+def _leaf_occurrences(t):
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        kids = _kids(node)
+        if not kids:
+            yield node
+        todo += kids
+
+
+def test_a_parsed_term_shares_its_leaves():
+    t = parse_term("2+2")
+    assert t.left is t.right
+    t = parse_term("x*-3 - frac(x, -3) + 3", "frac")
+    assert t.left.left.left is t.left.right.left and t.left.left.right is t.left.right.right
+    assert t.right is not t.left.left.right
+
+
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 7), fmt=st.sampled_from(FORMATS))
+def test_a_parsed_term_has_one_leaf_per_atom_text(rng, depth, fmt):
+    ids = {}  # the ids of the leaves of each atom text
+    for leaf in _leaf_occurrences(_parsed(rng, depth, fmt)):
+        ids.setdefault((type(leaf), format_term(leaf)), set()).add(id(leaf))
+    assert all(len(group) == 1 for group in ids.values())
+    assert len(set().union(*ids.values())) == len(ids)
+
+
+def _exact(node, *kids):
+    """Exact value, with every variable 2; a zero divisor raises, naming its node."""
+    if not kids:
+        return Fraction(node.value) if isinstance(node, Lit) else Fraction(2)
+    if isinstance(node, Div) and kids[1] == 0:
+        raise ZeroDivisionError(format_term(node))
+    ops = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+    return ops[type(node)](*kids)
+
+
+def _outcome(run, alg):
+    """The result of run(alg), or the message of the ZeroDivisionError it
+    raised, with the ids of the nodes alg was called on, in order."""
+    calls = []
+    try:
+        result = run(lambda node, *kids: calls.append(node) or alg(node, *kids))
+    except ZeroDivisionError as exc:
+        result = ("raised", str(exc))
+    return result, [id(n) for n in calls]
+
+
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 7), fmt=st.sampled_from(FORMATS))
+def test_fold_of_a_parsed_term_calls_alg_as_a_recursive_walk_does(rng, depth, fmt):
+    t = _parsed(rng, depth, fmt)
+    for alg in (_describe, _exact):
+        assert _outcome(lambda a: fold(t, a), alg) == _outcome(lambda a: _recursive_fold(t, a, []), alg)
+
+
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 6), fmt=st.sampled_from(FORMATS))
+def test_a_term_built_over_a_parsed_term_folds_each_composite_node_once(rng, depth, fmt):
+    t = _parsed(rng, depth, fmt)
+    composite = [key for key, node in _distinct_nodes(t).items() if _kids(node)]
+    for built in (Add(t, t), Neg(t), Div(t, t, "ft")):
+        _, calls = _logged_fold(built, _describe)
+        counts = Counter(id(n) for n in calls if _kids(n))
+        assert counts == Counter([id(built), *composite])
+
+
 @pytest.mark.parametrize("value", [3, "1/2", None, (Lit("1"),)])
 def test_fold_of_a_non_term_raises_type_error(value):
     calls = []
@@ -469,6 +542,21 @@ def test_erase_decorations_of_a_dag_is_a_dag():
     # Counted apart, so that a failure does not print a tree of 2**61 nodes.
     counts = len(_distinct_nodes(erased)), len(_distinct_nodes(t))
     assert not erased.decorated and counts == (63, 63)
+
+
+def test_erase_decorations_keeps_undecorated_subtrees():
+    t = parse_term("(" + "+".join(["1"] * 2000) + ")/ft2")
+    erased = erase_decorations(t)
+    assert erased.left is t.left and erased.right is t.right
+    assert erased == Div(t.left, t.right)
+
+
+@given(term_strategy())
+def test_erase_decorations_rebuilds_only_decorated_nodes(t):
+    erased = erase_decorations(t)
+    assert erased == fold(t, lambda node, *kids: type(node)(*kids) if kids else node)
+    kept = _distinct_nodes(erased)
+    assert all(key in kept for key, node in _distinct_nodes(t).items() if not node.decorated)
 
 
 def test_desugar_literals_of_a_doubling_chain():
