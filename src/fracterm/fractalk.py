@@ -45,13 +45,7 @@ from .terms import (
     parse_term,
 )
 
-_LEVEL_TAGS = {"ft": Level.FRACTERM, "fv": Level.FRACVALUE, "fs": Level.SIGN}
-_LEVEL_WORDS = {
-    "fraxion": Level.FRAXION,
-    "fracterm": Level.FRACTERM,
-    "fracvalue": Level.FRACVALUE,
-    "fracsign": Level.SIGN,
-}
+# A level's tag (ft, fv, fs) is its Level value; its name is also its word in claims.
 _LEVEL_NAMES = {
     Level.OCCURRENCE: "fracsign occurrence",
     Level.SIGN: "fracsign",
@@ -59,6 +53,7 @@ _LEVEL_NAMES = {
     Level.FRACVALUE: "fracvalue",
     Level.FRAXION: "fraxion",
 }
+_LEVEL_WORDS = {name: level for level, name in _LEVEL_NAMES.items()}
 
 
 class Occurrence(Record):
@@ -127,7 +122,7 @@ def _occurrence(index: int, position: int, text: str, line: int, parsed: dict) -
             term = parse_term(text)
         except FractermError as exc:
             raise ScriptError(f"bad term {text!r}: {exc}", line=line) from None
-        annotation = _LEVEL_TAGS[term.decoration] if isinstance(term, Div) and term.decoration else None
+        annotation = Level(term.decoration) if isinstance(term, Div) and term.decoration else None
         parsed[text] = (erase_decorations(term), annotation)
     term, annotation = parsed[text]
     return Occurrence(index, position, term, annotation, marked)
@@ -157,7 +152,7 @@ def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None
         if text:
             occurrences.append(_occurrence(index, len(occurrences) + 1, text, line, parsed))
     tag = groups.get("tag")
-    return Claim(kind, tuple(occurrences), _LEVEL_TAGS[tag] if tag else row.role, not groups.get("neg"), arg)
+    return Claim(kind, tuple(occurrences), Level(tag) if tag else row.role, not groups.get("neg"), arg)
 
 
 def parse_script(text: str) -> Script:
@@ -637,7 +632,7 @@ CLAIM_KINDS: dict[str, _Kind] = {
     "level": _Kind(
         r"^level\((?P<n>[0-9]+)\)\s*=\s*(?P<to>ft|fv|fs)$",
         None,
-        lambda m, line: (_int_arg(m, line), _LEVEL_TAGS[m["to"]]),
+        lambda m, line: (_int_arg(m, line), Level(m["to"])),
         _valid,
     ),
     "conclude": _Kind(

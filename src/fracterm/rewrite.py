@@ -24,19 +24,18 @@ with its own stack, which never enters a finished or division-free subtree;
 a step rebuilds only the path from the match to the root. So a phase takes
 time linear in the size of its input and of the nodes the rules build, plus
 the depth of each match; nothing in this module recurses. Flat forms share
-their denominator products. Exact integer evaluation (``simplify``,
-``numeral-eval``, the zero tests of ``div-collapse``) is an algebra over
-``terms.fold``, which computes each distinct composite node once: its time
-is linear in the distinct nodes, not the tree size.
+their denominator products. Every number this module writes or tests
+(``simplify``, ``numeral-eval``, the zero tests of ``div-collapse``, the
+``numeral`` addition) is a pair from ``ratio.rn_eval`` or ``rn_add``; the
+evaluation computes each distinct composite node once.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 
 from .errors import CapacityError, NotSimple, OpenTerm, StrategyInapplicable
-from .ratio import RatioNumber, rn_label_eq
+from .ratio import rn_add, rn_eval, rn_label_eq
 from .terms import (
     Add,
     Div,
@@ -49,10 +48,7 @@ from .terms import (
     _fmt,
     classify,
     contains_div,
-    contains_var,
     erase_decorations,
-    fold,
-    format_term,
     numeral,
 )
 
@@ -102,41 +98,20 @@ class RewriteTrace(Record):
             older, seen = seen, set()
         return out
 
-_INT_OPS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
-def _int_alg(node: Term, *kids: int) -> int:
-    """The fold algebra of exact values of division-free closed terms."""
-    cls = type(node)
-    if cls is Lit:
-        return node.value
-    if cls in _INT_OPS:
-        return _INT_OPS[cls](*kids)
-    raise ValueError(f"not division-free: {format_term(node)}")
-
-
-def _int_value(t: Term) -> int:
-    return fold(t, _int_alg)
-
-
-def _ratio_alg(node: Term, *kids: int):
-    # The only division of a flat fracterm is its root: its value is the pair.
-    return kids if type(node) is Div else _int_alg(node, *kids)
-
 
 def _flatdiv(t: Term) -> bool:
     return isinstance(t, Div) and not (t.left.has_div or t.right.has_div)
 
 
 def _numeral_rule(t: Term):
-    # Division operands that are plain closed arithmetic become numerals.
-    # This runs as a first phase only, so products built later by the
-    # collapse rules stay symbolic.
+    # Division operands that are plain closed arithmetic become numerals:
+    # the pair of a division-free term is (value, 1). This runs as a first
+    # phase only, so products built later by the collapse rules stay symbolic.
     if isinstance(t, Div):
         if not t.left.has_div and not isinstance(t.left, Lit):
-            return ("numeral-eval", Div(numeral(_int_value(t.left)), t.right))
+            return ("numeral-eval", Div(numeral(rn_eval(t.left).a), t.right))
         if not t.right.has_div and not isinstance(t.right, Lit):
-            return ("numeral-eval", Div(t.left, numeral(_int_value(t.right))))
+            return ("numeral-eval", Div(t.left, numeral(rn_eval(t.right).a)))
     return None
 
 
@@ -150,13 +125,13 @@ def _node_rule(t: Term):
     if isinstance(t, Div):
         l, r = t.left, t.right
         if not l.has_div and _flatdiv(r):
-            if _int_value(r.right) != 0:
+            if rn_eval(r.right).a != 0:
                 return ("div-collapse", Div(Mul(l, r.right), r.left))
             return ("div-collapse-bot", Div(Mul(l, r.right), Mul(r.left, r.right)))
         if _flatdiv(l) and not r.has_div:
             return ("div-collapse", Div(l.left, Mul(l.right, r)))
         if _flatdiv(l) and _flatdiv(r):
-            if _int_value(r.right) != 0:
+            if rn_eval(r.right).a != 0:
                 return ("div-collapse", Div(Mul(l.left, r.right), Mul(l.right, r.left)))
             return (
                 "div-collapse-bot",
@@ -243,7 +218,7 @@ def flatten(t: Term) -> tuple[Term, RewriteTrace]:
     Division-free inputs are returned unchanged. The result evaluates to the
     same fracvalue as the input under the common-meadow policy.
     """
-    if contains_var(t):
+    if t.has_var:
         raise OpenTerm(f"cannot flatten open term {t}")
     steps: list[RewriteStep] = []
     current = erase_decorations(t)
@@ -265,13 +240,14 @@ def simplify(t: Term) -> Term:
     The sign moves to the numerator and the components are reduced by their
     gcd; integer-valued inputs come out as n/1. Zero-denominator inputs have
     no simplified form; they reduce to the +-1/0 (or 0/0) representative of
-    their class. One fold evaluates numerator and denominator, so the nodes
-    they share are computed once.
+    their class. The pair is ``rn_eval``'s: the nodes that numerator and
+    denominator share are computed once, and the term keeps the pair.
     """
     flags = classify(t)
     if not (flags.is_fracterm and flags.flat and flags.closed):
         raise NotSimple(f"cannot simplify {t}")
-    n, d = fold(t, _ratio_alg)
+    pair = rn_eval(t)
+    n, d = pair.a, pair.b
     g = math.gcd(abs(n), abs(d))
     if g:
         n //= g
@@ -295,9 +271,7 @@ def simple_fracterm_eq(t1: Term, t2: Term) -> bool:
     """
     if not classify(t1).simple or not classify(t2).simple:
         raise NotSimple("both operands must be simple fracterms")
-    return rn_label_eq(
-        RatioNumber(t1.left.value, t1.right.value), RatioNumber(t2.left.value, t2.right.value)
-    )
+    return rn_label_eq(rn_eval(t1), rn_eval(t2))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +297,8 @@ def add_family(t1: Term, t2: Term, strategy: str) -> Term:
     if strategy == "numeral":
         if not (c1.simple and c2.simple):
             raise StrategyInapplicable("numeral addition needs simple fracterms")
-        a, b = t1.left.value, t1.right.value
-        c, d = t2.left.value, t2.right.value
-        return Div(numeral(a * d + b * c), numeral(b * d))
+        s = rn_add(rn_eval(t1), rn_eval(t2))
+        return Div(numeral(s.a), numeral(s.b))
     if not (c1.flat and c2.flat):
         raise StrategyInapplicable(f"{strategy} addition needs flat fracterms")
     # Flat fracterms hold no division below the root, so no decoration.

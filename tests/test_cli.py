@@ -353,6 +353,12 @@ def test_vn_encode_character_budget(capsys):
         assert json.loads(err)["error"] == "CapacityError"
 
 
+def test_vn_convert_past_the_cap(capsys):
+    code, out, err = run(capsys, "shape", "convert", '{"shape": "nat.dedekind", "value": 65536}', "--to", "nat.vn")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "CapacityError", "message": "nat.vn holds no value past the set-nat cap 2500"}
+
+
 @pytest.mark.parametrize("text", ["x²", "٣/4"])
 def test_non_ascii_term_exit_code(capsys, text):
     code, out, err = run(capsys, "parse", text)

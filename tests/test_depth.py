@@ -15,7 +15,7 @@ from fracterm.cli import main
 from fracterm.errors import CapacityError, DivisionByZero
 from fracterm.fractalk import check_text, parse_script
 from fracterm.ratio import DenomOf, NumOf, RatioNumber, rn_eval
-from fracterm.rewrite import FLATTEN_DEPTH, _int_value, flatten
+from fracterm.rewrite import FLATTEN_DEPTH, flatten
 from fracterm.semantics import BOTTOM, POLICIES, EvalConfig, eval_term, value_to_json
 from fracterm.terms import (
     Div,
@@ -232,12 +232,6 @@ def test_cli_flatten_past_the_depth_budget(capsys):
     assert main(["flatten", "--json", "--", "-" * LONG + "(1/2)"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and json.loads(captured.err)["error"] == "CapacityError"
-
-
-def test_int_value_names_a_deep_division():
-    t = parse_term(f"({left_sum_text(10**4)})/2")
-    with pytest.raises(ValueError, match="^not division-free: "):
-        _int_value(t)
 
 
 def test_cli_flatten_deep_negation_chain(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracterm import rewrite
+from fracterm import ratio, rewrite
 from fracterm.errors import NotSimple, OpenTerm, StrategyInapplicable
 from fracterm.rewrite import (
     RewriteStep,
@@ -301,14 +301,27 @@ def test_simplify_evaluates_each_shared_node_once(monkeypatch):
     for _ in range(18):
         x = Add(x, x)
     adds = []
+    key, alg = ratio._PLAIN
 
-    def counting_add(a, b):
-        adds.append(None)
-        return a + b
+    def counting(node, *kids):
+        if type(node) is Add:
+            adds.append(None)
+        return alg(node, *kids)
 
-    monkeypatch.setitem(rewrite._INT_OPS, Add, counting_add)
+    monkeypatch.setattr(ratio, "_PLAIN", (key, counting))
     assert simplify(Div(x, Lit("3"))) == Div(Lit("262144"), Lit("3"))
     assert len(adds) == 18
+
+
+def test_simplify_leaves_its_pair_on_the_term(monkeypatch):
+    # simplify and rns eval read one pair: the second folds nothing.
+    expected = ratio.rn_eval(flatten(unit_sum(40))[0])
+    flat, _ = flatten(unit_sum(40))
+    simplify(flat)
+    folds = []
+    monkeypatch.setattr(ratio, "fold", lambda t, alg: folds.append(t))
+    assert ratio.rn_eval(flat) == expected
+    assert folds == []
 
 
 def test_simplify_accepts_flat_closed_fracterms():

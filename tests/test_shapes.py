@@ -24,6 +24,7 @@ from fracterm.shapes import (
     SET_NAT_CAP,
     SET_NAT_JSON_CHARS,
     SET_NAT_JSON_DEPTH,
+    SET_NAT_VN_CAP,
     SHAPE_IDS,
     Instance,
     convert,
@@ -278,6 +279,21 @@ def test_set_nat_arithmetic_respects_the_cap():
         big = encode(300, shape_id)
         with pytest.raises(CapacityError):
             shape_mul(big, big)
+
+
+def test_vn_cap_refuses_before_building():
+    # A von Neumann k holds k(k+1)/2 elements, so nat.vn has a cap of its own,
+    # checked before the first successor is built.
+    assert 1200 <= SET_NAT_VN_CAP < SET_NAT_CAP
+    tracemalloc.start()
+    try:
+        for k in (SET_NAT_VN_CAP + 1, SET_NAT_CAP):
+            with pytest.raises(CapacityError, match=f"nat.vn holds no value past the set-nat cap {SET_NAT_VN_CAP}$"):
+                encode(k, "nat.vn")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def _exact(payload):
