@@ -3,8 +3,12 @@
 Subcommands: parse, classify, eval, flatten, simplify, add,
 shape (encode|convert|compare|normality), rns (eval|num|denom),
 fractalk (check), demo. Output is plain text by default, JSON with
---json. Exit codes: 0 on success, 1 on domain errors (a structured
-error object goes to stderr), 2 on usage errors.
+--json. Exit codes: 0 on success, 1 on domain errors and on a stdout
+that takes no more output, such as a closed pipe or a full disk (a
+structured error object goes to stderr), 2 on usage errors.
+
+Each handler returns its result as (the JSON object, the text lines);
+``main`` alone writes to stdout or stderr and picks the exit code.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import re
 import sys
 
 from .errors import CapacityError, FractermError, UnsupportedShape
-from .terms import check_str_digits, classify, denom, format_term, is_fracterm, num, parse_term
+from .terms import FORMATS, check_str_digits, classify, denom, format_term, is_fracterm, num, parse_term
 
 CORPUS_ORDER = ("A", "B", "Bprime", "Bpp", "C", "Cprime", "D", "E", "F")
 SCRIPT_BYTES = 1 << 20  # a longer script raises CapacityError; about 50x an 800-claim one
@@ -24,14 +28,6 @@ SCRIPT_BYTES = 1 << 20  # a longer script raises CapacityError; about 50x an 800
 
 def _default_shape() -> str:
     return os.environ.get("FRACTERM_DEFAULT_SHAPE", "rat.pcs")
-
-
-def _emit(args, data: dict, text_lines) -> None:
-    if args.json:
-        print(json.dumps(data))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _load_json(text: str):
@@ -63,39 +59,23 @@ def _parse_args_term(args, attr="term"):
 # Subcommand handlers
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args):
     t = _parse_args_term(args)
-    data = {
-        "inline": format_term(t, "inline"),
-        "colon": format_term(t, "colon"),
-        "frac": format_term(t, "frac"),
-        "is_fracterm": is_fracterm(t),
-    }
-    _emit(args, data, [f"{k}: {v}" for k, v in data.items()])
-    return 0
+    data = {**{fmt: format_term(t, fmt) for fmt in FORMATS}, "is_fracterm": is_fracterm(t)}
+    return data, [f"{k}: {v}" for k, v in data.items()]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     t = _parse_args_term(args)
     flags = classify(t)
-    data = {
-        "term": format_term(t),
-        "is_fracterm": flags.is_fracterm,
-        "closed": flags.closed,
-        "flat": flags.flat,
-        "simple": flags.simple,
-        "safe": flags.safe,
-        "simplified": flags.simplified,
-        "proper": flags.proper,
-    }
+    data = {"term": format_term(t), **{name: getattr(flags, name) for name in flags._fields}}
     if flags.is_fracterm:
         data["num"] = format_term(num(t))
         data["denom"] = format_term(denom(t))
-    _emit(args, data, [f"{k}: {v}" for k, v in data.items()])
-    return 0
+    return data, [f"{k}: {v}" for k, v in data.items()]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     from . import semantics, shapes
     t = _parse_args_term(args)
     shape_id = args.shape or _default_shape()
@@ -106,11 +86,10 @@ def _cmd_eval(args) -> int:
         text = f"peripheral {value.name}"
     else:
         text = f"{shapes.decode(value.instance)} ({shape_id})"
-    _emit(args, data, [text])
-    return 0
+    return data, [text]
 
 
-def _cmd_flatten(args) -> int:
+def _cmd_flatten(args):
     from . import rewrite
     t = _parse_args_term(args)
     result, trace = rewrite.flatten(t)
@@ -119,65 +98,53 @@ def _cmd_flatten(args) -> int:
     data = {"result": steps[-1]["after"] if steps else format_term(result), "trace": steps}
     lines = [f"result: {data['result']}"]
     lines += [f"  {s['rule']}: {s['before']} => {s['after']}" for s in data["trace"]]
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
-def _cmd_simplify(args) -> int:
+def _cmd_simplify(args):
     from . import rewrite
     t = _parse_args_term(args)
     data = {"result": format_term(rewrite.simplify(t))}
-    _emit(args, data, [data["result"]])
-    return 0
+    return data, [data["result"]]
 
 
-def _cmd_add(args) -> int:
+def _cmd_add(args):
     from . import rewrite
     t1 = _parse_args_term(args, "left")
     t2 = _parse_args_term(args, "right")
     if args.strategy == "all":
         results = rewrite.add_family_all(t1, t2)
         data = {"results": {k: format_term(v) for k, v in results.items()}}
-        _emit(args, data, [f"{k}: {v}" for k, v in data["results"].items()])
-        return 0
-    result = rewrite.add_family(t1, t2, args.strategy)
-    data = {"result": format_term(result)}
-    _emit(args, data, [data["result"]])
-    return 0
+        return data, [f"{k}: {v}" for k, v in data["results"].items()]
+    data = {"result": format_term(rewrite.add_family(t1, t2, args.strategy))}
+    return data, [data["result"]]
 
 
-def _cmd_shape_encode(args) -> int:
+def _cmd_shape_encode(args):
     from . import shapes
     inst = shapes.encode(args.value, args.shape or _default_shape())
     data = shapes.instance_to_json(inst)
-    _emit(args, data, [json.dumps(data["value"])])
-    return 0
+    return data, [json.dumps(data["value"])]
 
 
-def _cmd_shape_convert(args) -> int:
+def _cmd_shape_convert(args):
     from . import shapes
     inst = shapes.instance_from_json(_load_json(args.instance))
     moved = shapes.convert(inst, args.to)
     data = shapes.instance_to_json(moved)
-    _emit(args, data, [json.dumps(data["value"])])
-    return 0
+    return data, [json.dumps(data["value"])]
 
 
-def _cmd_shape_compare(args) -> int:
+def _cmd_shape_compare(args):
     from . import shapes
     shape_id = args.shape or _default_shape()
     shape = shapes.get_shape(shape_id)
     i, j = shape.from_json(_load_json(args.left)), shape.from_json(_load_json(args.right))
-    data = {
-        "shape": shape_id,
-        "instance_eq": shapes.instance_eq(i, j),
-        "label_eq": shapes.label_eq(i, j),
-    }
-    _emit(args, data, [f"instance_eq: {data['instance_eq']}", f"label_eq: {data['label_eq']}"])
-    return 0
+    data = {"shape": shape_id, "instance_eq": shapes.instance_eq(i, j), "label_eq": shapes.label_eq(i, j)}
+    return data, [f"instance_eq: {data['instance_eq']}", f"label_eq: {data['label_eq']}"]
 
 
-def _cmd_shape_normality(args) -> int:
+def _cmd_shape_normality(args):
     from . import shapes
     shape_id = args.shape or _default_shape()
     report = shapes.normality_report(shape_id, args.bound)
@@ -187,11 +154,10 @@ def _cmd_shape_normality(args) -> int:
         w = [shapes.instance_to_json(x)["value"] for x in report.witness]
         data["witness"] = w
         lines.append(f"witness: {json.dumps(w[0])} vs {json.dumps(w[1])}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines
 
 
-def _cmd_rns(args) -> int:
+def _cmd_rns(args):
     from . import ratio
     t = _parse_args_term(args)
     pair = ratio.rn_eval(t, verbatim=args.verbatim_add)
@@ -204,8 +170,7 @@ def _cmd_rns(args) -> int:
     exact = pair.as_fraction()
     data = {"pair": [pair.a, pair.b], "value": None if exact is None else str(exact)}
     text = f"({pair.a}, {pair.b})" + ("" if exact is None else f" = {exact}")
-    _emit(args, data, [text])
-    return 0
+    return data, [text]
 
 
 def _corpus_file(name: str):
@@ -244,31 +209,23 @@ def _verdict_lines(name: str, verdict) -> list[str]:
     return lines
 
 
-def _cmd_fractalk_check(args) -> int:
+def _cmd_fractalk_check(args):
     from . import fractalk
     name, text = _read_script(args.script)
     script = fractalk.parse_script(text)
     shape_id = args.shape or script.shape_id or _default_shape()
     verdict = fractalk.check(script, shape_id=shape_id)
-    _emit(args, verdict.to_json(), _verdict_lines(name, verdict))
-    return 0
+    return verdict.to_json(), _verdict_lines(name, verdict)
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args):
     from . import fractalk
-    results = {}
+    results, lines = {}, []
     for name in CORPUS_ORDER:
-        script = fractalk.parse_script(_corpus_file(name).read_text())
-        verdict = fractalk.check(script)
+        verdict = fractalk.check(fractalk.parse_script(_corpus_file(name).read_text()))
         results[name] = verdict.to_json()
-        if not args.json:
-            print(f"== sequence {name}")
-            for line in _verdict_lines(name, verdict):
-                print(line)
-            print()
-    if args.json:
-        print(json.dumps(results))
-    return 0
+        lines += [f"== sequence {name}", *_verdict_lines(name, verdict), ""]
+    return results, lines
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +342,22 @@ def main(argv=None) -> int:
     try:
         # A type= function can raise CapacityError, which argparse lets through.
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        data, lines = args.fn(args)
     except FractermError as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(error), file=sys.stderr)
-        return 1
+        error = exc
+    else:
+        try:
+            print(json.dumps(data) if args.json else "\n".join(lines), flush=True)
+            return 0
+        except OSError as exc:  # stdout takes no more output: a closed pipe, a full disk
+            error = exc
+            # What stdout still holds goes to the null device, so that the
+            # interpreter's flush at exit does not fail again.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+    print(json.dumps({"error": type(error).__name__, "message": str(error)}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

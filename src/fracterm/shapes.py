@@ -116,6 +116,12 @@ def _digits(s) -> bool:
     return isinstance(s, str) and s.isascii() and s.isdigit()
 
 
+def _check_number(value, shape_id: str) -> None:
+    """Refuse what encode does not take: an int that is no bool, a Fraction or None."""
+    if not (value is None or type(value) is int or isinstance(value, Fraction)):
+        raise UnsupportedOperation(f"{shape_id} encodes an int, a Fraction or None, not {type(value).__name__}")
+
+
 class Shape:
     shape_id: str = ""
     label: str = ""
@@ -162,6 +168,7 @@ class Shape:
 
     def _integer(self, value: Optional[Number]) -> int:
         """The int that a nat or int shape encodes, refusing what it cannot hold."""
+        _check_number(value, self.shape_id)
         if value is None:
             raise UnsupportedOperation(f"{self.shape_id} has no bottom-class instance")
         if isinstance(value, Fraction):
@@ -216,7 +223,7 @@ class _PairShape(Shape):
 
     def validate(self, payload):
         ok = isinstance(payload, tuple) and len(payload) == 2
-        if not (ok and all(isinstance(x, int) for x in payload) and self._admits(*payload)):
+        if not (ok and all(type(x) is int for x in payload) and self._admits(*payload)):
             raise UnsupportedShape(f"{self.bad_pair} {payload!r}")
 
     def payload_to_json(self, payload):
@@ -344,10 +351,13 @@ class _SetNat(Shape):
         """The successor of s: a frozenset, or a list of lists for JSON."""
         raise NotImplementedError
 
-    def encode(self, value):
-        k = self._integer(value)
+    def _check_cap(self, k):
         if k > self.cap:
             raise CapacityError(f"{self.shape_id} holds no value past the set-nat cap {self.cap}")
+
+    def encode(self, value):
+        k = self._integer(value)
+        self._check_cap(k)
         s = frozenset()
         for _ in range(k):
             s = self._succ(s)
@@ -406,11 +416,27 @@ class _VonNeumannNat(_SetNat):
         return 3 * 2**k - 2 if k else 2
 
     def validate(self, payload):
+        # A set of size k is k when its elements are naturals below k: being
+        # distinct, they are then 0, ..., k - 1. So each distinct set under the
+        # payload is checked once, by id and smallest first, and no canonical k
+        # is built.
         if not isinstance(payload, frozenset):
             raise UnsupportedShape("von Neumann payload must be a frozenset")
-        given, canonical = _number_sets(payload, self.encode(len(payload)).payload)
-        if given != canonical:
-            raise UnsupportedShape("not a von Neumann natural")
+        self._check_cap(len(payload))
+        numbers: dict[int, int] = {}  # id of a checked set -> its natural
+        stack = [payload]
+        while stack:
+            s = stack.pop()
+            if id(s) in numbers:
+                continue
+            try:
+                if max(map(numbers.__getitem__, map(id, s)), default=-1) >= len(s):
+                    raise UnsupportedShape("not a von Neumann natural")
+                numbers[id(s)] = len(s)
+            except KeyError:  # an element not checked yet: check the elements first, then s again
+                if not {frozenset}.issuperset(map(type, s)):
+                    raise UnsupportedShape("not a von Neumann natural") from None
+                stack += [s, *sorted(s, key=len, reverse=True)]
 
     def decode(self, inst):
         return len(inst.payload)
@@ -690,7 +716,9 @@ def _shape_of(i: Instance, j: Optional[Instance] = None) -> Shape:
 
 
 def encode(k: int, shape_id: str) -> Instance:
-    return get_shape(shape_id).encode(k)
+    shape = get_shape(shape_id)
+    _check_number(k, shape_id)  # here, not in the rat shapes' encode, which eval_term calls
+    return shape.encode(k)
 
 
 def decode(inst: Instance) -> Optional[Number]:

@@ -49,8 +49,8 @@ FORMATS = ("inline", "colon", "frac")
 # decoration tags. None of them may be used as variable names.
 RESERVED_WORDS = frozenset({"frac", "ft", "fv"})
 
-_LIT_RE = re.compile(r"-?[0-9]+$")
-_VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
+_LIT_RE = re.compile(r"-?[0-9]+")
+_VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 class Level(Enum):
@@ -200,7 +200,7 @@ class Lit(Term):
     _facts = 0  # a leaf's facts are a constant of its class, which shadows the slot
 
     def __init__(self, digits: str):
-        if not _LIT_RE.match(digits):
+        if not _LIT_RE.fullmatch(digits):
             raise ValueError(f"bad literal digits: {digits!r}")
         _set_digits(self, digits)
         _set_hash(self, hash(digits))
@@ -251,7 +251,7 @@ class Var(Term):
     _facts = _VAR
 
     def __init__(self, name: str):
-        if not _VAR_RE.match(name) or name in RESERVED_WORDS:
+        if not _VAR_RE.fullmatch(name) or name in RESERVED_WORDS:
             raise ValueError(f"bad variable name: {name!r}")
         _set_name(self, name)
         _set_hash(self, hash(name))

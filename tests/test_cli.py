@@ -1,9 +1,14 @@
+import ast
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fracterm import rewrite, semantics
+from fracterm import cli, rewrite, semantics
 from fracterm.cli import SCRIPT_BYTES, main
 from fracterm.shapes import NORMALITY_BOUND
 
@@ -378,6 +383,86 @@ def test_deterministic_output(capsys):
     first = run(capsys, "flatten", "(1/2)/(3/4)", "--json")
     second = run(capsys, "flatten", "(1/2)/(3/4)", "--json")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# a stdout that takes no more output: exit 1 with JSON on stderr
+
+HALVES = "+".join(["1/2"] * 60)  # its flatten --json is 189,714 bytes, more than a pipe holds
+WRITES = [["demo"], ["flatten", "--json", HALVES], ["parse", "1/2"]]
+
+
+def cli_process(argv, stdout, buffered):
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "fracterm.cli", *argv]
+    return subprocess.Popen(cmd, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+
+
+def assert_one_json_error(proc, name):
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == name
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITES, ids=lambda argv: argv[0])
+def test_stdout_pipe_without_a_reader(argv, buffered):
+    read, write = os.pipe()
+    os.close(read)  # before the process starts, so that its first write fails
+    try:
+        proc = cli_process(argv, write, buffered)
+    finally:
+        os.close(write)
+    assert_one_json_error(proc, "BrokenPipeError")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_stdout_pipe_closed_after_its_first_bytes(buffered):
+    fcntl = pytest.importorskip("fcntl")
+    read, write = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):  # 64 KiB, whatever the page size, so the output cannot fit
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 16)
+    try:
+        proc = cli_process(["flatten", "--json", HALVES], write, buffered)
+    finally:
+        os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        assert pipe.read(10) == b'{"result":'
+    assert_one_json_error(proc, "BrokenPipeError")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITES, ids=lambda argv: argv[0])
+def test_stdout_full(argv, buffered):
+    with open("/dev/full", "w") as full:
+        proc = cli_process(argv, full, buffered)
+    assert_one_json_error(proc, "OSError")
+
+
+def test_only_main_prints():
+    # Each handler returns (the JSON object, the text lines); main alone
+    # writes them, or the error, and picks the exit code.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    writers = set()
+    for fn in functions:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                writers.add(fn.name)
+            if isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr", "exit"):
+                writers.add(fn.name)
+    assert writers == {"main"}
+    handlers = [fn for fn in functions if fn.name.startswith("_cmd_")]
+    assert len(handlers) == 13
+    for fn in handlers:
+        returns = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return)]
+        assert returns and all(isinstance(value, ast.Tuple) and len(value.elts) == 2 for value in returns), fn.name
 
 
 # ---------------------------------------------------------------------------

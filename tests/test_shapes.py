@@ -606,6 +606,50 @@ def test_decimal_shapes_past_the_digit_limit(shape_id, payload):
         decode(make_instance(shape_id, payload))
 
 
+NOT_NUMBERS = [True, False, 1.5, float("nan"), float("inf"), "3"]
+
+
+@pytest.mark.parametrize("shape_id", SHAPE_IDS)
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+def test_encode_takes_only_numbers(shape_id, value):
+    # An int that is no bool, a Fraction or None; a float or a numeric
+    # string is no exact number of any shape.
+    with pytest.raises(UnsupportedOperation, match=f"not {type(value).__name__}$"):
+        encode(value, shape_id)
+    if get_shape(shape_id).label != "rat":  # rat shapes leave the check to encode above
+        with pytest.raises(UnsupportedOperation):
+            get_shape(shape_id).encode(value)
+
+
+@pytest.mark.parametrize("shape_id", ["int.diffpair", "rat.pcs", "rat.rns"])
+def test_pair_payloads_hold_ints_not_bools(shape_id):
+    for payload in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
+        with pytest.raises(UnsupportedShape):
+            make_instance(shape_id, payload)
+    assert make_instance(shape_id, (1, 1)).payload == (1, 1)
+
+
+def test_vn_validate_builds_no_canonical_copy():
+    # The check walks the payload's own sets: the canonical copy it once
+    # built for k = 600 took about 15 MB.
+    payload = encode(600, "nat.vn").payload
+    tracemalloc.start()
+    try:
+        assert make_instance("nat.vn", payload).payload is payload
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # Distinct sets that are each a natural, but not 0, ..., k - 1.
+    E = frozenset()
+    one, two = frozenset([E]), frozenset([E, frozenset([E])])
+    for bad in (frozenset([one, two]), frozenset([E, two]), frozenset([E, one, frozenset([one])]), frozenset([E, "1"])):
+        with pytest.raises(UnsupportedShape, match="not a von Neumann natural"):
+            make_instance("nat.vn", bad)
+    with pytest.raises(CapacityError):
+        make_instance("nat.vn", frozenset(range(SET_NAT_VN_CAP + 1)))
+
+
 def test_make_instance_validates():
     with pytest.raises(UnsupportedShape):
         make_instance("nat.sdn", "007")

@@ -147,6 +147,16 @@ def test_reserved_words_rejected():
             parse_term(f"1/({word})")
 
 
+@pytest.mark.parametrize("make,text", [(Lit, "5"), (Lit, "-5"), (Var, "x")])
+def test_leaves_refuse_a_trailing_newline(make, text):
+    # The whole text must match: "$" alone also matches before a final "\n",
+    # and "5\n" would print as a literal that parses back to Lit("5").
+    assert format_term(make(text)) == text
+    for bad in (text + "\n", text + "\n\n", "\n" + text, text + " "):
+        with pytest.raises(ValueError):
+            make(bad)
+
+
 # ---------------------------------------------------------------------------
 # Golden formats
 
