@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Check every packaged fractalk sequence and print the analysis."""
 
+import argparse
 from importlib import resources
 
 from fracterm.cli import CORPUS_ORDER
@@ -8,11 +9,15 @@ from fracterm.fractalk import check, parse_script
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--shape", help="rat shape for every sequence, in place of its @shape pragma")
+    args = parser.parse_args()
+
     for name in CORPUS_ORDER:
         text = (resources.files("fracterm") / "corpus" / f"{name}.ftk").read_text()
         script = parse_script(text)
-        verdict = check(script)
-        shape = script.shape_id or "rat.pcs"
+        verdict = check(script, shape_id=args.shape)
+        shape = args.shape or script.shape_id or "rat.pcs"
         print(f"== sequence {name} (shape {shape})")
         for assertion in script.assertions:
             status = verdict.step(assertion.index)

@@ -18,7 +18,10 @@ fracvalue, or the undecided fraxion), inferred from:
    deliberately stay undecided.
 
 Checking then validates each claim at its assigned level; inferences that
-move a fact across levels are flagged instead of silently accepted.
+move a fact across levels are flagged instead of silently accepted. A
+fracvalue reading compares exact numbers (``semantics.eval_number``); the
+shape decides only which fracterms are numbers, and the disjointness
+default. "t can be written flat as w" means: w is flat and equal in value.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ import re
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from . import shapes
 from .errors import DanglingReference, FractermError, LevelConflict, ScriptError
-from .rewrite import flatten
-from .semantics import BOTTOM, EvalConfig, NumberValue, eval_term, value_eq
+from .semantics import BOTTOM, EvalConfig, eval_number, eval_term
 from .terms import (
     Div,
     Level,
@@ -299,14 +300,12 @@ class _Env:
     def level(self, occ: Occurrence) -> Level:
         return self.levels[occ.key()]
 
-    def value_of(self, term: Term):
-        return eval_term(term, self.cfg)
+    def value_of(self, term: Term):  # a Fraction, or BOTTOM
+        return eval_number(term, self.cfg.policy)
 
     def fracterm_is_number(self, term: Term) -> bool:
         """Whether the fracterm itself is one of the shape's numbers."""
-        if self.disjoint:
-            return False
-        return classify(term).simplified
+        return not self.disjoint and classify(term).simplified
 
     def premises(self, *kinds: str) -> list[tuple[Assertion, bool]]:
         """The steps checked so far that affirm a claim of one of `kinds`."""
@@ -357,7 +356,7 @@ def _check_equals(env: _Env, claim: Claim):
             f"cross-level equation: left occurrence is a {_LEVEL_NAMES[ll]}, right a {_LEVEL_NAMES[rl]}",
         )
     if ll is Level.FRACVALUE:
-        ok = value_eq(env.value_of(left.term), env.value_of(right.term))
+        ok = env.value_of(left.term) == env.value_of(right.term)
     else:
         ok = left.term == right.term
     if not ok:
@@ -372,7 +371,7 @@ def _check_is_rational(env: _Env, claim: Claim):
     occ = claim.occ
     level = env.level(occ)
     if level is Level.FRACVALUE:
-        actual = isinstance(env.value_of(occ.term), NumberValue)
+        actual = env.value_of(occ.term) is not BOTTOM
         detail = f"the fracvalue of {format_term(occ.term)}"
     elif level is Level.FRACTERM:
         actual = env.fracterm_is_number(occ.term)
@@ -440,10 +439,9 @@ def _check_may_be_rational(env: _Env, claim: Claim):
 
 
 def _check_even_integer(env: _Env, claim: Claim):
-    value = env.value_of(claim.occ.term)
-    if value == BOTTOM:
+    exact = env.value_of(claim.occ.term)
+    if exact is BOTTOM:
         return "invalid", "the value is bottom, not an integer"
-    exact = shapes.decode(value.instance)
     if exact.denominator == 1 and exact.numerator % 2 == 0:
         return _VALID
     if not _printable(exact):
@@ -458,17 +456,11 @@ def _check_comparison(env: _Env, claim: Claim):
             "level-conflict",
             f"a numeric comparison needs the fracvalue reading, not a {_LEVEL_NAMES[level]}",
         )
-    value = env.value_of(claim.occ.term)
-    if value == BOTTOM:
+    exact = env.value_of(claim.occ.term)
+    if exact is BOTTOM:
         return "invalid", "the value is bottom and compares with nothing"
-    exact = shapes.decode(value.instance)
     op, bound = claim.arg
-    holds = {
-        "<": exact < bound,
-        "<=": exact <= bound,
-        ">": exact > bound,
-        ">=": exact >= bound,
-    }[op]
+    holds = {"<": exact < bound, "<=": exact <= bound, ">": exact > bound, ">=": exact >= bound}[op]
     if holds:
         return _VALID
     shown = exact if _printable(exact) else format_term(claim.occ.term)
@@ -489,16 +481,10 @@ def _check_can_simplify(env: _Env, claim: Claim):
 
 
 def _check_writable_flat(env: _Env, claim: Claim):
+    # Every term flattens (rewrite.flatten); the subject is read first, so an open one raises.
     term, witness = claim.occ.term, claim.arg
-    flat_form, _ = flatten(term)
-    witness_flags = classify(witness)
-    flat_flags = classify(flat_form)
-    ok = (
-        (flat_flags.flat or not flat_flags.is_fracterm)
-        and witness_flags.flat
-        and value_eq(env.value_of(term), env.value_of(witness))
-    )
-    if ok:
+    value = env.value_of(term)
+    if classify(witness).flat and env.value_of(witness) == value:
         return _VALID
     return "invalid", f"{format_term(witness)} is not a flat form of {format_term(term)}"
 
@@ -740,3 +726,11 @@ def check(
 
 def check_text(text: str, shape_id=None, disjoint=None) -> Verdict:
     return check(parse_script(text), shape_id=shape_id, disjoint=disjoint)
+
+
+def __getattr__(name):
+    # perfbench's traced runs rebind eval_term and flatten here; no claim calls either.
+    if name == "flatten":
+        from .rewrite import flatten
+        return flatten
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,18 +10,18 @@ a peripheral. Only bottom is ever produced; the other peripherals (inf,
 +inf, -inf, nan) are representable but have no algebra here.
 
 Evaluation folds the term in exact integer pairs (a, b) in lowest terms,
-b nonzero, and encodes the result into the configured shape once, at the
-root. ``terms.fold`` computes each distinct composite node once, so a
-term that shares subterms, as a flat form does, evaluates in time linear in
-its distinct nodes. The value is the number, which the shape only presents:
+b nonzero: ``eval_number`` gives the exact Fraction, or bottom, and
+``eval_term`` encodes it into the configured shape once, at the root.
+``terms.fold`` computes each distinct composite node once, so a term that
+shares subterms, as a flat form does, evaluates in time linear in its
+distinct nodes. The value is the number, which the shape only presents:
 ``rat.pcs`` and ``rat.ssft`` are normal, ``decode`` of ``encode`` is the
-identity, so encoding at every node and decoding again would give the same
-pairs. ``rat.rns`` is the exception: its results are raw, uncancelled
+identity. ``rat.rns`` is the exception: its results are raw, uncancelled
 pairs, so it evaluates in ratio numbers (``ratio.rn_eval``), under
-common-meadow only. Besides a literal, only the result meets Python's limit
-on int/str conversion: ``rat.ssft`` writes it in decimal digits and refuses
-one past the limit with CapacityError, while ``rat.pcs`` holds plain ints
-and has no limit.
+common-meadow only, each pair naming ``eval_number``'s value (denominator
+0 for bottom). Besides a literal, only the result meets Python's limit on
+int/str conversion: ``rat.ssft`` writes it in decimal digits and refuses
+one past the limit with CapacityError; ``rat.pcs`` holds plain ints.
 
 The pair fold stops at the first zero divisor in postorder, where partial
 raises and common-meadow's bottom arises and absorbs; only Suppes-Ono folds
@@ -124,21 +124,10 @@ def _pair_algebra(totalise: bool):
 _STOP, _TOTALISE = _pair_algebra(False), _pair_algebra(True)
 
 
-def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
-    """Evaluate a closed term to a fracvalue under cfg, by default ``EvalConfig()``."""
-    if cfg is None:
-        cfg = EvalConfig()
-    policy = cfg.policy
-    if cfg.shape_id == "rat.rns":
-        # The ratio-number algebra is total; zero-denominator pairs are the
-        # bottom class, which matches only the common-meadow reading.
-        if policy != "common-meadow":
-            raise UnsupportedOperation("rat.rns evaluates under common-meadow only")
-        pair = ratio.rn_eval(t)
-        if pair.b == 0:
-            return BOTTOM
-        return NumberValue(shapes.Instance("rat.rns", (pair.a, pair.b)))
-
+def eval_number(t: Term, policy: str = "common-meadow"):
+    """The exact value of a closed term under policy: a Fraction, or BOTTOM."""
+    if policy not in POLICIES:
+        raise UnsupportedOperation(f"unknown policy {policy!r}")
     memo = value_memo(t)
     if "stop" not in memo:
         try:
@@ -156,7 +145,22 @@ def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
         if "suppes-ono" not in memo:
             memo["suppes-ono"] = fold(t, _TOTALISE)
         pair = memo["suppes-ono"]
-    return NumberValue(shapes.get_shape(cfg.shape_id).encode(Fraction(*pair)))
+    return Fraction(*pair)
+
+
+def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
+    """Evaluate a closed term to a fracvalue under cfg, by default ``EvalConfig()``."""
+    if cfg is None:
+        cfg = EvalConfig()
+    if cfg.shape_id == "rat.rns":
+        # The ratio-number algebra is total; zero-denominator pairs are the
+        # bottom class, which matches only the common-meadow reading.
+        if cfg.policy != "common-meadow":
+            raise UnsupportedOperation("rat.rns evaluates under common-meadow only")
+        pair = ratio.rn_eval(t)
+        return BOTTOM if pair.b == 0 else NumberValue(shapes.Instance("rat.rns", (pair.a, pair.b)))
+    value = eval_number(t, cfg.policy)
+    return BOTTOM if value is BOTTOM else NumberValue(shapes.get_shape(cfg.shape_id).encode(value))
 
 
 def value_eq(v: Fracvalue, w: Fracvalue) -> bool:

@@ -388,19 +388,21 @@ class _SetNat(Shape):
         return 2 * k + 2
 
     def payload_from_json(self, data):
-        # Nested lists become nested frozensets bottom-up, without recursion.
-        built: dict[int, frozenset] = {}
-        stack = [(data, False)]
-        while stack:
-            node, ready = stack.pop()
-            if ready:
-                built[id(node)] = frozenset(built[id(e)] for e in node)
-            elif isinstance(node, list):
-                stack.append((node, True))
-                stack.extend((e, False) for e in node)
+        # Nested lists become frozensets bottom-up, without recursion, each
+        # built of its elements' sets: an equal set is found by hash, kept once.
+        sets: dict[frozenset, frozenset] = {}
+        stack = [([data], [])]  # each list entered, with its elements' sets so far
+        while not stack[0][1]:  # until [data] holds its one set
+            node, elements = stack[-1]
+            if len(elements) < len(node):
+                if not isinstance(node[len(elements)], list):
+                    raise UnsupportedShape(f"{self.shape_id} payload must be nested lists")
+                stack.append((node[len(elements)], []))
             else:
-                raise UnsupportedShape(f"{self.shape_id} payload must be nested lists")
-        return built[id(data)]
+                stack.pop()
+                s = frozenset(elements)
+                stack[-1][1].append(sets.setdefault(s, s))
+        return stack[0][1][0]
 
 
 class _VonNeumannNat(_SetNat):

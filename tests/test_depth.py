@@ -250,6 +250,7 @@ SIGN_SCRIPTS = [
     "1: {T} == -{T} @ft",
     "1: {T} is rational\n2: {T} is fracterm\n3: rationals are not fracterms\n4: {T} contradicts 3",
     "@shape rat.ssft\n1: {T} is fracterm and fracvalue\n2: not all fracterms are rational\n3: {T} contradicts 2",
+    "1: {T} can be written flat as 1/2",
 ]
 
 
@@ -258,7 +259,8 @@ def verdict_shape(text):
     return [s.status for s in verdict.steps], verdict.overall, verdict.blocked_at
 
 
-@pytest.mark.parametrize("template", SIGN_SCRIPTS, ids=["eq-ft", "eq-fs", "neq-ft", "contradicts", "contradicts-ssft"])
+@pytest.mark.parametrize("template", SIGN_SCRIPTS, ids=["eq-ft", "eq-fs", "neq-ft", "contradicts", "contradicts-ssft",
+                                                 "writable-flat"])
 @pytest.mark.parametrize("shallow,deep", DEEP_SIGNS, ids=["neg-chain", "deep-denominator"])
 def test_fractalk_deep_sign_checks_as_shallow(template, shallow, deep):
     assert verdict_shape(template.format(T=deep)) == verdict_shape(template.format(T=shallow))

@@ -11,6 +11,7 @@ from fracterm import fractalk
 from fracterm.errors import (
     DanglingReference,
     LevelConflict,
+    OpenTerm,
     ScriptError,
     UnsupportedOperation,
     UnsupportedShape,
@@ -218,6 +219,9 @@ CLAIM_ROWS = [
     ('writable-flat', [
         ('1: 5/(1+3) can be written flat as 5/4', 'valid', None),
         ('1: 5/(1+3) can be written flat as 5/3', 'invalid', '5/3 is not a flat form of 5/(1+3)'),
+        ('1: 1/0 can be written flat as 2/0', 'valid', None),
+        ('1: 5/(1+3) can be written flat as 10/8+0', 'invalid', '10/8+0 is not a flat form of 5/(1+3)'),
+        ('1: 5/(1+3) can be written flat as 5/4/1', 'invalid', '5/4/1 is not a flat form of 5/(1+3)'),
     ]),
     ('contradicts', [
         ('@shape rat.ssft\n1: 2/3 is fracterm and fracvalue\n2: not all fracterms are rational\n3: 2/3 contradicts 2', 'valid', None),
@@ -394,6 +398,23 @@ def test_explanations_past_the_digit_limit():
         verdict = check_text(f"1: {term} {rest}")
         assert verdict.overall == "paradox-blocked"
         assert verdict.explanation == explanation.format(format_term(parse_term(term)))
+
+
+def test_a_fracvalue_is_read_as_its_number_under_every_shape():
+    # rat.ssft would write this 5,000-digit value in decimal digits, past
+    # the int/str digit limit; a fracvalue reading never encodes it.
+    p = "*".join(["9" * 100] * 50)
+    text = f"1: ({p})/1 is an even integer"
+    verdicts = [check_text(text, shape_id=shape_id).to_json() for shape_id in ("rat.pcs", "rat.ssft", "rat.rns")]
+    assert verdicts[0]["explanation"] == f"the value of {format_term(parse_term(f'({p})/1'))} is not an even integer"
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+
+
+@pytest.mark.parametrize("witness", ["1+1", "1/2"])
+def test_writable_flat_evaluates_an_open_subject(witness):
+    # The subject is evaluated before the witness is tested, flat or not.
+    with pytest.raises(OpenTerm, match="^cannot evaluate variable 'x'$"):
+        check_text(f"1: x/y can be written flat as {witness}")
 
 
 def test_taxonomy_forces_fracterm():

@@ -24,6 +24,7 @@ from fracterm.semantics import (
     EvalConfig,
     NumberValue,
     PeripheralValue,
+    eval_number,
     eval_term,
     value_denom,
     value_eq,
@@ -187,6 +188,30 @@ def test_eval_matches_oracle(policy, shape_id, rng, depth):
     assert got == _oracle(t, policy)
 
 
+def _number(read, *args):
+    """read(*args) as the oracle gives it: a Fraction, None for bottom, or DivisionByZero."""
+    try:
+        got = read(*args)
+    except DivisionByZero:
+        return DivisionByZero
+    return None if got is BOTTOM else got
+
+
+def _decoded(t, cfg):
+    v = eval_term(t, cfg)
+    return BOTTOM if v is BOTTOM else decode(v.instance)
+
+
+def test_eval_number_is_eval_term_decoded():
+    # A fresh copy of each term carries no memo, so each reading folds anew.
+    rng = random.Random(41)
+    for _ in range(500):
+        t = random_closed_term(rng, rng.randint(1, 6), -3, 3)
+        for policy, shape_id in ORACLE_PAIRS:
+            want = _number(_decoded, copy.copy(t), EvalConfig(policy, shape_id))
+            assert _number(eval_number, copy.copy(t), policy) == want == _oracle(t, policy)
+
+
 # ---------------------------------------------------------------------------
 # Huge integers
 
@@ -246,6 +271,8 @@ def test_config_validation():
         EvalConfig("lazy", "rat.pcs")
     with pytest.raises(UnsupportedOperation):
         EvalConfig("partial", "int.signed")
+    with pytest.raises(UnsupportedOperation, match="unknown policy 'lazy'"):
+        eval_number(parse_term("1/2"), "lazy")
 
 
 def test_open_term():

@@ -597,6 +597,30 @@ def test_vn_json_up_to_the_character_budget():
         instance_to_json(encode(SET_NAT_JSON_DEPTH, "nat.vn"))
 
 
+def test_vn_json_is_read_back_as_one_set_per_natural():
+    # The JSON of 18 lists each j < 18 2**(17 - j) times, 262,144 lists in
+    # all; equal lists are read as one set, so the value holds 19.
+    data = json.loads(json.dumps(instance_to_json(encode(18, "nat.vn"))))
+    tracemalloc.start()
+    try:
+        inst = instance_from_json(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    distinct, stack = {}, [inst.payload]
+    while stack:
+        s = stack.pop()
+        if id(s) not in distinct:
+            distinct[id(s)] = s
+            stack.extend(s)
+    assert len(distinct) == 19
+    assert inst == encode(18, "nat.vn")
+    for bad in ([[], 1], [[[]], [["0"]]], "[]"):
+        with pytest.raises(UnsupportedShape, match="nat.vn payload must be nested lists"):
+            instance_from_json({"shape": "nat.vn", "value": bad})
+
+
 @pytest.mark.parametrize("shape_id,payload", [("nat.dec", "1" * 5000), ("nat.sdn", "1" * 5000),
                                               ("int.signed", ("-", "1" * 5000))])
 def test_decimal_shapes_past_the_digit_limit(shape_id, payload):
