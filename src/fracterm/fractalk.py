@@ -144,10 +144,11 @@ def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None
     found = dispatch.match(body)
     if found is None:
         raise ScriptError(f"unrecognized claim {body!r}", line=line)
-    kind, row, pattern = rows[found.lastgroup]
-    m = pattern.match(body)
-    groups = m.groupdict()
-    arg = row.arg(m, line) if row.arg else None
+    kind, row, names = rows[found.lastgroup]
+    groups = {}
+    for renamed, name in names:
+        groups[name] = found[renamed]
+    arg = row.arg(groups, line) if row.arg else None
     occurrences = []
     for text in (groups.get("occ"), groups.get("occ2")):
         if text:
@@ -583,11 +584,11 @@ class _Kind(NamedTuple):
     # (_claim_dispatch) that keeps that rule.
     pattern: str
     role: Optional[Level]  # rule 4; None leaves the occurrences to the default
-    arg: Optional[Callable[[re.Match, int], object]]  # (match, line) -> Claim.arg
+    arg: Optional[Callable[[dict, int], object]]  # (the row's groups, line) -> Claim.arg
     check: Callable[[_Env, Claim], tuple[str, Optional[str]]]
 
 
-def _int_arg(m: re.Match, line: int, group="n") -> int:
+def _int_arg(m, line: int, group="n") -> int:
     # The patterns admit only digits: int() fails only past the int/str digit limit.
     try:
         return int(m[group])
@@ -595,7 +596,7 @@ def _int_arg(m: re.Match, line: int, group="n") -> int:
         raise ScriptError(f"a {len(m[group])}-character number exceeds the int/str digit limit", line=line) from None
 
 
-def _witness_arg(m: re.Match, line: int) -> Term:
+def _witness_arg(m: dict, line: int) -> Term:
     try:
         witness = parse_term(m["witness"].strip())
     except FractermError as exc:
@@ -674,23 +675,24 @@ CLAIM_KINDS: dict[str, _Kind] = {
 }
 
 
-_GROUP_NAME = re.compile(r"\(\?P<\w+>")
+_GROUP_NAME = re.compile(r"\(\?P<(\w+)>")
 
 
 @functools.cache
-def _claim_dispatch() -> tuple[re.Pattern, dict[str, tuple[str, _Kind, re.Pattern]]]:
-    """One alternation of the rows' patterns, in table order, and each row.
+def _claim_dispatch() -> tuple[re.Pattern, dict[str, tuple[str, _Kind, tuple[tuple[str, str], ...]]]]:
+    """One alternation of the rows' patterns, in table order, and each row with its (renamed, own) group names.
 
-    Row i is wrapped in the group ``k<i>`` and its own named groups are made
-    non-capturing, so ``lastgroup`` of a match names the first row whose
-    pattern matches, as a scan of the table would. The row's own compiled
-    pattern then reads its groups.
+    Row i is wrapped in the group ``k<i>``, and its own group ``<name>`` is
+    renamed ``k<i>_<name>``, so ``lastgroup`` of a match names the first row
+    whose pattern matches, as a scan of the table would, and the same match
+    holds that row's groups.
     """
-    rows = {f"k{i}": (kind, row, re.compile(row.pattern)) for i, (kind, row) in enumerate(CLAIM_KINDS.items())}
-    alternation = "|".join(
-        f"(?P<{name}>{_GROUP_NAME.sub('(?:', row.pattern)})" for name, (_, row, _) in rows.items()
-    )
-    return re.compile(alternation), rows
+    rows, branches = {}, []
+    for i, (kind, row) in enumerate(CLAIM_KINDS.items()):
+        key = f"k{i}"
+        rows[key] = (kind, row, tuple((f"{key}_{name}", name) for name in _GROUP_NAME.findall(row.pattern)))
+        branches.append(f"(?P<{key}>" + _GROUP_NAME.sub(rf"(?P<{key}_\1>", row.pattern) + ")")
+    return re.compile("|".join(branches)), rows
 
 
 def check(

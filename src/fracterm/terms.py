@@ -8,7 +8,8 @@ see ``desugar_literals``). Division nodes may carry a level decoration,
 The parser, the printer, ``fold`` and a term's ``==`` keep their own
 stacks instead of recursing, so memory, not the recursion limit, bounds the
 depth of a term. ``fold`` computes each distinct composite node once, so
-evaluation, erasing decorations and desugaring are linear in distinct nodes.
+evaluation and desugaring are linear in distinct nodes, and erasing
+decorations visits only the distinct nodes above a decoration.
 
 Terms are immutable, so they share freely. A parsed term has one leaf for
 each distinct literal or variable text (``parse_term("2+2")`` has
@@ -35,6 +36,7 @@ of ``dataclasses``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -318,67 +320,17 @@ def value_memo(t: Term) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Lexer: a token is a plain tuple (kind, text, pos), where kind is one of
-# num | ident | op | div | frac | end.
+# Lexer: one pattern per format cuts a text into token strings and skips
+# whitespace (``\s`` is str.isspace): a number with its glued "-", a word, a
+# division sign with its tag (a glued "ft"/"fv" is always a decoration: the
+# printer parenthesizes denominators that would collide), the frac keyword
+# with its tag, or any other character alone. Digits and letters are ASCII
+# only, as Lit and Var require. A reserved word, or a lone character that is
+# no operator, is a lexical error; the first one in the text is reported
+# before any syntax error. Token positions are found again only for an error.
 
-
-# ASCII only, as Lit and Var require: str.isdigit and str.isalpha also
-# accept other scripts' digits and letters, and superscripts.
 _DIGITS = frozenset("0123456789")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_ALNUM = _LETTERS | _DIGITS
-
-
-def _tokenize(text: str, div_char: Optional[str]) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if c in _LETTERS:
-            j = i
-            while j < n and text[j] in _ALNUM:
-                j += 1
-            word = text[i:j]
-            if word == "frac" and div_char is None:
-                deco = ""
-                if text[j : j + 3] in ("_ft", "_fv"):
-                    deco = text[j + 1 : j + 3]
-                    j += 3
-                tokens.append(("frac", deco, i))
-            elif word in RESERVED_WORDS:
-                raise ParseError(f"reserved word {word!r}", position=i)
-            else:
-                tokens.append(("ident", word, i))
-            i = j
-            continue
-        if div_char is not None and c == div_char:
-            # "ft"/"fv" glued to the division sign is always a decoration;
-            # the printer parenthesizes denominators that would collide.
-            tag = text[i + 1 : i + 3]
-            if tag in ("ft", "fv"):
-                tokens.append(("div", tag, i))
-                i += 3
-                continue
-            tokens.append(("div", "", i))
-            i += 1
-            continue
-        if c in "+-*(),":
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", position=i)
-    tokens.append(("end", "", n))
-    return tokens
 
 
 # --------------------------------------------------------------------------
@@ -388,104 +340,134 @@ def _tokenize(text: str, div_char: Optional[str]) -> list[tuple[str, str, int]]:
 # term   := factor (("*" | DIV) factor)*
 # factor := "-" factor | "(" expr ")" | literal | variable | frac-atom
 #
-# A "-" immediately followed (no gap) by digits in factor position is a
-# signed literal; any other "-" in factor position is unary negation.
+# In factor position, a "-" glued to digits is a signed literal, and any
+# other "-" is negation; in operator position, both are a binary minus.
 #
 # Operator precedence with explicit stacks. The operator stack holds
-# (precedence, class, decoration) entries and, with precedence 0 so that
-# no reduction passes them, one frame per open group: the whole input, a
-# parenthesis or frac denominator, or a frac numerator. After an operand,
-# a token that is no binary operator must close the innermost frame;
-# otherwise the error names what that frame expected, at that token.
+# (precedence, class, decoration) entries and, with precedence 0 so that no
+# reduction passes them, one frame per open group: (0, the token that
+# closes it, decoration). "" (the end) closes the input, ")" a parenthesis
+# or frac denominator, and "," a frac numerator, whose decoration its
+# division takes. After an operand, a token that is no binary operator must
+# close the innermost frame; otherwise the error names what that frame
+# expected, at that token.
 
 _NEG = (3, Neg, None)
-_BINARY_OPS = {
-    ("op", "+"): (1, Add, None),
-    ("op", "-"): (1, Sub, None),
-    ("op", "*"): (2, Mul, None),
-    **{("div", tag): (2, Div, tag or None) for tag in ("", "ft", "fv")},
-}
-_CLOSERS = {"input": ("end", ""), "group": ("op", ")"), "numerator": ("op", ",")}
+_SUB = (1, Sub, None)
+_GROUP = (0, ")", None)
 
 
-def _reduce(op: tuple, operands: list) -> None:
-    _, cls, deco = op
-    if cls is Neg:
-        operands[-1] = Neg(operands[-1])
-        return
-    right = operands.pop()
-    operands[-1] = Div(operands[-1], right, deco) if cls is Div else cls(operands[-1], right)
+@functools.cache
+def _lexer(fmt: str) -> tuple[re.Pattern, frozenset[str], dict[str, tuple], dict[str, tuple]]:
+    """The lexer of fmt, a known format, built on first use: its pattern, its reserved words, the
+    openers of factor position ("-", "(" and the frac keywords) and the binary operators."""
+    openers = {"-": _NEG, "(": _GROUP}
+    binary = {"+": (1, Add, None), "-": _SUB, "*": (2, Mul, None)}
+    if fmt == "frac":
+        middle = "frac_f[tv]|[A-Za-z][A-Za-z0-9]*"
+        reserved = RESERVED_WORDS - {"frac"}
+        openers.update({"frac": (0, ",", None), "frac_ft": (0, ",", "ft"), "frac_fv": (0, ",", "fv")})
+    else:
+        div = "/" if fmt == "inline" else ":"
+        middle = rf"[A-Za-z][A-Za-z0-9]*|{div}(?:ft|fv)?"
+        reserved = RESERVED_WORDS
+        binary.update({div: (2, Div, None), div + "ft": (2, Div, "ft"), div + "fv": (2, Div, "fv")})
+    return re.compile(rf"-?[0-9]+|{middle}|\S"), reserved, openers, binary
 
 
-def _parse(tokens: list[tuple[str, str, int]]) -> Term:
-    operands: list[Term] = []
-    ops: list[tuple] = [(0, "input", None)]
-    atoms: dict[str, Term] = {}  # the one leaf of each atom text met so far
-    i = 0
-    while True:
-        # Factor position: prefix minus and openers, until one atom.
-        kind, text, pos = tokens[i]
-        i += 1
-        if kind == "op" and text == "-":
-            nkind, ntext, npos = tokens[i]
-            if nkind != "num" or npos != pos + 1:
-                ops.append(_NEG)
-                continue
-            i += 1
-            kind, text = nkind, "-" + ntext
-        if kind == "num" or kind == "ident":
-            leaf = atoms.get(text)
-            if leaf is None:
-                leaf = atoms[text] = Lit(text) if kind == "num" else Var(text)
-            operands.append(leaf)
-        elif kind == "op" and text == "(":
-            ops.append((0, "group", None))
-            continue
-        elif kind == "frac":
-            nkind, ntext, npos = tokens[i]
-            if nkind != "op" or ntext != "(":
-                raise ParseError("expected '('", position=npos)
-            i += 1
-            ops.append((0, "numerator", text or None))
-            continue
-        else:
-            raise ParseError("expected a factor", position=pos)
-        # Operator position: binary operators and closers, until the next
-        # factor position or the end.
-        while True:
-            kind, text, pos = tokens[i]
-            i += 1
-            op = _BINARY_OPS.get((kind, text))
-            if op is not None:
-                while ops[-1][0] >= op[0]:
-                    _reduce(ops.pop(), operands)
-                ops.append(op)
-                break
-            while ops[-1][0]:
-                _reduce(ops.pop(), operands)
-            _, role, deco = ops.pop()
-            closer = _CLOSERS[role]
-            if (kind, text) != closer:
-                if role == "input":
-                    raise ParseError(f"trailing input {text!r}", position=pos)
-                raise ParseError(f"expected {closer[1]!r}", position=pos)
-            if role == "input":
-                root = operands[0]
-                if type(root) is not Lit and type(root) is not Var:
-                    _set_facts(root, root._facts | _TREE)
-                return root
-            if role == "numerator":
-                # frac(a,b) is the factor (a) DIV (b): the division waits on
-                # the stack above the group that holds the denominator.
-                ops += ((2, Div, deco), (0, "group", None))
-                break
+def _error(text: str, lexer: tuple, index: int = 0, message: str = "") -> ParseError:
+    """The first lexical error in text; if there is none, message at the index-th token."""
+    pattern, reserved, _, binary = lexer
+    starts = []
+    for m in pattern.finditer(text):
+        token = m.group()
+        if token in reserved:
+            return ParseError(f"reserved word {token!r}", position=m.start())
+        if len(token) == 1 and not (token in _LETTERS or token in _DIGITS or token in binary or token in "(),"):
+            return ParseError(f"unexpected character {token!r}", position=m.start())
+        starts.append(m.start())
+    starts.append(len(text))
+    return ParseError(message, position=starts[index])
 
 
 def parse_term(text: str, fmt: str = "inline") -> Term:
     """Parse term text in the given format (inline, colon, or frac)."""
     _check_format(fmt)
-    div_char = {"inline": "/", "colon": ":", "frac": None}[fmt]
-    return _parse(_tokenize(text, div_char))
+    pattern, reserved, openers, binary = lexer = _lexer(fmt)
+    tokens = pattern.findall(text)
+    if not reserved.isdisjoint(tokens):
+        raise _error(text, lexer)
+    tokens.append("")
+    # No branch below accepts a stray character: it ends in _error, which reports it.
+    operands: list[Term] = []
+    ops: list[tuple] = [(0, "", None)]
+    atoms: dict[str, object] = dict(openers)  # the openers, then the one leaf of each atom text met
+    i = 0
+    while True:
+        # Factor position: prefix minus and openers, until one atom.
+        token = tokens[i]
+        i += 1
+        leaf = atoms.get(token)
+        if leaf is None:
+            first = token[:1]
+            if first in _LETTERS:
+                leaf = Var(token)
+            elif first in _DIGITS or first == "-":
+                leaf = Lit(token)
+            else:
+                raise _error(text, lexer, i - 1, "expected a factor")
+            atoms[token] = leaf
+        elif type(leaf) is tuple:
+            if leaf[1] == ",":
+                if tokens[i] != "(":
+                    raise _error(text, lexer, i, "expected '('")
+                i += 1
+            ops.append(leaf)
+            continue
+        operands.append(leaf)
+        # Operator position: binary operators and closers, until the next
+        # factor position or the end.
+        while True:
+            token = tokens[i]
+            i += 1
+            op = binary.get(token)
+            # Any other token reduces all its frame holds, as a "-" would.
+            floor = 1 if op is None else op[0]
+            while ops[-1][0] >= floor:
+                _, cls, deco = ops.pop()
+                if cls is Neg:
+                    operands[-1] = Neg(operands[-1])
+                else:
+                    right = operands.pop()
+                    operands[-1] = cls(operands[-1], right, deco) if deco else cls(operands[-1], right)
+            if op is not None:
+                ops.append(op)
+                break
+            _, closer, deco = frame = ops.pop()
+            if token == closer:
+                if closer == ")":
+                    continue
+                if closer == ",":
+                    # frac(a,b) is the factor (a) DIV (b): the division waits
+                    # on the stack above the group that holds the denominator.
+                    ops += ((2, Div, deco), _GROUP)
+                    break
+                root = operands[0]
+                if type(root) is not Lit and type(root) is not Var:
+                    _set_facts(root, root._facts | _TREE)
+                return root
+            if token[:1] == "-":
+                # A signed literal is here a binary minus and its digits: the
+                # reductions are those of a "-", and the frame stays open.
+                ops += (frame, _SUB)
+                i -= 1
+                tokens[i] = token[1:]
+                break
+            if closer:
+                raise _error(text, lexer, i - 1, f"expected {closer!r}")
+            # A frac keyword is named by its tag, "" for a bare frac.
+            shown = token[5:] if token[:4] == "frac" and token in openers else token
+            raise _error(text, lexer, i - 1, f"trailing input {shown!r}")
 
 
 def _check_format(fmt: str) -> None:
@@ -675,10 +657,25 @@ def contains_div(t: Term) -> bool:
 
 
 def erase_decorations(t: Term) -> Term:
-    """t with every division decoration dropped; t itself if it has none."""
+    """t with every division decoration dropped; t itself if it has none.
+    Only the nodes above a decoration are walked, each distinct one rebuilt once."""
     if not t.decorated:
         return t
-    return fold(t, lambda node, *kids: type(node)(*kids) if node.decorated else node)
+    results: list[Term] = []
+    built: dict[int, Term] = {}  # the new node of each decorated node, by id
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if node is _DONE:
+            node = todo.pop()
+            kids = (results.pop(),) if type(node) is Neg else (results.pop(-2), results.pop())
+            results.append(type(node)(*kids))
+            built[id(node)] = results[-1]
+        elif not node._facts & _DECORATED or id(node) in built:
+            results.append(built.get(id(node), node))
+        else:
+            todo += (node, _DONE, node.operand) if type(node) is Neg else (node, _DONE, node.right, node.left)
+    return results[0]
 
 
 # --------------------------------------------------------------------------

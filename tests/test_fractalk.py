@@ -3,7 +3,6 @@ import re
 import subprocess
 import sys
 from importlib import resources
-from types import SimpleNamespace
 
 import pytest
 
@@ -283,7 +282,18 @@ class _TableScan:
 
     def match(self, body):
         kind = _scan_kind(body)
-        return None if kind is None else SimpleNamespace(lastgroup=self.names[kind])
+        if kind is None:
+            return None
+        # The row's own match, with its groups under the names the dispatch gives them.
+        name = self.names[kind]
+        groups = re.match(CLAIM_KINDS[kind].pattern, body).groupdict()
+        found = _ScanMatch((f"{name}_{group}", text) for group, text in groups.items())
+        found.lastgroup = name
+        return found
+
+
+class _ScanMatch(dict):
+    lastgroup: str
 
 
 def _outcome(body):

@@ -82,6 +82,18 @@ def test_cli_command_loads_only_what_it_uses(argv, absent):
     assert not loaded & {f"fracterm.{name}" for name in absent}
 
 
+def test_lexer_patterns_compile_on_first_use():
+    # The CLI's import compiles no lexer; then each format's is compiled once.
+    loaded_submodules(
+        "import fracterm.cli\n"
+        "from fracterm import terms\n"
+        "assert terms._lexer.cache_info().currsize == 0\n"
+        "for fmt in terms.FORMATS * 2:\n"
+        "    terms.parse_term('-(1)*x', fmt)\n"
+        "assert terms._lexer.cache_info().misses == terms._lexer.cache_info().currsize == 3\n"
+    )
+
+
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])
 def test_exported_name_is_the_submodule_object(module, name):
     assert getattr(fracterm, name) is getattr(importlib.import_module(f"fracterm.{module}"), name)

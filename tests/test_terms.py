@@ -1,9 +1,13 @@
 import copy
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from fracterm.terms import (
     Neg,
     Sub,
     Var,
+    _Binary,
     _fmt,
     classify,
     contains_div,
@@ -139,6 +144,18 @@ def test_parse_errors_carry_position(text, fmt, position):
     with pytest.raises(ParseError) as e:
         parse_term(text, fmt)
     assert e.value.position == position
+
+
+def test_parse_table_matches_its_golden():
+    # The table CI diffs: each PARSE_ERRORS row and 3,000 seeded strings in every format.
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["PYTHONIOENCODING"] = "utf-8"
+    out = subprocess.run(
+        [sys.executable, "scripts/parse_table.py"], cwd=root, env=env, capture_output=True, check=True
+    )
+    assert out.stdout.decode("utf-8") == (root / "scripts/expected/parse_table.txt").read_text(encoding="utf-8")
 
 
 def test_reserved_words_rejected():
@@ -553,9 +570,14 @@ def test_erase_decorations_of_a_dag_is_a_dag():
     assert not erased.decorated and counts == (63, 63)
 
 
-def test_erase_decorations_keeps_undecorated_subtrees():
+def test_erase_decorations_keeps_undecorated_subtrees(monkeypatch):
     t = parse_term("(" + "+".join(["1"] * 2000) + ")/ft2")
+    built = []
+    for cls in (Neg, _Binary, Div):
+        init = vars(cls)["__init__"]
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init: init(self, *args) or built.append(self))
     erased = erase_decorations(t)
+    assert len(built) == 1 and built[0] is erased
     assert erased.left is t.left and erased.right is t.right
     assert erased == Div(t.left, t.right)
 
