@@ -25,7 +25,7 @@ one past the limit with CapacityError; ``rat.pcs`` holds plain ints.
 
 The pair fold stops at the first zero divisor in postorder, where partial
 raises and common-meadow's bottom arises and absorbs; only Suppes-Ono folds
-again, past it. A term keeps its value once evaluated, with ``rn_eval``'s
+again, past it. A term keeps its Fraction once evaluated, with ``rn_eval``'s
 pairs, in ``terms.value_memo``: a later evaluation of the term object, under
 any policy and shape, only encodes at the root. The memo keeps the value's
 integers alive as long as the term lives, keeps no exception, and is no
@@ -131,10 +131,10 @@ def eval_number(t: Term, policy: str = "common-meadow"):
     memo = value_memo(t)
     if "stop" not in memo:
         try:
-            memo["stop"] = (fold(t, _STOP), None)
+            memo["stop"] = (Fraction(*fold(t, _STOP)), None)
         except _ZeroDivisor as exc:
             memo["stop"] = (None, exc.args[0])
-    pair, zero_divisor = memo["stop"]
+    value, zero_divisor = memo["stop"]
     if zero_divisor is not None:
         if policy == "partial":
             raise DivisionByZero(f"zero divisor in {zero_divisor}")
@@ -143,9 +143,9 @@ def eval_number(t: Term, policy: str = "common-meadow"):
         if policy == "common-meadow" and not t.has_var:
             return BOTTOM
         if "suppes-ono" not in memo:
-            memo["suppes-ono"] = fold(t, _TOTALISE)
-        pair = memo["suppes-ono"]
-    return Fraction(*pair)
+            memo["suppes-ono"] = Fraction(*fold(t, _TOTALISE))
+        value = memo["suppes-ono"]
+    return value
 
 
 def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:

@@ -30,8 +30,8 @@ sets each slot through its descriptor, and calls the class's
 ``__post_init__``, if any, where the records that validate check their
 fields. One ``exec`` builds it at the class's first construction, not at
 import, so a process pays only for the classes it builds. Term nodes write
-their own ``__init__``, which computes their facts. No record costs an import
-of ``dataclasses``.
+their own ``__init__``, which computes their facts; a composite node's hash
+waits for its first ``hash()``. No record costs an import of ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -153,9 +153,9 @@ class Term(Record):
 
     Each node knows from its children, once, at construction: whether its
     tree holds a division (``has_div``), a variable (``has_var``) or a
-    decorated division (``decorated``), and its structural hash. ``==``
-    compares trees with its own stack, and ``repr`` prints through
-    ``format_term``; no method recurses.
+    decorated division (``decorated``). A leaf hashes its text; a composite
+    node's hash is set at its first ``hash()``, with each unhashed one below
+    it. ``==``, ``hash`` and ``repr`` keep their own stacks; none recurses.
     """
 
     __slots__ = ("_facts", "_hash", "_memo")
@@ -165,13 +165,15 @@ class Term(Record):
 
     def __eq__(self, other):
         """Structural equality, decorations included."""
+        # A hashed node's children are hashed: so are both trees, if both roots.
+        hashed = hasattr(self, "_hash") and hasattr(other, "_hash")
         todo = [(self, other)]
         while todo:
             x, y = todo.pop()
             if x is y:
                 continue
             cls = type(x)
-            if cls is not type(y) or x._hash != y._hash:
+            if cls is not type(y) or hashed and x._hash != y._hash:
                 return False
             if cls is Lit:
                 if x.digits != y.digits:
@@ -188,6 +190,16 @@ class Term(Record):
         return True
 
     def __hash__(self):
+        todo = [] if hasattr(self, "_hash") else [self]
+        while todo:
+            node = todo.pop()
+            if node is _DONE:
+                node = todo.pop()
+                cls = type(node)
+                key = (Neg, node.operand._hash) if cls is Neg else (cls, node.left._hash, node.right._hash)
+                _set_hash(node, hash((*key, node.decoration) if cls is Div else key))
+            elif not hasattr(node, "_hash"):
+                todo += (node, _DONE, node.operand) if type(node) is Neg else (node, _DONE, node.right, node.left)
         return self._hash
 
     def __repr__(self):
@@ -245,7 +257,7 @@ def check_str_digits(n: int) -> None:
 def numeral(n: int) -> Lit:
     """The literal of n, refused past the int/str digit limit."""
     check_str_digits(n)
-    return Lit(str(n))
+    return _leaf(Lit, str(n)) if type(n) is int else Lit(str(n))
 
 
 class Var(Term):
@@ -265,7 +277,6 @@ class Neg(Term):
     def __init__(self, operand: Term):
         _set_operand(self, operand)
         _set_facts(self, operand._facts & _INHERITED)
-        _set_hash(self, hash((Neg, operand._hash)))
 
 
 class _Binary(Term):
@@ -275,7 +286,6 @@ class _Binary(Term):
         _set_left(self, left)
         _set_right(self, right)
         _set_facts(self, (left._facts | right._facts) & _INHERITED)
-        _set_hash(self, hash((type(self), left._hash, right._hash)))
 
 
 class Add(_Binary):
@@ -300,7 +310,6 @@ class Div(_Binary):
         _set_right(self, right)
         _set_decoration(self, decoration)
         _set_facts(self, (left._facts | right._facts) & _INHERITED | (_DIV | _DECORATED if decoration else _DIV))
-        _set_hash(self, hash((Div, left._hash, right._hash, decoration)))
 
 
 (_set_digits,) = _slot_setters(Lit)
@@ -309,6 +318,15 @@ class Div(_Binary):
 _set_left, _set_right = _slot_setters(_Binary)
 (_set_decoration,) = _slot_setters(Div)
 _set_facts, _set_hash, _set_memo = _slot_setters(Term)
+
+
+def _leaf(cls: type, text: str) -> Term:
+    """The Lit or Var of text known to be well formed, such as a word or number token
+    of the lexer (a whole match of Lit's or Var's pattern), built without the check."""
+    leaf = object.__new__(cls)
+    (_set_digits if cls is Lit else _set_name)(leaf, text)
+    _set_hash(leaf, hash(text))
+    return leaf
 
 
 def value_memo(t: Term) -> dict:
@@ -411,9 +429,9 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
         if leaf is None:
             first = token[:1]
             if first in _LETTERS:
-                leaf = Var(token)
+                leaf = _leaf(Var, token)
             elif first in _DIGITS or first == "-":
-                leaf = Lit(token)
+                leaf = _leaf(Lit, token)
             else:
                 raise _error(text, lexer, i - 1, "expected a factor")
             atoms[token] = leaf
@@ -573,7 +591,7 @@ def _fmt(t: Term, fmt: str, shared: Optional[tuple[set[int], set[int], dict[int,
 # Traversal
 
 R = TypeVar("R")
-_DONE = object()  # on a stack of fold, above a node whose children are listed
+_DONE = object()  # on a walk's stack (fold, hash), above a node whose children are listed
 
 
 def fold(t: Term, alg: Callable[..., R]) -> R:

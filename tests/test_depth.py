@@ -18,8 +18,10 @@ from fracterm.ratio import DenomOf, NumOf, RatioNumber, rn_eval
 from fracterm.rewrite import FLATTEN_DEPTH, flatten
 from fracterm.semantics import BOTTOM, POLICIES, EvalConfig, eval_term, value_to_json
 from fracterm.terms import (
+    Add,
     Div,
     Lit,
+    Neg,
     TaxonomyFlags,
     classify,
     desugar_literals,
@@ -59,6 +61,22 @@ def test_eq_hash_repr_and_sets_on_deep_terms():
     s = parse_term(left_sum_text(DEEP))
     assert s == parse_term(left_sum_text(DEEP)) and s != t
     assert {s: 1, t: 2}[parse_term(text)] == 2
+
+
+def test_eq_and_hash_of_deep_terms_built_by_hand():
+    chain, total = Lit("2"), Lit("1")
+    for k in range(DEEP):
+        chain = Neg(chain)
+        total = Add(total, Lit(str(k % 10)))
+    total_text = "+".join(["1", *(str(k % 10) for k in range(DEEP))])
+    for t, text, child in ((chain, "-" * DEEP + "(2)", chain.operand), (total, total_text, total.left)):
+        parsed = parse_term(text)
+        assert t == parsed and parsed == t  # neither hashed
+        hash(child)
+        assert t == parsed  # t partly hashed
+        assert hash(t) == hash(parsed) and hash(t) == hash(parse_term(text))
+        assert t == parsed  # both hashed
+    assert hash(Neg(chain)) == hash(parse_term("-" * (DEEP + 1) + "(2)"))
 
 
 def test_nested_parentheses_all_formats():

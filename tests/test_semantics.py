@@ -369,6 +369,13 @@ def test_the_memo_is_no_part_of_the_term():
         assert copied == t and not hasattr(copied, "_memo")
 
 
+def test_eval_number_keeps_one_fraction_a_term():
+    for text, policies in (("1/2+1/3", POLICIES), ("1/(1-1) + 2/3", ("suppes-ono",))):
+        t = parse_term(text)
+        for policy in policies:
+            assert type(eval_number(t, policy)) is Fraction and eval_number(t, policy) is eval_number(t, policy)
+
+
 def test_a_kept_value_is_encoded_on_every_call():
     limit = sys.get_int_max_str_digits()
     past = parse_term(f"1/({'9' * limit}+1)")

@@ -1,3 +1,4 @@
+import ast
 import copy
 import operator
 import os
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracterm.errors import NotAFracterm, ParseError
+from fracterm import terms
+from fracterm.errors import CapacityError, NotAFracterm, ParseError
+from fracterm.rewrite import flatten
 from fracterm.terms import (
     FORMATS,
     RESERVED_WORDS,
@@ -36,6 +39,7 @@ from fracterm.terms import (
     format_term,
     is_fracterm,
     num,
+    numeral,
     parse_term,
 )
 
@@ -172,6 +176,53 @@ def test_leaves_refuse_a_trailing_newline(make, text):
     for bad in (text + "\n", text + "\n\n", "\n" + text, text + " "):
         with pytest.raises(ValueError):
             make(bad)
+
+
+def _assert_leaves_as_checked(t):
+    """Every leaf of t equals, and hashes as, the leaf the checking constructor builds of its text."""
+    for leaf in _leaf_occurrences(t):
+        checked = Lit(leaf.digits) if type(leaf) is Lit else Var(leaf.name)
+        assert leaf == checked and hash(leaf) == hash(checked)
+
+
+def test_parsed_leaves_are_those_the_checking_constructors_build():
+    # The parser builds a leaf unchecked, from a token its pattern matched whole.
+    root = Path(__file__).resolve().parent.parent
+    readings = 0
+    for row in (root / "scripts/expected/parse_table.txt").read_text(encoding="utf-8").splitlines():
+        fmt, text, reading = row.split("\t", 2)
+        if not reading.startswith("ParseError: "):
+            _assert_leaves_as_checked(parse_term(ast.literal_eval(text), fmt))
+            readings += 1
+    assert readings > 2000
+    rng = random.Random(23)
+    for _ in range(2000):
+        t = random_closed_term(rng, rng.randint(0, 7))
+        for fmt in FORMATS:
+            _assert_leaves_as_checked(parse_term(format_term(t, fmt), fmt))
+
+
+def test_parse_term_runs_no_leaf_check(monkeypatch):
+    class Refuse:
+        def fullmatch(self, text):
+            raise AssertionError(f"checked {text!r}")
+
+    monkeypatch.setattr(terms, "_LIT_RE", Refuse())
+    monkeypatch.setattr(terms, "_VAR_RE", Refuse())
+    for text, fmt in (("x*-3 - (ab2/ft 007) + 3", "inline"), ("-x:fv-12", "colon"), ("frac_ft(x, -3)", "frac")):
+        assert format_term(parse_term(text, fmt), fmt)
+    with pytest.raises(AssertionError):
+        Lit("5")
+
+
+def test_numeral_checks_all_but_an_int():
+    for n in (0, 7, -12, 10**100):
+        assert numeral(n) == Lit(str(n)) and hash(numeral(n)) == hash(Lit(str(n)))
+    with pytest.raises(ValueError):
+        numeral(True)
+    for n in (10**5000, -(10**5000)):
+        with pytest.raises(CapacityError):
+            numeral(n)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +425,46 @@ def test_equality_is_identity_of_the_printed_form(a, b):
         assert (x == y) == (format_term(x) == format_term(y))
         if x == y:
             assert hash(x) == hash(y)
+
+
+def _by_hand(node, *kids):
+    """node rebuilt through the public constructors."""
+    if not kids:
+        return Lit(node.digits) if type(node) is Lit else Var(node.name)
+    return Div(*kids, node.decoration) if type(node) is Div else type(node)(*kids)
+
+
+@given(term_strategy())
+def test_a_term_hashes_as_any_equal_term_however_made(t):
+    text = format_term(t)
+    made = [t, parse_term(text), fold(parse_term(text), _by_hand), pickle.loads(pickle.dumps(t)), copy.deepcopy(t)]
+    assert all(u == t for u in made) and len({hash(u) for u in made}) == 1
+    erased = [erase_decorations(parse_term(text)), erase_decorations(t)]
+    erased.append(parse_term(format_term(erased[0])))
+    assert erased[0] == erased[1] == erased[2] and len({hash(u) for u in erased}) == 1
+    if not t.has_var:
+        flat = flatten(parse_term(text))[0]
+        again = parse_term(format_term(flat))
+        assert flat == again and hash(flat) == hash(again) == hash(flatten(t)[0])
+
+
+@given(term_strategy(), st.randoms(use_true_random=False))
+def test_hashing_a_child_first_or_the_root_first_gives_one_hash(t, rng):
+    text = format_term(t)
+    root_first, child_first = parse_term(text), parse_term(text)
+    hash(root_first)
+    nodes = list(_distinct_nodes(child_first).values())
+    rng.shuffle(nodes)
+    assert child_first == parse_term(text)  # neither hashed
+    for node in nodes[: len(nodes) // 2]:
+        hash(node)
+    assert child_first == root_first  # root_first hashed, child_first in part
+    for node in nodes:
+        hash(node)
+    assert child_first == root_first  # both hashed
+    assert [hash(n) for n in _distinct_nodes(child_first).values()] == [
+        hash(n) for n in _distinct_nodes(root_first).values()
+    ]
 
 
 def test_terms_are_immutable_and_copy():
