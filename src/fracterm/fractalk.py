@@ -27,6 +27,7 @@ default. "t can be written flat as w" means: w is flat and equal in value.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -450,6 +451,9 @@ def _check_even_integer(env: _Env, claim: Claim):
     return "invalid", f"the value {exact} is not an even integer"
 
 
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def _check_comparison(env: _Env, claim: Claim):
     level = env.level(claim.occ)
     if level is not Level.FRACVALUE:
@@ -461,8 +465,7 @@ def _check_comparison(env: _Env, claim: Claim):
     if exact is BOTTOM:
         return "invalid", "the value is bottom and compares with nothing"
     op, bound = claim.arg
-    holds = {"<": exact < bound, "<=": exact <= bound, ">": exact > bound, ">=": exact >= bound}[op]
-    if holds:
+    if _COMPARE[op](exact, bound):
         return _VALID
     shown = exact if _printable(exact) else format_term(claim.occ.term)
     return "invalid", f"{shown} {op} {bound} does not hold"

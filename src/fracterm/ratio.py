@@ -5,9 +5,14 @@ that are label-equal as ratios. Numerator and denominator extraction is
 defined on the pairs themselves, which deliberately breaks congruence with
 label equality: that failure is the point of the construction, not a bug.
 
-The default addition is cross-multiplication, (a*d + b*c, b*d). A verbatim
-mode computing (a*c + b*d, b*d) instead is available for fidelity
-experiments; it does not agree with rational addition.
+One pair algebra, ``_pair_algebra``, folds terms for every reading of their
+value, here and in ``semantics``, through three choices: reduce each pair by
+its gcd or not; add by cross-multiplication, (a*d + b*c, b*d), or verbatim,
+(a*c + b*d, b*d), which does not agree with rational addition and serves
+fidelity experiments; and at a zero divisor, stop the fold, give zero, or
+give a zero denominator, the bottom class, which absorbs. The ratio-number
+readings never reduce and give bottom; those of ``semantics`` reduce, and
+stop or give zero.
 
 The integer components are exact bignums.
 """
@@ -15,6 +20,7 @@ The integer components are exact bignums.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from .errors import OpenTerm
@@ -97,8 +103,15 @@ class DenomOf(Record):
 ExtTerm = Union[Term, NumOf, DenomOf]
 
 
-def _rn_algebra(verbatim: bool):
-    """The fold in plain (a, b) int pairs, each the pair of its node's rn_* function."""
+class _ZeroDivisor(Exception):
+    """Stops the pair fold at the division node that args[0] names."""
+
+
+def _pair_algebra(reduce: bool, verbatim: bool, at_zero: str):
+    """The fold in plain (a, b) int pairs, the sign left to whoever reads them;
+    ``reduce`` needs b != 0, and ``at_zero`` is "stop" (raise _ZeroDivisor),
+    "zero" (give (0, 1)) or "bottom"."""
+    stop, absorb = at_zero == "stop", at_zero == "bottom"
 
     def ev(node: Term, x=None, y=None) -> tuple[int, int]:
         cls = type(node)
@@ -113,16 +126,29 @@ def _rn_algebra(verbatim: bool):
         if cls is Sub:
             cls, c = Add, -c
         if cls is Add:
-            return (a * c + b * d, b * d) if verbatim else (a * d + b * c, b * d)
-        if cls is Mul:
-            return (a * c, b * d)
-        # x times rn_inv(y), whose denominator c * sign(d)**2 is 0 when d is.
-        return (a * d, b * c if d else 0)
+            n, m = (a * c + b * d if verbatim else a * d + b * c), b * d
+        elif cls is Mul:
+            n, m = a * c, b * d
+        elif c or absorb:
+            # x times rn_inv(y), whose denominator c * sign(d)**2 is 0 when d is.
+            n, m = a * d, b * c if d else 0
+        elif stop:
+            raise _ZeroDivisor(node)
+        else:
+            return (0, 1)
+        if not reduce:
+            return (n, m)
+        g = gcd(n, m)
+        return (n // g, m // g)
 
     return ev
 
 
-_PLAIN, _VERBATIM = ("rn", _rn_algebra(False)), ("rn-verbatim", _rn_algebra(True))  # (value_memo key, alg)
+# The four readings: semantics folds two, rn_eval two with their memo keys.
+_STOP = _pair_algebra(True, False, "stop")
+_SUPPES_ONO = _pair_algebra(True, False, "zero")
+_PLAIN = ("rn", _pair_algebra(False, False, "bottom"))
+_VERBATIM = ("rn-verbatim", _pair_algebra(False, True, "bottom"))
 
 
 def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:

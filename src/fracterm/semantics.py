@@ -9,8 +9,10 @@ A fracvalue is either a number instance of the configured rational shape or
 a peripheral. Only bottom is ever produced; the other peripherals (inf,
 +inf, -inf, nan) are representable but have no algebra here.
 
-Evaluation folds the term in exact integer pairs (a, b) in lowest terms,
-b nonzero: ``eval_number`` gives the exact Fraction, or bottom, and
+Evaluation folds the term with ``ratio._pair_algebra``, the one pair
+algebra (reduce or not, plain or verbatim addition, and what a zero divisor
+does), in exact integer pairs (a, b) in lowest terms, b nonzero:
+``eval_number`` gives the exact Fraction, or bottom, and
 ``eval_term`` encodes it into the configured shape once, at the root.
 ``terms.fold`` computes each distinct composite node once, so a term that
 shares subterms, as a flat form does, evaluates in time linear in its
@@ -23,19 +25,19 @@ common-meadow only, each pair naming ``eval_number``'s value (denominator
 int/str conversion: ``rat.ssft`` writes it in decimal digits and refuses
 one past the limit with CapacityError; ``rat.pcs`` holds plain ints.
 
-The pair fold stops at the first zero divisor in postorder, where partial
-raises and common-meadow's bottom arises and absorbs; only Suppes-Ono folds
-again, past it. A term keeps its Fraction once evaluated, with ``rn_eval``'s
-pairs, in ``terms.value_memo``: a later evaluation of the term object, under
-any policy and shape, only encodes at the root. The memo keeps the value's
-integers alive as long as the term lives, keeps no exception, and is no
-part of the term's ``==``, ``hash``, ``repr`` or pickling.
+The ``stop`` reading ends the fold at the first zero divisor in postorder,
+where partial raises and common-meadow's bottom arises; only Suppes-Ono
+folds again, giving zero there. A term keeps its Fraction once evaluated,
+with ``rn_eval``'s pairs, in ``terms.value_memo``: a later evaluation of the
+term object, under any policy and shape, only encodes at the root. The memo
+keeps the value's integers alive as long as the term lives, keeps no
+exception, and is no part of the term's ``==``, ``hash``, ``repr`` or
+pickling.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from . import ratio, shapes
@@ -46,7 +48,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedPeripheral,
 )
-from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, value_memo
+from .terms import Record, Term, fold, value_memo
 
 POLICIES = ("partial", "suppes-ono", "common-meadow")
 PERIPHERALS = ("bot", "inf", "+inf", "-inf", "nan")
@@ -84,46 +86,6 @@ class EvalConfig(Record):
             raise UnsupportedOperation(f"evaluation needs a rat shape, got {self.shape_id!r}")
 
 
-class _ZeroDivisor(Exception):
-    """Stops the pair fold at the division node that args[0] names."""
-
-
-def _pair_algebra(totalise: bool):
-    """The pair fold: (a, b) in lowest terms, b != 0, the sign left to the
-    Fraction built at the root. A zero divisor gives (0, 1) if totalise, else
-    it stops the fold there."""
-
-    def ev(node: Term, x=None, y=None):
-        cls = type(node)
-        if cls is Lit:
-            return (node.value, 1)
-        if cls is Var:
-            raise OpenTerm(f"cannot evaluate variable {node.name!r}")
-        a, b = x
-        if cls is Neg:
-            return (-a, b)
-        c, d = y
-        if cls is Add:
-            n, m = a * d + b * c, b * d
-        elif cls is Sub:
-            n, m = a * d - b * c, b * d
-        elif cls is Mul:
-            n, m = a * c, b * d
-        elif c:
-            n, m = a * d, b * c
-        elif totalise:
-            return (0, 1)
-        else:
-            raise _ZeroDivisor(node)
-        g = gcd(n, m)
-        return (n // g, m // g)
-
-    return ev
-
-
-_STOP, _TOTALISE = _pair_algebra(False), _pair_algebra(True)
-
-
 def eval_number(t: Term, policy: str = "common-meadow"):
     """The exact value of a closed term under policy: a Fraction, or BOTTOM."""
     if policy not in POLICIES:
@@ -131,8 +93,8 @@ def eval_number(t: Term, policy: str = "common-meadow"):
     memo = value_memo(t)
     if "stop" not in memo:
         try:
-            memo["stop"] = (Fraction(*fold(t, _STOP)), None)
-        except _ZeroDivisor as exc:
+            memo["stop"] = (Fraction(*fold(t, ratio._STOP)), None)
+        except ratio._ZeroDivisor as exc:
             memo["stop"] = (None, exc.args[0])
     value, zero_divisor = memo["stop"]
     if zero_divisor is not None:
@@ -143,7 +105,7 @@ def eval_number(t: Term, policy: str = "common-meadow"):
         if policy == "common-meadow" and not t.has_var:
             return BOTTOM
         if "suppes-ono" not in memo:
-            memo["suppes-ono"] = Fraction(*fold(t, _TOTALISE))
+            memo["suppes-ono"] = Fraction(*fold(t, ratio._SUPPES_ONO))
         value = memo["suppes-ono"]
     return value
 

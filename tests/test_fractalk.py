@@ -372,6 +372,15 @@ def test_comparison_checks_values():
     assert check_text("1: 1/0 > 1").overall == "paradox-blocked"
     verdict = check_text("1: level(2) = ft\n2: 4/3 > 1")
     assert verdict.step(2).status == "level-conflict"
+    # Each operator on the boundary (2/2 against 1) and off it, either way.
+    for claim, failure in [
+        ("2/2 < 1", "1 < 1"), ("2/2 <= 1", None), ("2/2 > 1", "1 > 1"), ("2/2 >= 1", None),
+        ("1/2 < 1", None), ("3/2 < 1", "3/2 < 1"), ("1/2 <= 1", None), ("3/2 <= 1", "3/2 <= 1"),
+        ("3/2 > 1", None), ("1/2 > 1", "1/2 > 1"), ("3/2 >= 1", None), ("1/2 >= 1", "1/2 >= 1"),
+    ]:
+        step = check_text(f"1: {claim}").step(1)
+        expected = ("valid", None) if failure is None else ("invalid", f"{failure} does not hold")
+        assert (step.status, step.explanation) == expected, claim
 
 
 def test_equality_of_values_past_the_digit_limit():

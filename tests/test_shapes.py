@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -449,6 +452,24 @@ def test_normality_matrix_small_bound():
         assert is_normal(shape_id, 15), shape_id
     for shape_id in ("nat.dec", "int.diffpair", "rat.rns"):
         assert not is_normal(shape_id, 15), shape_id
+
+
+@pytest.mark.parametrize(
+    "args,golden",
+    [([], "normality_survey.txt"), (["--bound", "200"], "normality_survey_b200.txt"),
+     (["--bound", str(NORMALITY_BOUND)], "normality_survey_b300.txt")],
+    ids=["default", "b200", "b300"],
+)
+def test_normality_survey_matches_its_golden(args, golden):
+    # The surveys CI diffs, at the default bound, at 200 and at the budget bound.
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["PYTHONIOENCODING"] = "utf-8"
+    out = subprocess.run(
+        [sys.executable, "scripts/normality_survey.py", *args], cwd=root, env=env, capture_output=True, check=True
+    )
+    assert out.stdout.decode("utf-8") == (root / "scripts/expected" / golden).read_text(encoding="utf-8")
 
 
 def test_descriptor_agrees_with_bounded_check():
