@@ -1,20 +1,24 @@
 """Term rewriting: fracterm flattening, simplification, and the addition family.
 
 Flattening turns any closed term into a flat fracterm (or leaves it alone
-when it is division-free), one audited rewrite step at a time. The rules:
+when it is division-free), one audited rewrite step at a time. First
+``numeral-eval`` replaces each division-free composite operand of a division
+by its numeral value. Then the equations of the fracterm calculus (Bergstra
+& Tucker, 2023), one per operator, read each operand as a pair: a flat a/b
+as (a, b), a division-free x as (x, 1), with the factor 1 left out:
 
-* ``numeral-eval``     - a division-free composite operand of a division is
-                         replaced by its numeral value;
-* ``neg-lift``         - -(a/b) becomes (-a)/b;
-* ``add-lift``/``sub-lift``/``mul-lift`` - sums, differences and products
-                         are lifted over a product of denominators;
-* ``div-collapse``     - (a/b)/(c/d) becomes (a*d)/(b*c);
-* ``div-collapse-bot`` - the same collapse when d evaluates to zero, with
-                         the denominator multiplied by d so that the result
-                         stays bottom under the common-meadow reading.
+* ``neg-lift``             - -(a/b) = (-a)/b;
+* ``add-lift``/``sub-lift`` - a/b +- c/d = (a*d +- b*c)/(b*d);
+* ``mul-lift``             - a/b * c/d = (a*c)/(b*d);
+* ``div-collapse``         - (a/b)/(c/d) = (a*d)/(b*c);
+* ``div-collapse-bot``     - the same collapse with c replaced by c*d when d
+                             evaluates to zero, so that the result stays
+                             bottom under the common-meadow reading.
 
 The plain collapse would silently turn x/(c/0) into a number, so the guarded
-variant keeps the zero in the denominator. Value preservation is stated for
+variant keeps the zero in the denominator. A sum or difference with a flat
+left and a division-free right operand writes b*c as c*b. The ``cross``
+addition is one ``add-lift`` step. Value preservation is stated for
 the common-meadow policy; the zero-totalizing policy is not preserved in
 general (a zero divisor can be multiplied away).
 
@@ -99,10 +103,6 @@ class RewriteTrace(Record):
         return out
 
 
-def _flatdiv(t: Term) -> bool:
-    return isinstance(t, Div) and not (t.left.has_div or t.right.has_div)
-
-
 def _numeral_rule(t: Term):
     # Division operands that are plain closed arithmetic become numerals:
     # the pair of a division-free term is (value, 1). This runs as a first
@@ -115,54 +115,41 @@ def _numeral_rule(t: Term):
     return None
 
 
-def _node_rule(t: Term):
-    if isinstance(t, Neg):
-        if _flatdiv(t.operand):
-            inner = t.operand
-            return ("neg-lift", Div(Neg(inner.left), inner.right))
-        return None
-
-    if isinstance(t, Div):
-        l, r = t.left, t.right
-        if not l.has_div and _flatdiv(r):
-            if rn_eval(r.right).a != 0:
-                return ("div-collapse", Div(Mul(l, r.right), r.left))
-            return ("div-collapse-bot", Div(Mul(l, r.right), Mul(r.left, r.right)))
-        if _flatdiv(l) and not r.has_div:
-            return ("div-collapse", Div(l.left, Mul(l.right, r)))
-        if _flatdiv(l) and _flatdiv(r):
-            if rn_eval(r.right).a != 0:
-                return ("div-collapse", Div(Mul(l.left, r.right), Mul(l.right, r.left)))
-            return (
-                "div-collapse-bot",
-                Div(Mul(l.left, r.right), Mul(l.right, Mul(r.left, r.right))),
-            )
-        return None
-
-    if isinstance(t, (Add, Sub, Mul)):
-        l, r = t.left, t.right
-        rule = {Add: "add-lift", Sub: "sub-lift", Mul: "mul-lift"}[type(t)]
-        if isinstance(t, Mul):
-            if _flatdiv(l) and _flatdiv(r):
-                return (rule, Div(Mul(l.left, r.left), Mul(l.right, r.right)))
-            if _flatdiv(l) and not r.has_div:
-                return (rule, Div(Mul(l.left, r), l.right))
-            if not l.has_div and _flatdiv(r):
-                return (rule, Div(Mul(l, r.left), r.right))
-            return None
-        cls = type(t)
-        if _flatdiv(l) and _flatdiv(r):
-            return (
-                rule,
-                Div(cls(Mul(l.left, r.right), Mul(l.right, r.left)), Mul(l.right, r.right)),
-            )
-        if _flatdiv(l) and not r.has_div:
-            return (rule, Div(cls(l.left, Mul(r, l.right)), l.right))
-        if not l.has_div and _flatdiv(r):
-            return (rule, Div(cls(Mul(l, r.right), r.left), r.right))
-        return None
-
+def _pair(t: Term):
+    """A flat fracterm a/b as (a, b), a division-free x as (x, None), else None."""
+    if not t.has_div:
+        return t, None
+    if type(t) is Div and not (t.left.has_div or t.right.has_div):
+        return t.left, t.right
     return None
+
+
+def _times(x, y):
+    # None is the factor 1, left out.
+    return x if y is None else y if x is None else Mul(x, y)
+
+
+def _node_rule(t: Term):
+    # The fracterm-calculus equations over the operands' pairs (a, b), (c, d).
+    if not t.has_div:
+        return None
+    if type(t) is Neg:
+        p = _pair(t.operand)
+        return None if p is None else ("neg-lift", Div(Neg(p[0]), p[1]))
+    l, r = _pair(t.left), _pair(t.right)
+    if l is None or r is None or l[1] is None and r[1] is None:
+        return None
+    (a, b), (c, d) = l, r
+    cls = type(t)
+    if cls is Mul:
+        return ("mul-lift", Div(_times(a, c), _times(b, d)))
+    if cls is Div:
+        if d is not None and rn_eval(d).a == 0:
+            return ("div-collapse-bot", Div(_times(a, d), _times(b, Mul(c, d))))
+        return ("div-collapse", Div(_times(a, d), _times(b, c)))
+    # A flat left and a division-free right multiply c*b, not b*c.
+    bc = Mul(c, b) if d is None else _times(b, c)
+    return ("add-lift" if cls is Add else "sub-lift", Div(cls(_times(a, d), bc), _times(b, d)))
 
 
 def _rewrite_all(t: Term, rule, steps: list[RewriteStep]) -> Term:
@@ -302,11 +289,9 @@ def add_family(t1: Term, t2: Term, strategy: str) -> Term:
     if not (c1.flat and c2.flat):
         raise StrategyInapplicable(f"{strategy} addition needs flat fracterms")
     # Flat fracterms hold no division below the root, so no decoration.
-    a, b = t1.left, t1.right
-    c, d = t2.left, t2.right
-    if strategy == "same-denom" and b == d:
-        return Div(Add(a, c), b)
-    return Div(Add(Mul(a, d), Mul(b, c)), Mul(b, d))
+    if strategy == "same-denom" and t1.right == t2.right:
+        return Div(Add(t1.left, t2.left), t1.right)
+    return _node_rule(Add(t1, t2))[1]
 
 
 def add_family_all(t1: Term, t2: Term) -> dict[str, Term]:

@@ -43,7 +43,6 @@ from .terms import Div, Lit, Record, Term, check_str_digits, classify, format_te
 
 # The operations of each label; every shape of the label offers them.
 OPERATIONS = {"nat": ("add", "mul"), "int": ("add", "mul", "neg"), "rat": ("add", "mul", "neg", "div")}
-LABELS = tuple(OPERATIONS)
 _ARITHMETIC = {"add": ("addition", operator.add), "mul": ("multiplication", operator.mul),
                "neg": ("negation", operator.neg), "div": ("division", operator.truediv)}
 

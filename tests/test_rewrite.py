@@ -97,6 +97,39 @@ def test_flatten_open_term():
         flatten(parse_term("x/2"))
 
 
+# One step of _node_rule per operator and operand form: flat a/b and c/d,
+# division-free a or c. The flat/division-free sums pin the c*b order.
+NODE_RULE_CASES = [
+    ("-(1/2)", ("neg-lift", "-(1)/2")),
+    ("1/2+3/4", ("add-lift", "(1*4+2*3)/(2*4)")),
+    ("1/2+3", ("add-lift", "(1+3*2)/2")),
+    ("1+3/4", ("add-lift", "(1*4+3)/4")),
+    ("1/2-3/4", ("sub-lift", "(1*4-2*3)/(2*4)")),
+    ("1/2-3", ("sub-lift", "(1-3*2)/2")),
+    ("1-3/4", ("sub-lift", "(1*4-3)/4")),
+    ("1/2*(3/4)", ("mul-lift", "1*3/(2*4)")),
+    ("1/2*3", ("mul-lift", "1*3/2")),
+    ("1*(3/4)", ("mul-lift", "1*3/4")),
+    ("(1/2)/(3/4)", ("div-collapse", "1*4/(2*3)")),
+    ("(1/2)/3", ("div-collapse", "1/(2*3)")),
+    ("1/(3/4)", ("div-collapse", "1*4/3")),
+    ("(1/2)/(3/0)", ("div-collapse-bot", "1*0/(2*(3*0))")),
+    ("1/(3/0)", ("div-collapse-bot", "1*0/(3*0)")),
+    ("1/2", None),
+    ("1+2", None),
+    ("-(1+2)", None),
+    ("1/(2/3)+1", None),
+    ("-(1/(2/3))", None),
+    ("1", None),
+]
+
+
+@pytest.mark.parametrize("text,expected", NODE_RULE_CASES, ids=[c[0] for c in NODE_RULE_CASES])
+def test_node_rule_golden(text, expected):
+    found = _node_rule(parse_term(text))
+    assert (found and (found[0], format_term(found[1]))) == expected
+
+
 # ---------------------------------------------------------------------------
 # Flattening properties
 
@@ -421,6 +454,19 @@ def test_add_permissible_outputs_for_half_plus_three_halves():
         for result in outputs.values():
             assert value_eq(eval_term(parse_term(listed), CM), eval_term(result, CM))
     assert all(value_eq(eval_term(r, CM), expected) for r in outputs.values())
+
+
+def test_add_cross_evaluates_nothing():
+    # Open operands: any evaluation would raise OpenTerm.
+    got = add_family(parse_term("x/2"), parse_term("y/3"), "cross")
+    assert format_term(got) == "(x*3+2*y)/(2*3)"
+
+
+@pytest.mark.parametrize("left,right", [("1/ft2", "1/fv3"), ("1/ft2", "3/fv2")])
+def test_add_decorated_roots_as_undecorated(left, right):
+    got = add_family_all(parse_term(left), parse_term(right))
+    plain = add_family_all(erase_decorations(parse_term(left)), erase_decorations(parse_term(right)))
+    assert got == plain and set(got) == {"cross", "same-denom", "numeral"}
 
 
 def test_same_denom_falls_through_to_cross():
