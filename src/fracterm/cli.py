@@ -26,10 +26,6 @@ CORPUS_ORDER = ("A", "B", "Bprime", "Bpp", "C", "Cprime", "D", "E", "F")
 SCRIPT_BYTES = 1 << 20  # a longer script raises CapacityError; about 50x an 800-claim one
 
 
-def _default_shape() -> str:
-    return os.environ.get("FRACTERM_DEFAULT_SHAPE", "rat.pcs")
-
-
 def _load_json(text: str):
     try:
         return json.loads(text)
@@ -78,14 +74,13 @@ def _cmd_classify(args):
 def _cmd_eval(args):
     from . import semantics, shapes
     t = _parse_args_term(args)
-    shape_id = args.shape or _default_shape()
-    cfg = semantics.EvalConfig(args.policy, shape_id)
+    cfg = semantics.EvalConfig(args.policy, args.shape)
     value = semantics.eval_term(t, cfg)
     data = semantics.value_to_json(value)
     if isinstance(value, semantics.PeripheralValue):
         text = f"peripheral {value.name}"
     else:
-        text = f"{shapes.decode(value.instance)} ({shape_id})"
+        text = f"{shapes.decode(value.instance)} ({args.shape})"
     return data, [text]
 
 
@@ -122,7 +117,7 @@ def _cmd_add(args):
 
 def _cmd_shape_encode(args):
     from . import shapes
-    inst = shapes.encode(args.value, args.shape or _default_shape())
+    inst = shapes.encode(args.value, args.shape)
     data = shapes.instance_to_json(inst)
     return data, [json.dumps(data["value"])]
 
@@ -137,19 +132,17 @@ def _cmd_shape_convert(args):
 
 def _cmd_shape_compare(args):
     from . import shapes
-    shape_id = args.shape or _default_shape()
-    shape = shapes.get_shape(shape_id)
+    shape = shapes.get_shape(args.shape)
     i, j = shape.from_json(_load_json(args.left)), shape.from_json(_load_json(args.right))
-    data = {"shape": shape_id, "instance_eq": shapes.instance_eq(i, j), "label_eq": shapes.label_eq(i, j)}
+    data = {"shape": args.shape, "instance_eq": shapes.instance_eq(i, j), "label_eq": shapes.label_eq(i, j)}
     return data, [f"instance_eq: {data['instance_eq']}", f"label_eq: {data['label_eq']}"]
 
 
 def _cmd_shape_normality(args):
     from . import shapes
-    shape_id = args.shape or _default_shape()
-    report = shapes.normality_report(shape_id, args.bound)
-    data = {"shape": shape_id, "bound": args.bound, "normal": report.normal}
-    lines = [f"{shape_id} is {'normal' if report.normal else 'subnormal'} up to {args.bound}"]
+    report = shapes.normality_report(args.shape, args.bound)
+    data = {"shape": args.shape, "bound": args.bound, "normal": report.normal}
+    lines = [f"{args.shape} is {'normal' if report.normal else 'subnormal'} up to {args.bound}"]
     if report.witness:
         w = [shapes.instance_to_json(x)["value"] for x in report.witness]
         data["witness"] = w
@@ -213,8 +206,7 @@ def _cmd_fractalk_check(args):
     from . import fractalk
     name, text = _read_script(args.script)
     script = fractalk.parse_script(text)
-    shape_id = args.shape or script.shape_id or _default_shape()
-    verdict = fractalk.check(script, shape_id=shape_id)
+    verdict = fractalk.check(script, shape_id=args.shape)
     return verdict.to_json(), _verdict_lines(name, verdict)
 
 
@@ -265,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["partial", "suppes-ono", "common-meadow"],
         default="common-meadow",
     )
-    p.add_argument("--shape", default=None)
+    p.add_argument("--shape", default="rat.pcs")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("flatten", help="rewrite into a flat fracterm with a trace")
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = shape_sub.add_parser("encode")
     q.add_argument("value", type=_int_arg)
-    q.add_argument("--shape", default=None)
+    q.add_argument("--shape", default="rat.pcs")
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_shape_encode)
 
@@ -303,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = shape_sub.add_parser("compare")
     q.add_argument("left", help="payload as JSON")
     q.add_argument("right", help="payload as JSON")
-    q.add_argument("--shape", default=None)
+    q.add_argument("--shape", default="rat.pcs")
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_shape_compare)
 
     q = shape_sub.add_parser("normality")
-    q.add_argument("--shape", default=None)
+    q.add_argument("--shape", default="rat.pcs")
     q.add_argument("--bound", type=_int_arg, default=50)
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=_cmd_shape_normality)

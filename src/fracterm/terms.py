@@ -8,8 +8,8 @@ see ``desugar_literals``). Division nodes may carry a level decoration,
 The parser, the printer, ``fold`` and a term's ``==`` keep their own
 stacks instead of recursing, so memory, not the recursion limit, bounds the
 depth of a term. ``fold`` computes each distinct composite node once, so
-evaluation and desugaring are linear in distinct nodes, and erasing
-decorations visits only the distinct nodes above a decoration.
+evaluation, desugaring and erasing decorations are linear in distinct
+nodes.
 
 Terms are immutable, so they share freely. A parsed term has one leaf for
 each distinct literal or variable text (``parse_term("2+2")`` has
@@ -675,25 +675,12 @@ def contains_div(t: Term) -> bool:
 
 
 def erase_decorations(t: Term) -> Term:
-    """t with every division decoration dropped; t itself if it has none.
-    Only the nodes above a decoration are walked, each distinct one rebuilt once."""
-    if not t.decorated:
-        return t
-    results: list[Term] = []
-    built: dict[int, Term] = {}  # the new node of each decorated node, by id
-    todo: list = [t]
-    while todo:
-        node = todo.pop()
-        if node is _DONE:
-            node = todo.pop()
-            kids = (results.pop(),) if type(node) is Neg else (results.pop(-2), results.pop())
-            results.append(type(node)(*kids))
-            built[id(node)] = results[-1]
-        elif not node._facts & _DECORATED or id(node) in built:
-            results.append(built.get(id(node), node))
-        else:
-            todo += (node, _DONE, node.operand) if type(node) is Neg else (node, _DONE, node.right, node.left)
-    return results[0]
+    """t with every division decoration dropped; t itself if it has none."""
+    return fold(t, _erase) if t.decorated else t
+
+
+def _erase(node: Term, *kids: Term) -> Term:
+    return type(node)(*kids) if node._facts & _DECORATED else node
 
 
 # --------------------------------------------------------------------------

@@ -73,11 +73,8 @@ def test_eval_division_by_zero_policies(capsys):
     assert json.loads(err)["error"] == "DivisionByZero"
 
 
-def test_eval_shape_flag_and_env(capsys, monkeypatch):
+def test_eval_shape_flag(capsys):
     data = run_json(capsys, "eval", "1/2", "--shape", "rat.ssft")
-    assert data["shape"] == "rat.ssft" and data["value"] == "1/2"
-    monkeypatch.setenv("FRACTERM_DEFAULT_SHAPE", "rat.ssft")
-    data = run_json(capsys, "eval", "2/4")
     assert data["shape"] == "rat.ssft" and data["value"] == "1/2"
 
 

@@ -1,7 +1,10 @@
 """The example outputs under scripts/expected, each from a fresh process.
 
-Each case runs from the repository root, as the CI diffs do:
-flattening_soundness.py puts ``tests`` on its path from there.
+``scripts/expected/GOLDENS`` has one row per compared output: the expected
+file name, then the ``python`` arguments, separated by whitespace. CI reads
+the same table in its "Example scripts" loop. Each case runs from the
+repository root, as that loop does: flattening_soundness.py puts ``tests``
+on its path from there.
 """
 
 import os
@@ -12,21 +15,20 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-
-CASES = [
-    (["scripts/flattening_soundness.py"], "flattening_soundness.txt"),
-    (["scripts/flattening_soundness.py", "--count", "300", "--show", "300"], "flattening_traces.txt"),
-    (["scripts/check_corpus.py"], "check_corpus.txt"),
-    (["scripts/check_corpus.py", "--shape", "rat.ssft"], "check_corpus_ssft.txt"),
-    (["scripts/check_corpus.py", "--shape", "rat.rns"], "check_corpus_rns.txt"),
-    (["-m", "fracterm.cli", "demo", "--json"], "demo.json"),
-]
+EXPECTED = ROOT / "scripts/expected"
+ROWS = [line.split() for line in (EXPECTED / "GOLDENS").read_text(encoding="utf-8").splitlines()]
 
 
-@pytest.mark.parametrize("args,golden", CASES, ids=[golden for _, golden in CASES])
-def test_script_output_matches_its_golden(args, golden):
+@pytest.mark.parametrize("golden,args", [(row[0], row[1:]) for row in ROWS], ids=[row[0] for row in ROWS])
+def test_script_output_matches_its_golden(golden, args):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env["PYTHONIOENCODING"] = "utf-8"
     out = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, check=True)
-    assert out.stdout.decode("utf-8") == (ROOT / "scripts/expected" / golden).read_text(encoding="utf-8")
+    assert out.stdout.decode("utf-8") == (EXPECTED / golden).read_text(encoding="utf-8")
+
+
+def test_every_golden_has_exactly_one_row():
+    named = [row[0] for row in ROWS]
+    files = sorted(p.name for p in EXPECTED.iterdir() if p.name != "GOLDENS")
+    assert sorted(named) == files
