@@ -11,15 +11,16 @@ label equality is strictly coarser.
 
 A shape defines only its payloads: ``validate``, ``encode`` of an int, a
 Fraction or None (the bottom class), ``decode`` back to an exact number or
-None, ``bounded_instances`` and the JSON form. Label equality, the
-operations of its label and ``convert`` follow from ``decode`` and
-``encode``: the numbers are decoded, combined exactly, with bottom absorbing
-and a zero divisor giving bottom as in common meadows, and encoded again.
+None, ``bounded_instances`` and the JSON form. Label equality, ``convert``
+and ``Shape.operate(op, ...)``, the one entry point for the operations of
+the label, follow from ``decode`` and ``encode``: the numbers are decoded,
+combined exactly, with bottom absorbing and a zero divisor giving bottom as
+in common meadows, and encoded again.
 
-Only ``int.diffpair`` and ``rat.rns`` keep their own arithmetic, because
-their results are not canonical: (5, 2) + (1, 4) is (6, 6). Evaluation uses
-none of these operations: ``semantics.eval_term`` folds a term in exact
-integer pairs and encodes its value once, at the root.
+``int.diffpair`` and ``rat.rns``, whose results are not canonical ((5, 2) +
+(1, 4) is (6, 6)), declare payload functions instead, rat.rns from ``ratio``.
+Evaluation uses none of these operations: ``semantics.eval_term`` folds a
+term in exact integer pairs and encodes its value once, at the root.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ class Shape:
     shape_id: str = ""
     label: str = ""
     normal: bool = True
+    payload_operations: dict = {}  # op -> function of payloads, where results are not canonical
 
     @property
     def operations(self) -> tuple[str, ...]:
@@ -186,30 +188,22 @@ class Shape:
     def label_eq(self, i: Instance, j: Instance) -> bool:
         return self.decode(i) == self.decode(j)
 
-    def _apply(self, op: str, *values: Optional[Number]):
-        # Bottom absorbs and a zero divisor gives bottom: the shape's
-        # bottom-class instance, or BOT on a shape that has none.
+    def operate(self, op: str, *insts: Instance):
+        """The operation op of the label on insts, refused before any is decoded
+        when the label lacks it. Bottom absorbs and a zero divisor gives bottom:
+        the shape's bottom-class instance, or BOT on a shape that has none."""
         name, fn = _ARITHMETIC[op]
         if op not in OPERATIONS[self.label]:
             raise UnsupportedOperation(f"{self.shape_id} has no {name}")
+        if op in self.payload_operations:
+            return Instance(self.shape_id, self.payload_operations[op](*[i.payload for i in insts]))
+        values = [self.decode(i) for i in insts]
         if values[0] is None or values[-1] is None or (op == "div" and values[1] == 0):
             try:
                 return self.encode(None)
             except UnsupportedOperation:
                 return BOT
         return self.encode(fn(*values))
-
-    def add(self, i: Instance, j: Instance) -> Instance:
-        return self._apply("add", self.decode(i), self.decode(j))
-
-    def mul(self, i: Instance, j: Instance) -> Instance:
-        return self._apply("mul", self.decode(i), self.decode(j))
-
-    def neg(self, i: Instance) -> Instance:
-        return self._apply("neg", self.decode(i))
-
-    def div(self, i: Instance, j: Instance):
-        return self._apply("div", self.decode(i), self.decode(j))
 
 
 class _PairShape(Shape):
@@ -535,19 +529,11 @@ class _DiffPairInt(_PairShape):
         a, b = inst.payload
         return a - b
 
-    def add(self, i, j):
-        a, b = i.payload
-        c, d = j.payload
-        return Instance(self.shape_id, (a + c, b + d))
-
-    def mul(self, i, j):
-        a, b = i.payload
-        c, d = j.payload
-        return Instance(self.shape_id, (a * c + b * d, a * d + b * c))
-
-    def neg(self, i):
-        a, b = i.payload
-        return Instance(self.shape_id, (b, a))
+    payload_operations = {
+        "add": lambda x, y: (x[0] + y[0], x[1] + y[1]),
+        "mul": lambda x, y: (x[0] * y[0] + x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+        "neg": lambda x: (x[1], x[0]),
+    }
 
     def bounded_instances(self, bound):
         for pair in itertools.product(range(bound + 1), repeat=2):
@@ -645,30 +631,22 @@ class _SimplifiedFractermRat(Shape):
         return parse_term(data)
 
 
+def _on_pairs(rn_op):
+    """A ratio-number operation as a function of (a, b) payloads."""
+    def on_pairs(*pairs):
+        rn = rn_op(*[ratio.RatioNumber(*pair) for pair in pairs])
+        return (rn.a, rn.b)
+    return on_pairs
+
+
 class _RatioNumberRat(_RatPair):
     """Raw integer pairs as numbers: no canonicalization, hence subnormal."""
 
     shape_id = "rat.rns"
     normal = False
     bad_pair = "bad ratio-number payload"
-
-    def _rn(self, inst) -> ratio.RatioNumber:
-        return ratio.RatioNumber(*inst.payload)
-
-    def _wrap(self, rn: ratio.RatioNumber) -> Instance:
-        return Instance(self.shape_id, (rn.a, rn.b))
-
-    def add(self, i, j):
-        return self._wrap(ratio.rn_add(self._rn(i), self._rn(j)))
-
-    def mul(self, i, j):
-        return self._wrap(ratio.rn_mul(self._rn(i), self._rn(j)))
-
-    def neg(self, i):
-        return self._wrap(ratio.rn_neg(self._rn(i)))
-
-    def div(self, i, j):
-        return self._wrap(ratio.rn_div(self._rn(i), self._rn(j)))
+    payload_operations = {"add": _on_pairs(ratio.rn_add), "mul": _on_pairs(ratio.rn_mul),
+                          "neg": _on_pairs(ratio.rn_neg), "div": _on_pairs(ratio.rn_div)}
 
     def bounded_instances(self, bound):
         span = min(bound, 8)
@@ -739,19 +717,19 @@ def label_eq(i: Instance, j: Instance) -> bool:
 
 
 def shape_add(i: Instance, j: Instance) -> Instance:
-    return _shape_of(i, j).add(i, j)
+    return _shape_of(i, j).operate("add", i, j)
 
 
 def shape_mul(i: Instance, j: Instance) -> Instance:
-    return _shape_of(i, j).mul(i, j)
+    return _shape_of(i, j).operate("mul", i, j)
 
 
 def shape_neg(i: Instance) -> Instance:
-    return _shape_of(i).neg(i)
+    return _shape_of(i).operate("neg", i)
 
 
 def shape_div(i: Instance, j: Instance):
-    return _shape_of(i, j).div(i, j)
+    return _shape_of(i, j).operate("div", i, j)
 
 
 def convert(inst: Instance, target_id: str) -> Instance:
@@ -798,7 +776,7 @@ def normality_report(shape_id: str, bound: int) -> NormalityReport:
         if first == pos:
             continue
         prev = next(itertools.islice(shape.bounded_instances(bound), first, None))
-        if not shape.instance_eq(prev, inst) and shape.label_eq(prev, inst):
+        if not shape.instance_eq(prev, inst):
             return NormalityReport(shape_id, bound, False, (prev, inst))
     return NormalityReport(shape_id, bound, True, None)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fracterm import shapes
+from fracterm import ratio, shapes
 from fracterm.errors import (
     CapacityError,
     FractermError,
@@ -91,6 +92,33 @@ def test_encode_errors():
         encode(1, "real.cauchy")
     with pytest.raises(CapacityError):
         encode((1 << 16) + 1, "nat.zermelo")
+
+
+@pytest.mark.parametrize("shape_id", SHAPE_IDS)
+def test_encode_of_fractions_and_bottom(shape_id):
+    label = get_shape(shape_id).label
+    if label == "rat":
+        assert decode(encode(Fraction(1, 2), shape_id)) == Fraction(1, 2)
+        if shape_id == "rat.ssft":
+            with pytest.raises(UnsupportedOperation, match="^rat.ssft has no bottom-class instance$"):
+                encode(None, shape_id)
+        else:
+            assert encode(None, shape_id).payload == (0, 0)
+    else:
+        with pytest.raises(UnsupportedOperation, match=f"^{shape_id} holds no non-integer values$"):
+            encode(Fraction(1, 2), shape_id)
+        with pytest.raises(UnsupportedOperation, match=f"^{shape_id} has no bottom-class instance$"):
+            encode(None, shape_id)
+    # An integer-valued Fraction is its int.
+    for k in (2, -2):
+        if label == "nat" and k < 0:
+            with pytest.raises(NegativeIntoNat, match=f"^{shape_id} holds no negative values$"):
+                encode(Fraction(2 * k, 2), shape_id)
+            continue
+        inst = encode(Fraction(2 * k, 2), shape_id)
+        assert instance_eq(inst, encode(k, shape_id))
+        assert decode(inst) == k
+        assert type(decode(inst)) is (Fraction if label == "rat" else int)
 
 
 @pytest.mark.parametrize("shape_id", SHAPE_IDS)
@@ -221,6 +249,39 @@ def test_diffpair_addition_golden():
     got = shape_add(dp.make((5, 2)), dp.make((1, 4)))
     assert got.payload == (6, 6)
     assert label_eq(got, encode(0, "int.diffpair"))
+
+
+# The payload arithmetic of the two shapes whose results are not canonical:
+# difference pairs by their formulas, ratio numbers by ratio.rn_*.
+_DIFFPAIR = {
+    "add": lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    "mul": lambda x, y: (x[0] * y[0] + x[1] * y[1], x[0] * y[1] + x[1] * y[0]),
+    "neg": lambda x: (x[1], x[0]),
+}
+_RATIO_NUMBER = {"add": ratio.rn_add, "mul": ratio.rn_mul, "neg": ratio.rn_neg, "div": ratio.rn_div}
+_SHAPE_OPS = {"add": shape_add, "mul": shape_mul, "neg": shape_neg, "div": shape_div}
+PAYLOAD_GRIDS = {
+    "int.diffpair": [(0, 0), (5, 2), (1, 4), (3, 3), (0, 7)],
+    "rat.rns": [(0, 0), (5, 0), (-2, 0), (0, 1), (1, 2), (2, 4), (-3, 5), (0, -3), (4, -6)],
+}
+
+
+def _expected_payload(shape_id, op, payloads):
+    if shape_id == "int.diffpair":
+        return _DIFFPAIR[op](*payloads)
+    rn = _RATIO_NUMBER[op](*(ratio.RatioNumber(*p) for p in payloads))
+    return (rn.a, rn.b)
+
+
+@pytest.mark.parametrize("shape_id,op", [(s, op) for s in PAYLOAD_GRIDS for op in get_shape(s).operations])
+def test_non_canonical_payload_arithmetic(shape_id, op):
+    shape = get_shape(shape_id)
+    arity = 1 if op == "neg" else 2
+    for payloads in itertools.product(PAYLOAD_GRIDS[shape_id], repeat=arity):
+        got = _SHAPE_OPS[op](*(shape.make(p) for p in payloads))
+        assert type(got) is Instance and got.shape_id == shape_id
+        assert type(got.payload) is tuple
+        assert got.payload == _expected_payload(shape_id, op, payloads)
 
 
 def test_pcs_division_by_zero_class():
@@ -365,6 +426,17 @@ def test_unsupported_operations():
         shape_neg(encode(1, "nat.vn"))
     with pytest.raises(UnsupportedOperation):
         shape_div(encode(1, "int.signed"), encode(1, "int.signed"))
+    # Every shape, every operation outside its label.
+    lacking = []
+    for shape_id in SHAPE_IDS:
+        one = encode(1, shape_id)
+        for op, noun in (("neg", "negation"), ("div", "division")):
+            if op in get_shape(shape_id).operations:
+                continue
+            lacking.append((shape_id, op))
+            with pytest.raises(UnsupportedOperation, match=f"^{shape_id} has no {noun}$"):
+                _SHAPE_OPS[op](*[one] * (1 if op == "neg" else 2))
+    assert len(lacking) == 5 * 2 + 2
 
 
 # ---------------------------------------------------------------------------
