@@ -47,8 +47,8 @@ def main() -> None:
             print(f"MISMATCH: {format_term(t)} vs {format_term(result)}")
         if i < args.show and trace.steps:
             print(f"{format_term(t)}")
-            for step in trace.steps:
-                print(f"  {step.rule}: {format_term(step.before)} => {format_term(step.after)}")
+            for step in trace.to_json():
+                print(f"  {step['rule']}: {step['before']} => {step['after']}")
     print(
         f"\n{args.count} terms, {bottoms} bottom-valued, "
         f"{mismatches} mismatches (seed {args.seed})"

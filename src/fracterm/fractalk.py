@@ -61,11 +61,28 @@ _LEVEL_WORDS = {name: level for level, name in _LEVEL_NAMES.items()}
 class Occurrence(Record):
     # term is undecorated, annotation comes from an explicit decoration, and
     # fraction_marked says that the word "fraction" introduced the occurrence.
-    __slots__ = ("assertion", "position", "term", "annotation", "fraction_marked")
+    # _sign is the text the script wrote for it, and is no field.
+    __slots__ = ("assertion", "position", "term", "annotation", "fraction_marked", "_sign")
     _defaults = {"annotation": None, "fraction_marked": False}
 
     def key(self):
         return (self.assertion, self.position)
+
+    @property
+    def sign(self) -> str:
+        """The fracsign: the occurrence's text, outer whitespace trimmed; for
+        an occurrence built without one, its term printed inline."""
+        return getattr(self, "_sign", None) or format_term(self.term)
+
+    def __reduce__(self):
+        return _signed, (self.sign, *self._values())
+
+
+def _signed(sign: str, *fields) -> Occurrence:
+    """The occurrence of fields whose fracsign is sign."""
+    occ = Occurrence(*fields)
+    Occurrence._sign.__set__(occ, sign)
+    return occ
 
 
 class Claim(Record):
@@ -127,7 +144,7 @@ def _occurrence(index: int, position: int, text: str, line: int, parsed: dict) -
         annotation = Level(term.decoration) if isinstance(term, Div) and term.decoration else None
         parsed[text] = (erase_decorations(term), annotation)
     term, annotation = parsed[text]
-    return Occurrence(index, position, term, annotation, marked)
+    return _signed(text, index, position, term, annotation, marked)
 
 
 def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None) -> Claim:
@@ -357,15 +374,16 @@ def _check_equals(env: _Env, claim: Claim):
             "invalid",
             f"cross-level equation: left occurrence is a {_LEVEL_NAMES[ll]}, right a {_LEVEL_NAMES[rl]}",
         )
-    if ll is Level.FRACVALUE:
+    # A fracsign is a text, a fracterm a tree and a fracvalue a number.
+    if ll is Level.SIGN:
+        ok = left.sign == right.sign
+    elif ll is Level.FRACVALUE:
         ok = env.value_of(left.term) == env.value_of(right.term)
     else:
         ok = left.term == right.term
     if not ok:
-        return (
-            "invalid",
-            f"{format_term(left.term)} and {format_term(right.term)} differ as {_LEVEL_NAMES[ll]}s",
-        )
+        shown = (left.sign, right.sign) if ll is Level.SIGN else (format_term(left.term), format_term(right.term))
+        return "invalid", f"{shown[0]} and {shown[1]} differ as {_LEVEL_NAMES[ll]}s"
     return _VALID
 
 

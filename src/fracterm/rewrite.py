@@ -27,7 +27,8 @@ innermost-leftmost match until none is left. It runs as one postorder walk
 with its own stack, which never enters a finished or division-free subtree;
 a step rebuilds only the path from the match to the root. So a phase takes
 time linear in the size of its input and of the nodes the rules build, plus
-the depth of each match; nothing in this module recurses. Flat forms share
+the depth of each match. Nothing in this module recurses, except the
+trace printer's joins, at most three levels deep. Flat forms share
 their denominator products. Every number this module writes or tests
 (``simplify``, ``numeral-eval``, the zero tests of ``div-collapse``, the
 ``numeral`` addition) is a pair from ``ratio.rn_eval`` or ``rn_add``; the
@@ -49,7 +50,9 @@ from .terms import (
     Record,
     Sub,
     Term,
+    Var,
     _fmt,
+    _pieces,
     classify,
     contains_div,
     erase_decorations,
@@ -60,7 +63,7 @@ STRATEGIES = ("cross", "same-denom", "numeral", "trivial")
 
 # Most nested nodes holding a division that flatten enters. Its time grows
 # with the square of the depth: `fracterm flatten --json` of 1000 minus signs
-# over 1/2 takes about 2 s and 75 MB (2-core x86-64, Python 3.11).
+# over 1/2 takes about 1 s and 49 MB (2-core x86-64, Python 3.11).
 FLATTEN_DEPTH = 1024
 
 
@@ -82,25 +85,144 @@ class RewriteTrace(Record):
     def to_json(self):
         """One {"rule", "before", "after"} dict per step, terms printed inline.
 
-        A step rebuilds only the path from its match to the root, so
-        consecutive terms share every other subterm. The steps print through
-        one memo (see ``terms._fmt``): a composite node met in a step and
-        again in that step or the next is printed once more and kept, and
-        from then on its text is spliced in whole. So the Python-level work
-        is linear in the distinct nodes of the trace, and only the joining
-        of strings grows with the output. The ids of the nodes met are kept
-        for two steps only. A step that starts from the term the one before
-        it ended on reuses that text.
+        A step rebuilds only the path from its match to the root, so each
+        after text is the before text with one span replaced by the text of
+        the rewritten position (see ``_Splicer``). A step whose before is the
+        term the step before it ended on reuses that text; any other before
+        is printed whole. So a step costs its descent to the rewritten
+        position and the few nodes the rule built, and only the copying of
+        strings grows with the output.
         """
-        older, seen, memo = set(), set(), {}
+        splicer = _Splicer()
         out, last, text = [], None, None
         for s in self.steps:
-            shared = (older, seen, memo)
-            before = text if s.before is last else _fmt(s.before, "inline", shared)
-            last, text = s.after, _fmt(s.after, "inline", shared)
+            chained = s.before is last
+            before = text if chained else _fmt(s.before, "inline", splicer.known)
+            last, text = s.after, splicer.splice(before, s.before, s.after, chained)
             out.append({"rule": s.rule, "before": before, "after": text})
-            older, seen = seen, set()
         return out
+
+
+class _Splicer:
+    """Prints the after term of each step of a trace inline, from the text
+    of its before term: ``before[:start] + text(new subterm) + before[end:]``.
+
+    ``splice`` finds the rewritten position by descending from both roots
+    into the one child that after does not share with before, by identity.
+    It stops where the node class or the decoration changes, where the
+    parent's parentheses around that child change (``terms._pieces`` states
+    them for the printer and for this descent), or where no single child
+    differs; at the roots, if need be, so any pair of terms splices
+    correctly. The span starts after the pieces to the left of the path,
+    left siblings printed, and is as long as the text of the before node
+    where the descent stopped.
+
+    known maps the id of a node to its text, for the nodes printed in the
+    last two steps; the trace keeps those nodes alive. The new subterm is
+    joined from the texts of its children, which are printed, each looking
+    up the nodes it reuses, and all are kept; when a change of parentheses
+    moved the splice up one level, the joins go one level deeper. So the
+    fracterm a rule built is kept with its numerator and denominator, which
+    the next rule reuses. fresh and stale hold the ids kept in this step
+    and in the one before; the stale ones are forgotten when the step ends.
+
+    sides and starts are the path of the last splice: the child taken at
+    each depth (0 the left child or the operand, 1 the right) and where the
+    node there starts. A step that chains on its predecessor follows that
+    path without measuring anything, as far as it goes the same way.
+    """
+
+    __slots__ = ("known", "fresh", "stale", "sides", "starts")
+
+    def __init__(self):
+        self.known: dict[int, str] = {}
+        self.fresh: list[int] = []
+        self.stale: list[int] = []
+        self.sides: list = [None]
+        self.starts = [0]
+
+    def splice(self, text: str, before: Term, after: Term, chained: bool) -> str:
+        """after's inline text, from text, before's."""
+        sides, starts = self.sides, self.starts
+        if not chained:
+            del sides[1:], starts[1:]
+        # While on_path > 0 the descent follows sides[:on_path], whose starts are known.
+        on_path = len(sides)
+        depth, start, levels = 0, 0, 2
+        while before is not after:
+            cls = type(before)
+            if cls is not type(after) or cls is Lit or cls is Var:
+                break
+            if cls is Neg:
+                side, old, new = 0, before.operand, after.operand
+            elif cls is Div and before.decoration != after.decoration:
+                break
+            elif before.left is after.left:
+                side, old, new = 1, before.right, after.right
+            elif before.right is after.right:
+                side, old, new = 0, before.left, after.left
+            else:
+                break
+            # Only a child that changes class, or a variable, can change its parentheses.
+            pieces = None
+            if type(old) is not type(new) or type(old) is Var:
+                pieces = _pieces(before, "inline")
+                if len(pieces) != len(_pieces(after, "inline")):
+                    levels = 3
+                    break
+            depth += 1
+            if depth < on_path and sides[depth] == side:
+                before, after = old, new
+                continue
+            if depth <= on_path:
+                start = starts[depth - 1]
+                del sides[depth:], starts[depth:]
+                on_path = 0
+            siblings = side
+            for piece in reversed(pieces or _pieces(before, "inline")):
+                if type(piece) is str:
+                    start += len(piece)
+                elif siblings:
+                    start += len(self.text(piece))
+                    siblings = 0
+                else:
+                    break
+            sides.append(side)
+            starts.append(start)
+            before, after = old, new
+        if depth < on_path:
+            start = starts[depth]
+        del sides[depth + 1 :], starts[depth + 1 :]
+        end = start + len(self.text(before, 2))
+        spliced = text[:start] + self.text(after, levels) + text[end:]
+        for key in self.stale:
+            del self.known[key]
+        self.stale, self.fresh = self.fresh, []
+        return spliced
+
+    def text(self, node: Term, levels: int = 1) -> str:
+        """node's inline text, kept. A composite node not kept yet is joined
+        from the texts of its children, kept too, down to levels levels; on
+        the last level it is printed. The recursion is levels deep."""
+        cls = type(node)
+        if cls is Lit:
+            return node.digits
+        if cls is Var:
+            return node.name
+        key = id(node)
+        text = self.known.get(key)
+        if text is None:
+            if levels > 1:
+                levels -= 1
+                text = "".join([
+                    p if type(p) is str else p.digits if type(p) is Lit else self.text(p, levels)
+                    for p in reversed(_pieces(node, "inline"))
+                ])
+            else:
+                text = _fmt(node, "inline", self.known)
+            self.known[key] = text
+            self.fresh.append(key)
+        return text
 
 
 def _numeral_rule(t: Term):

@@ -44,8 +44,9 @@ from .terms import Div, Lit, Record, Term, check_str_digits, classify, format_te
 
 # The operations of each label; every shape of the label offers them.
 OPERATIONS = {"nat": ("add", "mul"), "int": ("add", "mul", "neg"), "rat": ("add", "mul", "neg", "div")}
-_ARITHMETIC = {"add": ("addition", operator.add), "mul": ("multiplication", operator.mul),
-               "neg": ("negation", operator.neg), "div": ("division", operator.truediv)}
+# Each operation's name, function on values and arity.
+_ARITHMETIC = {"add": ("addition", operator.add, 2), "mul": ("multiplication", operator.mul, 2),
+               "neg": ("negation", operator.neg, 1), "div": ("division", operator.truediv, 2)}
 
 # Recognized labels whose shapes are infinite objects; requests are refused.
 REJECTED_LABELS = ("real", "complex")
@@ -190,9 +191,14 @@ class Shape:
 
     def operate(self, op: str, *insts: Instance):
         """The operation op of the label on insts, refused before any is decoded
-        when the label lacks it. Bottom absorbs and a zero divisor gives bottom:
-        the shape's bottom-class instance, or BOT on a shape that has none."""
-        name, fn = _ARITHMETIC[op]
+        when the label lacks it, when op is unknown or when insts are not as
+        many as op takes. Bottom absorbs and a zero divisor gives bottom: the
+        shape's bottom-class instance, or BOT on a shape that has none."""
+        if op not in _ARITHMETIC:
+            raise UnsupportedOperation(f"unknown operation {op!r}; expected one of {tuple(_ARITHMETIC)}")
+        name, fn, arity = _ARITHMETIC[op]
+        if len(insts) != arity:
+            raise UnsupportedOperation(f"{name} takes {arity} instance{'s' * (arity > 1)}, not {len(insts)}")
         if op not in OPERATIONS[self.label]:
             raise UnsupportedOperation(f"{self.shape_id} has no {name}")
         if op in self.payload_operations:

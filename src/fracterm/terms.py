@@ -506,85 +506,67 @@ def format_term(t: Term, fmt: str = "inline") -> str:
     return _fmt(t, fmt)
 
 
-def _fmt(t: Term, fmt: str, shared: Optional[tuple[set[int], set[int], dict[int, str]]] = None) -> str:
+def _fmt(t: Term, fmt: str, known: Optional[dict[int, str]] = None) -> str:
     """The text of t in fmt, printed with an explicit stack.
 
-    A node's text depends on the node alone, so calls that print terms
-    sharing nodes can share work through shared = (older, seen, memo):
-    seen collects the ids of the composite nodes this call meets, and older
-    holds those that calls before it met, as far as the caller keeps them.
-    A composite node met again is captured, unless it lies inside another
-    capture: its pieces are joined into memo[id], and from then on its text
-    costs one lookup. Captures never nest, so memo holds no more characters
-    than the outputs. The caller keeps every node alive while it uses memo,
-    so that ids stay unique, and prints in one fmt. Leaves never consult
-    shared.
+    A composite node whose id is a key of known prints as known[id], and
+    nothing below it is visited: a caller that prints terms sharing nodes,
+    such as ``RewriteTrace.to_json``, keeps the texts it has made there and
+    splices them in whole. The caller keeps every such node alive while it
+    uses known, so that ids stay unique, and keeps texts in fmt only.
     """
-    # The stack holds terms still to print, strings to emit as they are
-    # and, at the end of a capture, its (id, start in out) pair.
+    # The stack holds terms still to print and strings to emit as they are.
     out: list[str] = []
     todo: list = [t]
-    if shared is not None:
-        older, seen, memo = shared
-        capturing = False
     while todo:
         node = todo.pop()
         cls = type(node)
         if cls is str:
             out.append(node)
-            continue
-        if cls is Lit:
+        elif cls is Lit:
             out.append(node.digits)
-            continue
-        if cls is Var:
+        elif cls is Var:
             out.append(node.name)
-            continue
-        if shared is not None:
-            if cls is tuple:
-                key, start = node
-                text = "".join(out[start:])
-                out[start:] = (text,)
-                memo[key] = text
-                capturing = False
-                continue
-            key = id(node)
-            if key in memo:
-                out.append(memo[key])
-                continue
-            if not capturing and (key in seen or key in older):
-                capturing = True
-                todo.append((key, len(out)))
-            seen.add(key)
-        if cls is Neg:
-            # Parenthesize literal operands so "-(3)" cannot re-lex as "-3".
-            inner = node.operand
-            if type(inner) is Lit or _PREC[type(inner)] < 3:
-                todo += (")", inner, "-(")
-            else:
-                todo += (inner, "-")
-        elif isinstance(node, _Binary):
-            left, right = node.left, node.right
-            prec = _PREC[cls]
-            if cls is not Div:
-                sym = _SYMBOLS[cls]
-                wrap_right = _PREC[type(right)] <= prec
-            else:
-                tag = node.decoration or ""
-                if fmt == "frac":
-                    todo += (")", right, ",", left, f"frac_{tag}(" if tag else "frac(")
-                    continue
-                sym = ("/" if fmt == "inline" else ":") + tag
-                # Only a bare variable can start an unparenthesized
-                # denominator with letters, which would re-lex as a tag.
-                wrap_right = _PREC[type(right)] <= prec or (
-                    not tag and type(right) is Var and right.name[:2] in ("ft", "fv")
-                )
-            todo += (")", right, "(") if wrap_right else (right,)
-            todo.append(sym)
-            todo += (")", left, "(") if _PREC[type(left)] < prec else (left,)
+        elif known is not None and id(node) in known:
+            out.append(known[id(node)])
         else:
-            raise TypeError(f"not a term: {node!r}")
+            todo += _pieces(node, fmt)
     return "".join(out)
+
+
+def _pieces(node: Term, fmt: str) -> tuple:
+    """The pieces of a composite node's text in fmt, last first: strings, and
+    each child once, with the parentheses it needs there.
+
+    This is where the printer's parenthesization is stated. The strings
+    depend on the node's class and decoration and on its children's, and
+    each pair of parentheses adds two pieces: so two nodes of one class and
+    decoration that differ in one child only have as many pieces exactly
+    when that child is parenthesized alike in both.
+    """
+    cls = type(node)
+    if cls is Neg:
+        # Parenthesize literal operands so "-(3)" cannot re-lex as "-3".
+        inner = node.operand
+        return (")", inner, "-(") if type(inner) is Lit or _PREC[type(inner)] < 3 else (inner, "-")
+    if not isinstance(node, _Binary):
+        raise TypeError(f"not a term: {node!r}")
+    left, right = node.left, node.right
+    prec = _PREC[cls]
+    if cls is not Div:
+        sym = _SYMBOLS[cls]
+        wrap_right = _PREC[type(right)] <= prec
+    else:
+        tag = node.decoration or ""
+        if fmt == "frac":
+            return (")", right, ",", left, f"frac_{tag}(" if tag else "frac(")
+        sym = ("/" if fmt == "inline" else ":") + tag
+        # Only a bare variable can start an unparenthesized denominator
+        # with letters, which would re-lex as a tag.
+        wrap_right = _PREC[type(right)] <= prec or (not tag and type(right) is Var and right.name[:2] in ("ft", "fv"))
+    if _PREC[type(left)] < prec:
+        return (")", right, "(", sym, ")", left, "(") if wrap_right else (right, sym, ")", left, "(")
+    return (")", right, "(", sym, left) if wrap_right else (right, sym, left)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -381,6 +383,25 @@ def test_comparison_checks_values():
         step = check_text(f"1: {claim}").step(1)
         expected = ("valid", None) if failure is None else ("invalid", f"{failure} does not hold")
         assert (step.status, step.explanation) == expected, claim
+
+
+def test_sign_equality_compares_the_written_texts():
+    # At the fracsign level two occurrences are equal when their texts are:
+    # the same tree written with other brackets or inner spacing is another sign.
+    verdict = check_text("1: 1/2 == (1)/2 @fs")
+    assert (verdict.overall, verdict.blocked_at) == ("paradox-blocked", 1)
+    assert verdict.step(1).explanation == "1/2 and (1)/2 differ as fracsigns"
+    assert check_text("1: 1/2 == 1 / 2 @fs").overall == "paradox-blocked"
+    # Outer whitespace and the words "the fraction" are no part of the sign.
+    assert check_text("1: 1/2 == 1/2 @fs").overall == "sound"
+    assert check_text("1: the fraction  1/2  == 1/2 @fs").overall == "sound"
+    # The fracterm level still compares trees.
+    assert check_text("1: 1/2 == (1)/2 @ft").overall == "sound"
+    # The sign text is no field, and it survives a copy.
+    occ = parse_script("1: (1)/2 is rational").assertions[0].claim.occ
+    assert occ.sign == "(1)/2" and "(1)/2" not in repr(occ)
+    assert pickle.loads(pickle.dumps(occ)).sign == copy.deepcopy(occ).sign == "(1)/2"
+    assert fractalk.Occurrence(1, 1, parse_term("(1)/2")).sign == "1/2"
 
 
 def test_equality_of_values_past_the_digit_limit():

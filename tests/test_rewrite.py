@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracterm import ratio, rewrite
+from fracterm import ratio, rewrite, terms
 from fracterm.errors import NotSimple, OpenTerm, StrategyInapplicable
 from fracterm.rewrite import (
     RewriteStep,
@@ -27,7 +28,9 @@ from fracterm.terms import (
     Mul,
     Neg,
     Sub,
+    Var,
     _fmt,
+    _pieces,
     classify,
     contains_div,
     erase_decorations,
@@ -236,19 +239,52 @@ def test_flatten_asks_contains_div_at_most_once(monkeypatch):
     assert [s.rule for s in trace.steps] == ["add-lift"] * 79
 
 
-def test_trace_json_prints_each_term_once(monkeypatch):
-    # A step's before is the term the step before it ended on, so each term
-    # goes to the printer once, and a shared subterm is no term of its own.
-    printed = []
+def test_trace_json_prints_no_root_after_the_first_term(monkeypatch):
+    # Each step after the first splices the text of the nodes the rule
+    # built into the text of the step before: the printer gets no other
+    # root than the first, and a step lays out a constant number of nodes,
+    # however deep the rewritten position lies (39 levels at the first step).
+    _, trace = flatten(unit_sum(40))
+    want = printed_steps(trace)
+    printed, laid_out = [], [0]
 
-    def counting(t, fmt, shared=None):
+    def printing(t, fmt, known=None):
         printed.append(t)
-        return _fmt(t, fmt, shared)
+        return _fmt(t, fmt, known)
 
-    _, trace = flatten(parse_term("(1/2)/(3/4) + 5/(1+3)"))
-    monkeypatch.setattr(rewrite, "_fmt", counting)
-    assert len(trace.to_json()) == len(trace.steps) == len(printed) - 1
-    assert printed == [trace.steps[0].before] + [s.after for s in trace.steps]
+    def laying_out(node, fmt):
+        laid_out[-1] += 1
+        return _pieces(node, fmt)
+
+    def splicing(self, *args):
+        laid_out.append(0)
+        return splice(self, *args)
+
+    splice = rewrite._Splicer.splice
+    monkeypatch.setattr(rewrite, "_fmt", printing)
+    monkeypatch.setattr(rewrite, "_pieces", laying_out)
+    monkeypatch.setattr(terms, "_pieces", laying_out)
+    monkeypatch.setattr(rewrite._Splicer, "splice", splicing)
+    assert trace.to_json() == want
+    roots = {id(t) for s in trace.steps for t in (s.before, s.after)}
+    assert printed[0] is trace.steps[0].before
+    assert not any(id(t) in roots for t in printed[1:])
+    # The first entry is the first term, printed whole; then one per step.
+    assert len(laid_out) == len(trace.steps) + 1 == 40
+    assert max(laid_out[2:]) <= 10
+
+
+def test_trace_json_memory_is_mostly_its_result():
+    # The texts kept for splicing cover the last two steps only.
+    _, trace = flatten(unit_sum(160))
+    tracemalloc.start()
+    try:
+        steps = trace.to_json()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 159
+    assert peak <= 1.5 * retained
 
 
 def printed_steps(trace):
@@ -280,6 +316,38 @@ def test_trace_json_matches_printing_each_step_random(seed, depth):
     assert trace.to_json() == printed_steps(trace)
 
 
+def chained(*terms):
+    """The trace whose steps go from each term to the next."""
+    return RewriteTrace(tuple(RewriteStep("r", b, a) for b, a in zip(terms, terms[1:])))
+
+
+ONE, TWO, THREE, X, FTX = Lit("1"), Lit("2"), Lit("3"), Var("x"), Var("ftx")
+SUM, HALF = Add(ONE, TWO), Div(ONE, TWO)
+FT_HALF = Div(ONE, TWO, "ft")
+
+# Chains of terms that share every node but the rewritten path, one for
+# each way the descent stops: the texts say where.
+SPLICE_BRANCHES = {
+    # (1+2)*3, 1/2*3, (1+2)*3, 3+(1+2)*3, 3+1/2*3, -(1+2), --(2)
+    "parentheses-dropped-and-added": [
+        Mul(SUM, THREE), Mul(HALF, THREE), Mul(SUM, THREE),
+        Add(THREE, Mul(SUM, THREE)), Add(THREE, Mul(HALF, THREE)), Neg(SUM), Neg(Neg(TWO)),
+    ],
+    # 1/ft2, 1/2, 1/fv2, 1/ft2/fv3+3, 1/2/fv3+3, 1/2/3+3
+    "decoration-only": [
+        FT_HALF, HALF, Div(ONE, TWO, "fv"),
+        Add(Div(FT_HALF, THREE, "fv"), THREE), Add(Div(HALF, THREE, "fv"), THREE), Add(Div(HALF, THREE), THREE),
+    ],
+    # 1+2*3, 3, x, -x, -(3), 3
+    "root-becomes-leaf": [Add(ONE, Mul(TWO, THREE)), THREE, X, Neg(X), Neg(THREE), THREE],
+    # 1/2, 1/(ftx), 1/ftftx, 1/x, 1/(ftx), x*(1/(ftx))-x, x*(1/x)-x
+    "variable-named-like-a-tag": [
+        HALF, Div(ONE, FTX), Div(ONE, FTX, "ft"), Div(ONE, X), Div(ONE, FTX),
+        Sub(Mul(X, Div(ONE, FTX)), X), Sub(Mul(X, Div(ONE, X)), X),
+    ],
+}
+
+
 def test_trace_json_of_steps_that_do_not_chain():
     # Hand-built steps: no before is the after of the step before it, and
     # terms share nodes across steps and inside one term.
@@ -293,6 +361,26 @@ def test_trace_json_of_steps_that_do_not_chain():
         RewriteStep("d", y, y),
         RewriteStep("e", Add(z, z), Mul(Div(z, y), y)),
     ))
+    assert trace.to_json() == printed_steps(trace)
+    # Each step of the chains above, the last first: a splice onto a before
+    # printed whole, stopping in each of its ways.
+    steps = [step for chain in SPLICE_BRANCHES.values() for step in reversed(chained(*chain).steps)]
+    assert not any(s.before is r.after for r, s in zip(steps, steps[1:]))
+    trace = RewriteTrace(tuple(steps))
+    assert trace.to_json() == printed_steps(trace)
+
+
+@pytest.mark.parametrize("name", SPLICE_BRANCHES)
+def test_trace_json_of_chained_steps_at_each_splice_branch(name):
+    trace = chained(*SPLICE_BRANCHES[name])
+    assert trace.to_json() == printed_steps(trace)
+
+
+def test_trace_json_of_steps_that_keep_every_node():
+    # A rebuilt node with the children of the node it replaces prints the same.
+    x = parse_term("(1+2)*-(3/4)")
+    y = Mul(x.left, Neg(x.right.operand))
+    trace = chained(x, y, Add(y, y), Add(y, y), Neg(Add(y, y)))
     assert trace.to_json() == printed_steps(trace)
 
 

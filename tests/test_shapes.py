@@ -439,6 +439,19 @@ def test_unsupported_operations():
     assert len(lacking) == 5 * 2 + 2
 
 
+def test_operate_refuses_a_wrong_arity_or_an_unknown_operation():
+    # Each before any instance is decoded: no payload here is even valid.
+    shape = get_shape("rat.pcs")
+    one = encode(1, "rat.pcs")
+    bad = shapes.Instance("rat.pcs", "not a payload")
+    with pytest.raises(UnsupportedOperation, match="^addition takes 2 instances, not 1$"):
+        shape.operate("add", one)
+    with pytest.raises(UnsupportedOperation, match="^negation takes 1 instance, not 2$"):
+        shape.operate("neg", bad, bad)
+    with pytest.raises(UnsupportedOperation, match="^unknown operation 'pow'"):
+        shape.operate("pow", bad, bad)
+
+
 # ---------------------------------------------------------------------------
 # Ordering as membership
 

@@ -257,37 +257,30 @@ def test_round_trip(t, fmt):
     assert parse_term(format_term(t, fmt), fmt) == t
 
 
-def test_shared_printing_keeps_the_text_of_a_node_met_again():
+def test_printing_splices_known_texts_in_whole():
     x = parse_term("(1+2)*3")
     t = Add(x, Neg(x))
-    seen, memo = set(), {}
-    assert _fmt(t, "inline", (set(), seen, memo)) == format_term(t)
-    assert memo == {id(x): format_term(x)}
-    # From then on x is spliced in whole, as a poisoned memo shows. t, met
-    # in the call before (older), is captured now.
-    memo[id(x)] = "X"
-    assert _fmt(Mul(x, Div(x, t)), "inline", (seen, set(), memo)) == "X*(X/(X+-(X)))"
-    assert memo[id(t)] == "X+-(X)"
-
-
-def test_shared_captures_do_not_nest():
-    v = parse_term("1+2")
-    w = Neg(v)
-    memo = {}
-    assert _fmt(Add(w, w), "inline", (set(), set(), memo)) == "-(1+2)+-(1+2)"
-    # v is met again only inside the capture of w.
-    assert memo == {id(w): "-(1+2)"}
+    # A node whose id is known prints as its text, as a poisoned text shows,
+    # and nothing below it is visited.
+    known = {id(x): "X"}
+    assert _fmt(Mul(x, Div(x, t)), "inline", known) == "X*(X/(X+-(X)))"
+    # Leaves print their own text, and the printer never writes to known.
+    one = x.left.left
+    known = {id(one): "ONE", id(t): "T"}
+    assert _fmt(Sub(x, t), "inline", known) == "(1+2)*3-(T)"
+    assert known == {id(one): "ONE", id(t): "T"}
 
 
 @settings(max_examples=200)
 @given(term_strategy(), term_strategy(), st.sampled_from(["inline", "colon", "frac"]))
 def test_shared_printing_matches_format_term(a, b, fmt):
+    # Terms that share nodes print the same with the texts of shared nodes known.
     ab = Sub(a, b)
     terms = [a, Add(ab, ab), b, Mul(Neg(ab), Div(a, ab, "ft")), ab, a]
-    older, seen, memo = set(), set(), {}
+    known = {}
     for t in terms:
-        assert _fmt(t, fmt, (older, seen, memo)) == format_term(t, fmt)
-        older, seen = seen, set()
+        assert _fmt(t, fmt, known) == format_term(t, fmt)
+        known[id(t)] = format_term(t, fmt)
 
 
 # ---------------------------------------------------------------------------
