@@ -257,11 +257,11 @@ def test_round_trip(t, fmt):
     assert parse_term(format_term(t, fmt), fmt) == t
 
 
-def test_printing_splices_known_texts_in_whole():
+def test_shared_printing_keeps_the_text_of_a_node_met_again():
     x = parse_term("(1+2)*3")
     t = Add(x, Neg(x))
-    # A node whose id is known prints as its text, as a poisoned text shows,
-    # and nothing below it is visited.
+    # A node whose id is known prints as its text each time it is met, as a
+    # poisoned text shows, and nothing below it is visited.
     known = {id(x): "X"}
     assert _fmt(Mul(x, Div(x, t)), "inline", known) == "X*(X/(X+-(X)))"
     # Leaves print their own text, and the printer never writes to known.
@@ -269,6 +269,18 @@ def test_printing_splices_known_texts_in_whole():
     known = {id(one): "ONE", id(t): "T"}
     assert _fmt(Sub(x, t), "inline", known) == "(1+2)*3-(T)"
     assert known == {id(one): "ONE", id(t): "T"}
+
+
+def test_shared_captures_do_not_nest():
+    v = parse_term("1+2")
+    w = Neg(v)
+    # The text of w is spliced in whole: v, known too, is met only below w
+    # and so is not visited there; the printer records no texts of its own.
+    known = {id(w): "W", id(v): "V"}
+    assert _fmt(Add(w, w), "inline", known) == "W+W"
+    assert _fmt(Add(v, w), "inline", known) == "V+W"
+    assert known == {id(w): "W", id(v): "V"}
+    assert _fmt(Add(w, w), "inline", {}) == "-(1+2)+-(1+2)"
 
 
 @settings(max_examples=200)
