@@ -1,11 +1,10 @@
 """Command-line workbench wiring the library together.
 
-Subcommands: parse, classify, eval, flatten, simplify, add,
-shape (encode|convert|compare|normality), rns (eval|num|denom),
-fractalk (check), demo. Output is plain text by default, JSON with
---json. Exit codes: 0 on success, 1 on domain errors and on a stdout
-that takes no more output, such as a closed pipe or a full disk (a
-structured error object goes to stderr), 2 on usage errors.
+``COMMANDS`` declares every subcommand with its help, its handler and its
+arguments. Output is plain text by default, JSON with --json. Exit codes:
+0 on success, 1 on domain errors and on a stdout that takes no more
+output, such as a closed pipe or a full disk (a structured error object
+goes to stderr), 2 on usage errors.
 
 Each handler returns its result as (the JSON object, the text lines);
 ``main`` alone writes to stdout or stderr and picks the exit code.
@@ -221,7 +220,64 @@ def _cmd_demo(args):
 
 
 # ---------------------------------------------------------------------------
-# Argument wiring
+# Argument wiring: COMMANDS declares the CLI. A row maps a subcommand to its
+# help (with None, its group's help lists it by name only), its handler and
+# its arguments, in help order; an argument is a name or flag with its
+# add_argument options. A group's row holds a table of its own in place of
+# the handler, and the group's subcommand lands in args.<group>_command.
+
+TERM = ("term", {})
+FORMAT = ("--format", {"choices": FORMATS, "default": "inline"})
+JSON = ("--json", {"action": "store_true"})
+SHAPE = ("--shape", {"default": "rat.pcs"})
+PAYLOAD = {"help": "payload as JSON"}
+# The --policy and --strategy choices are semantics.POLICIES and
+# rewrite.STRATEGIES, spelled out so that building the parser imports
+# neither module; a test keeps them equal.
+POLICY = ("--policy", {"choices": ["partial", "suppes-ono", "common-meadow"], "default": "common-meadow"})
+STRATEGY = ("--strategy", {"choices": ["cross", "same-denom", "numeral", "trivial", "all"], "default": "cross"})
+
+COMMANDS = {
+    "parse": ("parse a term and print its renderings", _cmd_parse, TERM, FORMAT, JSON),
+    "classify": ("syntactic taxonomy flags of a term", _cmd_classify, TERM, FORMAT, JSON),
+    "eval": ("evaluate a closed term to a fracvalue", _cmd_eval, TERM, FORMAT, JSON, POLICY, SHAPE),
+    "flatten": ("rewrite into a flat fracterm with a trace", _cmd_flatten, TERM, FORMAT, JSON),
+    "simplify": ("reduce a flat fracterm to simplified form", _cmd_simplify, TERM, FORMAT, JSON),
+    "add": ("one member of the addition family", _cmd_add, ("left", {}), ("right", {}), FORMAT, JSON, STRATEGY),
+    "shape": ("shape encoding, conversion, comparison, normality", {
+        "encode": (None, _cmd_shape_encode, ("value", {"type": _int_arg}), SHAPE, JSON),
+        "convert": (
+            None, _cmd_shape_convert,
+            ("instance", {"help": """instance as JSON, e.g. '{"shape":...,"value":...}'"""}),
+            ("--to", {"required": True}), JSON,
+        ),
+        "compare": (None, _cmd_shape_compare, ("left", PAYLOAD), ("right", PAYLOAD), SHAPE, JSON),
+        "normality": (None, _cmd_shape_normality, SHAPE, ("--bound", {"type": _int_arg, "default": 50}), JSON),
+    }),
+    "rns": ("ratio-number evaluation and extraction", {
+        which: (None, _cmd_rns, TERM, FORMAT, ("--verbatim-add", {"action": "store_true"}), JSON)
+        for which in ("eval", "num", "denom")
+    }),
+    "fractalk": ("assertion-script checking", {
+        "check": (
+            None, _cmd_fractalk_check, ("script", {"help": "path to a .ftk file (packaged corpus names work too)"}),
+            ("--shape", {"default": None}), JSON,
+        ),
+    }),
+    "demo": ("check the whole packaged corpus", _cmd_demo, JSON),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_, target, *arguments) in table.items():
+        p = sub.add_parser(name, **({} if help_ is None else {"help": help_}))
+        if isinstance(target, dict):
+            _add_commands(p, f"{name}_command", target)
+            continue
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=target)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,103 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Workbench for fraction terms: taxonomy, shapes, "
         "division-by-zero semantics, rewriting, and assertion scripts.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, term_args=("term",), fmt=True):
-        for name in term_args:
-            p.add_argument(name)
-        if fmt:
-            p.add_argument("--format", choices=["inline", "colon", "frac"], default="inline")
-        p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("parse", help="parse a term and print its renderings")
-    common(p)
-    p.set_defaults(fn=_cmd_parse)
-
-    p = sub.add_parser("classify", help="syntactic taxonomy flags of a term")
-    common(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    # The --policy and --strategy choices are semantics.POLICIES and
-    # rewrite.STRATEGIES, spelled out so that building the parser imports
-    # neither module; a test keeps them equal.
-    p = sub.add_parser("eval", help="evaluate a closed term to a fracvalue")
-    common(p)
-    p.add_argument(
-        "--policy",
-        choices=["partial", "suppes-ono", "common-meadow"],
-        default="common-meadow",
-    )
-    p.add_argument("--shape", default="rat.pcs")
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("flatten", help="rewrite into a flat fracterm with a trace")
-    common(p)
-    p.set_defaults(fn=_cmd_flatten)
-
-    p = sub.add_parser("simplify", help="reduce a flat fracterm to simplified form")
-    common(p)
-    p.set_defaults(fn=_cmd_simplify)
-
-    p = sub.add_parser("add", help="one member of the addition family")
-    common(p, term_args=("left", "right"))
-    p.add_argument(
-        "--strategy",
-        choices=["cross", "same-denom", "numeral", "trivial", "all"],
-        default="cross",
-    )
-    p.set_defaults(fn=_cmd_add)
-
-    p = sub.add_parser("shape", help="shape encoding, conversion, comparison, normality")
-    shape_sub = p.add_subparsers(dest="shape_command", required=True)
-
-    q = shape_sub.add_parser("encode")
-    q.add_argument("value", type=_int_arg)
-    q.add_argument("--shape", default="rat.pcs")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=_cmd_shape_encode)
-
-    q = shape_sub.add_parser("convert")
-    q.add_argument("instance", help="instance as JSON, e.g. '{\"shape\":...,\"value\":...}'")
-    q.add_argument("--to", required=True)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=_cmd_shape_convert)
-
-    q = shape_sub.add_parser("compare")
-    q.add_argument("left", help="payload as JSON")
-    q.add_argument("right", help="payload as JSON")
-    q.add_argument("--shape", default="rat.pcs")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=_cmd_shape_compare)
-
-    q = shape_sub.add_parser("normality")
-    q.add_argument("--shape", default="rat.pcs")
-    q.add_argument("--bound", type=_int_arg, default=50)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=_cmd_shape_normality)
-
-    p = sub.add_parser("rns", help="ratio-number evaluation and extraction")
-    rns_sub = p.add_subparsers(dest="rns_command", required=True)
-    for which in ("eval", "num", "denom"):
-        q = rns_sub.add_parser(which)
-        q.add_argument("term")
-        q.add_argument("--format", choices=["inline", "colon", "frac"], default="inline")
-        q.add_argument("--verbatim-add", action="store_true")
-        q.add_argument("--json", action="store_true")
-        q.set_defaults(fn=_cmd_rns, rns_command=which)
-
-    p = sub.add_parser("fractalk", help="assertion-script checking")
-    ftk_sub = p.add_subparsers(dest="fractalk_command", required=True)
-    q = ftk_sub.add_parser("check")
-    q.add_argument("script", help="path to a .ftk file (packaged corpus names work too)")
-    q.add_argument("--shape", default=None)
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(fn=_cmd_fractalk_check)
-
-    p = sub.add_parser("demo", help="check the whole packaged corpus")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_demo)
-
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 

@@ -523,14 +523,21 @@ def _check_not_all_fracterms_rational(env: _Env, claim: Claim):
     return _VALID
 
 
+def _untagged(occ: Occurrence) -> str:
+    """The occurrence's fracsign without its decoration tags, which are no
+    part of the sign: a glued /ft or /fv, always a decoration to the lexer,
+    reads as /."""
+    return re.sub(r"/f[tv]", "/", occ.sign)
+
+
 def _check_contradicts(env: _Env, claim: Claim):
     target = env.script.assertion(claim.arg).claim
     if target.kind not in ("rationals-not-fracterms", "not-all-fracterms-rational"):
         return "invalid", "the cited assertion is not a universal claim"
-    sign = claim.occ.term
+    sign = _untagged(claim.occ)
     # "x is fracterm and fracvalue" asserts both premises of one occurrence.
-    rationals = [p for p in env.premises("rational", "both-levels") if p[0].claim.occ.term == sign]
-    fracterms = [p for p in env.premises("fracterm", "both-levels") if p[0].claim.occ.term == sign]
+    rationals = [p for p in env.premises("rational", "both-levels") if _untagged(p[0].claim.occ) == sign]
+    fracterms = [p for p in env.premises("fracterm", "both-levels") if _untagged(p[0].claim.occ) == sign]
     if not rationals or not fracterms:
         return "invalid", "no premises support a contradiction"
     valid_r = [a for a, ok in rationals if ok]
@@ -549,7 +556,7 @@ def _check_contradicts(env: _Env, claim: Claim):
         return _VALID
     return (
         "invalid",
-        f"the sign {format_term(sign)} is a {_LEVEL_NAMES[r_levels[0]]} in step {valid_r[0].index} "
+        f"the sign {format_term(claim.occ.term)} is a {_LEVEL_NAMES[r_levels[0]]} in step {valid_r[0].index} "
         f"and a {_LEVEL_NAMES[f_levels[0]]} in step {valid_f[0].index}; distinct occurrences of one "
         f"sign do not combine into a single entity",
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fracterm import cli, rewrite, semantics
+from fracterm import cli, rewrite, semantics, terms
 from fracterm.cli import SCRIPT_BYTES, main
 from fracterm.shapes import NORMALITY_BOUND
 
@@ -442,6 +442,12 @@ def test_stdout_full(argv, buffered):
     assert_one_json_error(proc, "OSError")
 
 
+def table_handlers(table):
+    """The handlers of table's rows, and of its groups' tables."""
+    for _, target, *_ in table.values():
+        yield from table_handlers(target) if isinstance(target, dict) else [target]
+
+
 def test_only_main_prints():
     # Each handler returns (the JSON object, the text lines); main alone
     # writes them, or the error, and picks the exit code.
@@ -457,6 +463,7 @@ def test_only_main_prints():
     assert writers == {"main"}
     handlers = [fn for fn in functions if fn.name.startswith("_cmd_")]
     assert len(handlers) == 13
+    assert {fn.name for fn in handlers} == {fn.__name__ for fn in table_handlers(cli.COMMANDS)}
     for fn in handlers:
         returns = [node.value for node in ast.walk(fn) if isinstance(node, ast.Return)]
         assert returns and all(isinstance(value, ast.Tuple) and len(value.elts) == 2 for value in returns), fn.name
@@ -506,3 +513,5 @@ def test_choices_are_the_library_values(capsys, monkeypatch):
     assert policies.split(",") == list(semantics.POLICIES)
     strategies = re.search(r"--strategy {([^}]*)}", help_text(capsys, monkeypatch, "add")).group(1)
     assert strategies.split(",") == [*rewrite.STRATEGIES, "all"]
+    formats = re.search(r"--format {([^}]*)}", help_text(capsys, monkeypatch, "parse")).group(1)
+    assert formats.split(",") == list(terms.FORMATS)

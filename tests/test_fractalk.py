@@ -230,6 +230,10 @@ CLAIM_ROWS = [
         ('1: level(2) = ft\n2: 2/3 is rational\n3: 2/3 is fracterm\n4: rationals are not fracterms\n5: 2/3 contradicts 4', 'invalid', 'the contradiction dissolves: the premise in step 2 is itself invalid'),
         ('1: 2/3 is rational\n2: 2/3 contradicts 1', 'invalid', 'the cited assertion is not a universal claim'),
         ('1: 2/3 is rational\n2: rationals are not fracterms\n3: 2/3 contradicts 2', 'invalid', 'no premises support a contradiction'),
+        # One sign is one text: (2)/3 is another sign than 2/3, though the same fracterm.
+        ('1: 2/3 is rational\n2: (2)/3 is fracterm\n3: rationals are not fracterms\n4: 2/3 contradicts 3', 'invalid', 'no premises support a contradiction'),
+        # A decoration tag is no part of the sign: 2/fv3 and 2/ft3 are the sign 2/3.
+        ('1: 2/fv3 is rational\n2: 2/ft3 is fracterm\n3: rationals are not fracterms\n4: 2/3 contradicts 3', 'invalid', 'the sign 2/3 is a fracvalue in step 1 and a fracterm in step 2; distinct occurrences of one sign do not combine into a single entity'),
     ]),
     ('rational', [
         ('1: 2/3 is rational', 'valid', None),
