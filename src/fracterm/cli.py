@@ -226,16 +226,18 @@ def _cmd_demo(args):
 # add_argument options. A group's row holds a table of its own in place of
 # the handler, and the group's subcommand lands in args.<group>_command.
 
-TERM = ("term", {})
-FORMAT = ("--format", {"choices": FORMATS, "default": "inline"})
-JSON = ("--json", {"action": "store_true"})
-SHAPE = ("--shape", {"default": "rat.pcs"})
+TERM = ("term", {"help": "a term, such as 1/2+1/3"})
+FORMAT = ("--format", {"choices": FORMATS, "default": "inline", "help": "1/2, 1:2 or frac(1,2) (default: inline)"})
+JSON = ("--json", {"action": "store_true", "help": "print the result as one JSON object"})
+SHAPE = ("--shape", {"default": "rat.pcs", "help": "a shape id, such as nat.vn or rat.ssft (default: %(default)s)"})
 PAYLOAD = {"help": "payload as JSON"}
 # The --policy and --strategy choices are semantics.POLICIES and
 # rewrite.STRATEGIES, spelled out so that building the parser imports
 # neither module; a test keeps them equal.
-POLICY = ("--policy", {"choices": ["partial", "suppes-ono", "common-meadow"], "default": "common-meadow"})
-STRATEGY = ("--strategy", {"choices": ["cross", "same-denom", "numeral", "trivial", "all"], "default": "cross"})
+POLICY = ("--policy", {"choices": ["partial", "suppes-ono", "common-meadow"], "default": "common-meadow",
+                       "help": "division by zero is an error, zero, or an absorbing bottom (default: %(default)s)"})
+STRATEGY = ("--strategy", {"choices": ["cross", "same-denom", "numeral", "trivial", "all"], "default": "cross",
+                           "help": "one member of the family, or all (default: %(default)s)"})
 
 COMMANDS = {
     "parse": ("parse a term and print its renderings", _cmd_parse, TERM, FORMAT, JSON),
@@ -243,25 +245,34 @@ COMMANDS = {
     "eval": ("evaluate a closed term to a fracvalue", _cmd_eval, TERM, FORMAT, JSON, POLICY, SHAPE),
     "flatten": ("rewrite into a flat fracterm with a trace", _cmd_flatten, TERM, FORMAT, JSON),
     "simplify": ("reduce a flat fracterm to simplified form", _cmd_simplify, TERM, FORMAT, JSON),
-    "add": ("one member of the addition family", _cmd_add, ("left", {}), ("right", {}), FORMAT, JSON, STRATEGY),
+    "add": ("one member of the addition family", _cmd_add, ("left", {"help": "the first summand"}),
+            ("right", {"help": "the second summand"}), FORMAT, JSON, STRATEGY),
     "shape": ("shape encoding, conversion, comparison, normality", {
-        "encode": (None, _cmd_shape_encode, ("value", {"type": _int_arg}), SHAPE, JSON),
+        "encode": ("an integer as an instance of a shape", _cmd_shape_encode,
+                   ("value", {"type": _int_arg, "help": "the integer to encode"}), SHAPE, JSON),
         "convert": (
-            None, _cmd_shape_convert,
+            "an instance into another shape of its label", _cmd_shape_convert,
             ("instance", {"help": """instance as JSON, e.g. '{"shape":...,"value":...}'"""}),
-            ("--to", {"required": True}), JSON,
+            ("--to", {"required": True, "help": "the shape id to convert into"}), JSON,
         ),
-        "compare": (None, _cmd_shape_compare, ("left", PAYLOAD), ("right", PAYLOAD), SHAPE, JSON),
-        "normality": (None, _cmd_shape_normality, SHAPE, ("--bound", {"type": _int_arg, "default": 50}), JSON),
+        "compare": ("instance and label equality of two payloads", _cmd_shape_compare,
+                    ("left", PAYLOAD), ("right", PAYLOAD), SHAPE, JSON),
+        "normality": ("search for label-equal instances that differ", _cmd_shape_normality, SHAPE,
+                      ("--bound", {"type": _int_arg, "default": 50, "help": "the largest component (default: 50)"}),
+                      JSON),
     }),
     "rns": ("ratio-number evaluation and extraction", {
-        which: (None, _cmd_rns, TERM, FORMAT, ("--verbatim-add", {"action": "store_true"}), JSON)
-        for which in ("eval", "num", "denom")
+        which: (f"{what} the term's ratio number, a raw integer pair", _cmd_rns, TERM, FORMAT,
+                ("--verbatim-add", {"action": "store_true", "help": "add (a, b) and (c, d) as (a*c + b*d, b*d)"}),
+                JSON)
+        for which, what in (("eval", "evaluate to"), ("num", "the numerator of"), ("denom", "the denominator of"))
     }),
     "fractalk": ("assertion-script checking", {
         "check": (
-            None, _cmd_fractalk_check, ("script", {"help": "path to a .ftk file (packaged corpus names work too)"}),
-            ("--shape", {"default": None}), JSON,
+            "check a script, step by step", _cmd_fractalk_check,
+            ("script", {"help": "path to a .ftk file (packaged corpus names work too)"}),
+            ("--shape", {"default": None, "help": "a rat shape id (default: the script's @shape, else rat.pcs)"}),
+            JSON,
         ),
     }),
     "demo": ("check the whole packaged corpus", _cmd_demo, JSON),

@@ -48,7 +48,9 @@ class NegativeIntoNat(FractermError):
 
 
 class CapacityError(FractermError):
-    """A set-theoretic encoding would exceed the configured size cap."""
+    """An input past a budget: a set-nat cap or JSON budget (``shapes.SET_NAT_*``),
+    ``shapes.NORMALITY_BOUND``, ``rewrite.FLATTEN_DEPTH``, ``cli.SCRIPT_BYTES``,
+    or Python's int/str digit limit."""
 
 
 class DivisionByZero(FractermError):

@@ -70,12 +70,15 @@ class Occurrence(Record):
 
     @property
     def sign(self) -> str:
-        """The fracsign: the occurrence's text, outer whitespace trimmed; for
-        an occurrence built without one, its term printed inline."""
-        return getattr(self, "_sign", None) or format_term(self.term)
+        """The fracsign: the text (outer whitespace trimmed; without one, the
+        term printed inline) with each tag of a / glued to ft or fv read
+        away, once, as the lexer reads it: a decoration is no part of the
+        sign. So 2/ft3, 2/fv3 and 2/3 are one sign, and (2)/3 is another."""
+        head, *rest = (getattr(self, "_sign", None) or format_term(self.term)).split("/")
+        return "/".join([head, *(p[2:] if p[:2] in ("ft", "fv") else p for p in rest)])
 
     def __reduce__(self):
-        return _signed, (self.sign, *self._values())
+        return _signed, (getattr(self, "_sign", None), *self._values())
 
 
 def _signed(sign: str, *fields) -> Occurrence:
@@ -163,9 +166,7 @@ def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None
     if found is None:
         raise ScriptError(f"unrecognized claim {body!r}", line=line)
     kind, row, names = rows[found.lastgroup]
-    groups = {}
-    for renamed, name in names:
-        groups[name] = found[renamed]
+    groups = {name: found[renamed] for renamed, name in names}
     arg = row.arg(groups, line) if row.arg else None
     occurrences = []
     for text in (groups.get("occ"), groups.get("occ2")):
@@ -177,8 +178,7 @@ def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None
 
 def parse_script(text: str) -> Script:
     assertions: list[Assertion] = []
-    shape_id = None
-    disjoint = None
+    shape_id = disjoint = None
     seen: set[int] = set()
     parsed: dict[str, tuple] = {}  # one term per occurrence text, for this script only
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -261,13 +261,9 @@ def infer_levels(script: Script) -> dict[tuple[int, int], Level]:
                         f"decorated {_LEVEL_NAMES[forced]} but directed to {_LEVEL_NAMES[directive]}"
                     )
                 forced = directive
-            if forced is None and occ.fraction_marked and definition is not None:
+            if forced is None and occ.fraction_marked:
                 forced = definition
-            if forced is None:
-                forced = a.claim.role
-            if forced is None:
-                forced = Level.FRACVALUE  # the most abstract referent
-            levels[occ.key()] = forced
+            levels[occ.key()] = forced or a.claim.role or Level.FRACVALUE  # the most abstract referent
     return levels
 
 
@@ -296,10 +292,7 @@ class Verdict(Record):
 
     def to_json(self):
         return {
-            "steps": [
-                {"index": s.index, "status": s.status, "explanation": s.explanation}
-                for s in self.steps
-            ],
+            "steps": [{"index": s.index, "status": s.status, "explanation": s.explanation} for s in self.steps],
             "overall": self.overall,
             "blocked_at": self.blocked_at,
             "explanation": self.explanation,
@@ -523,21 +516,14 @@ def _check_not_all_fracterms_rational(env: _Env, claim: Claim):
     return _VALID
 
 
-def _untagged(occ: Occurrence) -> str:
-    """The occurrence's fracsign without its decoration tags, which are no
-    part of the sign: a glued /ft or /fv, always a decoration to the lexer,
-    reads as /."""
-    return re.sub(r"/f[tv]", "/", occ.sign)
-
-
 def _check_contradicts(env: _Env, claim: Claim):
     target = env.script.assertion(claim.arg).claim
     if target.kind not in ("rationals-not-fracterms", "not-all-fracterms-rational"):
         return "invalid", "the cited assertion is not a universal claim"
-    sign = _untagged(claim.occ)
+    sign = claim.occ.sign
     # "x is fracterm and fracvalue" asserts both premises of one occurrence.
-    rationals = [p for p in env.premises("rational", "both-levels") if _untagged(p[0].claim.occ) == sign]
-    fracterms = [p for p in env.premises("fracterm", "both-levels") if _untagged(p[0].claim.occ) == sign]
+    rationals = [p for p in env.premises("rational", "both-levels") if p[0].claim.occ.sign == sign]
+    fracterms = [p for p in env.premises("fracterm", "both-levels") if p[0].claim.occ.sign == sign]
     if not rationals or not fracterms:
         return "invalid", "no premises support a contradiction"
     valid_r = [a for a, ok in rationals if ok]
@@ -556,7 +542,7 @@ def _check_contradicts(env: _Env, claim: Claim):
         return _VALID
     return (
         "invalid",
-        f"the sign {format_term(claim.occ.term)} is a {_LEVEL_NAMES[r_levels[0]]} in step {valid_r[0].index} "
+        f"the sign {sign} is a {_LEVEL_NAMES[r_levels[0]]} in step {valid_r[0].index} "
         f"and a {_LEVEL_NAMES[f_levels[0]]} in step {valid_f[0].index}; distinct occurrences of one "
         f"sign do not combine into a single entity",
     )

@@ -608,7 +608,7 @@ class _SimplifiedFractermRat(Shape):
     normal = True
 
     def validate(self, payload):
-        if not (isinstance(payload, Div) and classify(payload).simplified):
+        if not (isinstance(payload, Div) and classify(payload).simplified and not payload.decorated):
             shown = format_term(payload) if isinstance(payload, Term) else repr(payload)
             raise UnsupportedShape(f"not a simplified simple fracterm: {shown}")
 
@@ -655,10 +655,10 @@ class _RatioNumberRat(_RatPair):
                           "neg": _on_pairs(ratio.rn_neg), "div": _on_pairs(ratio.rn_div)}
 
     def bounded_instances(self, bound):
-        span = min(bound, 8)
-        for m in range(span + 1):
-            for a, b in itertools.product(range(-m, m + 1), repeat=2):
-                if max(abs(a), abs(b)) == m:
+        # Ring m holds the pairs whose larger component magnitude is m, in row order.
+        for m in range(bound + 1):
+            for a in range(-m, m + 1):
+                for b in range(-m, m + 1) if abs(a) == m else (-m, m):
                     yield Instance(self.shape_id, (a, b))
 
 

@@ -484,13 +484,18 @@ HELP = {
     "extraction fractalk assertion-script checking demo check the whole packaged corpus options: "
     "-h, --help show this help message and exit",
     ("eval",): "usage: fracterm eval [-h] [--format {inline,colon,frac}] [--json] [--policy "
-    "{partial,suppes-ono,common-meadow}] [--shape SHAPE] term positional arguments: term options: "
-    "-h, --help show this help message and exit --format {inline,colon,frac} --json --policy "
-    "{partial,suppes-ono,common-meadow} --shape SHAPE",
+    "{partial,suppes-ono,common-meadow}] [--shape SHAPE] term positional arguments: term a term, "
+    "such as 1/2+1/3 options: -h, --help show this help message and exit --format "
+    "{inline,colon,frac} 1/2, 1:2 or frac(1,2) (default: inline) --json print the result as one JSON "
+    "object --policy {partial,suppes-ono,common-meadow} division by zero is an error, zero, or an "
+    "absorbing bottom (default: common-meadow) --shape SHAPE a shape id, such as nat.vn or rat.ssft "
+    "(default: rat.pcs)",
     ("add",): "usage: fracterm add [-h] [--format {inline,colon,frac}] [--json] [--strategy "
-    "{cross,same-denom,numeral,trivial,all}] left right positional arguments: left right options: "
-    "-h, --help show this help message and exit --format {inline,colon,frac} --json --strategy "
-    "{cross,same-denom,numeral,trivial,all}",
+    "{cross,same-denom,numeral,trivial,all}] left right positional arguments: left the first summand "
+    "right the second summand options: -h, --help show this help message and exit --format "
+    "{inline,colon,frac} 1/2, 1:2 or frac(1,2) (default: inline) --json print the result as one JSON "
+    "object --strategy {cross,same-denom,numeral,trivial,all} one member of the family, or all "
+    "(default: cross)",
 }
 
 

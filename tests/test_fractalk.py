@@ -190,6 +190,8 @@ CLAIM_ROWS = [
         ('1: 1/2 == 2/4 @fv', 'valid', None),
         ('1: 1/2 == 2/4 @ft', 'invalid', '1/2 and 2/4 differ as fracterms'),
         ('1: 1/ft2 == 2/4', 'invalid', 'cross-level equation: left occurrence is a fracterm, right a fracvalue'),
+        # A decoration tag is no part of the sign, at @fs as in contradicts.
+        ('1: 1/ft2+1/3 == 1/2+1/3 @fs', 'valid', None),
     ]),
     ('comparison', [
         ('1: 4/3 > 1', 'valid', None),
@@ -239,11 +241,13 @@ CLAIM_ROWS = [
         ('1: 2/3 is rational', 'valid', None),
         ('1: 2/3 is not rational', 'invalid', 'the fracvalue of 2/3'),
         ('1: 2/ft3 is rational', 'invalid', 'the occurrence is fixed at the fracterm level, and no fracterm is a rational number under the disjoint reading'),
+        ('1: level(2) = fs\n2: 2/3 is rational', 'invalid', 'a fracsign is not a number'),
     ]),
     ('fracterm', [
         ('1: 2/3 is fracterm', 'valid', None),
         ('1: 2/3 is not fracterm', 'invalid', 'read as a fracterm, 2/3 is a fracterm'),
         ('1: 2/fv3 is fracterm', 'invalid', 'read as a fracvalue, 2/3 is not a fracterm'),
+        ('1: level(2) = fs\n2: 2/3 is fracterm', 'invalid', 'read as a fracsign, 2/3 is not a fracterm'),
     ]),
     ('taxonomy', [
         ('1: 4/3 is simple and simplified', 'valid', None),
@@ -378,6 +382,8 @@ def test_comparison_checks_values():
     assert check_text("1: 1/0 > 1").overall == "paradox-blocked"
     verdict = check_text("1: level(2) = ft\n2: 4/3 > 1")
     assert verdict.step(2).status == "level-conflict"
+    with pytest.raises(KeyError):
+        verdict.step(3)
     # Each operator on the boundary (2/2 against 1) and off it, either way.
     for claim, failure in [
         ("2/2 < 1", "1 < 1"), ("2/2 <= 1", None), ("2/2 > 1", "1 > 1"), ("2/2 >= 1", None),
@@ -406,6 +412,13 @@ def test_sign_equality_compares_the_written_texts():
     assert occ.sign == "(1)/2" and "(1)/2" not in repr(occ)
     assert pickle.loads(pickle.dumps(occ)).sign == copy.deepcopy(occ).sign == "(1)/2"
     assert fractalk.Occurrence(1, 1, parse_term("(1)/2")).sign == "1/2"
+    # Each / glued to ft or fv is a tag, read away once, as the lexer reads
+    # it: 1+1/ftfvx is 1 plus 1 over fvx, the sign 1+1/fvx. A copy reads the
+    # written text again.
+    assert check_text("1: 1+1/ftfvx == 1+1/fvfvx @fs").overall == "sound"
+    assert check_text("1: 1+1/ftfvx == 1+1/x @fs").overall == "paradox-blocked"
+    occ = parse_script("1: 1+1/ftfvx is fracterm").assertions[0].claim.occ
+    assert pickle.loads(pickle.dumps(occ)).sign == copy.deepcopy(occ).sign == occ.sign == "1+1/fvx"
 
 
 def test_equality_of_values_past_the_digit_limit():

@@ -621,6 +621,8 @@ def test_normality_keeps_no_instance_per_value():
 def test_normality_bound_budget(monkeypatch):
     assert NORMALITY_BOUND >= 200  # the largest bound the benchmark searches
     assert normality_report("nat.sdn", NORMALITY_BOUND).normal
+    with pytest.raises(UnsupportedOperation, match="^bound must be at least 1$"):
+        normality_report("nat.sdn", 0)
 
     def enumerate_nothing(self, bound):
         raise AssertionError("enumerated past the budget")
@@ -638,10 +640,12 @@ def test_normality_bound_budget(monkeypatch):
 
 def test_instance_json_round_trip():
     for shape_id in SHAPE_IDS:
-        for k in (0 if shape_id.startswith("nat.") else -5, 3):
+        for k in (0, 3) if shape_id.startswith("nat.") else (-5, 0, 3):
             inst = encode(k, shape_id)
             data = instance_to_json(inst)
             assert instance_from_json(data) == inst
+    with pytest.raises(UnsupportedShape, match="^not a simplified simple fracterm: 2/ft3$"):
+        instance_from_json({"shape": "rat.ssft", "value": "2/ft3"})
 
 
 @pytest.mark.parametrize("shape_id,sign", [("nat.dedekind", 1)] + [
@@ -768,3 +772,10 @@ def test_make_instance_validates():
         make_instance("rat.pcs", (2, 4))
     with pytest.raises(UnsupportedShape):
         make_instance("rat.ssft", parse_term("4/6"))
+    # A decorated payload is no simplified simple fracterm: rat.ssft is normal.
+    with pytest.raises(UnsupportedShape, match="^not a simplified simple fracterm: 2/ft3$"):
+        make_instance("rat.ssft", parse_term("2/ft3"))
+    for shape_id, bad in (("nat.vn", [E]), ("nat.zermelo", [E]), ("nat.zermelo", frozenset([E, frozenset([E])]))):
+        with pytest.raises(UnsupportedShape):
+            make_instance(shape_id, bad)
+    assert make_instance("int.signed", "0") == encode(0, "int.signed")

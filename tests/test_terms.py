@@ -80,11 +80,15 @@ def test_parse_decorations():
     assert parse_term("1/fv2") == Div(Lit("1"), Lit("2"), "fv")
     assert parse_term("1:ft2", "colon") == Div(Lit("1"), Lit("2"), "ft")
     assert parse_term("frac_fv(1,2)", "frac") == Div(Lit("1"), Lit("2"), "fv")
+    with pytest.raises(ValueError, match="bad decoration: 'xx'"):
+        Div(Lit("1"), Lit("2"), "xx")
 
 
 def test_parse_colon_and_frac_formats():
     assert parse_term("1:2", "colon") == Div(Lit("1"), Lit("2"))
     assert parse_term("frac(1+frac(2,3),5)", "frac") == parse_term("(1+2/3)/5")
+    with pytest.raises(ParseError, match="unknown format 'bogus'"):
+        parse_term("1", "bogus")
 
 
 # (text, format, position of the ParseError), one row per malformed input.
@@ -491,6 +495,8 @@ def test_num_denom_goldens():
     assert num(parse_term("1/ft2")) == Lit("1")
     with pytest.raises(NotAFracterm):
         num(parse_term("1+2"))
+    with pytest.raises(NotAFracterm):
+        denom(parse_term("1"))
 
 
 # ---------------------------------------------------------------------------
