@@ -33,13 +33,14 @@ def _load_json(text: str):
 
 
 def _int_arg(text: str) -> int:
-    """An int argument; digits that int() refuses are past Python's
+    """An int argument: an optional sign and ASCII digits, as terms and
+    fractalk read numbers. Digits that int() refuses are past Python's
     int/str digit limit, a CapacityError rather than a usage error."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
     try:
         return int(text)
     except ValueError:
-        if not re.fullmatch(r"\s*[+-]?\d+\s*", text):
-            raise
         raise CapacityError("an integer argument exceeds the int/str digit limit") from None
 
 

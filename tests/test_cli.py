@@ -148,11 +148,13 @@ def test_shape_normality_bound_budget(capsys):
         code, out, err = run(capsys, "shape", *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "CapacityError"
-    for argv in (["normality", "--bound", "ten"], ["encode", "ten"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["shape", *argv])
-        assert exc.value.code == 2
-        assert "invalid int value" in capsys.readouterr().err
+    # Only ASCII digits are read: int() would take "٣" as 3 and "1_0" as 10.
+    for text in ("ten", "٣", "١٠", "1_0"):
+        for argv in (["normality", "--bound", text], ["encode", text]):
+            with pytest.raises(SystemExit) as exc:
+                main(["shape", *argv])
+            assert exc.value.code == 2
+            assert "invalid int value" in capsys.readouterr().err
 
 
 MALFORMED_PAYLOADS = [

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import sys
 import time
@@ -207,8 +208,8 @@ def test_refinement_everywhere():
     for shape_id in SHAPE_IDS:
         shape = get_shape(shape_id)
         sample = []
-        for inst in shape.bounded_instances(12):
-            sample.append(inst)
+        for payload in shape.bounded_payloads(12):
+            sample.append(shape.make(payload))
             if len(sample) >= 120:
                 break
         for _ in range(200):
@@ -217,13 +218,34 @@ def test_refinement_everywhere():
                 assert label_eq(i, j)
 
 
+@pytest.mark.parametrize("shape_id", SHAPE_IDS)
+def test_label_key_agrees_with_decode(shape_id):
+    # The key is the (numerator, denominator) of the decoded value, or None
+    # for the bottom class, on every payload the normality search walks.
+    shape = get_shape(shape_id)
+    for payload in shape.bounded_payloads(12):
+        value = shape.decode(Instance(shape_id, payload))
+        want = None if value is None else (Fraction(value).numerator, Fraction(value).denominator)
+        assert shape.label_key(payload) == want, payload
+
+
+def test_rns_label_key_puts_the_sign_on_the_numerator():
+    rns = get_shape("rat.rns")
+    assert rns.label_key((1, -2)) == rns.label_key((-1, 2)) == rns.label_key((3, -6)) == (-1, 2)
+    assert rns.label_key((-4, -6)) == (2, 3) and rns.label_key((0, -5)) == (0, 1)
+    assert rns.label_key((0, 0)) is rns.label_key((3, 0)) is rns.label_key((-3, 0)) is None
+    assert label_eq(rns.make((1, -2)), rns.make((-1, 2)))
+    assert label_eq(rns.make((0, 0)), rns.make((3, 0)))
+    assert not label_eq(rns.make((1, -2)), rns.make((1, 2)))
+
+
 def test_label_eq_is_equivalence_on_samples():
     rng = random.Random(11)
     for shape_id in SHAPE_IDS:
         shape = get_shape(shape_id)
         sample = []
-        for inst in shape.bounded_instances(12):
-            sample.append(inst)
+        for payload in shape.bounded_payloads(12):
+            sample.append(shape.make(payload))
             if len(sample) >= 120:
                 break
         for inst in sample:
@@ -543,9 +565,10 @@ def test_descriptor_agrees_with_bounded_check():
 
 def reference_witness(shape_id, bound):
     """Brute force: pair each instance with the first earlier one of equal
-    decode; the witness is the first such pair that is not instance-equal."""
+    decode; the witness is the first such pair that is not instance-equal.
+    It reads decode, never ``label_key``, which the search keys on."""
     shape = get_shape(shape_id)
-    instances = list(shape.bounded_instances(bound))
+    instances = [Instance(shape_id, payload) for payload in shape.bounded_payloads(bound)]
     values = [shape.decode(inst) for inst in instances]
     for k, inst in enumerate(instances):
         earlier = [j for j in range(k) if values[j] == values[k]]
@@ -563,9 +586,15 @@ def test_normality_matches_brute_force(shape_id):
             assert [instance_to_json(w) for w in report.witness] == [instance_to_json(w) for w in want]
 
 
+def test_coprime_pairs_filter_every_pair_by_gcd():
+    for bound in range(1, 41):
+        want = [(a, b) for b in range(1, bound + 1) for a in range(-bound, bound + 1) if math.gcd(a, b) == 1]
+        assert list(_coprime_pairs(bound)) == want, bound
+
+
 @pytest.mark.parametrize("bound", [1, 7, 30])
 def test_ssft_enumeration_shares_its_literals(bound):
-    payloads = [inst.payload for inst in get_shape("rat.ssft").bounded_instances(bound)]
+    payloads = list(get_shape("rat.ssft").bounded_payloads(bound))
     assert payloads == [Div(Lit(str(a)), Lit(str(b))) for a, b in _coprime_pairs(bound)]
     assert len({id(lit) for t in payloads for lit in (t.left, t.right)}) <= 2 * bound + 1
 
@@ -578,7 +607,8 @@ class _Box:
 
 
 class _ProbeNat(shapes.Shape):
-    """Naturals in boxes that report how many boxes are alive at each decode."""
+    """Naturals in boxes that report how many boxes are alive at each label
+    key and at the comparison of a witness."""
 
     shape_id = "nat.probe"
     label = "nat"
@@ -586,16 +616,20 @@ class _ProbeNat(shapes.Shape):
     def __init__(self):
         self.live, self.most_live = weakref.WeakSet(), 0
 
-    def bounded_instances(self, bound):
+    def bounded_payloads(self, bound):
         for k in (*range(bound + 1), 0):  # 0 again at the end: the witness
             box = _Box(k)
             self.live.add(box)
-            yield Instance(self.shape_id, box)
+            yield box
             del box
 
-    def decode(self, inst):
+    def label_key(self, payload):
         self.most_live = max(self.most_live, len(self.live))
-        return inst.payload.k
+        return payload.k
+
+    def instance_eq(self, i, j):
+        self.most_live = max(self.most_live, len(self.live))
+        return i.payload == j.payload
 
 
 def test_normality_keeps_no_instance_alive(monkeypatch):
@@ -628,7 +662,7 @@ def test_normality_bound_budget(monkeypatch):
         raise AssertionError("enumerated past the budget")
 
     for shape_id in ("rat.pcs", "rat.ssft"):
-        monkeypatch.setattr(type(get_shape(shape_id)), "bounded_instances", enumerate_nothing)
+        monkeypatch.setattr(type(get_shape(shape_id)), "bounded_payloads", enumerate_nothing)
         for bound in (NORMALITY_BOUND + 1, 10**5000):
             with pytest.raises(CapacityError):
                 normality_report(shape_id, bound)

@@ -76,6 +76,7 @@ def test_import_loads_only_errors():
     (["eval", "2/4"], {"fractalk", "rewrite"}),
     (["fractalk", "check", "corpus/A.ftk"], {"rewrite"}),
     (["shape", "compare", "[1,2]", "[2,4]", "--shape", "rat.rns"], {"semantics", "fractalk", "rewrite"}),
+    (["shape", "normality", "--shape", "rat.pcs", "--bound", "10"], {"semantics", "fractalk", "rewrite"}),
 ])
 def test_cli_command_loads_only_what_it_uses(argv, absent):
     loaded = loaded_submodules(f"import fracterm.cli\nassert fracterm.cli.main({argv!r}) == 0")
