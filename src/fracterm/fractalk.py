@@ -151,29 +151,30 @@ def _occurrence(index: int, position: int, text: str, line: int, parsed: dict) -
 
 
 def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None) -> Claim:
-    """The claim of the first row of CLAIM_KINDS whose pattern matches.
+    """The claim of the first row of CLAIM_KINDS, in table order, whose pattern matches.
 
-    Named groups: ``occ`` and ``occ2`` are occurrences, ``neg`` negates the
-    claim and ``tag`` overrides the row's role; the row's ``arg`` reads the
-    rest. The argument is read first, so a bad witness term is reported
-    before a bad occurrence. parsed maps each occurrence text met so far to
-    its term and annotation, so that equal texts share one term object, and
-    with it the value that evaluation keeps on the term.
+    A row's pattern is tried only on a body that holds the row's literal.
+    Named groups of its match: ``occ`` and ``occ2`` are occurrences, ``neg``
+    negates the claim and ``tag`` overrides the row's role; the row's
+    ``arg`` reads the rest. The argument is read first, so a bad witness
+    term is reported before a bad occurrence. parsed maps each occurrence
+    text met so far to its term and annotation, so that equal texts share
+    one term object, and with it the value that evaluation keeps on the term.
     """
     parsed = {} if parsed is None else parsed
-    dispatch, rows = _claim_dispatch()
-    found = dispatch.match(body)
-    if found is None:
+    for kind, literal, pattern, row in _claim_dispatch():
+        if literal in body:
+            found = pattern.match(body)
+            if found is not None:
+                break
+    else:
         raise ScriptError(f"unrecognized claim {body!r}", line=line)
-    kind, row, names = rows[found.lastgroup]
-    groups = {name: found[renamed] for renamed, name in names}
-    arg = row.arg(groups, line) if row.arg else None
-    occurrences = []
-    for text in (groups.get("occ"), groups.get("occ2")):
-        if text:
-            occurrences.append(_occurrence(index, len(occurrences) + 1, text, line, parsed))
+    groups = found.groupdict()
+    arg = row.arg(found, line) if row.arg else None
+    texts = [text for text in (groups.get("occ"), groups.get("occ2")) if text]
+    occurrences = tuple(_occurrence(index, i, text, line, parsed) for i, text in enumerate(texts, start=1))
     tag = groups.get("tag")
-    return Claim(kind, tuple(occurrences), Level(tag) if tag else row.role, not groups.get("neg"), arg)
+    return Claim(kind, occurrences, Level(tag) if tag else row.role, not groups.get("neg"), arg)
 
 
 def parse_script(text: str) -> Script:
@@ -594,11 +595,12 @@ def _check_conclude(env: _Env, claim: Claim):
 
 class _Kind(NamedTuple):
     # Matched from the start of the claim body, in table order: the first
-    # match wins. The patterns are compiled on first use into one dispatch
-    # (_claim_dispatch) that keeps that rule.
+    # match wins. Every body the pattern matches holds literal, so a body
+    # without it skips the row ("" skips none). Compiled on first use.
     pattern: str
+    literal: str
     role: Optional[Level]  # rule 4; None leaves the occurrences to the default
-    arg: Optional[Callable[[dict, int], object]]  # (the row's groups, line) -> Claim.arg
+    arg: Optional[Callable[[re.Match, int], object]]  # (the row's match, line) -> Claim.arg
     check: Callable[[_Env, Claim], tuple[str, Optional[str]]]
 
 
@@ -610,7 +612,7 @@ def _int_arg(m, line: int, group="n") -> int:
         raise ScriptError(f"a {len(m[group])}-character number exceeds the int/str digit limit", line=line) from None
 
 
-def _witness_arg(m: dict, line: int) -> Term:
+def _witness_arg(m: re.Match, line: int) -> Term:
     try:
         witness = parse_term(m["witness"].strip())
     except FractermError as exc:
@@ -622,66 +624,94 @@ _FLAG_WORDS = "flat|simple|simplified|proper"
 _DEFINITIONS = {"number": Level.FRACVALUE, "fracterm": Level.FRACTERM, "fracsign": Level.SIGN}
 
 CLAIM_KINDS: dict[str, _Kind] = {
-    "num": _Kind(r"^num\((?P<occ>.+)\)\s*=\s*(?P<n>-?[0-9]+)$", Level.FRACTERM, _int_arg, _check_component),
-    "denom": _Kind(r"^denom\((?P<occ>.+)\)\s*=\s*(?P<n>-?[0-9]+)$", Level.FRACTERM, _int_arg, _check_component),
+    "num": _Kind(r"^num\((?P<occ>.+)\)\s*=\s*(?P<n>-?[0-9]+)$", "num(", Level.FRACTERM, _int_arg, _check_component),
+    "denom": _Kind(
+        r"^denom\((?P<occ>.+)\)\s*=\s*(?P<n>-?[0-9]+)$", "denom(", Level.FRACTERM, _int_arg, _check_component
+    ),
     "unique-numerator": _Kind(
-        r"^(?P<word>fraxion|fracterm|fracvalue|fracsign)s have a unique numerator$",
+        r"^(?P<word>fraxion|fracterm|fracvalue|fracsign)s have a unique numerator$", "s have a unique numerator",
         None,
         lambda m, line: _LEVEL_WORDS[m["word"]],
         _check_unique_numerator,
     ),
     "level": _Kind(
-        r"^level\((?P<n>[0-9]+)\)\s*=\s*(?P<to>ft|fv|fs)$",
+        r"^level\((?P<n>[0-9]+)\)\s*=\s*(?P<to>ft|fv|fs)$", "level(",
         None,
         lambda m, line: (_int_arg(m, line), Level(m["to"])),
         _valid,
     ),
     "conclude": _Kind(
-        r"^conclude\s+(?P<left>-?[0-9]+)\s*=\s*(?P<right>-?[0-9]+)$",
+        r"^conclude\s+(?P<left>-?[0-9]+)\s*=\s*(?P<right>-?[0-9]+)$", "conclude",
         None,
         lambda m, line: (_int_arg(m, line, "left"), _int_arg(m, line, "right")),
         _check_conclude,
     ),
     "def": _Kind(
-        r"^def:\s*fraction is (?P<reading>number|fracterm|fracsign)$",
+        r"^def:\s*fraction is (?P<reading>number|fracterm|fracsign)$", "def:",
         None,
         lambda m, line: _DEFINITIONS[m["reading"]],
         _valid,
     ),
-    "all-rationals-fraxions": _Kind(r"^all rationals are fraxions$", None, None, _valid),
-    "not-all-fraxions-rational": _Kind(r"^not all fraxions are rational$", None, None, _valid),
-    "rationals-not-fracterms": _Kind(r"^rationals are not fracterms$", None, None, _check_rationals_not_fracterms),
+    "all-rationals-fraxions": _Kind(r"^all rationals are fraxions$", "all rationals are fraxions", None, None, _valid),
+    "not-all-fraxions-rational": _Kind(
+        r"^not all fraxions are rational$", "not all fraxions are rational", None, None, _valid
+    ),
+    "rationals-not-fracterms": _Kind(
+        r"^rationals are not fracterms$", "rationals are not fracterms", None, None, _check_rationals_not_fracterms
+    ),
     # The witness is named as a fracterm.
     "not-all-fracterms-rational": _Kind(
-        r"^not all fracterms are rational(?:,\s*witness\s+(?P<occ>.+))?$",
+        r"^not all fracterms are rational(?:,\s*witness\s+(?P<occ>.+))?$", "not all fracterms are rational",
         Level.FRACTERM,
         None,
         _check_not_all_fracterms_rational,
     ),
+    # Each side ends on a non-blank, so no start of a side rescans a run of blanks.
     "equals": _Kind(
-        r"^(?P<occ>.+?)\s*==\s*(?P<occ2>.+?)(?:\s*@(?P<tag>ft|fv|fs))?$", Level.FRACVALUE, None, _check_equals
+        r"^(?P<occ>.*?\S)\s*==\s*(?P<occ2>.*?\S)(?:\s*@(?P<tag>ft|fv|fs))?$", "==", Level.FRACVALUE, None, _check_equals
     ),
     # A numeric judgement such as 4/3 > 1 leaves the sign to the default:
-    # the most abstract referent, a fracvalue.
+    # the most abstract referent, a fracvalue. Its operator is one of four,
+    # so the row has no literal.
     "comparison": _Kind(
-        r"^(?P<occ>.+?)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?[0-9]+)$",
+        r"^(?P<occ>.*?\S)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?[0-9]+)$", "",
         None,
         lambda m, line: (m["op"], _int_arg(m, line)),
         _check_comparison,
     ),
-    "both-levels": _Kind(r"^(?P<occ>.+?) is fracterm and fracvalue$", Level.FRAXION, None, _check_both_levels),
-    "fraxion": _Kind(r"^(?P<occ>.+?) is fraxion$", Level.FRAXION, None, _valid),
-    "may-be-rational": _Kind(r"^(?P<occ>.+?) may be rational$", Level.FRAXION, None, _check_may_be_rational),
-    "even-integer": _Kind(r"^(?P<occ>.+?) is an even integer$", Level.FRACVALUE, None, _check_even_integer),
-    "can-simplify": _Kind(r"^(?P<occ>.+?) can be simplified$", Level.FRACTERM, None, _check_can_simplify),
-    "writable-flat": _Kind(
-        r"^(?P<occ>.+?) can be written flat as (?P<witness>.+)$", Level.FRACTERM, _witness_arg, _check_writable_flat
+    "both-levels": _Kind(
+        r"^(?P<occ>.+?) is fracterm and fracvalue$", " is fracterm and fracvalue",
+        Level.FRAXION,
+        None,
+        _check_both_levels,
     ),
-    "contradicts": _Kind(r"^(?P<occ>.+?) contradicts (?P<n>[0-9]+)$", Level.FRAXION, _int_arg, _check_contradicts),
-    "rational": _Kind(r"^(?P<occ>.+?) is (?P<neg>not )?rational$", Level.FRACVALUE, None, _check_is_rational),
-    "fracterm": _Kind(r"^(?P<occ>.+?) is (?P<neg>not )?fracterm$", Level.FRACTERM, None, _check_is_fracterm),
+    "fraxion": _Kind(r"^(?P<occ>.+?) is fraxion$", " is fraxion", Level.FRAXION, None, _valid),
+    "may-be-rational": _Kind(
+        r"^(?P<occ>.+?) may be rational$", " may be rational", Level.FRAXION, None, _check_may_be_rational
+    ),
+    "even-integer": _Kind(
+        r"^(?P<occ>.+?) is an even integer$", " is an even integer", Level.FRACVALUE, None, _check_even_integer
+    ),
+    "can-simplify": _Kind(
+        r"^(?P<occ>.+?) can be simplified$", " can be simplified", Level.FRACTERM, None, _check_can_simplify
+    ),
+    "writable-flat": _Kind(
+        r"^(?P<occ>.+?) can be written flat as (?P<witness>.+)$", " can be written flat as ",
+        Level.FRACTERM,
+        _witness_arg,
+        _check_writable_flat,
+    ),
+    "contradicts": _Kind(
+        r"^(?P<occ>.+?) contradicts (?P<n>[0-9]+)$", " contradicts ", Level.FRAXION, _int_arg, _check_contradicts
+    ),
+    "rational": _Kind(
+        r"^(?P<occ>.+?) is (?P<neg>not )?rational$", "rational", Level.FRACVALUE, None, _check_is_rational
+    ),
+    "fracterm": _Kind(
+        r"^(?P<occ>.+?) is (?P<neg>not )?fracterm$", "fracterm", Level.FRACTERM, None, _check_is_fracterm
+    ),
     "taxonomy": _Kind(
-        rf"^(?P<occ>.+?) is (?P<neg>not )?(?P<flags>(?:{_FLAG_WORDS})(?: and (?:{_FLAG_WORDS}))*)$",
+        rf"^(?P<occ>.+?) is (?P<neg>not )?(?P<flags>(?:{_FLAG_WORDS})(?: and (?:{_FLAG_WORDS}))*)$", " is ",
         Level.FRACTERM,
         lambda m, line: tuple(m["flags"].split(" and ")),
         _check_taxonomy,
@@ -689,24 +719,15 @@ CLAIM_KINDS: dict[str, _Kind] = {
 }
 
 
-_GROUP_NAME = re.compile(r"\(\?P<(\w+)>")
-
-
 @functools.cache
-def _claim_dispatch() -> tuple[re.Pattern, dict[str, tuple[str, _Kind, tuple[tuple[str, str], ...]]]]:
-    """One alternation of the rows' patterns, in table order, and each row with its (renamed, own) group names.
+def _claim_dispatch() -> tuple[tuple[str, str, re.Pattern, _Kind], ...]:
+    """Each row of CLAIM_KINDS, in table order, as (kind, literal, compiled pattern, row).
 
-    Row i is wrapped in the group ``k<i>``, and its own group ``<name>`` is
-    renamed ``k<i>_<name>``, so ``lastgroup`` of a match names the first row
-    whose pattern matches, as a scan of the table would, and the same match
-    holds that row's groups.
+    _match_claim tries a row's pattern only on a body that holds its
+    literal, and the first row whose pattern matches wins, as in a scan
+    of the whole table.
     """
-    rows, branches = {}, []
-    for i, (kind, row) in enumerate(CLAIM_KINDS.items()):
-        key = f"k{i}"
-        rows[key] = (kind, row, tuple((f"{key}_{name}", name) for name in _GROUP_NAME.findall(row.pattern)))
-        branches.append(f"(?P<{key}>" + _GROUP_NAME.sub(rf"(?P<{key}_\1>", row.pattern) + ")")
-    return re.compile("|".join(branches)), rows
+    return tuple((kind, row.literal, re.compile(row.pattern), row) for kind, row in CLAIM_KINDS.items())
 
 
 def check(

@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -268,12 +269,14 @@ def test_claim_kind_golden(kind, examples):
     for text, status, explanation in examples:
         script = parse_script(text)
         assert script.assertions[-1].claim.kind == kind, text
+        assert CLAIM_KINDS[kind].literal in script.assertions[-1].text, text
         step = check(script).steps[-1]
         assert (step.status, step.explanation) == (status, explanation), text
 
 
 # ---------------------------------------------------------------------------
-# Claim dispatch: one compiled alternation stands in for a scan of the table.
+# Claim dispatch: a row's pattern is tried only on a body that holds the
+# row's literal, and that gives what a scan of the whole table gives.
 
 
 def _scan_kind(body):
@@ -284,26 +287,9 @@ def _scan_kind(body):
     return None
 
 
-class _TableScan:
-    """The reference scan, in the shape of the compiled dispatch."""
-
-    def __init__(self, rows):
-        self.names = {kind: name for name, (kind, _, _) in rows.items()}
-
-    def match(self, body):
-        kind = _scan_kind(body)
-        if kind is None:
-            return None
-        # The row's own match, with its groups under the names the dispatch gives them.
-        name = self.names[kind]
-        groups = re.match(CLAIM_KINDS[kind].pattern, body).groupdict()
-        found = _ScanMatch((f"{name}_{group}", text) for group, text in groups.items())
-        found.lastgroup = name
-        return found
-
-
-class _ScanMatch(dict):
-    lastgroup: str
+def _table_scan():
+    """The reference scan, in the shape of the dispatch: no row skipped by its literal."""
+    return tuple((kind, "", re.compile(row.pattern), row) for kind, row in CLAIM_KINDS.items())
 
 
 def _outcome(body):
@@ -335,8 +321,7 @@ def test_claim_dispatch_agrees_with_the_table_scan(body, monkeypatch):
     if not compiled.startswith("ScriptError"):
         assert _match_claim(body, 1, 1).kind == expected
     # The whole claim, or the error, is the one the scan gives.
-    _, rows = fractalk._claim_dispatch()
-    monkeypatch.setattr(fractalk, "_claim_dispatch", lambda: (_TableScan(rows), rows))
+    monkeypatch.setattr(fractalk, "_claim_dispatch", _table_scan)
     assert _outcome(body) == compiled
 
 
@@ -348,18 +333,96 @@ def test_claim_dispatch_covers_every_kind():
     )
 
 
+# The pieces of generated bodies: the rows' own words, terms (a bad one
+# among them), numbers (one not ASCII) and tags.
+_ROW_WORDS = [
+    "num(", "denom(", ")", "=", "==", "<", "<=", ">", ">=", "level(", "conclude", "def:", "fraction is",
+    "is", "not", "rational", "fracterm", "fracterms", "fraxion", "fraxions", "fracvalue", "fracsign", "number",
+    "and", "fracterm and fracvalue", "may be rational", "an even integer", "can be simplified",
+    "can be written flat as", "contradicts", "have a unique numerator", "all rationals are fraxions",
+    "not all fraxions are rational", "rationals are not fracterms", "not all fracterms are rational",
+    ", witness", "flat", "simple", "simplified", "proper", "ft", "fv", "fs", "the fraction",
+]
+_TERMS = ["1/2", "2/4", "2/ft3", "2/fv3", "(1+2)/3", "5/(1+3)", "1/0", "x", "4/3", "1//2", "-1"]
+_NUMBERS = ["0", "1", "2", "-2", "12", "٣"]
+_TAGS = ["@ft", "@fv", "@fs", "@xx"]
+_BLANKS = [" ", " ", " ", "  ", "\t", " \t "]
+
+
+def _generated_bodies(rng, count):
+    """Bodies as parse_script passes them (stripped, not empty): random runs
+    of pieces, examples with other blanks and maybe one piece replaced, and
+    pairs of examples joined, which hold the literals of several rows."""
+    pieces = _ROW_WORDS + _TERMS + _NUMBERS + _TAGS
+    examples = [text.splitlines()[-1].split(": ", 1)[1] for _, rows in CLAIM_ROWS for text, _, _ in rows]
+    bodies = []
+    while len(bodies) < count:
+        mode = rng.choice((0, 1, 1, 2))
+        if mode == 0:
+            words = [rng.choice(pieces) for _ in range(rng.randint(1, 7))]
+        elif mode == 1:
+            words = rng.choice(examples).split(" ")
+            if rng.randrange(2):
+                words[rng.randrange(len(words))] = rng.choice(pieces)
+        else:
+            words = [rng.choice(examples), rng.choice(examples + _TAGS)]
+        blanks = _BLANKS if rng.randrange(2) else [" "]
+        body = "".join(word + rng.choice(blanks) for word in words).strip()
+        if body:
+            bodies.append(body)
+    return bodies
+
+
+def test_claim_dispatch_agrees_with_the_table_scan_on_generated_bodies(monkeypatch):
+    bodies = _generated_bodies(random.Random(34), 3000)
+    bodies += ["1/2 == 2/4 is rational", "2/3 contradicts 3 is fraxion", "1/2 is rational == 2/4 @ft"]
+    outcomes = [_outcome(body) for body in bodies]
+    monkeypatch.setattr(fractalk, "_claim_dispatch", _table_scan)
+    for body, outcome in zip(bodies, outcomes):
+        assert outcome == _outcome(body), body
+    # The generator reaches every row, and bodies that no row matches.
+    kinds = {_scan_kind(body) for body in bodies}
+    assert kinds == {*CLAIM_KINDS, None}
+
+
 def test_unrecognized_claim():
     assert _scan_kind("2/3 is purple") is None
     with pytest.raises(ScriptError, match=r"^line 1: unrecognized claim '2/3 is purple'$"):
         _match_claim("2/3 is purple", 1, 1)
 
 
+def test_long_blank_runs_are_read_in_linear_time():
+    # A pattern that backtracks \s* over a run of blanks from every start
+    # takes quadratic time: a few minutes for these bodies.
+    blanks = " " * 100_000
+    code = (
+        "from fracterm.errors import ScriptError\n"
+        "from fracterm.fractalk import check_text\n"
+        f"blanks = ' ' * {len(blanks)}\n"
+        "for body in ['1' + blanks + 'x', '1' + '\\t' * len(blanks) + 'x', '1' + blanks + '<x',\n"
+        "             '1' + blanks + '=' + blanks + 'x', 'num(1' + blanks + ')' + blanks + 'x',\n"
+        "             '1' + blanks + 'contradicts' + blanks + 'x']:\n"
+        "    try:\n"
+        "        check_text('1: ' + body)\n"
+        "    except ScriptError as exc:\n"
+        "        assert 'unrecognized claim' in str(exc)\n"
+        "    else:\n"
+        "        raise AssertionError(body[:20])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=10)
+
+
 def test_claim_dispatch_compiles_on_first_use():
     code = (
+        "import re\n"
         "from fracterm import fractalk\n"
         "assert fractalk._claim_dispatch.cache_info().currsize == 0\n"
         "fractalk.parse_script('1: 1/2 is rational')\n"
         "assert fractalk._claim_dispatch.cache_info().currsize == 1\n"
+        "rows = fractalk._claim_dispatch()\n"
+        "assert [kind for kind, _, _, _ in rows] == list(fractalk.CLAIM_KINDS)\n"
+        "assert all(isinstance(pattern, re.Pattern) for _, _, pattern, _ in rows)\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
