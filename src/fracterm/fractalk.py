@@ -171,8 +171,10 @@ def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None
         raise ScriptError(f"unrecognized claim {body!r}", line=line)
     groups = found.groupdict()
     arg = row.arg(found, line) if row.arg else None
-    texts = [text for text in (groups.get("occ"), groups.get("occ2")) if text]
-    occurrences = tuple(_occurrence(index, i, text, line, parsed) for i, text in enumerate(texts, start=1))
+    occurrences = ()
+    for text in (groups.get("occ"), groups.get("occ2")):
+        if text:
+            occurrences += (_occurrence(index, len(occurrences) + 1, text, line, parsed),)
     tag = groups.get("tag")
     return Claim(kind, occurrences, Level(tag) if tag else row.role, not groups.get("neg"), arg)
 
