@@ -2,7 +2,7 @@
 
 A script is a sequence of claims, each mentioning zero or more fracsign
 occurrences. The claim forms are the rows of ``CLAIM_KINDS``, one per kind:
-its pattern, the level its role demands (rule 4 below) and its checker.
+its pattern and literal, the level its role demands (rule 4) and its checker.
 Every occurrence gets a level of abstraction (occurrence, sign, fracterm,
 fracvalue, or the undecided fraxion), inferred from:
 
@@ -725,10 +725,8 @@ CLAIM_KINDS: dict[str, _Kind] = {
 def _claim_dispatch() -> tuple[tuple[str, str, re.Pattern, _Kind], ...]:
     """Each row of CLAIM_KINDS, in table order, as (kind, literal, compiled pattern, row).
 
-    _match_claim tries a row's pattern only on a body that holds its
-    literal, and the first row whose pattern matches wins, as in a scan
-    of the whole table.
-    """
+    _match_claim tries the rows in this order, each only on a body that
+    holds its literal, so the first row that matches wins."""
     return tuple((kind, row.literal, re.compile(row.pattern), row) for kind, row in CLAIM_KINDS.items())
 
 
