@@ -171,12 +171,12 @@ def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None
         raise ScriptError(f"unrecognized claim {body!r}", line=line)
     groups = found.groupdict()
     arg = row.arg(found, line) if row.arg else None
-    occurrences = ()
+    occurrences = []
     for text in (groups.get("occ"), groups.get("occ2")):
         if text:
-            occurrences += (_occurrence(index, len(occurrences) + 1, text, line, parsed),)
+            occurrences.append(_occurrence(index, len(occurrences) + 1, text, line, parsed))
     tag = groups.get("tag")
-    return Claim(kind, occurrences, Level(tag) if tag else row.role, not groups.get("neg"), arg)
+    return Claim(kind, tuple(occurrences), Level(tag) if tag else row.role, not groups.get("neg"), arg)
 
 
 def parse_script(text: str) -> Script:
@@ -674,7 +674,7 @@ CLAIM_KINDS: dict[str, _Kind] = {
     ),
     # A numeric judgement such as 4/3 > 1 leaves the sign to the default:
     # the most abstract referent, a fracvalue. Its operator is one of four,
-    # so the row has no literal.
+    # so its literal is empty: the row is always tried.
     "comparison": _Kind(
         r"^(?P<occ>.*?\S)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?[0-9]+)$", "",
         None,
