@@ -1,10 +1,12 @@
 """Command-line workbench wiring the library together.
 
 ``COMMANDS`` declares every subcommand with its help, its handler and its
-arguments. Output is plain text by default, JSON with --json. Exit codes:
-0 on success, 1 on domain errors and on a stdout that takes no more
-output, such as a closed pipe or a full disk (a structured error object
-goes to stderr), 2 on usage errors.
+arguments. A process declares only the row its argv names (``build_parser``)
+and imports only the modules that row's handler uses, ``terms`` included.
+Output is plain text by default, JSON with --json. Exit codes: 0 on success,
+1 on domain errors and on a stdout that takes no more output, such as a
+closed pipe or a full disk (a structured error object goes to stderr), 2 on
+usage errors.
 
 Each handler returns its result as (the JSON object, the text lines);
 ``main`` alone writes to stdout or stderr and picks the exit code.
@@ -19,7 +21,7 @@ import re
 import sys
 
 from .errors import CapacityError, FractermError, UnsupportedShape
-from .terms import FORMATS, check_str_digits, classify, denom, format_term, is_fracterm, num, parse_term
+from .records import check_str_digits
 
 CORPUS_ORDER = ("A", "B", "Bprime", "Bpp", "C", "Cprime", "D", "E", "F")
 SCRIPT_BYTES = 1 << 20  # a longer script raises CapacityError; about 50x an 800-claim one
@@ -48,7 +50,8 @@ _int_arg.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 def _parse_args_term(args, attr="term"):
-    return parse_term(getattr(args, attr), args.format)
+    from . import terms
+    return terms.parse_term(getattr(args, attr), args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +59,14 @@ def _parse_args_term(args, attr="term"):
 
 
 def _cmd_parse(args):
+    from . import terms
     t = _parse_args_term(args)
-    data = {**{fmt: format_term(t, fmt) for fmt in FORMATS}, "is_fracterm": is_fracterm(t)}
+    data = {**{fmt: terms.format_term(t, fmt) for fmt in terms.FORMATS}, "is_fracterm": terms.is_fracterm(t)}
     return data, [f"{k}: {v}" for k, v in data.items()]
 
 
 def _cmd_classify(args):
+    from .terms import classify, denom, format_term, num
     t = _parse_args_term(args)
     flags = classify(t)
     data = {"term": format_term(t), **{name: getattr(flags, name) for name in flags._fields}}
@@ -85,33 +90,33 @@ def _cmd_eval(args):
 
 
 def _cmd_flatten(args):
-    from . import rewrite
+    from . import rewrite, terms
     t = _parse_args_term(args)
     result, trace = rewrite.flatten(t)
     steps = trace.to_json()
     # The result is the term the last step ended on, already printed.
-    data = {"result": steps[-1]["after"] if steps else format_term(result), "trace": steps}
+    data = {"result": steps[-1]["after"] if steps else terms.format_term(result), "trace": steps}
     lines = [f"result: {data['result']}"]
     lines += [f"  {s['rule']}: {s['before']} => {s['after']}" for s in data["trace"]]
     return data, lines
 
 
 def _cmd_simplify(args):
-    from . import rewrite
+    from . import rewrite, terms
     t = _parse_args_term(args)
-    data = {"result": format_term(rewrite.simplify(t))}
+    data = {"result": terms.format_term(rewrite.simplify(t))}
     return data, [data["result"]]
 
 
 def _cmd_add(args):
-    from . import rewrite
+    from . import rewrite, terms
     t1 = _parse_args_term(args, "left")
     t2 = _parse_args_term(args, "right")
     if args.strategy == "all":
         results = rewrite.add_family_all(t1, t2)
-        data = {"results": {k: format_term(v) for k, v in results.items()}}
+        data = {"results": {k: terms.format_term(v) for k, v in results.items()}}
         return data, [f"{k}: {v}" for k, v in data["results"].items()]
-    data = {"result": format_term(rewrite.add_family(t1, t2, args.strategy))}
+    data = {"result": terms.format_term(rewrite.add_family(t1, t2, args.strategy))}
     return data, [data["result"]]
 
 
@@ -228,13 +233,14 @@ def _cmd_demo(args):
 # the handler, and the group's subcommand lands in args.<group>_command.
 
 TERM = ("term", {"help": "a term, such as 1/2+1/3"})
-FORMAT = ("--format", {"choices": FORMATS, "default": "inline", "help": "1/2, 1:2 or frac(1,2) (default: inline)"})
 JSON = ("--json", {"action": "store_true", "help": "print the result as one JSON object"})
 SHAPE = ("--shape", {"default": "rat.pcs", "help": "a shape id, such as nat.vn or rat.ssft (default: %(default)s)"})
 PAYLOAD = {"help": "payload as JSON"}
-# The --policy and --strategy choices are semantics.POLICIES and
-# rewrite.STRATEGIES, spelled out so that building the parser imports
-# neither module; a test keeps them equal.
+# The --format, --policy and --strategy choices are terms.FORMATS,
+# semantics.POLICIES and rewrite.STRATEGIES, spelled out so that building
+# the parser imports none of those modules; a test keeps them equal.
+FORMAT = ("--format", {"choices": ["inline", "colon", "frac"], "default": "inline",
+                       "help": "1/2, 1:2 or frac(1,2) (default: inline)"})
 POLICY = ("--policy", {"choices": ["partial", "suppes-ono", "common-meadow"], "default": "common-meadow",
                        "help": "division by zero is an error, zero, or an absorbing bottom (default: %(default)s)"})
 STRATEGY = ("--strategy", {"choices": ["cross", "same-denom", "numeral", "trivial", "all"], "default": "cross",
@@ -280,32 +286,36 @@ COMMANDS = {
 }
 
 
-def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict) -> None:
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for name, (help_, target, *arguments) in table.items():
+def _add_commands(parser: argparse.ArgumentParser, dest: str, table: dict, argv) -> None:
+    # The row argv names, with a metavar that lists all, so usage lines and errors read the same; else all.
+    row = argv[0] if argv and argv[0] in table else None
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=None if row is None else "{" + ",".join(table) + "}")
+    for name, (help_, target, *arguments) in (table if row is None else {row: table[row]}).items():
         p = sub.add_parser(name, **({} if help_ is None else {"help": help_}))
         if isinstance(target, dict):
-            _add_commands(p, f"{name}_command", target)
+            _add_commands(p, f"{name}_command", target, argv[1:])
             continue
         for flag, options in arguments:
             p.add_argument(flag, **options)
         p.set_defaults(fn=target)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of argv: the top parser with the row argv names, down its group, or with every row."""
     parser = argparse.ArgumentParser(
         prog="fracterm",
         description="Workbench for fraction terms: taxonomy, shapes, "
         "division-by-zero semantics, rewriting, and assertion scripts.",
     )
-    _add_commands(parser, "command", COMMANDS)
+    _add_commands(parser, "command", COMMANDS, argv)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         # A type= function can raise CapacityError, which argparse lets through.
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
         data, lines = args.fn(args)
     except FractermError as exc:
         error = exc

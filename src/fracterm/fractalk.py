@@ -33,16 +33,15 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DanglingReference, FractermError, LevelConflict, ScriptError
+from .records import Record, fits_str_digits
 from .semantics import BOTTOM, EvalConfig, eval_number, eval_term
 from .terms import (
     Div,
     Level,
     Lit,
-    Record,
     Term,
     classify,
     erase_decorations,
-    fits_str_digits,
     format_term,
     parse_term,
 )
@@ -674,9 +673,10 @@ CLAIM_KINDS: dict[str, _Kind] = {
     ),
     # A numeric judgement such as 4/3 > 1 leaves the sign to the default:
     # the most abstract referent, a fracvalue. Its operator is one of four,
-    # so its literal is empty: the row is always tried.
+    # so its literal is empty: the row is always tried, and its lookahead
+    # fails a body with no "<" or ">" before any scan of the lazy side.
     "comparison": _Kind(
-        r"^(?P<occ>.*?\S)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?[0-9]+)$", "",
+        r"^(?=[^<>]*[<>])(?P<occ>.*?\S)\s*(?P<op><=|>=|<|>)\s*(?P<n>-?[0-9]+)$", "",
         None,
         lambda m, line: (m["op"], _int_arg(m, line)),
         _check_comparison,

@@ -20,9 +20,10 @@ numbers are decoded, combined exactly, with bottom absorbing and a zero
 divisor giving bottom as in common meadows, and encoded again.
 
 ``int.diffpair`` and ``rat.rns``, whose results are not canonical ((5, 2) +
-(1, 4) is (6, 6)), declare payload functions instead, rat.rns from ``ratio``.
-Evaluation uses none of these operations: ``semantics.eval_term`` folds a
-term in exact integer pairs and encodes its value once, at the root.
+(1, 4) is (6, 6)), declare payload functions instead, rat.rns from ``ratio``,
+imported at the call as rat.ssft imports ``terms``: no other shape loads
+either. Evaluation uses none of these operations: ``semantics.eval_term``
+folds a term in exact integer pairs and encodes its value once, at the root.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import operator
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from . import ratio
 from .errors import (
     CapacityError,
     LabelMismatch,
@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedShape,
 )
-from .terms import Div, Lit, Record, Term, check_str_digits, classify, format_term, numeral, parse_term
+from .records import Record, check_str_digits, digits_int
 
 # The operations of each label; every shape of the label offers them.
 OPERATIONS = {"nat": ("add", "mul"), "int": ("add", "mul", "neg"), "rat": ("add", "mul", "neg", "div")}
@@ -266,8 +266,7 @@ class _DecimalNat(Shape):
         return Instance(self.shape_id, str(k))
 
     def decode(self, inst):
-        # A literal refuses digits past the int/str digit limit.
-        return Lit(inst.payload).value
+        return digits_int(inst.payload)
 
     def bounded_payloads(self, bound):
         for length in range(1, len(str(bound)) + 3):
@@ -508,7 +507,7 @@ class _SignedInt(Shape):
         if inst.payload == "0":
             return 0
         sign, mag = inst.payload
-        return Lit(mag if sign == "+" else "-" + mag).value
+        return digits_int(mag if sign == "+" else "-" + mag)
 
     def bounded_payloads(self, bound):
         for k in range(-bound, bound + 1):
@@ -636,13 +635,14 @@ class _SimplifiedFractermRat(Shape):
     normal = True
 
     def validate(self, payload):
+        from .terms import Div, classify
         if not (isinstance(payload, Div) and classify(payload).simplified and not payload.decorated):
-            shown = format_term(payload) if isinstance(payload, Term) else repr(payload)
-            raise UnsupportedShape(f"not a simplified simple fracterm: {shown}")
+            raise UnsupportedShape(f"not a simplified simple fracterm: {payload!r}")
 
     def encode(self, value):
         if value is None:
             raise UnsupportedOperation(f"{self.shape_id} has no bottom-class instance")
+        from .terms import Div, numeral
         q = Fraction(value)
         return Instance(self.shape_id, Div(numeral(q.numerator), numeral(q.denominator)))
 
@@ -656,23 +656,26 @@ class _SimplifiedFractermRat(Shape):
     def bounded_payloads(self, bound):
         # The pairs of _coprime_pairs, in its order, over one literal per
         # integer, shared by every payload that holds it.
+        from .terms import Div, numeral
         lits = [numeral(k) for k in range(-bound, bound + 1)]
         for b in range(1, bound + 1):
             yield from map(Div, itertools.compress(lits, _coprime_to(b, bound)), itertools.repeat(lits[bound + b]))
 
     def payload_to_json(self, payload):
-        return format_term(payload)
+        return repr(payload)  # a term's repr is its inline text
 
     def payload_from_json(self, data):
         if not isinstance(data, str):
             raise UnsupportedShape("rat.ssft payload must be a term string such as \"2/3\"")
+        from .terms import parse_term
         return parse_term(data)
 
 
-def _on_pairs(rn_op):
-    """A ratio-number operation as a function of (a, b) payloads."""
+def _on_pairs(rn_op: str):
+    """The ratio-number operation named rn_op as a function of (a, b) payloads."""
     def on_pairs(*pairs):
-        rn = rn_op(*[ratio.RatioNumber(*pair) for pair in pairs])
+        from . import ratio
+        rn = getattr(ratio, rn_op)(*[ratio.RatioNumber(*pair) for pair in pairs])
         return (rn.a, rn.b)
     return on_pairs
 
@@ -683,8 +686,7 @@ class _RatioNumberRat(_RatPair):
     shape_id = "rat.rns"
     normal = False
     bad_pair = "bad ratio-number payload"
-    payload_operations = {"add": _on_pairs(ratio.rn_add), "mul": _on_pairs(ratio.rn_mul),
-                          "neg": _on_pairs(ratio.rn_neg), "div": _on_pairs(ratio.rn_div)}
+    payload_operations = {op: _on_pairs(f"rn_{op}") for op in OPERATIONS["rat"]}
 
     def bounded_payloads(self, bound):
         # Ring m holds the pairs whose larger component magnitude is m, in row order.

@@ -16,22 +16,6 @@ each distinct literal or variable text (``parse_term("2+2")`` has
 ``t.left is t.right``), and ``fold`` walks a parsed root in one pass.
 ``erase_decorations`` keeps each undecorated subtree, its argument itself
 included, and so do ``num`` and ``denom``.
-
-``Record`` is the base of the package's immutable records, terms included.
-A record's fields are its ``__slots__`` whose names do not start with an
-underscore, in order. From them ``Record`` gives equality (same class,
-equal fields), a hash over the fields, a repr such as
-``RatioNumber(a=1, b=2)``, and ``__reduce__`` for ``copy`` and ``pickle``,
-which calls the class with the fields in order; every assignment raises
-``AttributeError``. A record declares its fields once, and ``Record`` builds
-its ``__init__``: it takes the fields in order, with trailing defaults from a
-class-level ``_defaults`` (a slot cannot have a class attribute as default),
-sets each slot through its descriptor, and calls the class's
-``__post_init__``, if any, where the records that validate check their
-fields. One ``exec`` builds it at the class's first construction, not at
-import, so a process pays only for the classes it builds. Term nodes write
-their own ``__init__``, which computes their facts; a composite node's hash
-waits for its first ``hash()``. No record costs an import of ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -39,11 +23,11 @@ from __future__ import annotations
 import functools
 import math
 import re
-import sys
 from enum import Enum
 from typing import Callable, Optional, TypeVar
 
-from .errors import CapacityError, NotAFracterm, ParseError
+from .errors import NotAFracterm, ParseError
+from .records import Record, check_str_digits, digits_int
 
 FORMATS = ("inline", "colon", "frac")
 
@@ -63,75 +47,6 @@ class Level(Enum):
     FRACTERM = "ft"
     FRACVALUE = "fv"
     FRAXION = "fx"  # the unresolved disjunction of the other four
-
-
-class Record:
-    """An immutable record over the fields named by its ``__slots__``."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
-    _writes_init = False  # whether the class or a base writes its own __init__
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # Slots named with a leading underscore hold private state.
-        cls._fields = tuple(
-            name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ()) if name[0] != "_"
-        )
-        # The stub, unless the class or a base writes an __init__: so a class
-        # never inherits an __init__ built for a base's fields.
-        if "__init__" in vars(cls):
-            cls._writes_init = True
-        elif not cls._writes_init:
-            cls.__init__ = Record.__init__
-
-    def __init__(self, *args, **kwargs):
-        """Build the class's own ``__init__``, install it, and run it."""
-        cls = next(klass for klass in type(self).__mro__ if vars(klass).get("__init__") is Record.__init__)
-        cls.__init__ = init = _build_init(cls)
-        init(self, *args, **kwargs)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({shown})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-_GENERATED = "<record __init__>"  # the file name of every built __init__
-
-
-def _build_init(cls: type) -> Callable:
-    # Its globals: _defaults, and each field's slot setter as _set_<field>.
-    scope = {"_defaults": cls._defaults}
-    scope.update((f"_set_{name}", getattr(cls, name).__set__) for name in cls._fields)
-    params = [f"{name}=_defaults[{name!r}]" if name in cls._defaults else name for name in cls._fields]
-    lines = [f"_set_{name}(self, {name})" for name in cls._fields]
-    if hasattr(cls, "__post_init__"):
-        lines.append("self.__post_init__()")
-    body = "\n    ".join(lines or ["pass"])
-    exec(compile(f"def __init__({', '.join(['self', *params])}):\n    {body}\n", _GENERATED, "exec"), scope)
-    init = scope["__init__"]
-    init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
-    return init
 
 
 def _slot_setters(cls: type) -> tuple[Callable, ...]:
@@ -221,37 +136,7 @@ class Lit(Term):
 
     @property
     def value(self) -> int:
-        # The digits are well formed, so int() can fail only on Python's
-        # limit on the length of an int/str conversion.
-        try:
-            return int(self.digits)
-        except ValueError:
-            raise _too_many_digits() from None
-
-
-def _str_digit_limit() -> int:
-    # The limit exists from Python 3.10.7 on; 0 means no limit.
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _too_many_digits() -> CapacityError:
-    limit = _str_digit_limit()
-    return CapacityError(f"a number of more than {limit} digits exceeds the int/str digit limit")
-
-
-def fits_str_digits(n: int) -> bool:
-    """Whether Python can write n as a decimal string."""
-    limit = _str_digit_limit()
-    # 2^(3 limit) < 10^limit: only a number longer than 3 limit bits can
-    # have more than limit digits, and only such a number pays for the
-    # exact comparison.
-    return not (limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit)
-
-
-def check_str_digits(n: int) -> None:
-    """Refuse an int that Python cannot write as a decimal string."""
-    if not fits_str_digits(n):
-        raise _too_many_digits()
+        return digits_int(self.digits)
 
 
 def numeral(n: int) -> Lit:

@@ -11,6 +11,7 @@ import pytest
 from fracterm import cli, rewrite, semantics, terms
 from fracterm.cli import SCRIPT_BYTES, main
 from fracterm.shapes import NORMALITY_BOUND
+from test_cli_goldens import GOLDENS
 
 
 def run(capsys, *argv):
@@ -522,3 +523,34 @@ def test_choices_are_the_library_values(capsys, monkeypatch):
     assert strategies.split(",") == [*rewrite.STRATEGIES, "all"]
     formats = re.search(r"--format {([^}]*)}", help_text(capsys, monkeypatch, "parse")).group(1)
     assert formats.split(",") == list(terms.FORMATS)
+
+
+# ---------------------------------------------------------------------------
+# one parser row: main declares only the row its argv names, and answers as
+# the parser with every row would, usage lines and errors included.
+
+BAD_ARGVS = [
+    ("eval", "1/2", "extra"),  # the top parser's error, which prints the full usage
+    ("add", "1/2"),
+    ("shape", "encode"),
+    ("shape", "encode", "3", "--shape"),
+    ("fractalk", "check"),
+    ("rns", "eval", "--verbatim", "1/2"),  # an abbreviated long option
+]
+
+
+def run_exiting(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [*dict.fromkeys(tuple(g[0]) for g in GOLDENS), *BAD_ARGVS], ids=" ".join)
+def test_one_parser_row_answers_as_every_row(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    one_row = run_exiting(capsys, argv)
+    every_row = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: every_row())
+    assert run_exiting(capsys, argv) == one_row

@@ -1,4 +1,4 @@
-"""The record contract: every record is a slotted ``terms.Record``.
+"""The record contract: every record is a slotted ``records.Record``.
 
 Equality needs the same class and equal fields, the hash follows the
 fields, assignment raises, copy and pickle round-trip, the old keyword
@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 
 import fracterm
-from fracterm import fractalk, ratio, rewrite, semantics, shapes, terms
+from fracterm import fractalk, ratio, records, rewrite, semantics, shapes, terms
 from fracterm.errors import DanglingReference, UnsupportedOperation, UnsupportedPeripheral
-from fracterm.terms import Record, TaxonomyFlags, classify, parse_term
+from fracterm.records import Record
+from fracterm.terms import TaxonomyFlags, classify, parse_term
 
 SRC = Path(fracterm.__file__).parent
 
@@ -229,7 +230,7 @@ def test_no_module_imports_dataclasses():
 def _built_by_record(cls):
     """Whether cls's __init__ is Record's stub or one that the stub built."""
     init = cls.__init__
-    return init is Record.__init__ or init.__code__.co_filename == terms._GENERATED
+    return init is Record.__init__ or init.__code__.co_filename == records._GENERATED
 
 
 def test_no_record_writes_its_own_init():
@@ -237,7 +238,7 @@ def test_no_record_writes_its_own_init():
         assert _built_by_record(cls), cls.__name__
     # A class built once has its own __init__, which takes its fields in order.
     init = vars(ratio.RatioNumber)["__init__"]
-    assert init is not Record.__init__ and init.__code__.co_filename == terms._GENERATED
+    assert init is not Record.__init__ and init.__code__.co_filename == records._GENERATED
     assert init.__code__.co_varnames[: init.__code__.co_argcount] == ("self", "a", "b")
 
 
@@ -245,7 +246,7 @@ def test_import_builds_no_init():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     code = (
         "import fracterm.cli, fracterm.fractalk\n"
-        "from fracterm.terms import Record\n"
+        "from fracterm.records import Record\n"
         "def walk(cls):\n"
         "    for sub in cls.__subclasses__():\n"
         "        yield sub\n"
