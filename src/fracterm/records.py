@@ -120,7 +120,7 @@ def check_str_digits(n: int) -> None:
 
 
 def digits_int(digits: str) -> int:
-    """The int of well-formed decimal digits, refused past the int/str digit limit."""
+    """The int of a well-formed decimal numeral, sign included, refused past the int/str digit limit."""
     try:
         return int(digits)
     except ValueError:
