@@ -16,13 +16,12 @@ from . import errors
 # Submodule -> the names it exports here.
 _EXPORTS = {
     "errors": "",
-    "fractalk": "Verdict check check_text infer_levels parse_script",
-    "ratio": "DenomOf NumOf RatioNumber rn_add rn_denom rn_div rn_eval rn_instance_eq rn_inv "
-    "rn_label_eq rn_mul rn_neg rn_num rn_one rn_zero",
-    "rewrite": "RewriteStep RewriteTrace add_family add_family_all demote flatten simple_fracterm_eq simplify",
-    "semantics": "BOTTOM EvalConfig Fracvalue NumberValue PeripheralValue eval_term value_denom value_eq value_num",
-    "shapes": "Instance NormalityReport ShapeDescriptor convert decode describe encode get_shape instance_eq "
-    "is_normal label_eq make_instance normality_report shape_add shape_div shape_mul shape_neg",
+    "fractalk": "Verdict check infer_levels parse_script",
+    "ratio": "DenomOf NumOf RatioNumber rn_add rn_denom rn_div rn_eval rn_instance_eq rn_inv rn_label_eq rn_mul "
+    "rn_neg rn_num",
+    "rewrite": "RewriteStep RewriteTrace add_family add_family_all flatten simple_fracterm_eq simplify",
+    "semantics": "BOTTOM EvalConfig Fracvalue NumberValue PeripheralValue eval_term value_eq value_num",
+    "shapes": "Instance NormalityReport convert decode encode get_shape instance_eq label_eq normality_report",
     "terms": "Add Div Level Lit Mul Neg Sub TaxonomyFlags Term Var classify denom desugar_literals "
     "erase_decorations format_term is_fracterm num parse_term",
 }

@@ -761,10 +761,6 @@ def check(
     return Verdict(tuple(statuses), "paradox-blocked", first.index, first.explanation)
 
 
-def check_text(text: str, shape_id=None, disjoint=None) -> Verdict:
-    return check(parse_script(text), shape_id=shape_id, disjoint=disjoint)
-
-
 def __getattr__(name):
     # perfbench's traced runs rebind eval_term and flatten here; no claim calls either.
     if name == "flatten":

@@ -39,14 +39,6 @@ def sign(p: int) -> int:
     return 1 if p > 0 else -1 if p < 0 else 0
 
 
-def rn_zero() -> RatioNumber:
-    return RatioNumber(0, 1)
-
-
-def rn_one() -> RatioNumber:
-    return RatioNumber(1, 1)
-
-
 def rn_neg(x: RatioNumber) -> RatioNumber:
     return RatioNumber(-x.a, x.b)
 

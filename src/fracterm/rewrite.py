@@ -366,14 +366,6 @@ def simplify(t: Term) -> Term:
     return Div(numeral(n), numeral(d))
 
 
-def demote(t: Term) -> Term:
-    """Like simplify, but integer-valued fracterms come out as bare numerals."""
-    s = simplify(t)
-    if s.right == Lit("1"):
-        return s.left
-    return s
-
-
 def simple_fracterm_eq(t1: Term, t2: Term) -> bool:
     """Equivalence of simple fracterms a/b and c/d: label equality of the
     ratio numbers (a, b) and (c, d).

@@ -141,10 +141,6 @@ def value_num(v: Fracvalue) -> Fracvalue:
     return BOTTOM
 
 
-def value_denom(v: Fracvalue) -> Fracvalue:
-    return BOTTOM
-
-
 def value_to_json(v: Fracvalue):
     if isinstance(v, PeripheralValue):
         return {"kind": "peripheral", "value": v.name}

@@ -17,7 +17,10 @@ None, ``bounded_payloads`` for the normality search and the JSON form.
 these keys. ``convert`` and ``Shape.operate(op, ...)``, the one entry point
 for the operations of the label, follow from ``decode`` and ``encode``: the
 numbers are decoded, combined exactly, with bottom absorbing and a zero
-divisor giving bottom as in common meadows, and encoded again.
+divisor giving bottom as in common meadows, and encoded again. ``operate``
+refuses an instance of another shape with ``ShapeMismatch``; it and every
+module-level function that takes an instance refuse what is no ``Instance``,
+``BOT`` too.
 
 ``int.diffpair`` and ``rat.rns``, whose results are not canonical ((5, 2) +
 (1, 4) is (6, 6)), declare payload functions instead, rat.rns from ``ratio``,
@@ -31,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import reprlib
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -105,10 +109,6 @@ class Instance(Record):
     __hash__ = Record.__hash__
 
 
-class ShapeDescriptor(Record):
-    __slots__ = ("label", "shape_id", "normal")
-
-
 class NormalityReport(Record):
     __slots__ = ("shape_id", "bound", "normal", "witness")  # witness: None or a pair of instances
 
@@ -141,17 +141,6 @@ class Shape:
     def make(self, payload) -> Instance:
         self.validate(payload)
         return Instance(self.shape_id, payload)
-
-    def validate(self, payload) -> None:
-        raise NotImplementedError
-
-    def encode(self, value: Optional[Number]) -> Instance:
-        """Canonical instance of an exact number; None asks for the bottom class."""
-        raise NotImplementedError
-
-    def decode(self, inst: Instance) -> Optional[Number]:
-        """Exact value of an instance; None for a bottom-class instance."""
-        raise NotImplementedError
 
     def bounded_payloads(self, bound: int) -> Iterator:
         """The payloads searched for normality, the same sequence on every
@@ -200,9 +189,10 @@ class Shape:
 
     def operate(self, op: str, *insts: Instance):
         """The operation op of the label on insts, refused before any is decoded
-        when the label lacks it, when op is unknown or when insts are not as
-        many as op takes. Bottom absorbs and a zero divisor gives bottom: the
-        shape's bottom-class instance, or BOT on a shape that has none."""
+        when op is unknown, when insts are not as many as op takes, when the
+        label lacks op or when an inst is not of this shape. Bottom absorbs
+        and a zero divisor gives bottom: the shape's bottom-class instance,
+        or BOT on a shape that has none."""
         if op not in _ARITHMETIC:
             raise UnsupportedOperation(f"unknown operation {op!r}; expected one of {tuple(_ARITHMETIC)}")
         name, fn, arity = _ARITHMETIC[op]
@@ -210,6 +200,9 @@ class Shape:
             raise UnsupportedOperation(f"{name} takes {arity} instance{'s' * (arity > 1)}, not {len(insts)}")
         if op not in OPERATIONS[self.label]:
             raise UnsupportedOperation(f"{self.shape_id} has no {name}")
+        for i in insts:
+            if _shape_of(i) is not self:
+                raise ShapeMismatch(f"{self.shape_id} vs {i.shape_id}")
         if op in self.payload_operations:
             return Instance(self.shape_id, self.payload_operations[op](*[i.payload for i in insts]))
         values = [self.decode(i) for i in insts]
@@ -344,7 +337,8 @@ def _number_sets(*sets) -> list[int]:
 
 
 class _SetNat(Shape):
-    """Naturals as nested frozensets: k is ``_succ`` applied k times to the empty set."""
+    """Naturals as nested frozensets: k is ``_succ`` applied k times to the
+    empty set. ``_succ(s, kind)`` builds with kind: frozenset, or list for JSON."""
 
     label = "nat"
     normal = True
@@ -353,10 +347,6 @@ class _SetNat(Shape):
     def instance_eq(self, i, j):
         first, second = _number_sets(i.payload, j.payload)
         return first == second
-
-    def _succ(self, s, kind=frozenset):
-        """The successor of s: a frozenset, or a list of lists for JSON."""
-        raise NotImplementedError
 
     def _check_cap(self, k):
         if k > self.cap:
@@ -686,7 +676,8 @@ class _RatioNumberRat(_RatPair):
     shape_id = "rat.rns"
     normal = False
     bad_pair = "bad ratio-number payload"
-    payload_operations = {op: _on_pairs(f"rn_{op}") for op in OPERATIONS["rat"]}
+    payload_operations = {"add": _on_pairs("rn_add"), "mul": _on_pairs("rn_mul"),
+                          "neg": _on_pairs("rn_neg"), "div": _on_pairs("rn_div")}
 
     def bounded_payloads(self, bound):
         # Ring m holds the pairs whose larger component magnitude is m, in row order.
@@ -720,17 +711,15 @@ def get_shape(shape_id: str) -> Shape:
     raise UnsupportedShape(f"unknown shape {shape_id!r}")
 
 
-def describe(shape_id: str) -> ShapeDescriptor:
-    s = get_shape(shape_id)
-    return ShapeDescriptor(label=s.label, shape_id=s.shape_id, normal=s.normal)
-
-
-def _shape_of(i: Instance, j: Optional[Instance] = None) -> Shape:
-    """The shape of i, which j, if given, must share; BOT is refused."""
-    if i is BOT or j is BOT:
-        raise UnsupportedOperation("bot is no instance: a shape without a bottom class gives it for bottom")
-    if j is not None and i.shape_id != j.shape_id:
-        raise ShapeMismatch(f"{i.shape_id} vs {j.shape_id}")
+def _shape_of(i: Instance, *others: Instance) -> Shape:
+    """The shape of i, which others must share; what is no Instance, BOT too, is refused."""
+    for x in (i, *others):
+        if type(x) is not Instance:
+            raise UnsupportedOperation(
+                f"{reprlib.repr(x)} is no instance: a shape without a bottom class gives bot for bottom")
+    for j in others:
+        if i.shape_id != j.shape_id:
+            raise ShapeMismatch(f"{i.shape_id} vs {j.shape_id}")
     return get_shape(i.shape_id)
 
 
@@ -744,32 +733,12 @@ def decode(inst: Instance) -> Optional[Number]:
     return _shape_of(inst).decode(inst)
 
 
-def make_instance(shape_id: str, payload) -> Instance:
-    return get_shape(shape_id).make(payload)
-
-
 def instance_eq(i: Instance, j: Instance) -> bool:
     return _shape_of(i, j).instance_eq(i, j)
 
 
 def label_eq(i: Instance, j: Instance) -> bool:
     return _shape_of(i, j).label_eq(i, j)
-
-
-def shape_add(i: Instance, j: Instance) -> Instance:
-    return _shape_of(i, j).operate("add", i, j)
-
-
-def shape_mul(i: Instance, j: Instance) -> Instance:
-    return _shape_of(i, j).operate("mul", i, j)
-
-
-def shape_neg(i: Instance) -> Instance:
-    return _shape_of(i).operate("neg", i)
-
-
-def shape_div(i: Instance, j: Instance):
-    return _shape_of(i, j).operate("div", i, j)
 
 
 def convert(inst: Instance, target_id: str) -> Instance:
@@ -821,7 +790,3 @@ def normality_report(shape_id: str, bound: int) -> NormalityReport:
         if not shape.instance_eq(prev, inst):
             return NormalityReport(shape_id, bound, False, (prev, inst))
     return NormalityReport(shape_id, bound, True, None)
-
-
-def is_normal(shape_id: str, bound: int) -> bool:
-    return normality_report(shape_id, bound).normal

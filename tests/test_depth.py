@@ -13,7 +13,7 @@ import pytest
 
 from fracterm.cli import main
 from fracterm.errors import CapacityError, DivisionByZero
-from fracterm.fractalk import check_text, parse_script
+from fracterm.fractalk import check, parse_script
 from fracterm.ratio import DenomOf, NumOf, RatioNumber, rn_eval
 from fracterm.rewrite import FLATTEN_DEPTH, flatten
 from fracterm.semantics import BOTTOM, POLICIES, EvalConfig, eval_term, value_to_json
@@ -273,7 +273,7 @@ SIGN_SCRIPTS = [
 
 
 def verdict_shape(text):
-    verdict = check_text(text)
+    verdict = check(parse_script(text))
     return [s.status for s in verdict.steps], verdict.overall, verdict.blocked_at
 
 

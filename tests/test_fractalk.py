@@ -18,7 +18,7 @@ from fracterm.errors import (
     UnsupportedOperation,
     UnsupportedShape,
 )
-from fracterm.fractalk import CLAIM_KINDS, _match_claim, check, check_text, infer_levels, parse_script
+from fracterm.fractalk import CLAIM_KINDS, _match_claim, check, infer_levels, parse_script
 from fracterm.terms import Level, format_term, parse_term
 
 
@@ -28,6 +28,10 @@ def corpus_text(name: str) -> str:
 
 def corpus_verdict(name: str, **kwargs):
     return check(parse_script(corpus_text(name)), **kwargs)
+
+
+def script_verdict(text: str, **kwargs):
+    return check(parse_script(text), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +92,18 @@ NO_VALUE_SCRIPT = "1: 2/3 is fraxion\n2: rationals are not fracterms"
 
 def test_unknown_shape_rejected_before_any_step():
     with pytest.raises(UnsupportedShape, match="unknown shape 'bogus'"):
-        check_text("@shape bogus\n" + NO_VALUE_SCRIPT)
+        script_verdict("@shape bogus\n" + NO_VALUE_SCRIPT)
     with pytest.raises(UnsupportedShape, match="unknown shape 'bogus'"):
-        check_text(NO_VALUE_SCRIPT, shape_id="bogus")
+        script_verdict(NO_VALUE_SCRIPT, shape_id="bogus")
     with pytest.raises(UnsupportedShape, match="unknown shape 'bogus'"):
         check(parse_script(NO_VALUE_SCRIPT), shape_id="bogus")
     # An argument still wins over the pragma.
-    assert check_text("@shape bogus\n" + NO_VALUE_SCRIPT, shape_id="rat.pcs").overall == "sound"
+    assert script_verdict("@shape bogus\n" + NO_VALUE_SCRIPT, shape_id="rat.pcs").overall == "sound"
 
 
 def test_non_rat_shape_rejected_before_any_step():
     with pytest.raises(UnsupportedOperation, match="evaluation needs a rat shape"):
-        check_text("@shape nat.vn\n" + NO_VALUE_SCRIPT)
+        script_verdict("@shape nat.vn\n" + NO_VALUE_SCRIPT)
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n@shape rat.pcs\n@disjoint true"])
@@ -396,13 +400,13 @@ def test_long_blank_runs_are_read_in_linear_time():
     # takes quadratic time: minutes for each of these bodies.
     code = (
         "from fracterm.errors import ScriptError\n"
-        "from fracterm.fractalk import check_text\n"
+        "from fracterm.fractalk import check, parse_script\n"
         "blanks = ' ' * 100_000\n"
         "for body in ['1' + blanks + 'x', '1' + '\\t' * len(blanks) + 'x', '1' + blanks + '<x',\n"
         "             '1' + blanks + '=' + blanks + 'x', 'num(1' + blanks + ')' + blanks + 'x',\n"
         "             '1' + blanks + 'contradicts' + blanks + 'x']:\n"
         "    try:\n"
-        "        check_text('1: ' + body)\n"
+        "        check(parse_script('1: ' + body))\n"
         "    except ScriptError as exc:\n"
         "        assert 'unrecognized claim' in str(exc)\n"
         "    else:\n"
@@ -439,10 +443,10 @@ def test_default_level_is_fracvalue():
 
 
 def test_comparison_checks_values():
-    assert check_text("1: 4/3 > 2").overall == "paradox-blocked"
-    assert check_text("1: 1/2 <= 1").overall == "sound"
-    assert check_text("1: 1/0 > 1").overall == "paradox-blocked"
-    verdict = check_text("1: level(2) = ft\n2: 4/3 > 1")
+    assert script_verdict("1: 4/3 > 2").overall == "paradox-blocked"
+    assert script_verdict("1: 1/2 <= 1").overall == "sound"
+    assert script_verdict("1: 1/0 > 1").overall == "paradox-blocked"
+    verdict = script_verdict("1: level(2) = ft\n2: 4/3 > 1")
     assert verdict.step(2).status == "level-conflict"
     with pytest.raises(KeyError):
         verdict.step(3)
@@ -452,7 +456,7 @@ def test_comparison_checks_values():
         ("1/2 < 1", None), ("3/2 < 1", "3/2 < 1"), ("1/2 <= 1", None), ("3/2 <= 1", "3/2 <= 1"),
         ("3/2 > 1", None), ("1/2 > 1", "1/2 > 1"), ("3/2 >= 1", None), ("1/2 >= 1", "1/2 >= 1"),
     ]:
-        step = check_text(f"1: {claim}").step(1)
+        step = script_verdict(f"1: {claim}").step(1)
         expected = ("valid", None) if failure is None else ("invalid", f"{failure} does not hold")
         assert (step.status, step.explanation) == expected, claim
 
@@ -460,15 +464,15 @@ def test_comparison_checks_values():
 def test_sign_equality_compares_the_written_texts():
     # At the fracsign level two occurrences are equal when their texts are:
     # the same tree written with other brackets or inner spacing is another sign.
-    verdict = check_text("1: 1/2 == (1)/2 @fs")
+    verdict = script_verdict("1: 1/2 == (1)/2 @fs")
     assert (verdict.overall, verdict.blocked_at) == ("paradox-blocked", 1)
     assert verdict.step(1).explanation == "1/2 and (1)/2 differ as fracsigns"
-    assert check_text("1: 1/2 == 1 / 2 @fs").overall == "paradox-blocked"
+    assert script_verdict("1: 1/2 == 1 / 2 @fs").overall == "paradox-blocked"
     # Outer whitespace and the words "the fraction" are no part of the sign.
-    assert check_text("1: 1/2 == 1/2 @fs").overall == "sound"
-    assert check_text("1: the fraction  1/2  == 1/2 @fs").overall == "sound"
+    assert script_verdict("1: 1/2 == 1/2 @fs").overall == "sound"
+    assert script_verdict("1: the fraction  1/2  == 1/2 @fs").overall == "sound"
     # The fracterm level still compares trees.
-    assert check_text("1: 1/2 == (1)/2 @ft").overall == "sound"
+    assert script_verdict("1: 1/2 == (1)/2 @ft").overall == "sound"
     # The sign text is no field, and it survives a copy.
     occ = parse_script("1: (1)/2 is rational").assertions[0].claim.occ
     assert occ.sign == "(1)/2" and "(1)/2" not in repr(occ)
@@ -477,8 +481,8 @@ def test_sign_equality_compares_the_written_texts():
     # Each / glued to ft or fv is a tag, read away once, as the lexer reads
     # it: 1+1/ftfvx is 1 plus 1 over fvx, the sign 1+1/fvx. A copy reads the
     # written text again.
-    assert check_text("1: 1+1/ftfvx == 1+1/fvfvx @fs").overall == "sound"
-    assert check_text("1: 1+1/ftfvx == 1+1/x @fs").overall == "paradox-blocked"
+    assert script_verdict("1: 1+1/ftfvx == 1+1/fvfvx @fs").overall == "sound"
+    assert script_verdict("1: 1+1/ftfvx == 1+1/x @fs").overall == "paradox-blocked"
     occ = parse_script("1: 1+1/ftfvx is fracterm").assertions[0].claim.occ
     assert pickle.loads(pickle.dumps(occ)).sign == copy.deepcopy(occ).sign == occ.sign == "1+1/fvx"
 
@@ -486,8 +490,8 @@ def test_sign_equality_compares_the_written_texts():
 def test_equality_of_values_past_the_digit_limit():
     # Each side is a 10,000-digit rat.pcs value; none is written in decimal.
     p = "*".join(["9" * 100] * 50)
-    assert check_text(f"1: ({p})*({p}) == ({p})*({p})").overall == "sound"
-    assert check_text(f"1: ({p})*({p}) == ({p})*({p})+1").overall == "paradox-blocked"
+    assert script_verdict(f"1: ({p})*({p}) == ({p})*({p})").overall == "sound"
+    assert script_verdict(f"1: ({p})*({p}) == ({p})*({p})+1").overall == "paradox-blocked"
 
 
 ONES = "1" * 5000
@@ -514,7 +518,7 @@ def test_explanations_past_the_digit_limit():
         (square, "< 1", "{} < 1 does not hold"),
         (reciprocal, "> 1", "{} > 1 does not hold"),
     ]:
-        verdict = check_text(f"1: {term} {rest}")
+        verdict = script_verdict(f"1: {term} {rest}")
         assert verdict.overall == "paradox-blocked"
         assert verdict.explanation == explanation.format(format_term(parse_term(term)))
 
@@ -524,7 +528,7 @@ def test_a_fracvalue_is_read_as_its_number_under_every_shape():
     # the int/str digit limit; a fracvalue reading never encodes it.
     p = "*".join(["9" * 100] * 50)
     text = f"1: ({p})/1 is an even integer"
-    verdicts = [check_text(text, shape_id=shape_id).to_json() for shape_id in ("rat.pcs", "rat.ssft", "rat.rns")]
+    verdicts = [script_verdict(text, shape_id=shape_id).to_json() for shape_id in ("rat.pcs", "rat.ssft", "rat.rns")]
     assert verdicts[0]["explanation"] == f"the value of {format_term(parse_term(f'({p})/1'))} is not an even integer"
     assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
 
@@ -533,7 +537,7 @@ def test_a_fracvalue_is_read_as_its_number_under_every_shape():
 def test_writable_flat_evaluates_an_open_subject(witness):
     # The subject is evaluated before the witness is tested, flat or not.
     with pytest.raises(OpenTerm, match="^cannot evaluate variable 'x'$"):
-        check_text(f"1: x/y can be written flat as {witness}")
+        script_verdict(f"1: x/y can be written flat as {witness}")
 
 
 def test_taxonomy_forces_fracterm():
@@ -565,7 +569,7 @@ def test_determinism():
     first = infer_levels(parse_script(text))
     second = infer_levels(parse_script(text))
     assert first == second
-    assert check_text(text).to_json() == check_text(text).to_json()
+    assert script_verdict(text).to_json() == script_verdict(text).to_json()
 
 
 def test_removing_annotation_never_less_abstract():
@@ -665,12 +669,12 @@ def test_explicit_disjoint_flag_wins():
 
 
 def test_fraction_word_without_definition_defaults_by_role():
-    verdict = check_text("1: the fraction 2/4 can be simplified")
+    verdict = script_verdict("1: the fraction 2/4 can be simplified")
     assert verdict.overall == "sound"
 
 
 def test_definitional_scope_only_affects_marked_occurrences():
-    verdict = check_text("1: def: fraction is number\n2: denom(2/6) = 6")
+    verdict = script_verdict("1: def: fraction is number\n2: denom(2/6) = 6")
     assert verdict.overall == "sound"  # unmarked occurrence keeps the term reading
 
 
@@ -699,4 +703,4 @@ ARABIC_ONE, ARABIC_THREE = "١", "٣"  # Arabic-Indic digits, which \d matches
 def test_claims_read_only_ascii_digits(text):
     # The term parser refuses such digits too: "٣/4" is a parse error.
     with pytest.raises(ScriptError):
-        check_text(text)
+        script_verdict(text)

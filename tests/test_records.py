@@ -56,7 +56,6 @@ def _examples():
     )
     return [
         (shapes.encode(2, "int.signed"), "Instance(shape_id='int.signed', payload=('+', '2'))"),
-        (shapes.describe("nat.dec"), "ShapeDescriptor(label='nat', shape_id='nat.dec', normal=False)"),
         (
             shapes.normality_report("nat.dec", 5),
             "NormalityReport(shape_id='nat.dec', bound=5, normal=False, witness=(Instance(shape_id='nat.dec', "
@@ -99,7 +98,6 @@ def _examples():
 EXAMPLES = _examples()
 RECORD_CLASSES = {
     shapes.Instance: ("shape_id", "payload"),
-    shapes.ShapeDescriptor: ("label", "shape_id", "normal"),
     shapes.NormalityReport: ("shape_id", "bound", "normal", "witness"),
     ratio.RatioNumber: ("a", "b"),
     ratio.NumOf: ("arg",),

@@ -15,7 +15,6 @@ from fracterm.rewrite import (
     _numeral_rule,
     add_family,
     add_family_all,
-    demote,
     flatten,
     simple_fracterm_eq,
     simplify,
@@ -469,11 +468,6 @@ def test_simplify_idempotent_and_canonical_small():
             if b != 0:
                 assert classify(s).simplified
                 assert Fraction(s.left.value, s.right.value) == Fraction(a, b)
-
-
-def test_demote():
-    assert demote(parse_term("4/2")) == Lit("2")
-    assert demote(parse_term("4/6")) == parse_term("2/3")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from fracterm.semantics import (
     PeripheralValue,
     eval_number,
     eval_term,
-    value_denom,
     value_eq,
     value_num,
     value_to_json,
@@ -77,7 +76,7 @@ def test_suppes_ono_totalizes_pointwise():
 
 
 # ---------------------------------------------------------------------------
-# value_eq / value_num / value_denom
+# value_eq / value_num
 
 
 def test_value_eq_goldens():
@@ -103,7 +102,6 @@ def test_peripherals_equal_only_themselves():
 def test_values_do_not_split():
     assert value_num(eval_term(parse_term("2/(4/5)"), CM)) == BOTTOM
     assert value_num(BOTTOM) == BOTTOM
-    assert value_denom(eval_term(parse_term("1/2"), CM)) == BOTTOM
 
 
 # ---------------------------------------------------------------------------

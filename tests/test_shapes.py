@@ -1,7 +1,10 @@
+import functools
 import itertools
 import json
 import math
 import random
+import re
+import reprlib
 import sys
 import time
 import tracemalloc
@@ -31,20 +34,13 @@ from fracterm.shapes import (
     Instance,
     convert,
     decode,
-    describe,
     encode,
     get_shape,
     instance_eq,
     instance_from_json,
     instance_to_json,
-    is_normal,
     label_eq,
-    make_instance,
     normality_report,
-    shape_add,
-    shape_div,
-    shape_mul,
-    shape_neg,
     _coprime_pairs,
 )
 from fracterm.terms import Div, Lit, parse_term
@@ -167,7 +163,7 @@ def test_set_nat_instance_eq_without_recursion():
     one = frozenset([E])
     assert not instance_eq(Instance("nat.vn", frozenset([E, one])), Instance("nat.vn", frozenset([E, frozenset([one])])))
     # An equal payload is accepted, and checked, without recursion.
-    assert make_instance("nat.vn", vn.payload) is not vn
+    assert get_shape("nat.vn").make(vn.payload) is not vn
 
 
 def test_set_nat_instances_compare_by_instance_eq():
@@ -200,7 +196,7 @@ def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         instance_eq(encode(1, "nat.vn"), encode(1, "nat.zermelo"))
     with pytest.raises(ShapeMismatch):
-        shape_add(encode(1, "nat.dec"), encode(1, "nat.sdn"))
+        get_shape("nat.dec").operate("add", encode(1, "nat.dec"), encode(1, "nat.sdn"))
 
 
 def test_refinement_everywhere():
@@ -262,13 +258,13 @@ def test_label_eq_is_equivalence_on_samples():
 
 
 def test_von_neumann_addition_golden():
-    got = shape_add(encode(2, "nat.vn"), encode(3, "nat.vn"))
+    got = get_shape("nat.vn").operate("add", encode(2, "nat.vn"), encode(3, "nat.vn"))
     assert instance_eq(got, encode(5, "nat.vn"))
 
 
 def test_diffpair_addition_golden():
     dp = get_shape("int.diffpair")
-    got = shape_add(dp.make((5, 2)), dp.make((1, 4)))
+    got = dp.operate("add", dp.make((5, 2)), dp.make((1, 4)))
     assert got.payload == (6, 6)
     assert label_eq(got, encode(0, "int.diffpair"))
 
@@ -281,7 +277,6 @@ _DIFFPAIR = {
     "neg": lambda x: (x[1], x[0]),
 }
 _RATIO_NUMBER = {"add": ratio.rn_add, "mul": ratio.rn_mul, "neg": ratio.rn_neg, "div": ratio.rn_div}
-_SHAPE_OPS = {"add": shape_add, "mul": shape_mul, "neg": shape_neg, "div": shape_div}
 PAYLOAD_GRIDS = {
     "int.diffpair": [(0, 0), (5, 2), (1, 4), (3, 3), (0, 7)],
     "rat.rns": [(0, 0), (5, 0), (-2, 0), (0, 1), (1, 2), (2, 4), (-3, 5), (0, -3), (4, -6)],
@@ -300,7 +295,7 @@ def test_non_canonical_payload_arithmetic(shape_id, op):
     shape = get_shape(shape_id)
     arity = 1 if op == "neg" else 2
     for payloads in itertools.product(PAYLOAD_GRIDS[shape_id], repeat=arity):
-        got = _SHAPE_OPS[op](*(shape.make(p) for p in payloads))
+        got = shape.operate(op, *(shape.make(p) for p in payloads))
         assert type(got) is Instance and got.shape_id == shape_id
         assert type(got.payload) is tuple
         assert got.payload == _expected_payload(shape_id, op, payloads)
@@ -308,28 +303,71 @@ def test_non_canonical_payload_arithmetic(shape_id, op):
 
 def test_pcs_division_by_zero_class():
     pcs = get_shape("rat.pcs")
-    got = shape_div(pcs.make((1, 1)), pcs.make((0, 1)))
+    got = pcs.operate("div", pcs.make((1, 1)), pcs.make((0, 1)))
     assert got.payload == (0, 0)
     assert decode(got) is None
     # bottom absorbs through the class arithmetic
-    assert shape_add(got, pcs.make((3, 4))).payload == (0, 0)
+    assert pcs.operate("add", got, pcs.make((3, 4))).payload == (0, 0)
 
 
 def test_ssft_division_by_zero_has_no_instance():
     ssft = get_shape("rat.ssft")
-    assert shape_div(ssft.encode(1), ssft.encode(0)) is BOT
+    assert ssft.operate("div", ssft.encode(1), ssft.encode(0)) is BOT
 
 
 def test_bot_is_refused_by_every_function_that_takes_an_instance():
+    ssft = get_shape("rat.ssft")
     one = encode(1, "rat.ssft")
-    bot = shape_div(one, encode(0, "rat.ssft"))
-    calls = [lambda: decode(bot), lambda: shape_neg(bot), lambda: convert(bot, "rat.pcs"),
+    bot = ssft.operate("div", one, encode(0, "rat.ssft"))
+    calls = [lambda: decode(bot), lambda: ssft.operate("neg", bot), lambda: convert(bot, "rat.pcs"),
              lambda: instance_to_json(bot)]
-    for op in (instance_eq, label_eq, shape_add, shape_mul, shape_div):
+    for op in (instance_eq, label_eq, *(functools.partial(ssft.operate, op) for op in ("add", "mul", "div"))):
         calls += [lambda op=op: op(bot, one), lambda op=op: op(one, bot), lambda op=op: op(bot, bot)]
     for call in calls:
-        with pytest.raises(UnsupportedOperation, match="bot is no instance"):
+        with pytest.raises(UnsupportedOperation, match="^bot is no instance"):
             call()
+
+
+def _nested_sets(depth):
+    s = E
+    for _ in range(depth):
+        s = frozenset([s])
+    return s
+
+
+@pytest.mark.parametrize("thing", [(1, 2), "0", None, 3, Fraction(1, 2), _nested_sets(5000)],
+                         ids=["pair", "str", "None", "int", "Fraction", "deep-set"])
+def test_what_is_no_instance_is_refused_by_every_function_that_takes_one(thing):
+    # Each ends in UnsupportedOperation, not an AttributeError on .shape_id,
+    # and names the thing in a repr cut short, not a RecursionError.
+    pcs = get_shape("rat.pcs")
+    one = encode(1, "rat.pcs")
+    calls = [lambda: decode(thing), lambda: convert(thing, "rat.pcs"), lambda: instance_to_json(thing),
+             lambda: pcs.operate("neg", thing)]
+    for op in (instance_eq, label_eq, *(functools.partial(pcs.operate, op) for op in ("add", "mul", "div"))):
+        calls += [lambda op=op: op(thing, one), lambda op=op: op(one, thing), lambda op=op: op(thing, thing)]
+    for call in calls:
+        with pytest.raises(UnsupportedOperation, match=f"^{re.escape(reprlib.repr(thing))} is no instance"):
+            call()
+
+
+def test_operate_refuses_an_instance_of_another_shape():
+    # Decoding it would give a number of the label, so nat.vn once added two
+    # nat.dec instances into a von Neumann 5.
+    vn = get_shape("nat.vn")
+    with pytest.raises(ShapeMismatch, match="^nat.vn vs nat.dec$"):
+        vn.operate("add", encode(3, "nat.dec"), encode(2, "nat.dec"))
+    with pytest.raises(ShapeMismatch, match="^rat.pcs vs rat.rns$"):
+        get_shape("rat.pcs").operate("add", encode(1, "rat.pcs"), get_shape("rat.rns").make((1, 2)))
+    with pytest.raises(ShapeMismatch, match="^int.diffpair vs nat.dedekind$"):
+        get_shape("int.diffpair").operate("add", encode(1, "int.diffpair"), encode(1, "nat.dedekind"))
+    for own_id, other_id in itertools.permutations(SHAPE_IDS, 2):
+        shape = get_shape(own_id)
+        own, other = encode(1, own_id), encode(1, other_id)
+        for op in shape.operations:
+            for operands in [(other,)] if op == "neg" else [(other, own), (own, other), (other, other)]:
+                with pytest.raises(ShapeMismatch, match=f"^{own_id} vs {other_id}$"):
+                    shape.operate(op, *operands)
 
 
 def test_decode_homomorphism():
@@ -341,27 +379,27 @@ def test_decode_homomorphism():
         insts = [shape.encode(v) for v in values]
         for _ in range(120):
             i, j = rng.choice(insts), rng.choice(insts)
-            assert decode(shape_add(i, j)) == decode(i) + decode(j)
-            assert decode(shape_mul(i, j)) == decode(i) * decode(j)
+            assert decode(shape.operate("add", i, j)) == decode(i) + decode(j)
+            assert decode(shape.operate("mul", i, j)) == decode(i) * decode(j)
             if "neg" in shape.operations:
-                assert decode(shape_neg(i)) == -decode(i)
+                assert decode(shape.operate("neg", i)) == -decode(i)
             if "div" in shape.operations and decode(j) != 0:
-                assert decode(shape_div(i, j)) == Fraction(decode(i)) / decode(j)
+                assert decode(shape.operate("div", i, j)) == Fraction(decode(i)) / decode(j)
 
 
 def test_set_nat_arithmetic_respects_the_cap():
     zermelo_cap = encode(SET_NAT_CAP, "nat.zermelo")
     with pytest.raises(CapacityError):
-        shape_add(zermelo_cap, encode(5, "nat.zermelo"))
+        get_shape("nat.zermelo").operate("add", zermelo_cap, encode(5, "nat.zermelo"))
     # A von Neumann natural at the cap would not fit in memory. Its decode
     # reads only the size of the set, so a stand-in set of that size will do.
     vn_cap = Instance("nat.vn", frozenset(range(SET_NAT_CAP)))
     with pytest.raises(CapacityError):
-        shape_add(vn_cap, encode(5, "nat.vn"))
+        get_shape("nat.vn").operate("add", vn_cap, encode(5, "nat.vn"))
     for shape_id in ("nat.vn", "nat.zermelo"):
         big = encode(300, shape_id)
         with pytest.raises(CapacityError):
-            shape_mul(big, big)
+            get_shape(shape_id).operate("mul", big, big)
 
 
 def test_vn_cap_refuses_before_building():
@@ -419,13 +457,13 @@ def test_bottom_class_operands(shape_id, op, left, right):
     assert expected is None
     shape = get_shape(shape_id)
     operands = [shape.make(p) for p in (left, right) if p is not None]
-    got = {"add": shape_add, "mul": shape_mul, "neg": shape_neg, "div": shape_div}[op](*operands)
+    got = shape.operate(op, *operands)
     assert decode(got) is expected
 
 
 @pytest.mark.parametrize("src,bottom", [("rat.pcs", (0, 0)), ("rat.rns", (0, 0)), ("rat.rns", (3, 0))])
 def test_convert_bottom_into_every_rat_shape(src, bottom):
-    inst = make_instance(src, bottom)
+    inst = get_shape(src).make(bottom)
     for dst in SHAPE_IDS:
         if get_shape(dst).label != "rat":
             continue
@@ -445,9 +483,9 @@ def test_operations_follow_the_label():
 
 def test_unsupported_operations():
     with pytest.raises(UnsupportedOperation):
-        shape_neg(encode(1, "nat.vn"))
+        get_shape("nat.vn").operate("neg", encode(1, "nat.vn"))
     with pytest.raises(UnsupportedOperation):
-        shape_div(encode(1, "int.signed"), encode(1, "int.signed"))
+        get_shape("int.signed").operate("div", encode(1, "int.signed"), encode(1, "int.signed"))
     # Every shape, every operation outside its label.
     lacking = []
     for shape_id in SHAPE_IDS:
@@ -457,7 +495,7 @@ def test_unsupported_operations():
                 continue
             lacking.append((shape_id, op))
             with pytest.raises(UnsupportedOperation, match=f"^{shape_id} has no {noun}$"):
-                _SHAPE_OPS[op](*[one] * (1 if op == "neg" else 2))
+                get_shape(shape_id).operate(op, *[one] * (1 if op == "neg" else 2))
     assert len(lacking) == 5 * 2 + 2
 
 
@@ -538,7 +576,7 @@ def test_normality_dec_subnormal_with_witness():
 
 
 def test_normality_pcs_normal():
-    assert is_normal("rat.pcs", 10)
+    assert normality_report("rat.pcs", 10).normal
 
 
 def test_normality_rns_subnormal_with_witness():
@@ -553,14 +591,14 @@ def test_normality_rns_subnormal_with_witness():
 
 def test_normality_matrix_small_bound():
     for shape_id in ("nat.sdn", "nat.dedekind", "nat.vn", "nat.zermelo", "int.signed", "rat.pcs", "rat.ssft"):
-        assert is_normal(shape_id, 15), shape_id
+        assert normality_report(shape_id, 15).normal, shape_id
     for shape_id in ("nat.dec", "int.diffpair", "rat.rns"):
-        assert not is_normal(shape_id, 15), shape_id
+        assert not normality_report(shape_id, 15).normal, shape_id
 
 
 def test_descriptor_agrees_with_bounded_check():
     for shape_id in SHAPE_IDS:
-        assert describe(shape_id).normal == is_normal(shape_id, 12)
+        assert get_shape(shape_id).normal == normality_report(shape_id, 12).normal
 
 
 def reference_witness(shape_id, bound):
@@ -750,7 +788,7 @@ def test_decimal_shapes_past_the_digit_limit(shape_id, payload):
     with pytest.raises(CapacityError):
         encode(10**5000, shape_id)
     with pytest.raises(CapacityError):
-        decode(make_instance(shape_id, payload))
+        decode(get_shape(shape_id).make(payload))
 
 
 NOT_NUMBERS = [True, False, 1.5, float("nan"), float("inf"), "3"]
@@ -772,8 +810,8 @@ def test_encode_takes_only_numbers(shape_id, value):
 def test_pair_payloads_hold_ints_not_bools(shape_id):
     for payload in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
         with pytest.raises(UnsupportedShape):
-            make_instance(shape_id, payload)
-    assert make_instance(shape_id, (1, 1)).payload == (1, 1)
+            get_shape(shape_id).make(payload)
+    assert get_shape(shape_id).make((1, 1)).payload == (1, 1)
 
 
 def test_vn_validate_builds_no_canonical_copy():
@@ -782,7 +820,7 @@ def test_vn_validate_builds_no_canonical_copy():
     payload = encode(600, "nat.vn").payload
     tracemalloc.start()
     try:
-        assert make_instance("nat.vn", payload).payload is payload
+        assert get_shape("nat.vn").make(payload).payload is payload
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -792,24 +830,24 @@ def test_vn_validate_builds_no_canonical_copy():
     one, two = frozenset([E]), frozenset([E, frozenset([E])])
     for bad in (frozenset([one, two]), frozenset([E, two]), frozenset([E, one, frozenset([one])]), frozenset([E, "1"])):
         with pytest.raises(UnsupportedShape, match="not a von Neumann natural"):
-            make_instance("nat.vn", bad)
+            get_shape("nat.vn").make(bad)
     with pytest.raises(CapacityError):
-        make_instance("nat.vn", frozenset(range(SET_NAT_VN_CAP + 1)))
+        get_shape("nat.vn").make(frozenset(range(SET_NAT_VN_CAP + 1)))
 
 
 def test_make_instance_validates():
     with pytest.raises(UnsupportedShape):
-        make_instance("nat.sdn", "007")
+        get_shape("nat.sdn").make("007")
     with pytest.raises(UnsupportedShape):
-        make_instance("nat.vn", frozenset([frozenset([E])]))  # not an ordinal
+        get_shape("nat.vn").make(frozenset([frozenset([E])]))  # not an ordinal
     with pytest.raises(UnsupportedShape):
-        make_instance("rat.pcs", (2, 4))
+        get_shape("rat.pcs").make((2, 4))
     with pytest.raises(UnsupportedShape):
-        make_instance("rat.ssft", parse_term("4/6"))
+        get_shape("rat.ssft").make(parse_term("4/6"))
     # A decorated payload is no simplified simple fracterm: rat.ssft is normal.
     with pytest.raises(UnsupportedShape, match="^not a simplified simple fracterm: 2/ft3$"):
-        make_instance("rat.ssft", parse_term("2/ft3"))
+        get_shape("rat.ssft").make(parse_term("2/ft3"))
     for shape_id, bad in (("nat.vn", [E]), ("nat.zermelo", [E]), ("nat.zermelo", frozenset([E, frozenset([E])]))):
         with pytest.raises(UnsupportedShape):
-            make_instance(shape_id, bad)
-    assert make_instance("int.signed", "0") == encode(0, "int.signed")
+            get_shape(shape_id).make(bad)
+    assert get_shape("int.signed").make("0") == encode(0, "int.signed")
