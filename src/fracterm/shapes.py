@@ -10,7 +10,8 @@ A shape is normal when the two coincide on its whole domain, subnormal when
 label equality is strictly coarser.
 
 A shape defines only its payloads: ``validate``, ``encode`` of an int, a
-Fraction or None (the bottom class), ``decode`` back to an exact number or
+Fraction or None (the bottom class), refusing anything else with
+``UnsupportedOperation``, ``decode`` back to an exact number or
 None, ``bounded_payloads`` for the normality search and the JSON form.
 ``label_key`` gives a payload's label as a hashable exact key, read through
 ``decode`` unless a shape computes it in integers; label equality compares
@@ -124,6 +125,17 @@ def _check_number(value, shape_id: str) -> None:
     """Refuse what encode does not take: an int that is no bool, a Fraction or None."""
     if not (value is None or type(value) is int or isinstance(value, Fraction)):
         raise UnsupportedOperation(f"{shape_id} encodes an int, a Fraction or None, not {type(value).__name__}")
+
+
+def _rat_pair(value, shape_id: str) -> Optional[tuple[int, int]]:
+    """The (numerator, denominator) that a rat shape encodes, n/1 for an int n;
+    None for None, the bottom class; anything else refused, as _check_number does."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    _check_number(value, shape_id)
+    return None
 
 
 class Shape:
@@ -580,10 +592,8 @@ class _RatPair(_PairShape):
     label = "rat"
 
     def encode(self, value):
-        if value is None:
-            return Instance(self.shape_id, (0, 0))
-        q = Fraction(value)
-        return Instance(self.shape_id, (q.numerator, q.denominator))
+        pair = _rat_pair(value, self.shape_id)
+        return Instance(self.shape_id, (0, 0) if pair is None else pair)
 
     def decode(self, inst):
         a, b = inst.payload
@@ -630,11 +640,11 @@ class _SimplifiedFractermRat(Shape):
             raise UnsupportedShape(f"not a simplified simple fracterm: {payload!r}")
 
     def encode(self, value):
-        if value is None:
+        pair = _rat_pair(value, self.shape_id)
+        if pair is None:
             raise UnsupportedOperation(f"{self.shape_id} has no bottom-class instance")
         from .terms import Div, numeral
-        q = Fraction(value)
-        return Instance(self.shape_id, Div(numeral(q.numerator), numeral(q.denominator)))
+        return Instance(self.shape_id, Div(numeral(pair[0]), numeral(pair[1])))
 
     def decode(self, inst):
         t = inst.payload
@@ -724,9 +734,7 @@ def _shape_of(i: Instance, *others: Instance) -> Shape:
 
 
 def encode(k: int, shape_id: str) -> Instance:
-    shape = get_shape(shape_id)
-    _check_number(k, shape_id)  # here, not in the rat shapes' encode, which eval_term calls
-    return shape.encode(k)
+    return get_shape(shape_id).encode(k)
 
 
 def decode(inst: Instance) -> Optional[Number]:

@@ -16,6 +16,14 @@ each distinct literal or variable text (``parse_term("2+2")`` has
 ``t.left is t.right``), and ``fold`` walks a parsed root in one pass.
 ``erase_decorations`` keeps each undecorated subtree, its argument itself
 included, and so do ``num`` and ``denom``.
+
+The leaves of short texts are shared across calls as well: the parser and
+``numeral`` take them from one table per process, which keeps, from its
+first use, the leaf of each numeral of at most three characters ("-99" to
+"999", leading zeroes included) and of each one-letter name, so never more
+than 1,272 leaves. A longer text gets a new leaf in each parse. A short
+literal carries its int from construction, so ``Lit.value`` reads no
+digits.
 """
 
 from __future__ import annotations
@@ -125,22 +133,31 @@ class Term(Record):
 
 
 class Lit(Term):
-    __slots__ = ("digits",)
+    """A decimal numeral, its sign glued on.
+
+    A short literal, of at most three characters, holds its int in ``_int``
+    from construction, here or in ``_leaf``; a longer one holds None there,
+    and ``value`` reads its digits at each call, refusing them with
+    CapacityError past the int/str digit limit.
+    """
+
+    __slots__ = ("digits", "_int")
     _facts = 0  # a leaf's facts are a constant of its class, which shadows the slot
 
     def __init__(self, digits: str):
         if not _LIT_RE.fullmatch(digits):
             raise ValueError(f"bad literal digits: {digits!r}")
-        _set_digits(self, digits)
-        _set_hash(self, hash(digits))
+        _fill_lit(self, digits)
 
     @property
     def value(self) -> int:
-        return digits_int(self.digits)
+        n = self._int
+        return digits_int(self.digits) if n is None else n
 
 
 def numeral(n: int) -> Lit:
-    """The literal of n, refused past the int/str digit limit."""
+    """The literal of n, refused past the int/str digit limit: for a short n,
+    the leaf the parser shares (see ``_leaf``)."""
     check_str_digits(n)
     return _leaf(Lit, str(n)) if type(n) is int else Lit(str(n))
 
@@ -197,7 +214,7 @@ class Div(_Binary):
         _set_facts(self, (left._facts | right._facts) & _INHERITED | (_DIV | _DECORATED if decoration else _DIV))
 
 
-(_set_digits,) = _slot_setters(Lit)
+_set_digits, _set_int = _slot_setters(Lit)
 (_set_name,) = _slot_setters(Var)
 (_set_operand,) = _slot_setters(Neg)
 _set_left, _set_right = _slot_setters(_Binary)
@@ -205,12 +222,34 @@ _set_left, _set_right = _slot_setters(_Binary)
 _set_facts, _set_hash, _set_memo = _slot_setters(Term)
 
 
+_SHORT = {Lit: 3, Var: 1}  # the longest text of each leaf class that _LEAVES keeps
+_LEAVES: dict[str, Term] = {}  # the one leaf of each short text, for the process
+
+
+def _fill_lit(leaf: Lit, digits: str) -> None:
+    _set_digits(leaf, digits)
+    _set_int(leaf, int(digits) if len(digits) <= _SHORT[Lit] else None)
+    _set_hash(leaf, hash(digits))
+
+
 def _leaf(cls: type, text: str) -> Term:
     """The Lit or Var of text known to be well formed, such as a word or number token
-    of the lexer (a whole match of Lit's or Var's pattern), built without the check."""
-    leaf = object.__new__(cls)
-    (_set_digits if cls is Lit else _set_name)(leaf, text)
-    _set_hash(leaf, hash(text))
+    of the lexer (a whole match of Lit's or Var's pattern), built without the check.
+
+    A short text, a numeral of at most three characters or a one-letter
+    name, has one leaf per process, kept in ``_LEAVES`` at its first use:
+    the table never holds more than 1,220 numerals and 52 names. A longer
+    text gets a new leaf at each call."""
+    leaf = _LEAVES.get(text)
+    if leaf is None:
+        leaf = object.__new__(cls)
+        if cls is Lit:
+            _fill_lit(leaf, text)
+        else:
+            _set_name(leaf, text)
+            _set_hash(leaf, hash(text))
+        if len(text) <= _SHORT[cls]:
+            _LEAVES[text] = leaf
     return leaf
 
 
@@ -304,13 +343,13 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
     # No branch below accepts a stray character: it ends in _error, which reports it.
     operands: list[Term] = []
     ops: list[tuple] = [(0, "", None)]
-    atoms: dict[str, object] = dict(openers)  # the openers, then the one leaf of each atom text met
+    atoms: dict[str, object] = dict(openers)  # the openers, then each leaf made in this parse
     i = 0
     while True:
         # Factor position: prefix minus and openers, until one atom.
         token = tokens[i]
         i += 1
-        leaf = atoms.get(token)
+        leaf = atoms.get(token) or _LEAVES.get(token)
         if leaf is None:
             first = token[:1]
             if first in _LETTERS:

@@ -367,6 +367,21 @@ def test_the_memo_is_no_part_of_the_term():
         assert copied == t and not hasattr(copied, "_memo")
 
 
+def test_a_shared_leaf_evaluates_alone_before_and_after_other_parses():
+    # "0" and "7" parse to the one leaf of their text in the process, which keeps its value memo.
+    for text in ("0", "7"):
+        leaf = parse_term(text)
+        before = [_outcome(leaf, reading) for reading in READINGS]
+        assert [_as_fraction(v) for v in before[: len(CONFIGS)]] == [int(text)] * len(CONFIGS)
+        assert [(rn.a, rn.b) for rn in before[len(CONFIGS) :]] == [(int(text), 1)] * 2
+        assert [eval_number(leaf, policy) for policy in POLICIES] == [int(text)] * 3
+        for other in (f"{text}/{text}", f"1/({text}-{text})", f"-{text}", f"{text}+{text}*2"):
+            for reading in READINGS:
+                _outcome(parse_term(other), reading)
+        again = parse_term(text)
+        assert again is leaf and [_outcome(again, reading) for reading in READINGS] == before
+
+
 def test_eval_number_keeps_one_fraction_a_term():
     for text, policies in (("1/2+1/3", POLICIES), ("1/(1-1) + 2/3", ("suppes-ono",))):
         t = parse_term(text)

@@ -118,6 +118,25 @@ def test_encode_of_fractions_and_bottom(shape_id):
         assert type(decode(inst)) is (Fraction if label == "rat" else int)
 
 
+@pytest.mark.parametrize("shape_id", ["rat.pcs", "rat.ssft", "rat.rns"])
+@pytest.mark.parametrize("value", [True, 0.5, "1/2", "abc", float("nan"), [1]],
+                         ids=["true", "half-float", "half-text", "abc", "nan", "list"])
+def test_rat_encoders_refuse_what_is_no_number(shape_id, value):
+    message = f"^{shape_id} encodes an int, a Fraction or None, not {type(value).__name__}$"
+    for enc in (get_shape(shape_id).encode, lambda v: encode(v, shape_id)):
+        with pytest.raises(UnsupportedOperation, match=message):
+            enc(value)
+
+
+def test_rat_encoders_keep_their_instances_of_ints_and_fractions():
+    for value, pair in ((0, (0, 1)), (7, (7, 1)), (-12, (-12, 1)), (Fraction(-6, 4), (-3, 2)), (Fraction(5), (5, 1))):
+        for shape_id in ("rat.pcs", "rat.rns"):
+            payload = get_shape(shape_id).encode(value).payload
+            assert payload == pair and all(type(k) is int for k in payload)
+        t = get_shape("rat.ssft").encode(value).payload
+        assert t == Div(Lit(str(pair[0])), Lit(str(pair[1]))) and (t.left.value, t.right.value) == pair
+
+
 @pytest.mark.parametrize("shape_id", SHAPE_IDS)
 @pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["huge", "minus-huge"])
 def test_encode_of_a_huge_integer_ends_in_an_instance_or_a_fracterm_error(shape_id, value):

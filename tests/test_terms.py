@@ -601,6 +601,62 @@ def test_a_parsed_term_has_one_leaf_per_atom_text(rng, depth, fmt):
     assert len(set().union(*ids.values())) == len(ids)
 
 
+def test_short_leaves_are_shared_across_parses_and_numerals():
+    first, second = parse_term("7 + x*-12"), parse_term("frac(-12, x) - 7", "frac")
+    assert first.left is second.right and first.right.right is second.left.left
+    assert first.right.left is second.left.right  # the name x
+    for n in (0, 7, -12, -99, 999):
+        assert numeral(n) is numeral(n) is parse_term(str(n), "colon")
+    # A longer text gets a new leaf in each parse, shared within it.
+    for text in ("1000", "-100", "xy"):
+        t = parse_term(f"{text} + {text}")
+        assert t.left is t.right and t.left is not parse_term(text)
+    assert numeral(1000) is not numeral(1000) and numeral(1000) == numeral(1000)
+
+
+def test_a_constructed_leaf_equals_the_shared_one():
+    for make, text in ((Lit, "7"), (Lit, "-07"), (Lit, "999"), (Var, "x")):
+        built, shared = make(text), parse_term(text)
+        assert built is not shared and built == shared and hash(built) == hash(shared)
+        assert format_term(built) == text
+    for text in ("0", "-0", "007", "-99", "999"):
+        assert Lit(text).value == parse_term(text).value == int(text)
+
+
+def test_the_leaf_table_stays_within_its_bound():
+    # Every numeral of at most three characters, and every one-letter name.
+    shorts = [str(n) for n in range(-99, 1000)] + ["-0"] + [f"{'-' * minus}0{d}" for minus in (0, 1) for d in range(10)]
+    shorts += [f"00{d}" for d in range(10)] + [f"0{d}{e}" for d in range(1, 10) for e in range(10)]
+    shorts += [chr(c) for c in (*range(ord("a"), ord("z") + 1), *range(ord("A"), ord("Z") + 1))]
+    assert len(set(shorts)) == len(shorts) == 1_272
+    for text in shorts:
+        assert format_term(parse_term(text)) == text
+    assert len(terms._LEAVES) == 1_272
+    rng = random.Random(41)
+    for i in range(10_000):
+        parse_term(f"{rng.randrange(10_000, 100_000)} * name{i} / -{rng.randrange(1_000, 10_000)}")
+    assert len(terms._LEAVES) == 1_272
+
+
+def test_a_long_literal_is_refused_only_when_its_value_is_read():
+    for text in ("1" * 5000, "-" + "1" * 5000):
+        for leaf in (Lit(text), parse_term(text)):
+            assert format_term(leaf) == text
+            with pytest.raises(CapacityError):
+                leaf.value
+
+
+def test_a_term_over_shared_leaves_copies_and_pickles():
+    t = parse_term("7/x + 7*(x - 1000)")
+    for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+        assert copied == t and hash(copied) == hash(t) and repr(copied) == repr(t)
+        assert copied.left.left is t.left.left and copied.right.left is t.right.left
+        assert copied.left.right is t.left.right is copied.right.right.left
+        assert copied.right.right.right is not t.right.right.right
+    for leaf in (Lit("7"), Var("x")):
+        assert pickle.loads(pickle.dumps(leaf)) is parse_term(format_term(leaf))
+
+
 def _exact(node, *kids):
     """Exact value, with every variable 2; a zero divisor raises, naming its node."""
     if not kids:
