@@ -37,12 +37,8 @@ def main() -> None:
         flags = classify(result)
         assert flags.flat or not flags.is_fracterm
         a, b = eval_term(t, CM), eval_term(result, CM)
-        if a == BOTTOM or b == BOTTOM:
-            bottoms += 1
-            agree = a == b
-        else:
-            agree = value_eq(a, b)
-        if not agree:
+        bottoms += a is BOTTOM or b is BOTTOM
+        if not value_eq(a, b):
             mismatches += 1
             print(f"MISMATCH: {format_term(t)} vs {format_term(result)}")
         if i < args.show and trace.steps:

@@ -20,7 +20,7 @@ _EXPORTS = {
     "ratio": "DenomOf NumOf RatioNumber rn_add rn_denom rn_div rn_eval rn_instance_eq rn_inv rn_label_eq rn_mul "
     "rn_neg rn_num",
     "rewrite": "RewriteStep RewriteTrace add_family add_family_all flatten simple_fracterm_eq simplify",
-    "semantics": "BOTTOM EvalConfig Fracvalue NumberValue PeripheralValue eval_term value_eq value_num",
+    "semantics": "BOTTOM EvalConfig NumberValue eval_term value_eq value_num",
     "shapes": "Instance NormalityReport convert decode encode get_shape instance_eq label_eq normality_report",
     "terms": "Add Div Level Lit Mul Neg Sub TaxonomyFlags Term Var classify denom desugar_literals "
     "erase_decorations format_term is_fracterm num parse_term",

@@ -82,7 +82,7 @@ def _cmd_eval(args):
     cfg = semantics.EvalConfig(args.policy, args.shape)
     value = semantics.eval_term(t, cfg)
     data = semantics.value_to_json(value)
-    if isinstance(value, semantics.PeripheralValue):
+    if value is semantics.BOTTOM:
         text = f"peripheral {value.name}"
     else:
         text = f"{shapes.decode(value.instance)} ({args.shape})"
@@ -181,17 +181,19 @@ def _read_script(path_text: str) -> tuple[str, str]:
     from pathlib import Path
     path = Path(path_text)
     try:
-        # Fall back to the packaged corpus for names like corpus/A.ftk, A.ftk, A.
-        source = path if path.exists() else _corpus_file(path.name.removesuffix(".ftk"))
-        if source is path or source.is_file():
-            with source.open("rb") as f:  # one byte more tells a longer or endless file
-                data = f.read(SCRIPT_BYTES + 1)
-            if len(data) > SCRIPT_BYTES:
-                raise CapacityError(f"script {path_text} is longer than {SCRIPT_BYTES} bytes")
-            return path.name, data.decode("utf-8")
+        source = path
+        if not path.exists():
+            # Only a missing NAME, NAME.ftk or corpus/NAME.ftk names a script of the packaged corpus.
+            source = _corpus_file(path.name.removesuffix(".ftk"))
+            if str(path.parent) not in (".", "corpus") or not source.is_file():
+                raise FractermError(f"no such script: {path_text}")
+        with source.open("rb") as f:  # one byte more tells a longer or endless file
+            data = f.read(SCRIPT_BYTES + 1)
+        if len(data) > SCRIPT_BYTES:
+            raise CapacityError(f"script {path_text} is longer than {SCRIPT_BYTES} bytes")
+        return path.name, data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FractermError(f"cannot read script {path_text}: {exc}") from None
-    raise FractermError(f"no such script: {path_text}")
 
 
 def _verdict_lines(name: str, verdict) -> list[str]:

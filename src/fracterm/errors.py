@@ -57,10 +57,6 @@ class DivisionByZero(FractermError):
     """Division by zero under the partial policy."""
 
 
-class UnsupportedPeripheral(FractermError):
-    """Arithmetic on a peripheral other than bottom has no defined meaning."""
-
-
 class NotSimple(FractermError):
     """An operation restricted to simple fracterms received something else."""
 

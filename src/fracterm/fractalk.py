@@ -513,7 +513,7 @@ def _check_rationals_not_fracterms(env: _Env, claim: Claim):
 
 
 def _check_not_all_fracterms_rational(env: _Env, claim: Claim):
-    if claim.occurrences and not env.disjoint and classify(claim.occ.term).simplified:
+    if claim.occurrences and env.fracterm_is_number(claim.occ.term):
         return "invalid", f"{format_term(claim.occ.term)} is one of the shape's numbers"
     return _VALID
 

@@ -5,9 +5,9 @@
 * ``common-meadow``  - division by zero yields bottom, and bottom absorbs
                        through every operation.
 
-A fracvalue is either a number instance of the configured rational shape or
-a peripheral. Only bottom is ever produced; the other peripherals (inf,
-+inf, -inf, nan) are representable but have no algebra here.
+A fracvalue is a ``NumberValue``, a number instance of the configured
+rational shape, or ``BOTTOM``. ``BOTTOM`` is ``shapes.BOT``, the one bottom
+of evaluation, shape arithmetic and fractalk; it equals only itself.
 
 Evaluation folds the term with ``ratio._pair_algebra``, the one pair
 algebra (reduce or not, plain or verbatim addition, and what a zero divisor
@@ -41,38 +41,15 @@ from fractions import Fraction
 from typing import Optional
 
 from . import ratio, shapes
-from .errors import (
-    DivisionByZero,
-    OpenTerm,
-    ShapeMismatch,
-    UnsupportedOperation,
-    UnsupportedPeripheral,
-)
+from .errors import DivisionByZero, OpenTerm, ShapeMismatch, UnsupportedOperation
 from .terms import Record, Term, fold, value_memo
 
 POLICIES = ("partial", "suppes-ono", "common-meadow")
-PERIPHERALS = ("bot", "inf", "+inf", "-inf", "nan")
+BOTTOM = shapes.BOT
 
 
-class Fracvalue(Record):
-    __slots__ = ()
-
-
-class NumberValue(Fracvalue):
+class NumberValue(Record):
     __slots__ = ("instance",)
-
-
-class PeripheralValue(Fracvalue):
-    __slots__ = ("name",)
-
-    def __post_init__(self):
-        if self.name not in PERIPHERALS:
-            raise UnsupportedPeripheral(f"unknown peripheral {self.name!r}")
-
-
-# Built past the class, so that importing semantics builds no __init__.
-BOTTOM = object.__new__(PeripheralValue)
-PeripheralValue.name.__set__(BOTTOM, "bot")
 
 
 class EvalConfig(Record):
@@ -110,8 +87,8 @@ def eval_number(t: Term, policy: str = "common-meadow"):
     return value
 
 
-def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
-    """Evaluate a closed term to a fracvalue under cfg, by default ``EvalConfig()``."""
+def eval_term(t: Term, cfg: Optional[EvalConfig] = None):
+    """Evaluate a closed term under cfg, by default ``EvalConfig()``: a NumberValue, or BOTTOM."""
     if cfg is None:
         cfg = EvalConfig()
     if cfg.shape_id == "rat.rns":
@@ -125,23 +102,21 @@ def eval_term(t: Term, cfg: Optional[EvalConfig] = None) -> Fracvalue:
     return BOTTOM if value is BOTTOM else NumberValue(shapes.get_shape(cfg.shape_id).encode(value))
 
 
-def value_eq(v: Fracvalue, w: Fracvalue) -> bool:
-    """Label equality on numbers; peripherals equal only themselves."""
-    if isinstance(v, PeripheralValue) and isinstance(w, PeripheralValue):
-        return v.name == w.name
-    if isinstance(v, NumberValue) and isinstance(w, NumberValue):
-        if v.instance.shape_id != w.instance.shape_id:
-            raise ShapeMismatch(f"{v.instance.shape_id} vs {w.instance.shape_id}")
-        return shapes.label_eq(v.instance, w.instance)
-    return False
+def value_eq(v, w) -> bool:
+    """Label equality on numbers; bottom equals only itself."""
+    if not (isinstance(v, NumberValue) and isinstance(w, NumberValue)):
+        return v is w
+    if v.instance.shape_id != w.instance.shape_id:
+        raise ShapeMismatch(f"{v.instance.shape_id} vs {w.instance.shape_id}")
+    return shapes.label_eq(v.instance, w.instance)
 
 
-def value_num(v: Fracvalue) -> Fracvalue:
-    """Fracvalues do not split into numerator and denominator: always bottom."""
+def value_num(v):
+    """A fracvalue does not split into numerator and denominator: always bottom."""
     return BOTTOM
 
 
-def value_to_json(v: Fracvalue):
-    if isinstance(v, PeripheralValue):
+def value_to_json(v):
+    if v is BOTTOM:
         return {"kind": "peripheral", "value": v.name}
     return {"kind": "number", **shapes.instance_to_json(v.instance)}

@@ -18,10 +18,12 @@ None, ``bounded_payloads`` for the normality search and the JSON form.
 these keys. ``convert`` and ``Shape.operate(op, ...)``, the one entry point
 for the operations of the label, follow from ``decode`` and ``encode``: the
 numbers are decoded, combined exactly, with bottom absorbing and a zero
-divisor giving bottom as in common meadows, and encoded again. ``operate``
-refuses an instance of another shape with ``ShapeMismatch``; it and every
-module-level function that takes an instance refuse what is no ``Instance``,
-``BOT`` too.
+divisor giving bottom as in common meadows, and encoded again; a bottom
+result is the shape's bottom-class instance, or ``BOT`` on a shape that has
+none. ``BOT`` is the one bottom: evaluation's ``semantics.BOTTOM`` is the
+same object. ``operate`` refuses an instance of another shape with
+``ShapeMismatch``; it and every module-level function that takes an
+instance refuse what is no ``Instance``, ``BOT`` too.
 
 ``int.diffpair`` and ``rat.rns``, whose results are not canonical ((5, 2) +
 (1, 4) is (6, 6)), declare payload functions instead, rat.rns from ``ratio``,
@@ -80,10 +82,19 @@ NORMALITY_BOUND = 300
 
 
 class _Bot:
-    """Bottom as a result of arithmetic on a shape that has no bottom-class instance."""
+    """Bottom, the one absorbing value of common meadows: what evaluation gives
+    for a zero divisor (``semantics.BOTTOM`` is this object), and what
+    ``Shape.operate`` gives on a shape with no bottom-class instance. It refuses
+    every assignment, and copy and pickle give it back itself."""
+
+    __slots__ = ()
+    name = "bot"
 
     def __repr__(self):
-        return "bot"
+        return self.name
+
+    def __reduce__(self):
+        return "BOT"
 
 
 BOT = _Bot()
@@ -204,7 +215,8 @@ class Shape:
         when op is unknown, when insts are not as many as op takes, when the
         label lacks op or when an inst is not of this shape. Bottom absorbs
         and a zero divisor gives bottom: the shape's bottom-class instance,
-        or BOT on a shape that has none."""
+        or BOT, the same object as ``semantics.BOTTOM``, on a shape that has
+        none."""
         if op not in _ARITHMETIC:
             raise UnsupportedOperation(f"unknown operation {op!r}; expected one of {tuple(_ARITHMETIC)}")
         name, fn, arity = _ARITHMETIC[op]

@@ -224,6 +224,18 @@ def test_fractalk_missing_file(capsys):
     assert code == 1 and json.loads(err)["error"] == "FractermError"
 
 
+def test_fractalk_only_corpus_names_fall_back(capsys, monkeypatch, tmp_path):
+    # A missing NAME, NAME.ftk or corpus/NAME.ftk is a packaged script; any other missing path is not.
+    monkeypatch.chdir(tmp_path)
+    for script in ("/nonexistent/dir/F.ftk", "typo/A", "typo/A.ftk"):
+        code, out, err = run(capsys, "fractalk", "check", script)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "FractermError", "message": f"no such script: {script}"}
+    for script in ("corpus/A.ftk", "A.ftk", "A", "./A"):
+        data = run_json(capsys, "fractalk", "check", script)
+        assert data["overall"] == "paradox-blocked" and data["blocked_at"] == 5
+
+
 @pytest.mark.parametrize("case", ["directory", "not utf-8", "name too long"])
 def test_fractalk_unreadable_script(capsys, tmp_path, case):
     (tmp_path / "latin1.ftk").write_bytes(b"1: 1/2 == 2/4 @ft \xe9\n")

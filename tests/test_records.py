@@ -18,7 +18,7 @@ import pytest
 
 import fracterm
 from fracterm import fractalk, ratio, records, rewrite, semantics, shapes, terms
-from fracterm.errors import DanglingReference, UnsupportedOperation, UnsupportedPeripheral
+from fracterm.errors import DanglingReference, UnsupportedOperation
 from fracterm.records import Record
 from fracterm.terms import TaxonomyFlags, classify, parse_term
 
@@ -70,7 +70,6 @@ def _examples():
             semantics.NumberValue(shapes.encode(1, "rat.ssft")),
             "NumberValue(instance=Instance(shape_id='rat.ssft', payload=1/1))",
         ),
-        (semantics.BOTTOM, "PeripheralValue(name='bot')"),
         (semantics.EvalConfig("partial", "rat.ssft"), "EvalConfig(policy='partial', shape_id='rat.ssft')"),
         (
             classify(parse_term("2/4")),
@@ -105,7 +104,6 @@ RECORD_CLASSES = {
     rewrite.RewriteStep: ("rule", "before", "after"),
     rewrite.RewriteTrace: ("steps",),
     semantics.NumberValue: ("instance",),
-    semantics.PeripheralValue: ("name",),
     semantics.EvalConfig: ("policy", "shape_id"),
     TaxonomyFlags: ("is_fracterm", "closed", "flat", "simple", "safe", "simplified", "proper"),
     fractalk.Occurrence: ("assertion", "position", "term", "annotation", "fraction_marked"),
@@ -175,8 +173,6 @@ def test_defaults_of_the_old_signatures():
 
 
 def test_init_checks_what_post_init_checked():
-    with pytest.raises(UnsupportedPeripheral):
-        semantics.PeripheralValue("zero")
     with pytest.raises(UnsupportedOperation):
         semantics.EvalConfig(policy="total")
     with pytest.raises(UnsupportedOperation):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracterm import ratio, rewrite, semantics, terms
+from fracterm import fractalk, ratio, rewrite, semantics, shapes, terms
 from fracterm.errors import (
     CapacityError,
     DivisionByZero,
@@ -16,14 +16,12 @@ from fracterm.errors import (
     OpenTerm,
     ShapeMismatch,
     UnsupportedOperation,
-    UnsupportedPeripheral,
 )
 from fracterm.semantics import (
     BOTTOM,
     POLICIES,
     EvalConfig,
     NumberValue,
-    PeripheralValue,
     eval_number,
     eval_term,
     value_eq,
@@ -92,11 +90,26 @@ def test_value_eq_shape_mismatch():
         value_eq(a, b)
 
 
-def test_peripherals_equal_only_themselves():
-    assert value_eq(PeripheralValue("nan"), PeripheralValue("nan"))
-    assert not value_eq(PeripheralValue("nan"), BOTTOM)
-    with pytest.raises(UnsupportedPeripheral):
-        PeripheralValue("weird")
+def test_one_bottom_in_every_layer():
+    # Evaluation in each rat shape, shape arithmetic and fractalk give one object.
+    assert BOTTOM is shapes.BOT
+    t = parse_term("1/0")
+    for shape_id in ("rat.pcs", "rat.ssft", "rat.rns"):
+        assert eval_term(t, EvalConfig("common-meadow", shape_id)) is BOTTOM
+    env = fractalk._Env(fractalk.parse_script("1: 1/0 is rational\n"), CM, True, {})
+    assert eval_number(t) is value_num(eval_term(parse_term("1/2"), CM)) is env.value_of(t) is BOTTOM
+    ssft = shapes.get_shape("rat.ssft")
+    assert ssft.operate("div", ssft.encode(1), ssft.encode(0)) is BOTTOM
+    pickled = [pickle.loads(pickle.dumps(BOTTOM, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(twin is BOTTOM for twin in (copy.copy(BOTTOM), copy.deepcopy(BOTTOM), *pickled))
+    assert not hasattr(BOTTOM, "__dict__")
+    for name in ("name", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(BOTTOM, name, "nan")
+    assert BOTTOM.name == repr(BOTTOM) == "bot"
+    one = eval_term(parse_term("1"), CM)
+    assert not value_eq(BOTTOM, one) and not value_eq(one, BOTTOM)
+    assert value_to_json(BOTTOM) == {"kind": "peripheral", "value": "bot"}
 
 
 def test_values_do_not_split():

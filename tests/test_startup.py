@@ -27,7 +27,7 @@ EXPORTS = {
     "rewrite": [
         "RewriteStep", "RewriteTrace", "add_family", "add_family_all", "flatten", "simple_fracterm_eq", "simplify",
     ],
-    "semantics": ["BOTTOM", "EvalConfig", "Fracvalue", "NumberValue", "PeripheralValue", "eval_term", "value_eq", "value_num"],
+    "semantics": ["BOTTOM", "EvalConfig", "NumberValue", "eval_term", "value_eq", "value_num"],
     "shapes": [
         "Instance", "NormalityReport", "convert", "decode", "encode", "get_shape", "instance_eq", "label_eq",
         "normality_report",
