@@ -41,7 +41,9 @@ def main() -> None:
         if not value_eq(a, b):
             mismatches += 1
             print(f"MISMATCH: {format_term(t)} vs {format_term(result)}")
-        if i < args.show and trace.steps:
+        # flatten returns t itself exactly when it took no step; reading
+        # trace.steps would build every step's terms.
+        if i < args.show and result is not t:
             print(f"{format_term(t)}")
             for step in trace.to_json():
                 print(f"  {step['rule']}: {step['before']} => {step['after']}")

@@ -40,7 +40,7 @@ class UnsupportedShape(FractermError):
 
 
 class UnsupportedOperation(FractermError):
-    """The shape does not support the requested operation."""
+    """An operation a shape does not support, or an argument that is no term, number or instance."""
 
 
 class NegativeIntoNat(FractermError):

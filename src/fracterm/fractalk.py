@@ -385,10 +385,10 @@ def _check_equals(env: _Env, claim: Claim):
 def _check_is_rational(env: _Env, claim: Claim):
     occ = claim.occ
     level = env.level(occ)
-    if level is Level.FRACVALUE:
-        actual = env.value_of(occ.term) is not BOTTOM
-        detail = f"the fracvalue of {format_term(occ.term)}"
-    elif level is Level.FRACTERM:
+    if level is Level.FRACVALUE:  # the occurrence is printed only for an invalid claim
+        valid = (env.value_of(occ.term) is not BOTTOM) == claim.positive
+        return _VALID if valid else ("invalid", f"the fracvalue of {format_term(occ.term)}")
+    if level is Level.FRACTERM:
         actual = env.fracterm_is_number(occ.term)
         detail = (
             f"the occurrence is fixed at the fracterm level, and "

@@ -24,15 +24,15 @@ general (a zero divisor can be multiplied away).
 
 Each phase (``numeral-eval`` first, then the other rules) rewrites the
 innermost-leftmost match until none is left. It runs as one postorder walk
-with its own stack, which never enters a finished or division-free subtree;
-a step rebuilds only the path from the match to the root. So a phase takes
-time linear in the size of its input and of the nodes the rules build, plus
-the depth of each match. Nothing in this module recurses, except the
-trace printer's joins, at most three levels deep. Flat forms share
-their denominator products. Every number this module writes or tests
-(``simplify``, ``numeral-eval``, the zero tests of ``div-collapse``, the
-``numeral`` addition) is a pair from ``ratio.rn_eval`` or ``rn_add``; the
-evaluation computes each distinct composite node once.
+with its own stack, which never enters a finished or division-free subtree
+and builds each node once; a step is a patch on the path to its match. So
+a phase takes time linear in the size of its input and of the nodes the
+rules build; the terms of each step are built only when read. Nothing in
+this module recurses, except the trace printer's joins, one level deep.
+Flat forms share their denominator products. Every number this module
+writes or tests (``simplify``, ``numeral-eval``, the zero tests of
+``div-collapse``, the ``numeral`` addition) is a pair from ``rn_eval`` or
+``rn_add``; the evaluation computes each distinct composite node once.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ from .terms import (
 
 STRATEGIES = ("cross", "same-denom", "numeral", "trivial")
 
-# Most nested nodes holding a division that flatten enters. Its time grows
-# with the square of the depth: `fracterm flatten --json` of 1000 minus signs
-# over 1/2 takes about 1 s and 49 MB (2-core x86-64, Python 3.11).
+# Most nested nodes holding a division that flatten enters. The trace text
+# grows with the square of the depth: `fracterm flatten --json` of 1000 minus
+# signs over 1/2 writes 2.0 M characters, in 0.1 s and 23 MB as a process
+# (2-core x86-64, Python 3.11).
 FLATTEN_DEPTH = 1024
 
 
@@ -72,7 +73,36 @@ class RewriteStep(Record):
 
 
 class RewriteTrace(Record):
-    __slots__ = ("steps",)
+    """The steps of a rewrite, each a RewriteStep(rule, before, after).
+
+    ``flatten`` records a patch per step: (rule, before, kept, kids, sides,
+    old, new), old the node the rule matched and new the node it built. Its
+    path keeps kept levels of the path before and goes on by sides (0 the
+    left child or the operand, 1 the right; the root is child 0) from kids,
+    the children now of the last level kept, or the root. before is None or
+    the start term. ``steps`` is built from the patches when first read.
+    """
+
+    __slots__ = ("steps", "_patches", "_end")
+
+    def __getattr__(self, name):
+        if name != "steps":
+            raise AttributeError(name)
+        steps, path = [], []
+        for rule, before, kept, _, sides, _, new in self._patches:
+            cur = before if before is not None else steps[-1].after
+            del path[kept:]
+            path += sides
+            spine = [cur]
+            for side in path[1:]:
+                spine.append(_kids(spine[-1])[side])
+            for parent, side in zip(spine[-2::-1], path[:0:-1]):
+                new = _rebuilt(parent, [new if i == side else kid for i, kid in enumerate(_kids(parent))])
+            steps.append(RewriteStep(rule, cur, new))
+        if steps:  # the last step ends on the result itself
+            steps[-1] = RewriteStep(steps[-1].rule, steps[-1].before, self._end)
+        RewriteTrace.steps.__set__(self, tuple(steps))
+        return self.steps
 
     def replay(self, start: Term) -> Term:
         cur = start
@@ -85,125 +115,137 @@ class RewriteTrace(Record):
     def to_json(self):
         """One {"rule", "before", "after"} dict per step, terms printed inline.
 
-        A step rebuilds only the path from its match to the root, so each
-        after text is the before text with one span replaced by the text of
-        the rewritten position (see ``_Splicer``). A step whose before is the
-        term the step before it ended on reuses that text; any other before
-        is printed whole. So a step costs its descent to the rewritten
-        position and the few nodes the rule built, and only the copying of
-        strings grows with the output.
+        The first before, and any that is not the term the step before
+        ended on, is printed whole; each after is the before text with the
+        span of the rewritten position replaced (see ``_Splicer``). A trace
+        of explicit steps splices the patches ``_patches_of`` finds in them.
         """
+        patches = getattr(self, "_patches", None)
         splicer = _Splicer()
-        out, last, text = [], None, None
-        for s in self.steps:
-            chained = s.before is last
-            before = text if chained else _fmt(s.before, "inline", splicer.known)
-            last, text = s.after, splicer.splice(before, s.before, s.after, chained)
-            out.append({"rule": s.rule, "before": before, "after": text})
+        out, text = [], None
+        for patch in _patches_of(self.steps) if patches is None else patches:
+            if patch[1] is not None:
+                text = _fmt(patch[1], "inline", splicer.known)
+            after = splicer.splice(text, patch)
+            out.append({"rule": patch[0], "before": text, "after": after})
+            text = after
         return out
+
+
+def _kids(node: Term) -> tuple:
+    return (node.operand,) if type(node) is Neg else (node.left, node.right)
+
+
+def _rebuilt(node: Term, kids) -> Term:
+    """A node of node's class and decoration over kids."""
+    return Div(*kids, node.decoration) if type(node) is Div else type(node)(*kids)
+
+
+def _patches_of(steps):
+    """The patches of explicit steps. A path descends from both roots into
+    the one child that after does not share with before, by identity, and
+    stops where the node class or the decoration changes, or where no
+    single child differs: at the roots, if need be."""
+    last = None
+    for s in steps:
+        before, after, sides = s.before, s.after, [0]
+        while before is not after and type(before) is type(after) and type(before) not in (Lit, Var):
+            side = 0 if type(before) is Neg else 1 if before.left is after.left else 0 if before.right is after.right else None
+            if side is None or type(before) is Div and before.decoration != after.decoration:
+                break
+            sides.append(side)
+            before, after = _kids(before)[side], _kids(after)[side]
+        yield s.rule, None if s.before is last else s.before, 0, (s.before,), tuple(sides), before, after
+        last = s.after
 
 
 class _Splicer:
     """Prints the after term of each step of a trace inline, from the text
-    of its before term: ``before[:start] + text(new subterm) + before[end:]``.
+    of its before term: ``before[:start] + text(new node) + before[end:]``.
 
-    ``splice`` finds the rewritten position by descending from both roots
-    into the one child that after does not share with before, by identity.
-    It stops where the node class or the decoration changes, where the
-    parent's parentheses around that child change (``terms._pieces`` states
-    them for the printer and for this descent), or where no single child
-    differs; at the roots, if need be, so any pair of terms splices
-    correctly. The span starts after the pieces to the left of the path,
-    left siblings printed, and is as long as the text of the before node
-    where the descent stopped.
+    nodes, sides and starts are the path of the last splice: at each depth
+    a node of the class and decoration there, the child taken, and where
+    its text starts. ``splice`` keeps the levels its patch keeps and adds
+    up the pieces left of the path on the others (left siblings printed)
+    in a stand-in of the last level kept over kids, then in real nodes. The
+    span is the old node's text, and the parentheses its parent changes.
 
     known maps the id of a node to its text, for the nodes printed in the
-    last two steps; the trace keeps those nodes alive. The new subterm is
+    last two steps; the trace keeps those nodes alive. The new node is
     joined from the texts of its children, which are printed, each looking
-    up the nodes it reuses, and all are kept; when a change of parentheses
-    moved the splice up one level, the joins go one level deeper. So the
-    fracterm a rule built is kept with its numerator and denominator, which
-    the next rule reuses. fresh and stale hold the ids kept in this step
-    and in the one before; the stale ones are forgotten when the step ends.
-
-    sides and starts are the path of the last splice: the child taken at
-    each depth (0 the left child or the operand, 1 the right) and where the
-    node there starts. A step that chains on its predecessor follows that
-    path without measuring anything, as far as it goes the same way.
+    up the nodes it reuses, and all are kept. So the fracterm a rule built
+    is kept with its numerator and denominator, which the next rule reuses.
+    fresh and stale hold the ids kept in this step and in the one before;
+    the stale ones are forgotten when the step ends.
     """
 
-    __slots__ = ("known", "fresh", "stale", "sides", "starts")
+    __slots__ = ("known", "fresh", "stale", "nodes", "sides", "starts", "wrapped")
 
     def __init__(self):
         self.known: dict[int, str] = {}
         self.fresh: list[int] = []
         self.stale: list[int] = []
-        self.sides: list = [None]
-        self.starts = [0]
+        self.nodes: list[Term] = []
+        self.sides: list[int] = []
+        self.starts: list[int] = []
+        self.wrapped: dict[tuple, bool] = {}
 
-    def splice(self, text: str, before: Term, after: Term, chained: bool) -> str:
-        """after's inline text, from text, before's."""
-        sides, starts = self.sides, self.starts
-        if not chained:
-            del sides[1:], starts[1:]
-        # While on_path > 0 the descent follows sides[:on_path], whose starts are known.
-        on_path = len(sides)
-        depth, start, levels = 0, 0, 2
-        while before is not after:
-            cls = type(before)
-            if cls is not type(after) or cls is Lit or cls is Var:
-                break
-            if cls is Neg:
-                side, old, new = 0, before.operand, after.operand
-            elif cls is Div and before.decoration != after.decoration:
-                break
-            elif before.left is after.left:
-                side, old, new = 1, before.right, after.right
-            elif before.right is after.right:
-                side, old, new = 0, before.left, after.left
-            else:
-                break
-            # Only a child that changes class, or a variable, can change its parentheses.
-            pieces = None
-            if type(old) is not type(new) or type(old) is Var:
-                pieces = _pieces(before, "inline")
-                if len(pieces) != len(_pieces(after, "inline")):
-                    levels = 3
-                    break
-            depth += 1
-            if depth < on_path and sides[depth] == side:
-                before, after = old, new
-                continue
-            if depth <= on_path:
-                start = starts[depth - 1]
-                del sides[depth:], starts[depth:]
-                on_path = 0
-            siblings = side
-            for piece in reversed(pieces or _pieces(before, "inline")):
-                if type(piece) is str:
-                    start += len(piece)
-                elif siblings:
-                    start += len(self.text(piece))
-                    siblings = 0
-                else:
-                    break
-            sides.append(side)
-            starts.append(start)
-            before, after = old, new
-        if depth < on_path:
-            start = starts[depth]
-        del sides[depth + 1 :], starts[depth + 1 :]
-        end = start + len(self.text(before, 2))
-        spliced = text[:start] + self.text(after, levels) + text[end:]
+    def splice(self, text: str, patch: tuple) -> str:
+        """The after text of patch's step, from text, its before."""
+        _, _, kept, kids, sides, old, new = patch
+        nodes, path, starts = self.nodes, self.sides, self.starts
+        del nodes[kept:], path[kept:], starts[kept:]
+        if sides:
+            parent = _rebuilt(nodes[-1], kids) if kept else None  # None: the root's holder
+            for side in sides:
+                starts.append(0 if parent is None else starts[-1] + self.offset(parent, side))
+                parent = (kids if parent is None else _kids(parent))[side]
+                nodes.append(parent)
+            path += sides
+        start = starts[-1]
+        end = start + len(self.text(old, True))
+        inserted = self.text(new, True)
+        # Only a node that changes class, or a variable, can change its parentheses.
+        if len(nodes) > 1 and (type(old) is not type(new) or type(old) is Var):
+            was, now = self.wraps(nodes[-2], path[-1], old), self.wraps(nodes[-2], path[-1], new)
+            if was != now:
+                start, end = start - was, end + was
+                inserted = f"({inserted})" if now else inserted
+                starts[-1] = start + now
+        nodes[-1] = new
         for key in self.stale:
             del self.known[key]
         self.stale, self.fresh = self.fresh, []
-        return spliced
+        return text[:start] + inserted + text[end:]
 
-    def text(self, node: Term, levels: int = 1) -> str:
-        """node's inline text, kept. A composite node not kept yet is joined
-        from the texts of its children, kept too, down to levels levels; on
-        the last level it is printed. The recursion is levels deep."""
+    def wraps(self, parent: Term, side: int, child: Term) -> bool:
+        """Whether a node of parent's class and decoration parenthesizes child on side, as a
+        stand-in's pieces say. Only classes decide, or a variable's name: the answer is kept."""
+        key = (type(parent), side, type(child))
+        wrapped = self.wrapped.get(key)
+        if wrapped is None:
+            pieces = _pieces(Neg(child) if type(parent) is Neg else _rebuilt(parent, (child, child)), "inline")
+            # Printed, they start with "(" before a parenthesized left child, and end with ")" after any other.
+            wrapped = type(pieces[0] if side or type(parent) is Neg else pieces[-1]) is str
+            if type(child) is not Var:
+                self.wrapped[key] = wrapped
+        return wrapped
+
+    def offset(self, node: Term, side: int) -> int:
+        """The length of node's inline text before its child on side."""
+        n = 0
+        for piece in reversed(_pieces(node, "inline")):
+            if type(piece) is str:
+                n += len(piece)
+            elif side:
+                n += len(self.text(piece))
+                side = 0
+            else:
+                return n
+
+    def text(self, node: Term, join: bool = False) -> str:
+        """node's inline text, kept. A composite node not kept yet is printed,
+        or if join, joined from the texts of its children, kept too."""
         cls = type(node)
         if cls is Lit:
             return node.digits
@@ -212,14 +254,10 @@ class _Splicer:
         key = id(node)
         text = self.known.get(key)
         if text is None:
-            if levels > 1:
-                levels -= 1
-                text = "".join([
-                    p if type(p) is str else p.digits if type(p) is Lit else self.text(p, levels)
-                    for p in reversed(_pieces(node, "inline"))
-                ])
-            else:
-                text = _fmt(node, "inline", self.known)
+            text = "".join([
+                p if type(p) is str else p.digits if type(p) is Lit else self.text(p)
+                for p in reversed(_pieces(node, "inline"))
+            ]) if join else _fmt(node, "inline", self.known)
             self.known[key] = text
             self.fresh.append(key)
         return text
@@ -274,51 +312,52 @@ def _node_rule(t: Term):
     return ("add-lift" if cls is Add else "sub-lift", Div(cls(_times(a, d), bc), _times(b, d)))
 
 
-def _rewrite_all(t: Term, rule, steps: list[RewriteStep]) -> Term:
-    """Apply rule innermost-leftmost until no node matches, recording each step.
+def _rewrite_all(t: Term, rule, patches: list) -> Term:
+    """Apply rule innermost-leftmost until no node matches, adding a patch per step.
 
-    One postorder walk; a frame is [node, children entered]. Whether rule
-    matches a node depends only on the node's subtree, so a finished
-    subtree never matches again, and no rule matches a division-free one.
-    The walk steps over both: it keeps the ids of the finished nodes, each
-    of which belongs to a term that steps or the stack keeps alive. A match
-    replaces the top frame's node, rebuilds the spine above it, and the
-    walk goes on into the new node, which holds a division. A stack of
-    FLATTEN_DEPTH frames that must grow raises CapacityError.
+    One postorder walk; a frame is [node, children entered, its children
+    now, its side]. A frame whose children are done builds its node over
+    them, if one changed, and tries rule on it. Whether rule matches a node
+    depends only on its subtree, so the walk steps over finished and
+    division-free subtrees, keeping the ids of finished nodes, which the
+    result or a patch keeps alive. A match replaces the top frame's node,
+    and its patch keeps the levels of the frames no pop reached since the
+    last step. A stack of FLATTEN_DEPTH frames that must grow raises
+    CapacityError.
     """
     done: set[int] = set()
-    frames = [[t, 0]]
-    while frames:
+    frames = [[t, 0, _kids(t), 0]]
+    kept = 0
+    while True:
         frame = frames[-1]
-        node, entered = frame
-        kids = (node.operand,) if type(node) is Neg else (node.left, node.right)
+        node, entered, kids, side = frame
         if entered < len(kids):
             frame[1] = entered + 1
             kid = kids[entered]
             if kid.has_div and id(kid) not in done:
                 if len(frames) == FLATTEN_DEPTH:
                     raise CapacityError(f"a division nested deeper than the flatten budget of {FLATTEN_DEPTH}")
-                frames.append([kid, 0])
+                frames.append([kid, 0, _kids(kid), entered])
             continue
+        if type(kids) is list:  # a tuple until a child changes
+            node = _rebuilt(node, kids)
         found = rule(node)
         if found is None:
             done.add(id(node))
             frames.pop()
+            if not frames:
+                return node
+            kids = frames[-1][2]
+            if kids[side] is not node:
+                kids = frames[-1][2] = list(kids)
+                kids[side] = node
+            kept = min(kept, len(frames))
             continue
-        name, new = found
-        frame[0], frame[1] = new, 0
-        for k in range(len(frames) - 2, -1, -1):
-            parent, entered = frames[k]
-            child = frames[k + 1][0]
-            if type(parent) is Neg:
-                frames[k][0] = Neg(child)
-            elif entered == 1:
-                frames[k][0] = type(parent)(child, parent.right)
-            else:
-                frames[k][0] = type(parent)(parent.left, child)
-        steps.append(RewriteStep(name, t, frames[0][0]))
-        t = frames[0][0]
-    return t
+        above = (tuple(frames[kept - 1][2]) if kept else (t,)) if kept < len(frames) else None
+        sides = tuple([f[3] for f in frames[kept:]])
+        patches.append((found[0], None if patches else t, kept, above, sides, node, found[1]))
+        frame[0], frame[1], frame[2] = found[1], 0, _kids(found[1])
+        kept = len(frames)
 
 
 def flatten(t: Term) -> tuple[Term, RewriteTrace]:
@@ -329,14 +368,17 @@ def flatten(t: Term) -> tuple[Term, RewriteTrace]:
     """
     if t.has_var:
         raise OpenTerm(f"cannot flatten open term {t}")
-    steps: list[RewriteStep] = []
+    patches: list[tuple] = []
     current = erase_decorations(t)
     if current is not t:
-        steps.append(RewriteStep("erase-decorations", t, current))
+        patches.append(("erase-decorations", t, 0, (t,), (0,), t, current))
     if contains_div(current):
         for phase in (_numeral_rule, _node_rule):
-            current = _rewrite_all(current, phase, steps)
-    return current, RewriteTrace(tuple(steps))
+            current = _rewrite_all(current, phase, patches)
+    trace = object.__new__(RewriteTrace)
+    RewriteTrace._patches.__set__(trace, tuple(patches))
+    RewriteTrace._end.__set__(trace, current)
+    return current, trace
 
 
 # ---------------------------------------------------------------------------

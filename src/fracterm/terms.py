@@ -34,7 +34,7 @@ import re
 from enum import Enum
 from typing import Callable, Optional, TypeVar
 
-from .errors import NotAFracterm, ParseError
+from .errors import NotAFracterm, ParseError, UnsupportedOperation
 from .records import Record, check_str_digits, digits_int
 
 FORMATS = ("inline", "colon", "frac")
@@ -145,6 +145,8 @@ class Lit(Term):
     _facts = 0  # a leaf's facts are a constant of its class, which shadows the slot
 
     def __init__(self, digits: str):
+        if type(digits) is not str:
+            raise UnsupportedOperation(f"{digits!r:.80} is no str")
         if not _LIT_RE.fullmatch(digits):
             raise ValueError(f"bad literal digits: {digits!r}")
         _fill_lit(self, digits)
@@ -158,8 +160,10 @@ class Lit(Term):
 def numeral(n: int) -> Lit:
     """The literal of n, refused past the int/str digit limit: for a short n,
     the leaf the parser shares (see ``_leaf``)."""
+    if type(n) is not int:
+        raise UnsupportedOperation(f"{n!r:.80} is no int")
     check_str_digits(n)
-    return _leaf(Lit, str(n)) if type(n) is int else Lit(str(n))
+    return _leaf(Lit, str(n))
 
 
 class Var(Term):
@@ -167,6 +171,8 @@ class Var(Term):
     _facts = _VAR
 
     def __init__(self, name: str):
+        if type(name) is not str:
+            raise UnsupportedOperation(f"{name!r:.80} is no str")
         if not _VAR_RE.fullmatch(name) or name in RESERVED_WORDS:
             raise ValueError(f"bad variable name: {name!r}")
         _set_name(self, name)
@@ -177,17 +183,23 @@ class Neg(Term):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Term):
+        try:
+            _set_facts(self, operand._facts & _INHERITED)
+        except AttributeError:
+            raise UnsupportedOperation(f"{operand!r:.80} is no term") from None
         _set_operand(self, operand)
-        _set_facts(self, operand._facts & _INHERITED)
 
 
 class _Binary(Term):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
+        try:
+            _set_facts(self, (left._facts | right._facts) & _INHERITED)
+        except AttributeError:
+            raise UnsupportedOperation(f"{right if hasattr(left, '_facts') else left!r:.80} is no term") from None
         _set_left(self, left)
         _set_right(self, right)
-        _set_facts(self, (left._facts | right._facts) & _INHERITED)
 
 
 class Add(_Binary):
@@ -208,10 +220,13 @@ class Div(_Binary):
     def __init__(self, left: Term, right: Term, decoration: Optional[str] = None):
         if decoration not in (None, "ft", "fv"):
             raise ValueError(f"bad decoration: {decoration!r}")
+        try:
+            _set_facts(self, (left._facts | right._facts) & _INHERITED | (_DIV | _DECORATED if decoration else _DIV))
+        except AttributeError:
+            raise UnsupportedOperation(f"{right if hasattr(left, '_facts') else left!r:.80} is no term") from None
         _set_left(self, left)
         _set_right(self, right)
         _set_decoration(self, decoration)
-        _set_facts(self, (left._facts | right._facts) & _INHERITED | (_DIV | _DECORATED if decoration else _DIV))
 
 
 _set_digits, _set_int = _slot_setters(Lit)

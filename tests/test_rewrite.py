@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -240,9 +242,10 @@ def test_flatten_asks_contains_div_at_most_once(monkeypatch):
 
 def test_trace_json_prints_no_root_after_the_first_term(monkeypatch):
     # Each step after the first splices the text of the nodes the rule
-    # built into the text of the step before: the printer gets no other
-    # root than the first, and a step lays out a constant number of nodes,
-    # however deep the rewritten position lies (39 levels at the first step).
+    # built into the text of the step before, at the end of the path its
+    # patch gives: the printer gets no other root than the first, and a
+    # step lays out a constant number of nodes, however deep the rewritten
+    # position lies (39 levels at the first step).
     _, trace = flatten(unit_sum(40))
     want = printed_steps(trace)
     printed, laid_out = [], [0]
@@ -271,6 +274,49 @@ def test_trace_json_prints_no_root_after_the_first_term(monkeypatch):
     # The first entry is the first term, printed whole; then one per step.
     assert len(laid_out) == len(trace.steps) + 1 == 40
     assert max(laid_out[2:]) <= 10
+
+
+def counting_builds(monkeypatch):
+    """A one-item list that counts the term nodes built from here on."""
+    built = [0]
+    for cls in (Lit, Var, Neg, terms._Binary, Div):
+        def counted(self, *args, _init=vars(cls)["__init__"], **kwargs):
+            built[0] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("t", [unit_sum(200), parse_term("-" * 1000 + "(1/2)")], ids=["unit-sum-200", "neg-chain-1000"])
+def test_flatten_builds_each_node_once(monkeypatch, t):
+    # A step builds the nodes its rule builds and, once, the node above its
+    # match; the path above that is not built again at each step, and a
+    # patch names only the levels of its path the step before did not
+    # share. Printing the trace builds at most three stand-in nodes a step.
+    nodes = fold(t, lambda node, *kids: 1 + sum(kids))
+    built = counting_builds(monkeypatch)
+    _, trace = flatten(t)
+    assert built[0] <= 12 * nodes
+    assert sum(len(sides) for _, _, _, _, sides, _, _ in trace._patches) <= 2 * nodes
+    built[0] = 0
+    trace.to_json()
+    steps = len(trace._patches)
+    assert steps >= 199 and built[0] <= 3 * steps
+
+
+@pytest.mark.parametrize("name", ["unit-sum-40", "decorated", "div-collapse-bot"])
+def test_trace_steps_are_the_same_read_before_or_after_printing(name):
+    t = IDENTITY_INPUTS[name][0]
+    result, first = flatten(t)
+    _, second = flatten(t)
+    steps = first.steps
+    printed = second.to_json()
+    assert second.steps == steps and second.to_json() == first.to_json() == printed
+    assert steps == reference_flatten(t)[1].steps
+    assert steps[0].before is t and steps[-1].after is result
+    for other in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(second))):
+        assert other == first and other.to_json() == printed
 
 
 def test_trace_json_memory_is_mostly_its_result():

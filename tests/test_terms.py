@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracterm import terms
-from fracterm.errors import CapacityError, NotAFracterm, ParseError
+from fracterm.errors import CapacityError, NotAFracterm, ParseError, UnsupportedOperation
 from fracterm.rewrite import flatten
 from fracterm.terms import (
     FORMATS,
@@ -207,11 +207,34 @@ def test_parse_term_runs_no_leaf_check(monkeypatch):
 def test_numeral_checks_all_but_an_int():
     for n in (0, 7, -12, 10**100):
         assert numeral(n) == Lit(str(n)) and hash(numeral(n)) == hash(Lit(str(n)))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedOperation):
         numeral(True)
     for n in (10**5000, -(10**5000)):
         with pytest.raises(CapacityError):
             numeral(n)
+
+
+NO_TERMS = {
+    "Add(1, 2)": (lambda: Add(1, 2), "1 is no term"),
+    "Div(1, 'x')": (lambda: Div(Lit("1"), "x"), "'x' is no term"),
+    "Div(None, 1, 'ft')": (lambda: Div(None, Lit("1"), "ft"), "None is no term"),
+    "Sub(x, 2.5)": (lambda: Sub(Var("x"), 2.5), "2.5 is no term"),
+    "Mul(Fraction)": (lambda: Mul(Fraction(1, 2), Lit("1")), "Fraction(1, 2) is no term"),
+    "Neg('1')": (lambda: Neg("1"), "'1' is no term"),
+    "Lit(7)": (lambda: Lit(7), "7 is no str"),
+    "Var(7)": (lambda: Var(7), "7 is no str"),
+    "numeral(1.5)": (lambda: numeral(1.5), "1.5 is no int"),
+    "numeral('7')": (lambda: numeral("7"), "'7' is no int"),
+    "numeral(None)": (lambda: numeral(None), "None is no int"),
+}
+
+
+@pytest.mark.parametrize("name", NO_TERMS)
+def test_constructors_refuse_what_is_no_term(name):
+    build, message = NO_TERMS[name]
+    with pytest.raises(UnsupportedOperation) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
