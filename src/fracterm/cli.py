@@ -21,7 +21,7 @@ import re
 import sys
 
 from .errors import CapacityError, FractermError, UnsupportedShape
-from .records import check_str_digits
+from .records import check_str_digits, digits_int
 
 CORPUS_ORDER = ("A", "B", "Bprime", "Bpp", "C", "Cprime", "D", "E", "F")
 SCRIPT_BYTES = 1 << 20  # a longer script raises CapacityError; about 50x an 800-claim one
@@ -36,14 +36,11 @@ def _load_json(text: str):
 
 def _int_arg(text: str) -> int:
     """An int argument: an optional sign and ASCII digits, as terms and
-    fractalk read numbers. Digits that int() refuses are past Python's
-    int/str digit limit, a CapacityError rather than a usage error."""
+    fractalk read numbers. Digits past Python's int/str digit limit are
+    ``digits_int``'s CapacityError rather than a usage error."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         raise ValueError(f"not an integer: {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        raise CapacityError("an integer argument exceeds the int/str digit limit") from None
+    return digits_int(text)
 
 
 _int_arg.__name__ = "int"  # argparse names the type in "invalid int value"

@@ -40,7 +40,8 @@ class UnsupportedShape(FractermError):
 
 
 class UnsupportedOperation(FractermError):
-    """An operation a shape does not support, or an argument that is no term, number or instance."""
+    """An operation a shape does not support, or an argument of the wrong kind:
+    no term, text, number, instance, script, shape id or bound."""
 
 
 class NegativeIntoNat(FractermError):

@@ -1,4 +1,4 @@
-"""The package's immutable records, and Python's int/str digit limit.
+"""The package's immutable records, Python's int/str digit limit, and lowest terms.
 
 ``Record`` is the base of the package's immutable records, terms included.
 A record's fields are its ``__slots__`` whose names do not start with an
@@ -15,12 +15,16 @@ fields. One ``exec`` builds it at the class's first construction, not at
 import, so a process pays only for the classes it builds. Term nodes write
 their own ``__init__``, which computes their facts; a composite node's hash
 waits for its first ``hash()``. No record costs an import of ``dataclasses``.
+
+``reduced`` puts an integer pair in lowest terms for the rat shapes' label
+keys, ``terms.classify`` and ``rewrite.simplify``.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import CapacityError
 
@@ -125,3 +129,15 @@ def digits_int(digits: str) -> int:
         return int(digits)
     except ValueError:
         raise _too_many_digits() from None
+
+
+def reduced(pair: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """The pair (a, b) as the (numerator, denominator) of a/b in lowest
+    terms, the sign on the numerator; None when b is 0."""
+    a, b = pair
+    if b == 0:
+        return None
+    g = math.gcd(a, b)
+    if b < 0:
+        g = -g
+    return a // g, b // g

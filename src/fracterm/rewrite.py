@@ -37,10 +37,9 @@ writes or tests (``simplify``, ``numeral-eval``, the zero tests of
 
 from __future__ import annotations
 
-import math
-
 from .errors import CapacityError, NotSimple, OpenTerm, StrategyInapplicable
-from .ratio import rn_add, rn_eval, rn_label_eq
+from .ratio import rn_add, rn_eval, rn_label_eq, sign
+from .records import reduced
 from .terms import (
     Add,
     Div,
@@ -53,6 +52,7 @@ from .terms import (
     Var,
     _fmt,
     _pieces,
+    check_term,
     classify,
     contains_div,
     erase_decorations,
@@ -366,6 +366,7 @@ def flatten(t: Term) -> tuple[Term, RewriteTrace]:
     Division-free inputs are returned unchanged. The result evaluates to the
     same fracvalue as the input under the common-meadow policy.
     """
+    check_term(t)
     if t.has_var:
         raise OpenTerm(f"cannot flatten open term {t}")
     patches: list[tuple] = []
@@ -388,23 +389,17 @@ def flatten(t: Term) -> tuple[Term, RewriteTrace]:
 def simplify(t: Term) -> Term:
     """The simplified simple fracterm label-equal to a flat closed fracterm.
 
-    The sign moves to the numerator and the components are reduced by their
-    gcd; integer-valued inputs come out as n/1. Zero-denominator inputs have
-    no simplified form; they reduce to the +-1/0 (or 0/0) representative of
-    their class. The pair is ``rn_eval``'s: the nodes that numerator and
-    denominator share are computed once, and the term keeps the pair.
+    The pair is ``rn_eval``'s, in lowest terms by ``records.reduced``: the
+    sign on the numerator, an integer value as n/1. Zero-denominator inputs
+    have no simplified form; they reduce to the +-1/0 (or 0/0)
+    representative of their class. The nodes that numerator and denominator
+    share are computed once, and the term keeps the pair.
     """
     flags = classify(t)
     if not (flags.is_fracterm and flags.flat and flags.closed):
         raise NotSimple(f"cannot simplify {t}")
     pair = rn_eval(t)
-    n, d = pair.a, pair.b
-    g = math.gcd(abs(n), abs(d))
-    if g:
-        n //= g
-        d //= g
-    if d < 0:
-        n, d = -n, -d
+    n, d = reduced((pair.a, pair.b)) or (sign(pair.a), 0)
     return Div(numeral(n), numeral(d))
 
 

@@ -14,16 +14,19 @@ Fraction or None (the bottom class), refusing anything else with
 ``UnsupportedOperation``, ``decode`` back to an exact number or
 None, ``bounded_payloads`` for the normality search and the JSON form.
 ``label_key`` gives a payload's label as a hashable exact key, read through
-``decode`` unless a shape computes it in integers; label equality compares
-these keys. ``convert`` and ``Shape.operate(op, ...)``, the one entry point
-for the operations of the label, follow from ``decode`` and ``encode``: the
-numbers are decoded, combined exactly, with bottom absorbing and a zero
-divisor giving bottom as in common meadows, and encoded again; a bottom
-result is the shape's bottom-class instance, or ``BOT`` on a shape that has
-none. ``BOT`` is the one bottom: evaluation's ``semantics.BOTTOM`` is the
-same object. ``operate`` refuses an instance of another shape with
-``ShapeMismatch``; it and every module-level function that takes an
-instance refuse what is no ``Instance``, ``BOT`` too.
+``decode`` unless a shape computes it in integers, as the rat shapes do
+with ``records.reduced``; label equality compares these keys. The
+set-theoretic naturals compare and check their nested frozensets in one
+walk, ``_bottom_up``, which visits each distinct set once. ``convert`` and
+``Shape.operate(op, ...)``, the one entry point for the operations of the
+label, follow from ``decode`` and ``encode``: the numbers are decoded,
+combined exactly, with bottom absorbing and a zero divisor giving bottom as
+in common meadows, and encoded again; a bottom result is the shape's
+bottom-class instance, or ``BOT`` on a shape that has none. ``BOT`` is the
+one bottom: evaluation's ``semantics.BOTTOM`` is the same object.
+``operate`` refuses an instance of another shape with ``ShapeMismatch``; it
+and every module-level function that takes an instance refuse what is no
+``Instance``, ``BOT`` too.
 
 ``int.diffpair`` and ``rat.rns``, whose results are not canonical ((5, 2) +
 (1, 4) is (6, 6)), declare payload functions instead, rat.rns from ``ratio``,
@@ -49,7 +52,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedShape,
 )
-from .records import Record, check_str_digits, digits_int
+from .records import Record, check_str_digits, digits_int, reduced
 
 # The operations of each label; every shape of the label offers them.
 OPERATIONS = {"nat": ("add", "mul"), "int": ("add", "mul", "neg"), "rat": ("add", "mul", "neg", "div")}
@@ -323,41 +326,42 @@ class _DedekindNat(Shape):
         return inst.payload
 
 
-def _number_sets(*sets) -> list[int]:
-    """A number for each of sets, equal exactly for equal sets, without recursion.
-
-    Each distinct object under the sets is numbered bottom-up by the
-    frozenset of its elements' numbers, so two sets get one number exactly
-    when their elements do; an element that is no frozenset is numbered by
-    itself. ``==`` on nested frozensets recurses once per level, and takes
-    time exponential in k on two distinct von Neumann encodings of k.
+def _bottom_up(root, combine):
+    """combine(s, results) at root, for each distinct frozenset s under it
+    computed once, by id, bottom-up and without recursion: results iterates
+    over the results of s's elements, and combine reads it through before
+    it returns. An element x that is no frozenset gives combine(x, None).
 
     A depth-first walk enters a set only while some element of it has no
-    number yet, and then takes its elements smallest first: the elements
+    result yet, and then takes its elements smallest first: the elements
     of a von Neumann k are 0, ..., k - 1, so each of them finds its own
-    elements numbered, and the walk enters the root alone.
+    elements done, and the walk enters the root alone.
     """
-    numbers: dict[object, int] = {}
-    by_id: dict[int, int] = {}
-    for root in sets:
-        stack = [iter((root,))]
-        while stack:
-            for e in stack[-1]:
-                if id(e) in by_id:
-                    continue
-                if type(e) is not frozenset:
-                    by_id[id(e)] = numbers.setdefault((e,), len(numbers))
-                    continue
-                try:
-                    key = frozenset(map(by_id.__getitem__, map(id, e)))
-                except KeyError:  # an element without a number: enter e, then meet it again
-                    stack.append(iter((e,)))
-                    stack.append(iter(sorted(e, key=lambda x: len(x) if type(x) is frozenset else -1)))
-                    break
-                by_id[id(e)] = numbers.setdefault(key, len(numbers))
-            else:
-                stack.pop()
-    return [by_id[id(s)] for s in sets]
+    done: dict[int, object] = {}
+    stack = [iter((root,))]
+    while stack:
+        for e in stack[-1]:
+            if id(e) in done:
+                continue
+            if type(e) is not frozenset:
+                done[id(e)] = combine(e, None)
+                continue
+            try:
+                done[id(e)] = combine(e, map(done.__getitem__, map(id, e)))
+            except KeyError:  # an element without a result: enter e, then meet it again
+                stack.append(iter((e,)))
+                stack.append(iter(sorted(e, key=lambda x: len(x) if type(x) is frozenset else -1)))
+                break
+        else:
+            stack.pop()
+    return done[id(root)]
+
+
+def _von_neumann(s, elements) -> int:
+    """The natural s is, given its elements' (see _VonNeumannNat.validate)."""
+    if elements is None or max(elements, default=-1) >= len(s):
+        raise UnsupportedShape("not a von Neumann natural")
+    return len(s)
 
 
 class _SetNat(Shape):
@@ -369,8 +373,17 @@ class _SetNat(Shape):
     cap = SET_NAT_CAP
 
     def instance_eq(self, i, j):
-        first, second = _number_sets(i.payload, j.payload)
-        return first == second
+        # Each distinct set is numbered by the frozenset of its elements'
+        # numbers, any other element by itself: two sets get one number
+        # exactly when their elements do. ``==`` on nested frozensets recurses
+        # once per level, and takes time exponential in k on two distinct von
+        # Neumann encodings of k.
+        numbers: dict[object, int] = {}
+
+        def number(x, elements):
+            return numbers.setdefault((x,) if elements is None else frozenset(elements), len(numbers))
+
+        return _bottom_up(i.payload, number) == _bottom_up(j.payload, number)
 
     def _check_cap(self, k):
         if k > self.cap:
@@ -441,25 +454,11 @@ class _VonNeumannNat(_SetNat):
     def validate(self, payload):
         # A set of size k is k when its elements are naturals below k: being
         # distinct, they are then 0, ..., k - 1. So each distinct set under the
-        # payload is checked once, by id and smallest first, and no canonical k
-        # is built.
+        # payload is checked once, and no canonical k is built.
         if not isinstance(payload, frozenset):
             raise UnsupportedShape("von Neumann payload must be a frozenset")
         self._check_cap(len(payload))
-        numbers: dict[int, int] = {}  # id of a checked set -> its natural
-        stack = [payload]
-        while stack:
-            s = stack.pop()
-            if id(s) in numbers:
-                continue
-            try:
-                if max(map(numbers.__getitem__, map(id, s)), default=-1) >= len(s):
-                    raise UnsupportedShape("not a von Neumann natural")
-                numbers[id(s)] = len(s)
-            except KeyError:  # an element not checked yet: check the elements first, then s again
-                if not {frozenset}.issuperset(map(type, s)):
-                    raise UnsupportedShape("not a von Neumann natural") from None
-                stack += [s, *sorted(s, key=len, reverse=True)]
+        _bottom_up(payload, _von_neumann)
 
     def decode(self, inst):
         return len(inst.payload)
@@ -586,18 +585,6 @@ def _coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
         yield from zip(itertools.compress(numerators, _coprime_to(b, bound)), itertools.repeat(b))
 
 
-def _reduced(pair: tuple[int, int]) -> Optional[tuple[int, int]]:
-    """The pair (a, b) as the (numerator, denominator) of a/b in lowest
-    terms, the sign on the numerator; None when b is 0."""
-    a, b = pair
-    if b == 0:
-        return None
-    g = math.gcd(a, b)
-    if b < 0:
-        g = -g
-    return a // g, b // g
-
-
 class _RatPair(_PairShape):
     """Integer pairs (a, b) standing for a/b; every (a, 0) is in the bottom class."""
 
@@ -611,7 +598,7 @@ class _RatPair(_PairShape):
         a, b = inst.payload
         return None if b == 0 else Fraction(a, b)
 
-    label_key = staticmethod(_reduced)
+    label_key = staticmethod(reduced)
 
 
 class _PairClassRat(_RatPair):
@@ -628,7 +615,7 @@ class _PairClassRat(_RatPair):
 
     def _admits(self, a, b):
         # Every (a, 0) is in the bottom class, whose representative is (0, 0).
-        return (a, b) == (0, 0) or (b > 0 and math.gcd(a, b) == 1)
+        return (a, b) == (0, 0) or reduced((a, b)) == (a, b)
 
     def bounded_payloads(self, bound):
         yield (0, 0)
@@ -663,7 +650,7 @@ class _SimplifiedFractermRat(Shape):
         return Fraction(t.left.value, t.right.value)
 
     def label_key(self, payload):
-        return _reduced((payload.left.value, payload.right.value))
+        return reduced((payload.left.value, payload.right.value))
 
     def bounded_payloads(self, bound):
         # The pairs of _coprime_pairs, in its order, over one literal per
@@ -725,6 +712,8 @@ SHAPE_IDS = tuple(_SHAPES)
 
 
 def get_shape(shape_id: str) -> Shape:
+    if type(shape_id) is not str:
+        raise UnsupportedOperation(f"{reprlib.repr(shape_id)} is no shape id")
     if shape_id in _SHAPES:
         return _SHAPES[shape_id]
     head = shape_id.split(".", 1)[0]
@@ -794,6 +783,8 @@ def normality_report(shape_id: str, bound: int) -> NormalityReport:
     collision a second walk fetches that payload, and only the two witness
     candidates become instances.
     """
+    if type(bound) is not int:
+        raise UnsupportedOperation(f"{reprlib.repr(bound)} is no int bound")
     if bound < 1:
         raise UnsupportedOperation("bound must be at least 1")
     if bound > NORMALITY_BOUND:

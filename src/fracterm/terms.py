@@ -29,13 +29,12 @@ digits.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from enum import Enum
 from typing import Callable, Optional, TypeVar
 
 from .errors import NotAFracterm, ParseError, UnsupportedOperation
-from .records import Record, check_str_digits, digits_int
+from .records import Record, check_str_digits, digits_int, reduced
 
 FORMATS = ("inline", "colon", "frac")
 
@@ -78,7 +77,8 @@ class Term(Record):
     tree holds a division (``has_div``), a variable (``has_var``) or a
     decorated division (``decorated``). A leaf hashes its text; a composite
     node's hash is set at its first ``hash()``, with each unhashed one below
-    it. ``==``, ``hash`` and ``repr`` keep their own stacks; none recurses.
+    it, by one ``fold``. ``==`` and ``repr`` keep their own stacks; none of
+    the three recurses.
     """
 
     __slots__ = ("_facts", "_hash", "_memo")
@@ -113,17 +113,7 @@ class Term(Record):
         return True
 
     def __hash__(self):
-        todo = [] if hasattr(self, "_hash") else [self]
-        while todo:
-            node = todo.pop()
-            if node is _DONE:
-                node = todo.pop()
-                cls = type(node)
-                key = (Neg, node.operand._hash) if cls is Neg else (cls, node.left._hash, node.right._hash)
-                _set_hash(node, hash((*key, node.decoration) if cls is Div else key))
-            elif not hasattr(node, "_hash"):
-                todo += (node, _DONE, node.operand) if type(node) is Neg else (node, _DONE, node.right, node.left)
-        return self._hash
+        return self._hash if hasattr(self, "_hash") else fold(self, _hash_node)
 
     def __repr__(self):
         return format_term(self)
@@ -148,7 +138,7 @@ class Lit(Term):
         if type(digits) is not str:
             raise UnsupportedOperation(f"{digits!r:.80} is no str")
         if not _LIT_RE.fullmatch(digits):
-            raise ValueError(f"bad literal digits: {digits!r}")
+            raise ParseError(f"bad literal digits: {digits!r}")
         _fill_lit(self, digits)
 
     @property
@@ -174,7 +164,7 @@ class Var(Term):
         if type(name) is not str:
             raise UnsupportedOperation(f"{name!r:.80} is no str")
         if not _VAR_RE.fullmatch(name) or name in RESERVED_WORDS:
-            raise ValueError(f"bad variable name: {name!r}")
+            raise ParseError(f"bad variable name: {name!r}")
         _set_name(self, name)
         _set_hash(self, hash(name))
 
@@ -219,7 +209,7 @@ class Div(_Binary):
 
     def __init__(self, left: Term, right: Term, decoration: Optional[str] = None):
         if decoration not in (None, "ft", "fv"):
-            raise ValueError(f"bad decoration: {decoration!r}")
+            raise ParseError(f"bad decoration: {decoration!r}")
         try:
             _set_facts(self, (left._facts | right._facts) & _INHERITED | (_DIV | _DECORATED if decoration else _DIV))
         except AttributeError:
@@ -268,9 +258,17 @@ def _leaf(cls: type, text: str) -> Term:
     return leaf
 
 
+def check_term(t) -> None:
+    """Refuse what is no term with UnsupportedOperation."""
+    if not isinstance(t, Term):
+        raise UnsupportedOperation(f"{t!r:.80} is no term")
+
+
 def value_memo(t: Term) -> dict:
     """The dict in which evaluation keeps its results for t, made on first use.
-    It is no field: ``==``, ``hash``, ``repr`` and pickling ignore it."""
+    It is no field: ``==``, ``hash``, ``repr`` and pickling ignore it. What is
+    no term is refused."""
+    check_term(t)
     if not hasattr(t, "_memo"):
         _set_memo(t, {})
     return t._memo
@@ -349,6 +347,8 @@ def _error(text: str, lexer: tuple, index: int = 0, message: str = "") -> ParseE
 
 def parse_term(text: str, fmt: str = "inline") -> Term:
     """Parse term text in the given format (inline, colon, or frac)."""
+    if type(text) is not str:
+        raise UnsupportedOperation(f"{text!r:.80} is no str")
     _check_format(fmt)
     pattern, reserved, openers, binary = lexer = _lexer(fmt)
     tokens = pattern.findall(text)
@@ -441,6 +441,7 @@ _SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
 
 def format_term(t: Term, fmt: str = "inline") -> str:
     """Render a term so that parse_term(format_term(t, f), f) == t."""
+    check_term(t)
     _check_format(fmt)
     return _fmt(t, fmt)
 
@@ -512,7 +513,7 @@ def _pieces(node: Term, fmt: str) -> tuple:
 # Traversal
 
 R = TypeVar("R")
-_DONE = object()  # on a walk's stack (fold, hash), above a node whose children are listed
+_DONE = object()  # on fold's stack, above a node whose children are listed
 
 
 def fold(t: Term, alg: Callable[..., R]) -> R:
@@ -590,6 +591,14 @@ def fold(t: Term, alg: Callable[..., R]) -> R:
     return results[0]
 
 
+def _hash_node(node: Term, *kids: int) -> int:
+    """The hash of node, given its children's; set on a composite node at the first call."""
+    if not hasattr(node, "_hash"):
+        key = (type(node), *kids, node.decoration) if type(node) is Div else (type(node), *kids)
+        _set_hash(node, hash(key))
+    return node._hash
+
+
 # Kept by name: the benchmark's tracer rebinds terms.contains_div and rewrite.contains_div.
 def contains_div(t: Term) -> bool:
     return t.has_div
@@ -597,6 +606,7 @@ def contains_div(t: Term) -> bool:
 
 def erase_decorations(t: Term) -> Term:
     """t with every division decoration dropped; t itself if it has none."""
+    check_term(t)
     return fold(t, _erase) if t.decorated else t
 
 
@@ -622,12 +632,8 @@ def is_fracterm(t: Term) -> bool:
     return isinstance(t, Div)
 
 
-def _canonical_numeral(l: Lit) -> bool:
-    # Rules out redundant forms such as "007" and "-0".
-    return l.digits == str(l.value)
-
-
 def classify(t: Term) -> TaxonomyFlags:
+    check_term(t)
     fracterm = isinstance(t, Div)
     closed = not t.has_var
     flat = fracterm and not (t.left.has_div or t.right.has_div)
@@ -638,12 +644,8 @@ def classify(t: Term) -> TaxonomyFlags:
     if simple:
         n, d = t.left.value, t.right.value
         safe = d != 0
-        simplified = (
-            d > 0
-            and math.gcd(abs(n), d) == 1
-            and _canonical_numeral(t.left)
-            and _canonical_numeral(t.right)
-        )
+        # Canonical numerals only: no redundant forms such as "007" and "-0".
+        simplified = reduced((n, d)) == (n, d) and t.left.digits == str(n) and t.right.digits == str(d)
         proper = abs(n) < abs(d)
     return TaxonomyFlags(
         is_fracterm=fracterm,
@@ -697,4 +699,5 @@ def _desugar(node: Term, *kids: Term) -> Term:
 
 def desugar_literals(t: Term) -> Term:
     """Replace every numeral other than 0 and 1 by its 0/1 expansion."""
+    check_term(t)
     return fold(t, _desugar)

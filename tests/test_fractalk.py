@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import random
@@ -676,6 +677,50 @@ def test_fraction_word_without_definition_defaults_by_role():
 def test_definitional_scope_only_affects_marked_occurrences():
     verdict = script_verdict("1: def: fraction is number\n2: denom(2/6) = 6")
     assert verdict.overall == "sound"  # unmarked occurrence keeps the term reading
+
+
+def test_a_fracterm_is_rational_under_the_term_shaped_numbers():
+    # A simplified simple fracterm is one of rat.ssft's numbers, and none of rat.pcs's.
+    assert script_verdict("@shape rat.ssft\n1: 2/ft3 is rational").overall == "sound"
+    assert script_verdict("1: 2/ft3 is not rational").overall == "sound"
+    assert script_verdict("1: 2/ft3 is rational").overall == "paradox-blocked"
+
+
+# The numerator claims of sequence A's paradox: each text with its numerator.
+NUMERATORS = {"1/2": 1, "(1)/2": 1, "2/4": 2, "2/(4)": 2}
+NUMERATOR_DIRECTIVES = ((), ((4, "ft"),), ((1, "fs"), (2, "fs"), (4, "fs")), ((1, "fv"), (2, "fv"), (4, "fv")))
+
+
+def _decorated(text, tag):
+    head, tail = text.split("/")
+    return f"{head}/{tag}{tail}"
+
+
+def test_no_script_concludes_two_distinct_numerators_equal():
+    # The thesis on a bounded grid: however the occurrences are decorated,
+    # tagged or directed, and whatever reading uniqueness is claimed for,
+    # "conclude a = b" with a != b is never valid. A decoration that a
+    # directive contradicts is a LevelConflict, and such scripts are counted.
+    checked = conflicts = 0
+    for (x, a), (y, b) in itertools.permutations(NUMERATORS.items(), 2):
+        if a == b:
+            continue
+        for shape, dx, dy, tag, word, directives in itertools.product(
+            ("", "@shape rat.ssft"), ("", "ft", "fv"), ("", "ft", "fv"), ("", " @ft", " @fv", " @fs"),
+            ("fraxion", "fracterm", "fracvalue", "fracsign"), NUMERATOR_DIRECTIVES,
+        ):
+            left, right = _decorated(x, dx), _decorated(y, dy)
+            lines = [shape, f"1: num({left}) = {a}", f"2: num({right}) = {b}",
+                     f"3: {word}s have a unique numerator", f"4: {left} == {right}{tag}", f"5: conclude {a} = {b}"]
+            lines += [f"{6 + i}: level({k}) = {level}" for i, (k, level) in enumerate(directives)]
+            try:
+                verdict = script_verdict("\n".join(lines))
+            except LevelConflict:
+                conflicts += 1
+                continue
+            checked += 1
+            assert not verdict.step(5).valid, lines
+    assert (checked, conflicts) == (4608, 4608)
 
 
 def test_verdict_json_shape():

@@ -292,3 +292,33 @@ def test_binary_nodes_keep_their_own_init():
         assert node.has_var and node.has_div and not node.decorated
         assert hash(node) == hash((cls, hash(x), hash(parse_term("1/2"))))
         assert node == cls(parse_term("x"), parse_term("1/2")) and node != cls(x, x)
+
+
+# ---------------------------------------------------------------------------
+# Lowest terms: records.reduced is the one reduction of an integer pair.
+
+
+@pytest.mark.parametrize("pair,expected", [
+    ((2, 4), (1, 2)), ((-2, 4), (-1, 2)), ((2, -4), (-1, 2)), ((-2, -4), (1, 2)),
+    ((0, 5), (0, 1)), ((0, -5), (0, 1)), ((7, 1), (7, 1)), ((7, -1), (-7, 1)), ((6, 3), (2, 1)),
+    ((3, 0), None), ((-3, 0), None), ((0, 0), None), ((10**40, 10**20), (10**20, 1)),
+], ids=str)
+def test_reduced(pair, expected):
+    assert records.reduced(pair) == expected
+
+
+def test_classify_simplify_and_label_keys_agree_with_reduced():
+    # On the grid a, b in [-12, 12]: a/b is simplified exactly when it is its
+    # own reduction, simplify prints the reduction (+-1/0 or 0/0 without one),
+    # and each rat shape keys a/b by it.
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            t = parse_term(f"{a}/{b}")
+            lowest = records.reduced((a, b))
+            assert classify(t).simplified == (lowest == (a, b))
+            n, d = lowest or (ratio.sign(a), 0)
+            assert terms.format_term(rewrite.simplify(t)) == f"{n}/{d}"
+            for shape_id in ("rat.pcs", "rat.rns"):
+                assert shapes.get_shape(shape_id).label_key((a, b)) == lowest
+            if b:
+                assert shapes.get_shape("rat.ssft").label_key(t) == lowest

@@ -185,6 +185,40 @@ def test_set_nat_instance_eq_without_recursion():
     assert get_shape("nat.vn").make(vn.payload) is not vn
 
 
+def _random_set(rng, depth):
+    """A random nested frozenset, at most depth deep and 3 wide, some elements ints."""
+    elements = [rng.randrange(3) if depth == 0 or rng.random() < 0.2 else _random_set(rng, depth - 1)
+                for _ in range(rng.randrange(4))]
+    return frozenset(elements)
+
+
+def _rebuilt_apart(s):
+    """An equal set that shares no set object with s."""
+    return frozenset(_rebuilt_apart(e) if type(e) is frozenset else e for e in s)
+
+
+def test_set_nat_walks_agree_with_frozenset_equality():
+    # instance_eq numbers the sets with one walk, and the nat.vn check is the
+    # same walk: on small random sets, the first is ==, and each validator
+    # accepts exactly its shape's encodings.
+    rng = random.Random(40)
+    vn, zermelo = get_shape("nat.vn"), get_shape("nat.zermelo")
+    encodings = {shape: [shape.encode(k).payload for k in range(6)] for shape in (vn, zermelo)}
+    pool = [_random_set(rng, rng.randrange(5)) for _ in range(300)] + [p for ps in encodings.values() for p in ps]
+    for x in pool:
+        for shape, encoded in encodings.items():
+            try:
+                shape.validate(x)
+                accepted = True
+            except UnsupportedShape:
+                accepted = False
+            assert accepted == (x in encoded), (shape.shape_id, x)
+    for _ in range(3000):
+        x, y = rng.choice(pool), rng.choice(pool)
+        assert instance_eq(Instance("nat.vn", x), Instance("nat.vn", y)) == (x == y)
+        assert instance_eq(Instance("nat.zermelo", x), Instance("nat.zermelo", _rebuilt_apart(x)))
+
+
 def test_set_nat_instances_compare_by_instance_eq():
     # Record equality of instances is the shape's instance equality, so two
     # separately built deep values compare without frozenset ==.

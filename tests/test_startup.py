@@ -7,6 +7,7 @@ imports only the submodules its handler uses.
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import fracterm
+from fracterm.errors import FractermError, UnsupportedOperation
 
 # The names ``fracterm`` re-exports, by the submodule defining them.
 EXPORTS = {
@@ -158,3 +160,59 @@ def test_every_export_is_reached_outside_the_unit_tests():
     paths = [*SRC.glob("*.py"), *repo.glob("scripts/*.py"), *repo.glob("perfbench/*.py"), repo / "tests/test_acceptance.py"]
     reached = set().union(*(names_reached(path) for path in paths if path != SRC / "__init__.py"))
     assert {name for name in fracterm.__all__ if name not in reached} == set(KEPT_FOR_TESTS)
+
+
+def _valid_arguments():
+    """Arguments that each exported function takes, by name."""
+    t = fracterm.parse_term("1/2")
+    inst = fracterm.encode(1, "nat.dec")
+    value = fracterm.eval_term(t)
+    script = fracterm.parse_script("1: 2/3 is rational")
+    return {
+        "check": (script,), "infer_levels": (script,), "parse_script": ("1: 2/3 is rational",),
+        "rn_eval": (t,), "add_family": (t, fracterm.parse_term("1/3"), "cross"), "add_family_all": (t, t),
+        "flatten": (t,), "simple_fracterm_eq": (t, t), "simplify": (t,), "eval_term": (t,),
+        "value_eq": (value, value), "value_num": (value,), "convert": (inst, "nat.sdn"), "decode": (inst,),
+        "encode": (1, "nat.dec"), "get_shape": ("nat.dec",), "instance_eq": (inst, inst),
+        "label_eq": (inst, inst), "normality_report": ("rat.pcs", 10), "classify": (t,), "denom": (t,),
+        "desugar_literals": (t,), "erase_decorations": (t,), "format_term": (t,), "is_fracterm": (t,),
+        "num": (t,), "parse_term": ("1/2",),
+    }
+
+
+# Every exported function but the operations on RatioNumbers, rn_eval aside:
+# those read the pairs' fields unchecked.
+SWEPT = [
+    name for name in fracterm.__all__
+    if inspect.isfunction(getattr(fracterm, name)) and (name[:3] != "rn_" or name == "rn_eval")
+]
+
+
+def test_the_sweep_covers_every_exported_function_but_the_rn_operations():
+    assert sorted(SWEPT) == sorted(_valid_arguments())
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_an_exported_function_ends_in_a_result_or_a_fracterm_error(name):
+    # Each required argument in turn is replaced by a number, a text and None:
+    # the call returns, or refuses with a FractermError, never a bare TypeError
+    # or AttributeError from inside.
+    fn, arguments = getattr(fracterm, name), _valid_arguments()[name]
+    fn(*arguments)
+    for position in range(len(arguments)):
+        for wrong in (5, "1/2", None):
+            called = [*arguments[:position], wrong, *arguments[position + 1:]]
+            try:
+                fn(*called)
+            except FractermError:
+                pass
+
+
+@pytest.mark.parametrize("name,wrong", [
+    ("parse_term", 5), ("parse_script", None), ("format_term", "1/2"), ("classify", "1/2"), ("flatten", "1/2"),
+    ("simplify", None), ("erase_decorations", "1/2"), ("desugar_literals", 5), ("eval_term", "1/2"),
+    ("rn_eval", None), ("check", "1/2"), ("infer_levels", 5), ("get_shape", None),
+])
+def test_a_wrong_kind_of_argument_is_an_unsupported_operation(name, wrong):
+    with pytest.raises(UnsupportedOperation, match=r" is no (term|str|script|shape id)$"):
+        getattr(fracterm, name)(wrong)

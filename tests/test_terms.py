@@ -80,7 +80,7 @@ def test_parse_decorations():
     assert parse_term("1/fv2") == Div(Lit("1"), Lit("2"), "fv")
     assert parse_term("1:ft2", "colon") == Div(Lit("1"), Lit("2"), "ft")
     assert parse_term("frac_fv(1,2)", "frac") == Div(Lit("1"), Lit("2"), "fv")
-    with pytest.raises(ValueError, match="bad decoration: 'xx'"):
+    with pytest.raises(ParseError, match="bad decoration: 'xx'"):
         Div(Lit("1"), Lit("2"), "xx")
 
 
@@ -163,7 +163,7 @@ def test_leaves_refuse_a_trailing_newline(make, text):
     # and "5\n" would print as a literal that parses back to Lit("5").
     assert format_term(make(text)) == text
     for bad in (text + "\n", text + "\n\n", "\n" + text, text + " "):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             make(bad)
 
 
@@ -233,6 +233,19 @@ NO_TERMS = {
 def test_constructors_refuse_what_is_no_term(name):
     build, message = NO_TERMS[name]
     with pytest.raises(UnsupportedOperation) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Lit("x"), "bad literal digits: 'x'"),
+    (lambda: Lit("1.5"), "bad literal digits: '1.5'"),
+    (lambda: Var("1x"), "bad variable name: '1x'"),
+    (lambda: Var("ft"), "bad variable name: 'ft'"),
+    (lambda: Div(Lit("1"), Lit("2"), "xx"), "bad decoration: 'xx'"),
+], ids=["lit-letter", "lit-point", "var-digit-first", "var-reserved", "div-decoration"])
+def test_constructors_refuse_malformed_text_with_a_parse_error(build, message):
+    with pytest.raises(ParseError) as caught:
         build()
     assert str(caught.value) == message
 
@@ -463,6 +476,33 @@ def test_a_term_hashes_as_any_equal_term_however_made(t):
         flat = flatten(parse_term(text))[0]
         again = parse_term(format_term(flat))
         assert flat == again and hash(flat) == hash(again) == hash(flatten(t)[0])
+
+
+def _chain(depth):
+    t, seven = Div(Lit("1"), Lit("2"), "ft"), Lit("7")
+    for i in range(depth):
+        t = Neg(t) if i % 2 else Sub(seven, t)
+    return t
+
+
+def _doubled(times):
+    """A DAG of times + 1 distinct nodes and 2**times paths from its root."""
+    t = Var("x")
+    for i in range(times):
+        t = Div(t, t, "fv") if i % 2 else Add(t, t)
+    return t
+
+
+def test_equal_terms_built_apart_hash_alike_at_any_depth_or_sharing():
+    # Hashing is one fold: 10^5 nested nodes or 2^40 paths cost neither
+    # recursion nor a walk per path. (Only the chains are compared by ==,
+    # which walks every path of two DAGs built apart.)
+    for build, size in ((_chain, 10**5), (_doubled, 40)):
+        first, second = build(size), build(size)
+        assert first is not second and hash(first) == hash(second)
+        if build is _chain:
+            assert first == second
+    assert hash(_doubled(40)) != hash(_doubled(39)) != hash(_chain(39))
 
 
 @given(term_strategy(), st.randoms(use_true_random=False))
