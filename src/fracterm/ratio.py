@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .errors import OpenTerm
+from .errors import OpenTerm, UnsupportedOperation
 from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, value_memo
 
 
@@ -39,21 +39,32 @@ def sign(p: int) -> int:
     return 1 if p > 0 else -1 if p < 0 else 0
 
 
+def _check_rn(*args) -> None:
+    """Refuse what is no RatioNumber with UnsupportedOperation."""
+    for x in args:
+        if not isinstance(x, RatioNumber):
+            raise UnsupportedOperation(f"{x!r:.80} is no RatioNumber")
+
+
 def rn_neg(x: RatioNumber) -> RatioNumber:
+    _check_rn(x)
     return RatioNumber(-x.a, x.b)
 
 
 def rn_mul(x: RatioNumber, y: RatioNumber) -> RatioNumber:
+    _check_rn(x, y)
     return RatioNumber(x.a * y.a, x.b * y.b)
 
 
 def rn_add(x: RatioNumber, y: RatioNumber, verbatim: bool = False) -> RatioNumber:
+    _check_rn(x, y)
     if verbatim:
         return RatioNumber(x.a * y.a + x.b * y.b, x.b * y.b)
     return RatioNumber(x.a * y.b + x.b * y.a, x.b * y.b)
 
 
 def rn_inv(x: RatioNumber) -> RatioNumber:
+    _check_rn(x)
     # sign(b) squared is 0 exactly when b is 0, killing the new denominator.
     return RatioNumber(x.b, x.a * sign(x.b) ** 2)
 
@@ -63,18 +74,22 @@ def rn_div(x: RatioNumber, y: RatioNumber) -> RatioNumber:
 
 
 def rn_num(x: RatioNumber) -> RatioNumber:
+    _check_rn(x)
     return RatioNumber(x.a, 1)
 
 
 def rn_denom(x: RatioNumber) -> RatioNumber:
+    _check_rn(x)
     return RatioNumber(x.b, 1)
 
 
 def rn_instance_eq(x: RatioNumber, y: RatioNumber) -> bool:
+    _check_rn(x, y)
     return x.a == y.a and x.b == y.b
 
 
 def rn_label_eq(x: RatioNumber, y: RatioNumber) -> bool:
+    _check_rn(x, y)
     return (x.b == 0 and y.b == 0) or (
         x.b != 0 and y.b != 0 and x.a * y.b == x.b * y.a
     )
@@ -108,7 +123,7 @@ def _pair_algebra(reduce: bool, verbatim: bool, at_zero: str):
     def ev(node: Term, x=None, y=None) -> tuple[int, int]:
         cls = type(node)
         if cls is Lit:
-            return (node.value, 1)
+            return (node.value if node._int is None else node._int, 1)  # value reads a long literal's digits
         if cls is Var:
             raise OpenTerm(f"cannot evaluate variable {node.name!r}")
         a, b = x
@@ -128,7 +143,7 @@ def _pair_algebra(reduce: bool, verbatim: bool, at_zero: str):
             raise _ZeroDivisor(node)
         else:
             return (0, 1)
-        if not reduce:
+        if not reduce or m == 1:  # gcd(n, 1) is 1
             return (n, m)
         g = gcd(n, m)
         return (n // g, m // g)

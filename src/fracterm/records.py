@@ -109,11 +109,15 @@ def _too_many_digits() -> CapacityError:
 
 
 def fits_str_digits(n: int) -> bool:
-    """Whether Python can write n as a decimal string."""
-    limit = _str_digit_limit()
+    """Whether Python can write n as a decimal string: always, without the
+    limit being read, for n of at most 1,920 bits, as no nonzero limit is
+    below 640 digits."""
     # 2^(3 limit) < 10^limit: only a number longer than 3 limit bits can
     # have more than limit digits, and only such a number pays for the
     # exact comparison.
+    if n.bit_length() <= 3 * 640:
+        return True
+    limit = _str_digit_limit()
     return not (limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit)
 
 

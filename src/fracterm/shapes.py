@@ -30,8 +30,8 @@ and every module-level function that takes an instance refuse what is no
 
 ``int.diffpair`` and ``rat.rns``, whose results are not canonical ((5, 2) +
 (1, 4) is (6, 6)), declare payload functions instead, rat.rns from ``ratio``,
-imported at the call as rat.ssft imports ``terms``: no other shape loads
-either. Evaluation uses none of these operations: ``semantics.eval_term``
+imported at the call, as rat.ssft imports ``terms`` at its first use: no
+other shape loads either. Evaluation uses none of these operations: ``semantics.eval_term``
 folds a term in exact integer pairs and encodes its value once, at the root.
 """
 
@@ -622,6 +622,16 @@ class _PairClassRat(_RatPair):
         yield from _coprime_pairs(bound)
 
 
+_terms = None  # the terms module, imported at rat.ssft's first use: no other shape loads it
+
+
+def _term_layer():
+    global _terms
+    if _terms is None:
+        from . import terms as _terms
+    return _terms
+
+
 class _SimplifiedFractermRat(Shape):
     """Rationals presented as their simplified simple fracterms.
 
@@ -634,16 +644,16 @@ class _SimplifiedFractermRat(Shape):
     normal = True
 
     def validate(self, payload):
-        from .terms import Div, classify
-        if not (isinstance(payload, Div) and classify(payload).simplified and not payload.decorated):
+        terms = _term_layer()
+        if not (isinstance(payload, terms.Div) and terms.classify(payload).simplified and not payload.decorated):
             raise UnsupportedShape(f"not a simplified simple fracterm: {payload!r}")
 
     def encode(self, value):
         pair = _rat_pair(value, self.shape_id)
         if pair is None:
             raise UnsupportedOperation(f"{self.shape_id} has no bottom-class instance")
-        from .terms import Div, numeral
-        return Instance(self.shape_id, Div(numeral(pair[0]), numeral(pair[1])))
+        terms = _term_layer()
+        return Instance(self.shape_id, terms.Div(terms.numeral(pair[0]), terms.numeral(pair[1])))
 
     def decode(self, inst):
         t = inst.payload
@@ -655,10 +665,10 @@ class _SimplifiedFractermRat(Shape):
     def bounded_payloads(self, bound):
         # The pairs of _coprime_pairs, in its order, over one literal per
         # integer, shared by every payload that holds it.
-        from .terms import Div, numeral
-        lits = [numeral(k) for k in range(-bound, bound + 1)]
+        terms = _term_layer()
+        lits = [terms.numeral(k) for k in range(-bound, bound + 1)]
         for b in range(1, bound + 1):
-            yield from map(Div, itertools.compress(lits, _coprime_to(b, bound)), itertools.repeat(lits[bound + b]))
+            yield from map(terms.Div, itertools.compress(lits, _coprime_to(b, bound)), itertools.repeat(lits[bound + b]))
 
     def payload_to_json(self, payload):
         return repr(payload)  # a term's repr is its inline text
@@ -666,8 +676,7 @@ class _SimplifiedFractermRat(Shape):
     def payload_from_json(self, data):
         if not isinstance(data, str):
             raise UnsupportedShape("rat.ssft payload must be a term string such as \"2/3\"")
-        from .terms import parse_term
-        return parse_term(data)
+        return _term_layer().parse_term(data)
 
 
 def _on_pairs(rn_op: str):

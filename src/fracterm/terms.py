@@ -90,6 +90,10 @@ class Term(Record):
         """Structural equality, decorations included."""
         # A hashed node's children are hashed: so are both trees, if both roots.
         hashed = hasattr(self, "_hash") and hasattr(other, "_hash")
+        # The pairs of composite nodes met, each compared once, so shared
+        # subterms cost one visit, not one per path; a parsed root meets
+        # each of its nodes once, so then no pair repeats and none is kept.
+        met = None if (self._facts | getattr(other, "_facts", 0)) & _TREE else set()
         todo = [(self, other)]
         while todo:
             x, y = todo.pop()
@@ -104,12 +108,17 @@ class Term(Record):
             elif cls is Var:
                 if x.name != y.name:
                     return False
-            elif cls is Neg:
-                todo.append((x.operand, y.operand))
+            elif met is not None and (pair := (id(x), id(y))) in met:
+                continue
             else:
-                if cls is Div and x.decoration != y.decoration:
-                    return False
-                todo += ((x.right, y.right), (x.left, y.left))
+                if met is not None:
+                    met.add(pair)
+                if cls is Neg:
+                    todo.append((x.operand, y.operand))
+                else:
+                    if cls is Div and x.decoration != y.decoration:
+                        return False
+                    todo += ((x.right, y.right), (x.left, y.left))
         return True
 
     def __hash__(self):
@@ -133,6 +142,7 @@ class Lit(Term):
 
     __slots__ = ("digits", "_int")
     _facts = 0  # a leaf's facts are a constant of its class, which shadows the slot
+    _prec = 4
 
     def __init__(self, digits: str):
         if type(digits) is not str:
@@ -159,6 +169,7 @@ def numeral(n: int) -> Lit:
 class Var(Term):
     __slots__ = ("name",)
     _facts = _VAR
+    _prec = 4
 
     def __init__(self, name: str):
         if type(name) is not str:
@@ -171,6 +182,7 @@ class Var(Term):
 
 class Neg(Term):
     __slots__ = ("operand",)
+    _prec = 3
 
     def __init__(self, operand: Term):
         try:
@@ -194,18 +206,22 @@ class _Binary(Term):
 
 class Add(_Binary):
     __slots__ = ()
+    _prec = 1
 
 
 class Sub(_Binary):
     __slots__ = ()
+    _prec = 1
 
 
 class Mul(_Binary):
     __slots__ = ()
+    _prec = 2
 
 
 class Div(_Binary):
     __slots__ = ("decoration",)  # None | "ft" | "fv"
+    _prec = 2
 
     def __init__(self, left: Term, right: Term, decoration: Optional[str] = None):
         if decoration not in (None, "ft", "fv"):
@@ -276,13 +292,13 @@ def value_memo(t: Term) -> dict:
 
 # --------------------------------------------------------------------------
 # Lexer: one pattern per format cuts a text into token strings and skips
-# whitespace (``\s`` is str.isspace): a number with its glued "-", a word, a
-# division sign with its tag (a glued "ft"/"fv" is always a decoration: the
-# printer parenthesizes denominators that would collide), the frac keyword
-# with its tag, or any other character alone. Digits and letters are ASCII
-# only, as Lit and Var require. A reserved word, or a lone character that is
-# no operator, is a lexical error; the first one in the text is reported
-# before any syntax error. Token positions are found again only for an error.
+# whitespace (``\s`` is str.isspace): one of "(),+*", tried first, a number
+# with its glued "-", a word, a division sign with its tag (a glued "ft"/"fv"
+# is always a decoration: the printer parenthesizes denominators that would
+# collide), the frac keyword with its tag, or any other character alone.
+# Digits and letters are ASCII only, as Lit and Var require. A reserved word
+# or a lone character that is no operator is a lexical error, the first one
+# reported before any syntax error; token positions are found for errors only.
 
 _DIGITS = frozenset("0123456789")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -305,11 +321,14 @@ _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 # or frac denominator, and "," a frac numerator, whose decoration its
 # division takes. After an operand, a token that is no binary operator must
 # close the innermost frame; otherwise the error names what that frame
-# expected, at that token.
+# expected, at that token. Precedences are the classes' ``_prec``. A token
+# in factor position is looked up in the process leaf table first, which
+# holds most, then in the openers, then in this parse's longer leaves.
 
-_NEG = (3, Neg, None)
-_SUB = (1, Sub, None)
+_NEG = (Neg._prec, Neg, None)
+_SUB = (Sub._prec, Sub, None)
 _GROUP = (0, ")", None)
+_CLOSE = (Sub._prec, None, None)  # what any token that is no binary operator reduces, as a "-" would
 
 
 @functools.cache
@@ -317,7 +336,7 @@ def _lexer(fmt: str) -> tuple[re.Pattern, frozenset[str], dict[str, tuple], dict
     """The lexer of fmt, a known format, built on first use: its pattern, its reserved words, the
     openers of factor position ("-", "(" and the frac keywords) and the binary operators."""
     openers = {"-": _NEG, "(": _GROUP}
-    binary = {"+": (1, Add, None), "-": _SUB, "*": (2, Mul, None)}
+    binary = {"+": (Add._prec, Add, None), "-": _SUB, "*": (Mul._prec, Mul, None)}
     if fmt == "frac":
         middle = "frac_f[tv]|[A-Za-z][A-Za-z0-9]*"
         reserved = RESERVED_WORDS - {"frac"}
@@ -326,8 +345,8 @@ def _lexer(fmt: str) -> tuple[re.Pattern, frozenset[str], dict[str, tuple], dict
         div = "/" if fmt == "inline" else ":"
         middle = rf"[A-Za-z][A-Za-z0-9]*|{div}(?:ft|fv)?"
         reserved = RESERVED_WORDS
-        binary.update({div: (2, Div, None), div + "ft": (2, Div, "ft"), div + "fv": (2, Div, "fv")})
-    return re.compile(rf"-?[0-9]+|{middle}|\S"), reserved, openers, binary
+        binary.update({div + tag: (Div._prec, Div, tag or None) for tag in ("", "ft", "fv")})
+    return re.compile(rf"[(),+*]|-?[0-9]+|{middle}|\S"), reserved, openers, binary
 
 
 def _error(text: str, lexer: tuple, index: int = 0, message: str = "") -> ParseError:
@@ -358,13 +377,13 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
     # No branch below accepts a stray character: it ends in _error, which reports it.
     operands: list[Term] = []
     ops: list[tuple] = [(0, "", None)]
-    atoms: dict[str, object] = dict(openers)  # the openers, then each leaf made in this parse
+    made: dict[str, Term] = {}  # the leaves made in this parse
     i = 0
     while True:
         # Factor position: prefix minus and openers, until one atom.
         token = tokens[i]
         i += 1
-        leaf = atoms.get(token) or _LEAVES.get(token)
+        leaf = _LEAVES.get(token) or openers.get(token) or made.get(token)
         if leaf is None:
             first = token[:1]
             if first in _LETTERS:
@@ -373,7 +392,7 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
                 leaf = _leaf(Lit, token)
             else:
                 raise _error(text, lexer, i - 1, "expected a factor")
-            atoms[token] = leaf
+            made[token] = leaf
         elif type(leaf) is tuple:
             if leaf[1] == ",":
                 if tokens[i] != "(":
@@ -387,9 +406,8 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
         while True:
             token = tokens[i]
             i += 1
-            op = binary.get(token)
-            # Any other token reduces all its frame holds, as a "-" would.
-            floor = 1 if op is None else op[0]
+            op = binary.get(token, _CLOSE)
+            floor = op[0]
             while ops[-1][0] >= floor:
                 _, cls, deco = ops.pop()
                 if cls is Neg:
@@ -397,7 +415,7 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
                 else:
                     right = operands.pop()
                     operands[-1] = cls(operands[-1], right, deco) if deco else cls(operands[-1], right)
-            if op is not None:
+            if op is not _CLOSE:
                 ops.append(op)
                 break
             _, closer, deco = frame = ops.pop()
@@ -407,7 +425,7 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
                 if closer == ",":
                     # frac(a,b) is the factor (a) DIV (b): the division waits
                     # on the stack above the group that holds the denominator.
-                    ops += ((2, Div, deco), _GROUP)
+                    ops += ((Div._prec, Div, deco), _GROUP)
                     break
                 root = operands[0]
                 if type(root) is not Lit and type(root) is not Var:
@@ -435,7 +453,6 @@ def _check_format(fmt: str) -> None:
 # --------------------------------------------------------------------------
 # Printer
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Lit: 4, Var: 4}
 _SYMBOLS = {Add: "+", Sub: "-", Mul: "*"}
 
 
@@ -478,24 +495,24 @@ def _pieces(node: Term, fmt: str) -> tuple:
     """The pieces of a composite node's text in fmt, last first: strings, and
     each child once, with the parentheses it needs there.
 
-    This is where the printer's parenthesization is stated. The strings
-    depend on the node's class and decoration and on its children's, and
-    each pair of parentheses adds two pieces: so two nodes of one class and
-    decoration that differ in one child only have as many pieces exactly
-    when that child is parenthesized alike in both.
+    This is where the printer's parenthesization is stated, from each
+    class's ``_prec``. The strings depend on the node's class and decoration
+    and on its children's, and each pair of parentheses adds two pieces: so
+    two nodes of one class and decoration that differ in one child only have
+    as many pieces exactly when that child is parenthesized alike in both.
     """
     cls = type(node)
     if cls is Neg:
         # Parenthesize literal operands so "-(3)" cannot re-lex as "-3".
         inner = node.operand
-        return (")", inner, "-(") if type(inner) is Lit or _PREC[type(inner)] < 3 else (inner, "-")
+        return (")", inner, "-(") if type(inner) is Lit or inner._prec < node._prec else (inner, "-")
     if not isinstance(node, _Binary):
         raise TypeError(f"not a term: {node!r}")
     left, right = node.left, node.right
-    prec = _PREC[cls]
+    prec = node._prec
     if cls is not Div:
         sym = _SYMBOLS[cls]
-        wrap_right = _PREC[type(right)] <= prec
+        wrap_right = right._prec <= prec
     else:
         tag = node.decoration or ""
         if fmt == "frac":
@@ -503,8 +520,8 @@ def _pieces(node: Term, fmt: str) -> tuple:
         sym = ("/" if fmt == "inline" else ":") + tag
         # Only a bare variable can start an unparenthesized denominator
         # with letters, which would re-lex as a tag.
-        wrap_right = _PREC[type(right)] <= prec or (not tag and type(right) is Var and right.name[:2] in ("ft", "fv"))
-    if _PREC[type(left)] < prec:
+        wrap_right = right._prec <= prec or (not tag and type(right) is Var and right.name[:2] in ("ft", "fv"))
+    if left._prec < prec:
         return (")", right, "(", sym, ")", left, "(") if wrap_right else (right, sym, ")", left, "(")
     return (")", right, "(", sym, left) if wrap_right else (right, sym, left)
 

@@ -18,7 +18,7 @@ import pytest
 
 import fracterm
 from fracterm import fractalk, ratio, records, rewrite, semantics, shapes, terms
-from fracterm.errors import DanglingReference, UnsupportedOperation
+from fracterm.errors import CapacityError, DanglingReference, UnsupportedOperation
 from fracterm.records import Record
 from fracterm.terms import TaxonomyFlags, classify, parse_term
 
@@ -292,6 +292,25 @@ def test_binary_nodes_keep_their_own_init():
         assert node.has_var and node.has_div and not node.decorated
         assert hash(node) == hash((cls, hash(x), hash(parse_term("1/2"))))
         assert node == cls(parse_term("x"), parse_term("1/2")) and node != cls(x, x)
+
+
+# ---------------------------------------------------------------------------
+# The int/str digit limit
+
+
+def test_a_number_of_at_most_1920_bits_fits_the_lowest_digit_limit():
+    # 640 digits is the lowest nonzero limit Python takes; fits_str_digits
+    # answers without reading the limit up to 3 * 640 bits.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert records.fits_str_digits(2**1920 - 1) and records.fits_str_digits(-(2**1920 - 1))
+        assert records.fits_str_digits(10**640 - 1)
+        assert not records.fits_str_digits(10**640) and not records.fits_str_digits(-(10**640))
+        with pytest.raises(CapacityError):
+            terms.numeral(10**640)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # ---------------------------------------------------------------------------

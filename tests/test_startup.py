@@ -168,6 +168,7 @@ def _valid_arguments():
     inst = fracterm.encode(1, "nat.dec")
     value = fracterm.eval_term(t)
     script = fracterm.parse_script("1: 2/3 is rational")
+    rn = fracterm.RatioNumber(1, 2)
     return {
         "check": (script,), "infer_levels": (script,), "parse_script": ("1: 2/3 is rational",),
         "rn_eval": (t,), "add_family": (t, fracterm.parse_term("1/3"), "cross"), "add_family_all": (t, t),
@@ -177,18 +178,15 @@ def _valid_arguments():
         "label_eq": (inst, inst), "normality_report": ("rat.pcs", 10), "classify": (t,), "denom": (t,),
         "desugar_literals": (t,), "erase_decorations": (t,), "format_term": (t,), "is_fracterm": (t,),
         "num": (t,), "parse_term": ("1/2",),
+        **{name: (rn,) for name in ("rn_neg", "rn_inv", "rn_num", "rn_denom")},
+        **{name: (rn, rn) for name in ("rn_add", "rn_mul", "rn_div", "rn_instance_eq", "rn_label_eq")},
     }
 
 
-# Every exported function but the operations on RatioNumbers, rn_eval aside:
-# those read the pairs' fields unchecked.
-SWEPT = [
-    name for name in fracterm.__all__
-    if inspect.isfunction(getattr(fracterm, name)) and (name[:3] != "rn_" or name == "rn_eval")
-]
+SWEPT = [name for name in fracterm.__all__ if inspect.isfunction(getattr(fracterm, name))]
 
 
-def test_the_sweep_covers_every_exported_function_but_the_rn_operations():
+def test_the_sweep_covers_every_exported_function():
     assert sorted(SWEPT) == sorted(_valid_arguments())
 
 
@@ -212,7 +210,8 @@ def test_an_exported_function_ends_in_a_result_or_a_fracterm_error(name):
     ("parse_term", 5), ("parse_script", None), ("format_term", "1/2"), ("classify", "1/2"), ("flatten", "1/2"),
     ("simplify", None), ("erase_decorations", "1/2"), ("desugar_literals", 5), ("eval_term", "1/2"),
     ("rn_eval", None), ("check", "1/2"), ("infer_levels", 5), ("get_shape", None),
+    ("rn_neg", 5), ("rn_inv", "1/2"), ("rn_num", None), ("rn_denom", 5),
 ])
 def test_a_wrong_kind_of_argument_is_an_unsupported_operation(name, wrong):
-    with pytest.raises(UnsupportedOperation, match=r" is no (term|str|script|shape id)$"):
+    with pytest.raises(UnsupportedOperation, match=r" is no (term|str|script|shape id|RatioNumber)$"):
         getattr(fracterm, name)(wrong)

@@ -3,6 +3,8 @@ import copy
 import operator
 import pickle
 import random
+import re
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -155,6 +157,76 @@ def test_reserved_words_rejected():
     for word in sorted(RESERVED_WORDS):
         with pytest.raises(ParseError):
             parse_term(f"1/({word})")
+
+
+# ---------------------------------------------------------------------------
+# Tokens
+
+
+LEXED = [
+    ("inline", "1/ft2", ["1", "/ft", "2"]),
+    ("inline", "1/fv x", ["1", "/fv", "x"]),
+    ("inline", "1 / ft 2", ["1", "/", "ft", "2"]),
+    ("inline", "1/ftx", ["1", "/ft", "x"]),
+    ("inline", "2-3", ["2", "-3"]),
+    ("inline", "2 -3", ["2", "-3"]),
+    ("inline", "--3", ["-", "-3"]),
+    ("inline", "(a1+-07)*b\t/\n(c)", ["(", "a1", "+", "-07", ")", "*", "b", "/", "(", "c", ")"]),
+    ("inline", "frac ft fv", ["frac", "ft", "fv"]),
+    ("inline", "1:2,3", ["1", ":", "2", ",", "3"]),
+    ("inline", "x_1é", ["x", "_", "1", "é"]),
+    ("colon", "1:fv2", ["1", ":fv", "2"]),
+    ("colon", "1:ft(2)", ["1", ":ft", "(", "2", ")"]),
+    ("colon", "1/2", ["1", "/", "2"]),
+    ("colon", "-x:-3", ["-", "x", ":", "-3"]),
+    ("frac", "frac_ft(1,-2)", ["frac_ft", "(", "1", ",", "-2", ")"]),
+    ("frac", "frac_fv ( a , b )", ["frac_fv", "(", "a", ",", "b", ")"]),
+    ("frac", "frac(1, 2 -3)", ["frac", "(", "1", ",", "2", "-3", ")"]),
+    ("frac", "frac_ftx", ["frac_ft", "x"]),
+    ("frac", "fracx ft", ["fracx", "ft"]),
+    ("frac", "1/ft2", ["1", "/", "ft2"]),
+]
+
+
+@pytest.mark.parametrize("fmt,text,tokens", LEXED)
+def test_the_lexer_of_each_format_cuts_text_into_tokens(fmt, text, tokens):
+    assert terms._lexer(fmt)[0].findall(text) == tokens
+
+
+# The lexer patterns as they were before "(),+*" was tried first: the new
+# ones must cut every text alike, since no other alternative starts with
+# one of those characters.
+REFERENCE_PATTERNS = {
+    "inline": r"-?[0-9]+|[A-Za-z][A-Za-z0-9]*|/(?:ft|fv)?|\S",
+    "colon": r"-?[0-9]+|[A-Za-z][A-Za-z0-9]*|:(?:ft|fv)?|\S",
+    "frac": r"-?[0-9]+|frac_f[tv]|[A-Za-z][A-Za-z0-9]*|\S",
+}
+
+
+def _with_whitespace(rng, text):
+    # Spaces, tabs and newlines anywhere, inside tokens too, and now and
+    # then a character that lexes alone.
+    pieces = []
+    for char in text:
+        if rng.random() < 0.2:
+            pieces.append(rng.choice([" ", "\t", "\n", "  ", ",", "_", "é"]))
+        pieces.append(char)
+    return "".join(pieces)
+
+
+def test_the_lexers_cut_texts_as_the_reference_patterns_do(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import EvalMix
+
+    texts = [text for item in EvalMix().passes(11, 1)[0] for text in item.data]
+    rng = random.Random(41)
+    for _ in range(300):
+        t = random_term(rng, rng.randint(0, 6), var_share=0.3)
+        texts += [_with_whitespace(rng, format_term(t, fmt)) for fmt in FORMATS]
+    for fmt in FORMATS:
+        pattern, reference = terms._lexer(fmt)[0], re.compile(REFERENCE_PATTERNS[fmt])
+        for text in texts:
+            assert pattern.findall(text) == reference.findall(text), (fmt, text)
 
 
 @pytest.mark.parametrize("make,text", [(Lit, "5"), (Lit, "-5"), (Var, "x")])
@@ -495,14 +567,31 @@ def _doubled(times):
 
 def test_equal_terms_built_apart_hash_alike_at_any_depth_or_sharing():
     # Hashing is one fold: 10^5 nested nodes or 2^40 paths cost neither
-    # recursion nor a walk per path. (Only the chains are compared by ==,
-    # which walks every path of two DAGs built apart.)
+    # recursion nor a walk per path.
     for build, size in ((_chain, 10**5), (_doubled, 40)):
         first, second = build(size), build(size)
         assert first is not second and hash(first) == hash(second)
         if build is _chain:
             assert first == second
     assert hash(_doubled(40)) != hash(_doubled(39)) != hash(_chain(39))
+
+
+def test_equal_dags_built_apart_compare_each_pair_of_nodes_once():
+    # 2^40 paths, 41 distinct nodes a side, neither side hashed.
+    first, second = _doubled(40), _doubled(40)
+    start = time.perf_counter()
+    assert first == second
+    assert time.perf_counter() - start < 0.01
+    assert first != Div(_doubled(39), Add(_doubled(38), Var("y")), "fv")
+
+
+@given(rng=st.randoms(use_true_random=False), steps=st.integers(0, 8))
+def test_dags_compare_as_their_printed_forms(rng, steps):
+    seed = rng.random()
+    first, second = (random_dag(random.Random(seed), steps, var_share=0.15) for _ in range(2))
+    assert first is not second and first == second
+    other = random_dag(rng, steps, var_share=0.15)
+    assert (first == other) == (format_term(first) == format_term(other))
 
 
 @given(term_strategy(), st.randoms(use_true_random=False))
