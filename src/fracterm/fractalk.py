@@ -462,6 +462,9 @@ def _check_may_be_rational(env: _Env, claim: Claim):
 
 
 def _check_even_integer(env: _Env, claim: Claim):
+    level = env.level(claim.occ)
+    if level is not Level.FRACVALUE:
+        return "level-conflict", f"an integer judgement needs the fracvalue reading, not a {_LEVEL_NAMES[level]}"
     exact = env.value_of(claim.occ.term)
     if exact is BOTTOM:
         return "invalid", "the value is bottom, not an integer"
@@ -499,6 +502,8 @@ def _printable(exact: Fraction) -> bool:
 
 
 def _check_can_simplify(env: _Env, claim: Claim):
+    if env.level(claim.occ) is Level.FRACVALUE:
+        return "level-conflict", "simplification applies to fracterms, not fracvalues"
     flags = classify(claim.occ.term)
     if flags.simple and not flags.simplified and claim.occ.term.right.value != 0:
         return _VALID
@@ -559,6 +564,10 @@ def _check_contradicts(env: _Env, claim: Claim):
 
 
 def _check_conclude(env: _Env, claim: Claim):
+    """Valid only for equal numerators. Two distinct ones never conclude
+    equal, not even with premises at one level: valid ``num`` premises sit
+    at the fracterm or fracsign level, where a valid connecting equality
+    joins equal terms, which have one numerator."""
     left_n, right_n = claim.arg
     if left_n == right_n:
         return _VALID
@@ -587,8 +596,6 @@ def _check_conclude(env: _Env, claim: Claim):
     uniq_level = unique[-1].claim.arg
     if uniq_level is Level.FRAXION:
         uniq_level = Level.FRACTERM
-    if l_level == r_level == eq_level == uniq_level:
-        return _VALID
     return (
         "invalid",
         f"numerators were taken at the {_LEVEL_NAMES[l_level]} level (steps {left.index} and "

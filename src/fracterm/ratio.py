@@ -30,6 +30,11 @@ from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, value_memo
 class RatioNumber(Record):
     __slots__ = ("a", "b")
 
+    def __post_init__(self):
+        # A bool is no int here, as for the pair shapes' payloads.
+        if type(self.a) is not int or type(self.b) is not int:
+            raise UnsupportedOperation(f"a RatioNumber holds two ints, not {self.a!r:.40} and {self.b!r:.40}")
+
     def as_fraction(self) -> Optional[Fraction]:
         """Exact ratio, or None for the zero-denominator pairs."""
         return None if self.b == 0 else Fraction(self.a, self.b)

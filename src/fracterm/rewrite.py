@@ -49,7 +49,6 @@ from .terms import (
     Record,
     Sub,
     Term,
-    Var,
     _fmt,
     _pieces,
     check_term,
@@ -80,7 +79,8 @@ class RewriteTrace(Record):
     path keeps kept levels of the path before and goes on by sides (0 the
     left child or the operand, 1 the right; the root is child 0) from kids,
     the children now of the last level kept, or the root. before is None or
-    the start term. ``steps`` is built from the patches when first read.
+    the start term. ``steps`` is built from the patches when first read. A
+    trace built from steps, or copied, has no patches.
     """
 
     __slots__ = ("steps", "_patches", "_end")
@@ -115,15 +115,23 @@ class RewriteTrace(Record):
     def to_json(self):
         """One {"rule", "before", "after"} dict per step, terms printed inline.
 
-        The first before, and any that is not the term the step before
-        ended on, is printed whole; each after is the before text with the
-        span of the rewritten position replaced (see ``_Splicer``). A trace
-        of explicit steps splices the patches ``_patches_of`` finds in them.
+        A trace of ``flatten`` prints its first before whole, and each after
+        as the before text with the span of the rewritten position replaced
+        (see ``_Splicer``). A trace without patches, built from steps or
+        copied, prints each step's terms whole: a before that is the after
+        of the step before is printed once.
         """
         patches = getattr(self, "_patches", None)
-        splicer = _Splicer()
         out, text = [], None
-        for patch in _patches_of(self.steps) if patches is None else patches:
+        if patches is None:
+            last = None
+            for s in self.steps:
+                before = text if s.before is last else _fmt(s.before, "inline")
+                text, last = _fmt(s.after, "inline"), s.after
+                out.append({"rule": s.rule, "before": before, "after": text})
+            return out
+        splicer = _Splicer()
+        for patch in patches:
             if patch[1] is not None:
                 text = _fmt(patch[1], "inline", splicer.known)
             after = splicer.splice(text, patch)
@@ -139,24 +147,6 @@ def _kids(node: Term) -> tuple:
 def _rebuilt(node: Term, kids) -> Term:
     """A node of node's class and decoration over kids."""
     return Div(*kids, node.decoration) if type(node) is Div else type(node)(*kids)
-
-
-def _patches_of(steps):
-    """The patches of explicit steps. A path descends from both roots into
-    the one child that after does not share with before, by identity, and
-    stops where the node class or the decoration changes, or where no
-    single child differs: at the roots, if need be."""
-    last = None
-    for s in steps:
-        before, after, sides = s.before, s.after, [0]
-        while before is not after and type(before) is type(after) and type(before) not in (Lit, Var):
-            side = 0 if type(before) is Neg else 1 if before.left is after.left else 0 if before.right is after.right else None
-            if side is None or type(before) is Div and before.decoration != after.decoration:
-                break
-            sides.append(side)
-            before, after = _kids(before)[side], _kids(after)[side]
-        yield s.rule, None if s.before is last else s.before, 0, (s.before,), tuple(sides), before, after
-        last = s.after
 
 
 class _Splicer:
@@ -205,8 +195,8 @@ class _Splicer:
         start = starts[-1]
         end = start + len(self.text(old, True))
         inserted = self.text(new, True)
-        # Only a node that changes class, or a variable, can change its parentheses.
-        if len(nodes) > 1 and (type(old) is not type(new) or type(old) is Var):
+        # Only a node that changes class can change its parentheses.
+        if len(nodes) > 1 and type(old) is not type(new):
             was, now = self.wraps(nodes[-2], path[-1], old), self.wraps(nodes[-2], path[-1], new)
             if was != now:
                 start, end = start - was, end + was
@@ -220,15 +210,13 @@ class _Splicer:
 
     def wraps(self, parent: Term, side: int, child: Term) -> bool:
         """Whether a node of parent's class and decoration parenthesizes child on side, as a
-        stand-in's pieces say. Only classes decide, or a variable's name: the answer is kept."""
+        stand-in's pieces say. Only classes decide, as no patch holds a variable: the answer is kept."""
         key = (type(parent), side, type(child))
         wrapped = self.wrapped.get(key)
         if wrapped is None:
             pieces = _pieces(Neg(child) if type(parent) is Neg else _rebuilt(parent, (child, child)), "inline")
             # Printed, they start with "(" before a parenthesized left child, and end with ")" after any other.
-            wrapped = type(pieces[0] if side or type(parent) is Neg else pieces[-1]) is str
-            if type(child) is not Var:
-                self.wrapped[key] = wrapped
+            wrapped = self.wrapped[key] = type(pieces[0] if side or type(parent) is Neg else pieces[-1]) is str
         return wrapped
 
     def offset(self, node: Term, side: int) -> int:
@@ -246,11 +234,8 @@ class _Splicer:
     def text(self, node: Term, join: bool = False) -> str:
         """node's inline text, kept. A composite node not kept yet is printed,
         or if join, joined from the texts of its children, kept too."""
-        cls = type(node)
-        if cls is Lit:
+        if type(node) is Lit:
             return node.digits
-        if cls is Var:
-            return node.name
         key = id(node)
         text = self.known.get(key)
         if text is None:

@@ -135,20 +135,15 @@ def _digits(s) -> bool:
     return isinstance(s, str) and s.isascii() and s.isdigit()
 
 
-def _check_number(value, shape_id: str) -> None:
-    """Refuse what encode does not take: an int that is no bool, a Fraction or None."""
-    if not (value is None or type(value) is int or isinstance(value, Fraction)):
-        raise UnsupportedOperation(f"{shape_id} encodes an int, a Fraction or None, not {type(value).__name__}")
-
-
 def _rat_pair(value, shape_id: str) -> Optional[tuple[int, int]]:
-    """The (numerator, denominator) that a rat shape encodes, n/1 for an int n;
-    None for None, the bottom class; anything else refused, as _check_number does."""
+    """The (numerator, denominator) of what encode takes, n/1 for an int n;
+    None for None, the bottom class. Anything else, a bool too, is refused."""
     if type(value) is int:
         return value, 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
-    _check_number(value, shape_id)
+    if value is not None:
+        raise UnsupportedOperation(f"{shape_id} encodes an int, a Fraction or None, not {type(value).__name__}")
     return None
 
 
@@ -194,16 +189,14 @@ class Shape:
 
     def _integer(self, value: Optional[Number]) -> int:
         """The int that a nat or int shape encodes, refusing what it cannot hold."""
-        _check_number(value, self.shape_id)
-        if value is None:
+        pair = _rat_pair(value, self.shape_id)
+        if pair is None:
             raise UnsupportedOperation(f"{self.shape_id} has no bottom-class instance")
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise UnsupportedOperation(f"{self.shape_id} holds no non-integer values")
-            value = value.numerator
-        if self.label == "nat" and value < 0:
+        if pair[1] != 1:
+            raise UnsupportedOperation(f"{self.shape_id} holds no non-integer values")
+        if self.label == "nat" and pair[0] < 0:
             raise NegativeIntoNat(f"{self.shape_id} holds no negative values")
-        return value
+        return pair[0]
 
     # -- derived: equality and arithmetic through decode/encode -----------
 

@@ -220,10 +220,14 @@ CLAIM_ROWS = [
         ('1: the fraction 4/2 is an even integer', 'valid', None),
         ('1: 1/0 is an even integer', 'invalid', 'the value is bottom, not an integer'),
         ('1: 2/4 is an even integer', 'invalid', 'the value 1/2 is not an even integer'),
+        ('1: 4/ft2 is an even integer', 'level-conflict', 'an integer judgement needs the fracvalue reading, not a fracterm'),
+        ('1: level(2) = fs\n2: 4/2 is an even integer', 'level-conflict', 'an integer judgement needs the fracvalue reading, not a fracsign'),
     ]),
     ('can-simplify', [
         ('1: 2/4 can be simplified', 'valid', None),
         ('1: 1/2 can be simplified', 'invalid', 'no simplification step applies'),
+        ('1: 4/fv2 can be simplified', 'level-conflict', 'simplification applies to fracterms, not fracvalues'),
+        ('1: 4/ft2 can be simplified', 'valid', None),
     ]),
     ('writable-flat', [
         ('1: 5/(1+3) can be written flat as 5/4', 'valid', None),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracterm.errors import OpenTerm
+from fracterm.errors import OpenTerm, UnsupportedOperation
 from fracterm.ratio import (
     DenomOf,
     NumOf,
@@ -101,6 +101,12 @@ def test_eval_division_by_zero_lands_in_bottom_class():
     assert got == RatioNumber(1, 0)
     assert got.as_fraction() is None
     assert rn_label_eq(got, RatioNumber(0, 0))
+
+
+@pytest.mark.parametrize("a,b", [("1", 2), (1.5, "x"), (True, 2), (1, False), (Fraction(1), 2), (1, None)])
+def test_a_ratio_number_holds_two_ints(a, b):
+    with pytest.raises(UnsupportedOperation, match="holds two ints"):
+        RatioNumber(a, b)
 
 
 def test_eval_subtraction_desugars():

@@ -361,38 +361,6 @@ def test_trace_json_matches_printing_each_step_random(seed, depth):
     assert trace.to_json() == printed_steps(trace)
 
 
-def chained(*terms):
-    """The trace whose steps go from each term to the next."""
-    return RewriteTrace(tuple(RewriteStep("r", b, a) for b, a in zip(terms, terms[1:])))
-
-
-ONE, TWO, THREE, X, FTX = Lit("1"), Lit("2"), Lit("3"), Var("x"), Var("ftx")
-SUM, HALF = Add(ONE, TWO), Div(ONE, TWO)
-FT_HALF = Div(ONE, TWO, "ft")
-
-# Chains of terms that share every node but the rewritten path, one for
-# each way the descent stops: the texts say where.
-SPLICE_BRANCHES = {
-    # (1+2)*3, 1/2*3, (1+2)*3, 3+(1+2)*3, 3+1/2*3, -(1+2), --(2)
-    "parentheses-dropped-and-added": [
-        Mul(SUM, THREE), Mul(HALF, THREE), Mul(SUM, THREE),
-        Add(THREE, Mul(SUM, THREE)), Add(THREE, Mul(HALF, THREE)), Neg(SUM), Neg(Neg(TWO)),
-    ],
-    # 1/ft2, 1/2, 1/fv2, 1/ft2/fv3+3, 1/2/fv3+3, 1/2/3+3
-    "decoration-only": [
-        FT_HALF, HALF, Div(ONE, TWO, "fv"),
-        Add(Div(FT_HALF, THREE, "fv"), THREE), Add(Div(HALF, THREE, "fv"), THREE), Add(Div(HALF, THREE), THREE),
-    ],
-    # 1+2*3, 3, x, -x, -(3), 3
-    "root-becomes-leaf": [Add(ONE, Mul(TWO, THREE)), THREE, X, Neg(X), Neg(THREE), THREE],
-    # 1/2, 1/(ftx), 1/ftftx, 1/x, 1/(ftx), x*(1/(ftx))-x, x*(1/x)-x
-    "variable-named-like-a-tag": [
-        HALF, Div(ONE, FTX), Div(ONE, FTX, "ft"), Div(ONE, X), Div(ONE, FTX),
-        Sub(Mul(X, Div(ONE, FTX)), X), Sub(Mul(X, Div(ONE, X)), X),
-    ],
-}
-
-
 def test_trace_json_of_steps_that_do_not_chain():
     # Hand-built steps: no before is the after of the step before it, and
     # terms share nodes across steps and inside one term.
@@ -407,26 +375,22 @@ def test_trace_json_of_steps_that_do_not_chain():
         RewriteStep("e", Add(z, z), Mul(Div(z, y), y)),
     ))
     assert trace.to_json() == printed_steps(trace)
-    # Each step of the chains above, the last first: a splice onto a before
-    # printed whole, stopping in each of its ways.
-    steps = [step for chain in SPLICE_BRANCHES.values() for step in reversed(chained(*chain).steps)]
-    assert not any(s.before is r.after for r, s in zip(steps, steps[1:]))
-    trace = RewriteTrace(tuple(steps))
-    assert trace.to_json() == printed_steps(trace)
 
 
-@pytest.mark.parametrize("name", SPLICE_BRANCHES)
-def test_trace_json_of_chained_steps_at_each_splice_branch(name):
-    trace = chained(*SPLICE_BRANCHES[name])
-    assert trace.to_json() == printed_steps(trace)
+def test_trace_json_of_a_copy_prints_each_term_once(monkeypatch):
+    # A copy has no patches: it prints each step's terms whole, and a before
+    # that is the after of the step before only once.
+    _, trace = flatten(unit_sum(10))
+    twin = copy.copy(trace)
+    printed = []
 
+    def printing(t, fmt, known=None):
+        printed.append(t)
+        return _fmt(t, fmt, known)
 
-def test_trace_json_of_steps_that_keep_every_node():
-    # A rebuilt node with the children of the node it replaces prints the same.
-    x = parse_term("(1+2)*-(3/4)")
-    y = Mul(x.left, Neg(x.right.operand))
-    trace = chained(x, y, Add(y, y), Add(y, y), Neg(Add(y, y)))
-    assert trace.to_json() == printed_steps(trace)
+    monkeypatch.setattr(rewrite, "_fmt", printing)
+    assert twin.to_json() == printed_steps(trace)
+    assert [id(t) for t in printed] == [id(twin.steps[0].before), *[id(s.after) for s in twin.steps]]
 
 
 # ---------------------------------------------------------------------------
