@@ -32,8 +32,8 @@ import re
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DanglingReference, FractermError, LevelConflict, ScriptError, UnsupportedOperation
-from .records import Record, fits_str_digits
+from .errors import DanglingReference, FractermError, LevelConflict, ScriptError
+from .records import Record, expect, fits_str_digits
 from .semantics import BOTTOM, EvalConfig, eval_number, eval_term
 from .terms import (
     Div,
@@ -179,8 +179,7 @@ def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None
 
 
 def parse_script(text: str) -> Script:
-    if type(text) is not str:
-        raise UnsupportedOperation(f"{text!r:.80} is no str")
+    expect(text, str, "str")
     assertions: list[Assertion] = []
     shape_id = disjoint = None
     seen: set[int] = set()
@@ -217,11 +216,6 @@ def parse_script(text: str) -> Script:
     return script
 
 
-def _check_script(script) -> None:
-    if type(script) is not Script:
-        raise UnsupportedOperation(f"{script!r:.80} is no script")
-
-
 def _resolve_references(script: Script) -> None:
     indices = script._by_index
     for a in script.assertions:
@@ -242,7 +236,7 @@ def _resolve_references(script: Script) -> None:
 
 def infer_levels(script: Script) -> dict[tuple[int, int], Level]:
     """Level for every occurrence, keyed by (assertion index, position)."""
-    _check_script(script)
+    expect(script, Script, "script")
     directives: dict[int, Level] = {}
     for a in script.assertions:
         if a.claim.kind == "level":
@@ -756,7 +750,7 @@ def check(
     disjoint; rat.ssft makes the simplified simple fracterms themselves the
     numbers. Script pragmas supply defaults; arguments win.
     """
-    _check_script(script)
+    expect(script, Script, "script")
     shape_id = shape_id or script.shape_id or "rat.pcs"
     if disjoint is None:
         disjoint = script.disjoint

@@ -24,7 +24,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .errors import OpenTerm, UnsupportedOperation
-from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, fold, value_memo
+from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, expect, fold, value_memo
 
 
 class RatioNumber(Record):
@@ -47,8 +47,7 @@ def sign(p: int) -> int:
 def _check_rn(*args) -> None:
     """Refuse what is no RatioNumber with UnsupportedOperation."""
     for x in args:
-        if not isinstance(x, RatioNumber):
-            raise UnsupportedOperation(f"{x!r:.80} is no RatioNumber")
+        expect(x, RatioNumber, "RatioNumber")
 
 
 def rn_neg(x: RatioNumber) -> RatioNumber:

@@ -1,4 +1,4 @@
-"""The package's immutable records, Python's int/str digit limit, and lowest terms.
+"""The package's immutable records, argument checks, Python's int/str digit limit, and lowest terms.
 
 ``Record`` is the base of the package's immutable records, terms included.
 A record's fields are its ``__slots__`` whose names do not start with an
@@ -26,7 +26,7 @@ import math
 import sys
 from typing import Callable, Optional
 
-from .errors import CapacityError
+from .errors import CapacityError, UnsupportedOperation
 
 
 class Record:
@@ -133,6 +133,18 @@ def digits_int(digits: str) -> int:
         return int(digits)
     except ValueError:
         raise _too_many_digits() from None
+
+
+def expect(x, kind: type, noun: str) -> None:
+    """Refuse x with UnsupportedOperation unless it is a kind: "<named(x)> is no <noun>"; a bool is no int."""
+    if type(x) is not kind and (type(x) is bool or not isinstance(x, kind)):
+        raise UnsupportedOperation(f"{named(x)} is no {noun}")
+
+
+def named(x) -> str:
+    """x as every message names it: by ``reprlib.repr``, loaded on the error path only."""
+    import reprlib
+    return reprlib.repr(x)
 
 
 def reduced(pair: tuple[int, int]) -> Optional[tuple[int, int]]:

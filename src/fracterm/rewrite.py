@@ -49,6 +49,7 @@ from .terms import (
     Record,
     Sub,
     Term,
+    Var,
     _fmt,
     _pieces,
     check_term,
@@ -74,16 +75,21 @@ class RewriteStep(Record):
 class RewriteTrace(Record):
     """The steps of a rewrite, each a RewriteStep(rule, before, after).
 
-    ``flatten`` records a patch per step: (rule, before, kept, kids, sides,
+    A trace is its patches, one per step: (rule, before, kept, kids, sides,
     old, new), old the node the rule matched and new the node it built. Its
     path keeps kept levels of the path before and goes on by sides (0 the
     left child or the operand, 1 the right; the root is child 0) from kids,
     the children now of the last level kept, or the root. before is None or
-    the start term. ``steps`` is built from the patches when first read. A
-    trace built from steps, or copied, has no patches.
+    the step's before. ``steps`` is built from the patches when first read.
+    ``RewriteTrace(steps)``, as ``copy``, ``deepcopy`` and ``pickle`` call it,
+    records root patches: (rule, before, 0, (before,), (0,), before, after).
     """
 
     __slots__ = ("steps", "_patches", "_end")
+
+    def __post_init__(self):
+        patches = tuple([(s.rule, s.before, 0, (s.before,), (0,), s.before, s.after) for s in self.steps])
+        RewriteTrace._patches.__set__(self, patches)
 
     def __getattr__(self, name):
         if name != "steps":
@@ -115,25 +121,14 @@ class RewriteTrace(Record):
     def to_json(self):
         """One {"rule", "before", "after"} dict per step, terms printed inline.
 
-        A trace of ``flatten`` prints its first before whole, and each after
-        as the before text with the span of the rewritten position replaced
-        (see ``_Splicer``). A trace without patches, built from steps or
-        copied, prints each step's terms whole: a before that is the after
-        of the step before is printed once.
+        A patch's before, if it has one, is printed whole, and each after as
+        the before text with the span of the rewritten position replaced
+        (see ``_Splicer``).
         """
-        patches = getattr(self, "_patches", None)
-        out, text = [], None
-        if patches is None:
-            last = None
-            for s in self.steps:
-                before = text if s.before is last else _fmt(s.before, "inline")
-                text, last = _fmt(s.after, "inline"), s.after
-                out.append({"rule": s.rule, "before": before, "after": text})
-            return out
-        splicer = _Splicer()
-        for patch in patches:
+        out, splicer = [], _Splicer()
+        for patch in self._patches:
             if patch[1] is not None:
-                text = _fmt(patch[1], "inline", splicer.known)
+                text = splicer.text(patch[1])
             after = splicer.splice(text, patch)
             out.append({"rule": patch[0], "before": text, "after": after})
             text = after
@@ -210,7 +205,7 @@ class _Splicer:
 
     def wraps(self, parent: Term, side: int, child: Term) -> bool:
         """Whether a node of parent's class and decoration parenthesizes child on side, as a
-        stand-in's pieces say. Only classes decide, as no patch holds a variable: the answer is kept."""
+        stand-in's pieces say. Only classes decide, as only root patches hold variables: the answer is kept."""
         key = (type(parent), side, type(child))
         wrapped = self.wrapped.get(key)
         if wrapped is None:
@@ -232,10 +227,10 @@ class _Splicer:
                 return n
 
     def text(self, node: Term, join: bool = False) -> str:
-        """node's inline text, kept. A composite node not kept yet is printed,
-        or if join, joined from the texts of its children, kept too."""
-        if type(node) is Lit:
-            return node.digits
+        """node's inline text, kept if composite. A composite node not kept yet is
+        printed, or if join, joined from the texts of its children, kept too."""
+        if type(node) is Lit or type(node) is Var:
+            return node.digits if type(node) is Lit else node.name
         key = id(node)
         text = self.known.get(key)
         if text is None:

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import reprlib
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -52,7 +51,7 @@ from .errors import (
     UnsupportedOperation,
     UnsupportedShape,
 )
-from .records import Record, check_str_digits, digits_int, reduced
+from .records import Record, check_str_digits, digits_int, expect, named, reduced
 
 # The operations of each label; every shape of the label offers them.
 OPERATIONS = {"nat": ("add", "mul"), "int": ("add", "mul", "neg"), "rat": ("add", "mul", "neg", "div")}
@@ -714,8 +713,7 @@ SHAPE_IDS = tuple(_SHAPES)
 
 
 def get_shape(shape_id: str) -> Shape:
-    if type(shape_id) is not str:
-        raise UnsupportedOperation(f"{reprlib.repr(shape_id)} is no shape id")
+    expect(shape_id, str, "shape id")
     if shape_id in _SHAPES:
         return _SHAPES[shape_id]
     head = shape_id.split(".", 1)[0]
@@ -727,9 +725,7 @@ def get_shape(shape_id: str) -> Shape:
 def _shape_of(i: Instance, *others: Instance) -> Shape:
     """The shape of i, which others must share; what is no Instance, BOT too, is refused."""
     for x in (i, *others):
-        if type(x) is not Instance:
-            raise UnsupportedOperation(
-                f"{reprlib.repr(x)} is no instance: a shape without a bottom class gives bot for bottom")
+        expect(x, Instance, "instance: a shape without a bottom class gives bot for bottom")
     for j in others:
         if i.shape_id != j.shape_id:
             raise ShapeMismatch(f"{i.shape_id} vs {j.shape_id}")
@@ -785,8 +781,7 @@ def normality_report(shape_id: str, bound: int) -> NormalityReport:
     collision a second walk fetches that payload, and only the two witness
     candidates become instances.
     """
-    if type(bound) is not int:
-        raise UnsupportedOperation(f"{reprlib.repr(bound)} is no int bound")
+    expect(bound, int, "int bound")
     if bound < 1:
         raise UnsupportedOperation("bound must be at least 1")
     if bound > NORMALITY_BOUND:

@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Callable, Optional, TypeVar
 
 from .errors import NotAFracterm, ParseError, UnsupportedOperation
-from .records import Record, check_str_digits, digits_int, reduced
+from .records import Record, check_str_digits, digits_int, expect, named, reduced
 
 FORMATS = ("inline", "colon", "frac")
 
@@ -145,8 +145,7 @@ class Lit(Term):
     _prec = 4
 
     def __init__(self, digits: str):
-        if type(digits) is not str:
-            raise UnsupportedOperation(f"{digits!r:.80} is no str")
+        expect(digits, str, "str")
         if not _LIT_RE.fullmatch(digits):
             raise ParseError(f"bad literal digits: {digits!r}")
         _fill_lit(self, digits)
@@ -160,8 +159,7 @@ class Lit(Term):
 def numeral(n: int) -> Lit:
     """The literal of n, refused past the int/str digit limit: for a short n,
     the leaf the parser shares (see ``_leaf``)."""
-    if type(n) is not int:
-        raise UnsupportedOperation(f"{n!r:.80} is no int")
+    expect(n, int, "int")
     check_str_digits(n)
     return _leaf(Lit, str(n))
 
@@ -172,8 +170,7 @@ class Var(Term):
     _prec = 4
 
     def __init__(self, name: str):
-        if type(name) is not str:
-            raise UnsupportedOperation(f"{name!r:.80} is no str")
+        expect(name, str, "str")
         if not _VAR_RE.fullmatch(name) or name in RESERVED_WORDS:
             raise ParseError(f"bad variable name: {name!r}")
         _set_name(self, name)
@@ -188,7 +185,7 @@ class Neg(Term):
         try:
             _set_facts(self, operand._facts & _INHERITED)
         except AttributeError:
-            raise UnsupportedOperation(f"{operand!r:.80} is no term") from None
+            raise UnsupportedOperation(f"{named(operand)} is no term") from None
         _set_operand(self, operand)
 
 
@@ -199,7 +196,7 @@ class _Binary(Term):
         try:
             _set_facts(self, (left._facts | right._facts) & _INHERITED)
         except AttributeError:
-            raise UnsupportedOperation(f"{right if hasattr(left, '_facts') else left!r:.80} is no term") from None
+            raise UnsupportedOperation(f"{named(right if hasattr(left, '_facts') else left)} is no term") from None
         _set_left(self, left)
         _set_right(self, right)
 
@@ -229,7 +226,7 @@ class Div(_Binary):
         try:
             _set_facts(self, (left._facts | right._facts) & _INHERITED | (_DIV | _DECORATED if decoration else _DIV))
         except AttributeError:
-            raise UnsupportedOperation(f"{right if hasattr(left, '_facts') else left!r:.80} is no term") from None
+            raise UnsupportedOperation(f"{named(right if hasattr(left, '_facts') else left)} is no term") from None
         _set_left(self, left)
         _set_right(self, right)
         _set_decoration(self, decoration)
@@ -276,8 +273,7 @@ def _leaf(cls: type, text: str) -> Term:
 
 def check_term(t) -> None:
     """Refuse what is no term with UnsupportedOperation."""
-    if not isinstance(t, Term):
-        raise UnsupportedOperation(f"{t!r:.80} is no term")
+    expect(t, Term, "term")
 
 
 def value_memo(t: Term) -> dict:
@@ -366,8 +362,7 @@ def _error(text: str, lexer: tuple, index: int = 0, message: str = "") -> ParseE
 
 def parse_term(text: str, fmt: str = "inline") -> Term:
     """Parse term text in the given format (inline, colon, or frac)."""
-    if type(text) is not str:
-        raise UnsupportedOperation(f"{text!r:.80} is no str")
+    expect(text, str, "str")
     _check_format(fmt)
     pattern, reserved, openers, binary = lexer = _lexer(fmt)
     tokens = pattern.findall(text)
