@@ -40,8 +40,9 @@ class UnsupportedShape(FractermError):
 
 
 class UnsupportedOperation(FractermError):
-    """An operation a shape does not support, or an argument of the wrong kind:
-    no term, text, number, instance, script, shape id or bound."""
+    """An operation a shape does not support, or an argument of the wrong kind,
+    refused by ``records.expect`` as "<the value, named> is no <kind>": no term,
+    text, number, instance, script, shape id or bound."""
 
 
 class NegativeIntoNat(FractermError):

@@ -590,10 +590,15 @@ def _check_conclude(env: _Env, claim: Claim):
     uniq_level = unique[-1].claim.arg
     if uniq_level is Level.FRAXION:
         uniq_level = Level.FRACTERM
+    if l_level is r_level:
+        taken = f"the {_LEVEL_NAMES[l_level]} level (steps {left.index} and {right.index})"
+    else:
+        taken = (f"the {_LEVEL_NAMES[l_level]} level (step {left.index}) and "
+                 f"the {_LEVEL_NAMES[r_level]} level (step {right.index})")
     return (
         "invalid",
-        f"numerators were taken at the {_LEVEL_NAMES[l_level]} level (steps {left.index} and "
-        f"{right.index}) and their uniqueness holds at the {_LEVEL_NAMES[uniq_level]} level, but "
+        f"numerators were taken at {taken} and their uniqueness holds at the "
+        f"{_LEVEL_NAMES[uniq_level]} level, but "
         f"the equality in step {eq.index} holds at the {_LEVEL_NAMES[eq_level]} level; the "
         f"conclusion does not transfer across levels",
     )

@@ -24,7 +24,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .errors import OpenTerm, UnsupportedOperation
-from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, expect, fold, value_memo
+from .terms import Add, Lit, Mul, Neg, Record, Sub, Term, Var, expect, fold, named, value_memo
 
 
 class RatioNumber(Record):
@@ -33,7 +33,7 @@ class RatioNumber(Record):
     def __post_init__(self):
         # A bool is no int here, as for the pair shapes' payloads.
         if type(self.a) is not int or type(self.b) is not int:
-            raise UnsupportedOperation(f"a RatioNumber holds two ints, not {self.a!r:.40} and {self.b!r:.40}")
+            raise UnsupportedOperation(f"a RatioNumber holds two ints, not {named(self.a)} and {named(self.b)}")
 
     def as_fraction(self) -> Optional[Fraction]:
         """Exact ratio, or None for the zero-denominator pairs."""

@@ -22,6 +22,7 @@ keys, ``terms.classify`` and ``rewrite.simplify``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Callable, Optional
@@ -142,9 +143,30 @@ def expect(x, kind: type, noun: str) -> None:
 
 
 def named(x) -> str:
-    """x as every message names it: by ``reprlib.repr``, loaded on the error path only."""
-    import reprlib
-    return reprlib.repr(x)
+    """x as a message names it: as ``reprlib.repr`` does, but an int past the
+    int/str digit limit by its size, a term by its ``_named``, at most about
+    80 characters of its inline text, and any other record by its fields,
+    each named by this rule. Nothing cut off is printed."""
+    return _namer().repr(x)
+
+
+@functools.cache
+def _namer():
+    import reprlib  # on the error path only
+
+    class Namer(reprlib.Repr):
+        def repr_int(self, x, level):
+            return super().repr_int(x, level) if fits_str_digits(x) else f"<int of {x.bit_length()} bits>"
+
+        def repr_instance(self, x, level):
+            if not isinstance(x, Record):
+                return super().repr_instance(x, level)
+            if hasattr(x, "_named"):
+                return x._named()
+            shown = (f"{name}={self.repr1(getattr(x, name), level - 1)}" for name in x._fields)
+            return f"{type(x).__qualname__}({', '.join(shown) if level > 0 else '...'})"
+
+    return Namer()
 
 
 def reduced(pair: tuple[int, int]) -> Optional[tuple[int, int]]:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from .errors import CapacityError, NotSimple, OpenTerm, StrategyInapplicable
 from .ratio import rn_add, rn_eval, rn_label_eq, sign
-from .records import reduced
+from .records import named, reduced
 from .terms import (
     Add,
     Div,
@@ -348,7 +348,7 @@ def flatten(t: Term) -> tuple[Term, RewriteTrace]:
     """
     check_term(t)
     if t.has_var:
-        raise OpenTerm(f"cannot flatten open term {t}")
+        raise OpenTerm(f"cannot flatten open term {named(t)}")
     patches: list[tuple] = []
     current = erase_decorations(t)
     if current is not t:
@@ -377,7 +377,7 @@ def simplify(t: Term) -> Term:
     """
     flags = classify(t)
     if not (flags.is_fracterm and flags.flat and flags.closed):
-        raise NotSimple(f"cannot simplify {t}")
+        raise NotSimple(f"cannot simplify {named(t)}")
     pair = rn_eval(t)
     n, d = reduced((pair.a, pair.b)) or (sign(pair.a), 0)
     return Div(numeral(n), numeral(d))
@@ -406,7 +406,7 @@ def add_family(t1: Term, t2: Term, strategy: str) -> Term:
     trivial     : non-fracterm operands, plain syntactic sum.
     """
     if strategy not in STRATEGIES:
-        raise StrategyInapplicable(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        raise StrategyInapplicable(f"unknown strategy {named(strategy)}; expected one of {STRATEGIES}")
     c1, c2 = classify(t1), classify(t2)
     if strategy == "trivial":
         if c1.is_fracterm or c2.is_fracterm:

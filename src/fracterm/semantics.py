@@ -42,7 +42,7 @@ from typing import Optional
 
 from . import ratio, shapes
 from .errors import DivisionByZero, OpenTerm, ShapeMismatch, UnsupportedOperation
-from .terms import Record, Term, fold, value_memo
+from .terms import Record, Term, fold, named, value_memo
 
 POLICIES = ("partial", "suppes-ono", "common-meadow")
 BOTTOM = shapes.BOT
@@ -58,7 +58,7 @@ class EvalConfig(Record):
 
     def __post_init__(self):
         if self.policy not in POLICIES:
-            raise UnsupportedOperation(f"unknown policy {self.policy!r}")
+            raise UnsupportedOperation(f"unknown policy {named(self.policy)}")
         if shapes.get_shape(self.shape_id).label != "rat":
             raise UnsupportedOperation(f"evaluation needs a rat shape, got {self.shape_id!r}")
 
@@ -66,7 +66,7 @@ class EvalConfig(Record):
 def eval_number(t: Term, policy: str = "common-meadow"):
     """The exact value of a closed term under policy: a Fraction, or BOTTOM."""
     if policy not in POLICIES:
-        raise UnsupportedOperation(f"unknown policy {policy!r}")
+        raise UnsupportedOperation(f"unknown policy {named(policy)}")
     memo = value_memo(t)
     if "stop" not in memo:
         try:
@@ -76,7 +76,7 @@ def eval_number(t: Term, policy: str = "common-meadow"):
     value, zero_divisor = memo["stop"]
     if zero_divisor is not None:
         if policy == "partial":
-            raise DivisionByZero(f"zero divisor in {zero_divisor}")
+            raise DivisionByZero(f"zero divisor in {named(zero_divisor)}")
         # On an open term, the Suppes-Ono fold raises OpenTerm at the first
         # variable, as common-meadow must too.
         if policy == "common-meadow" and not t.has_var:

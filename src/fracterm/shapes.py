@@ -213,7 +213,7 @@ class Shape:
         or BOT, the same object as ``semantics.BOTTOM``, on a shape that has
         none."""
         if op not in _ARITHMETIC:
-            raise UnsupportedOperation(f"unknown operation {op!r}; expected one of {tuple(_ARITHMETIC)}")
+            raise UnsupportedOperation(f"unknown operation {named(op)}; expected one of {tuple(_ARITHMETIC)}")
         name, fn, arity = _ARITHMETIC[op]
         if len(insts) != arity:
             raise UnsupportedOperation(f"{name} takes {arity} instance{'s' * (arity > 1)}, not {len(insts)}")
@@ -244,7 +244,7 @@ class _PairShape(Shape):
     def validate(self, payload):
         ok = isinstance(payload, tuple) and len(payload) == 2
         if not (ok and all(type(x) is int for x in payload) and self._admits(*payload)):
-            raise UnsupportedShape(f"{self.bad_pair} {payload!r}")
+            raise UnsupportedShape(f"{self.bad_pair} {named(payload)}")
 
     def payload_to_json(self, payload):
         for x in payload:
@@ -270,7 +270,7 @@ class _DecimalNat(Shape):
 
     def validate(self, payload):
         if not _digits(payload):
-            raise UnsupportedShape(f"bad decimal payload {payload!r}")
+            raise UnsupportedShape(f"bad decimal payload {named(payload)}")
 
     def encode(self, value):
         k = self._integer(value)
@@ -295,7 +295,7 @@ class _StrictDecimalNat(_DecimalNat):
     def validate(self, payload):
         super().validate(payload)
         if payload[0] == "0" and payload != "0":
-            raise UnsupportedShape(f"redundant leading zero in {payload!r}")
+            raise UnsupportedShape(f"redundant leading zero in {named(payload)}")
 
     bounded_payloads = Shape.bounded_payloads
 
@@ -309,7 +309,7 @@ class _DedekindNat(Shape):
 
     def validate(self, payload):
         if type(payload) is not int or payload < 0:
-            raise UnsupportedShape(f"bad successor count {payload!r}")
+            raise UnsupportedShape(f"bad successor count {named(payload)}")
 
     def encode(self, value):
         return Instance(self.shape_id, self._integer(value))
@@ -498,7 +498,7 @@ class _SignedInt(Shape):
         # A magnitude is a digit string without a leading zero, so never "0".
         ok = isinstance(payload, tuple) and len(payload) == 2 and payload[0] in ("+", "-")
         if not (ok and _digits(payload[1]) and payload[1][0] != "0"):
-            raise UnsupportedShape(f"bad signed-int payload {payload!r}")
+            raise UnsupportedShape(f"bad signed-int payload {named(payload)}")
 
     def encode(self, value):
         k = self._integer(value)
@@ -638,7 +638,7 @@ class _SimplifiedFractermRat(Shape):
     def validate(self, payload):
         terms = _term_layer()
         if not (isinstance(payload, terms.Div) and terms.classify(payload).simplified and not payload.decorated):
-            raise UnsupportedShape(f"not a simplified simple fracterm: {payload!r}")
+            raise UnsupportedShape(f"not a simplified simple fracterm: {named(payload)}")
 
     def encode(self, value):
         pair = _rat_pair(value, self.shape_id)

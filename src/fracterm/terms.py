@@ -130,6 +130,19 @@ class Term(Record):
     def __reduce__(self):
         return parse_term, (format_term(self),)
 
+    def _named(self) -> str:
+        """How ``records.named`` names the term: its inline text, or the first
+        80 characters of it followed by "...", printed no further."""
+        text, todo = "", [self]
+        while todo and len(text) <= 80:
+            node = todo.pop()
+            cls = type(node)
+            if cls is str or cls is Lit or cls is Var:
+                text += node if cls is str else node.digits if cls is Lit else node.name
+            else:
+                todo += _pieces(node, "inline")
+        return text if len(text) <= 80 else text[:80] + "..."
+
 
 class Lit(Term):
     """A decimal numeral, its sign glued on.
@@ -222,7 +235,7 @@ class Div(_Binary):
 
     def __init__(self, left: Term, right: Term, decoration: Optional[str] = None):
         if decoration not in (None, "ft", "fv"):
-            raise ParseError(f"bad decoration: {decoration!r}")
+            raise ParseError(f"bad decoration: {named(decoration)}")
         try:
             _set_facts(self, (left._facts | right._facts) & _INHERITED | (_DIV | _DECORATED if decoration else _DIV))
         except AttributeError:
@@ -442,7 +455,7 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
 
 def _check_format(fmt: str) -> None:
     if fmt not in FORMATS:
-        raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        raise ParseError(f"unknown format {named(fmt)}; expected one of {FORMATS}")
 
 
 # --------------------------------------------------------------------------
@@ -501,8 +514,6 @@ def _pieces(node: Term, fmt: str) -> tuple:
         # Parenthesize literal operands so "-(3)" cannot re-lex as "-3".
         inner = node.operand
         return (")", inner, "-(") if type(inner) is Lit or inner._prec < node._prec else (inner, "-")
-    if not isinstance(node, _Binary):
-        raise TypeError(f"not a term: {node!r}")
     left, right = node.left, node.right
     prec = node._prec
     if cls is not Div:
@@ -673,14 +684,14 @@ def classify(t: Term) -> TaxonomyFlags:
 def num(t: Term) -> Term:
     """Numerator of a fracterm, decorations erased."""
     if not isinstance(t, Div):
-        raise NotAFracterm(f"leading operator of {t} is not division")
+        raise NotAFracterm(f"leading operator of {named(t)} is not division")
     return erase_decorations(t.left)
 
 
 def denom(t: Term) -> Term:
     """Denominator of a fracterm, decorations erased."""
     if not isinstance(t, Div):
-        raise NotAFracterm(f"leading operator of {t} is not division")
+        raise NotAFracterm(f"leading operator of {named(t)} is not division")
     return erase_decorations(t.right)
 
 

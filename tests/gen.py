@@ -86,6 +86,14 @@ def unit_sum(n: int) -> Term:
     return t
 
 
+def doubled(n: int) -> Term:
+    """1/2 doubled n times over, Add(t, t) with one t: n + 3 distinct nodes, printed in 5 * 2**n - 3 characters."""
+    t: Term = Div(Lit("1"), Lit("2"))
+    for _ in range(n):
+        t = Add(t, t)
+    return t
+
+
 def substitute_hole(t: Term, filler: Term) -> Term:
     """Replace the marker literal 999 in t by filler."""
     if isinstance(t, Lit):

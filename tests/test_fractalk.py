@@ -171,6 +171,8 @@ CLAIM_ROWS = [
     ('conclude', [
         ('1: conclude 2 = 2', 'valid', None),
         ('1: num(1/2) = 1\n2: num(2/4) = 2\n3: fraxions have a unique numerator\n4: 1/2 == 2/4\n5: conclude 1 = 2', 'invalid', 'numerators were taken at the fracterm level (steps 1 and 2) and their uniqueness holds at the fracterm level, but the equality in step 4 holds at the fracvalue level; the conclusion does not transfer across levels'),
+        # Numerators taken at two levels: each step's level is named.
+        ('1: num(1/2) = 1\n2: level(3) = fs\n3: num(2/4) = 2\n4: fracterms have a unique numerator\n5: 1/2 == 2/4\n6: conclude 1 = 2', 'invalid', 'numerators were taken at the fracterm level (step 1) and the fracsign level (step 3) and their uniqueness holds at the fracterm level, but the equality in step 5 holds at the fracvalue level; the conclusion does not transfer across levels'),
         ('1: num(1/2) = 1\n2: conclude 1 = 2', 'invalid', 'does not follow from the preceding assertions'),
         ('1: num(1/2) = 1\n2: num(2/4) = 2\n3: conclude 1 = 2', 'invalid', 'no equality connects the two numerator bearers'),
         ('1: num(1/2) = 1\n2: num(2/4) = 2\n3: 1/2 == 2/4\n4: conclude 1 = 2', 'invalid', 'uniqueness of numerators was never established'),

@@ -22,6 +22,8 @@ from fracterm.errors import CapacityError, DanglingReference, UnsupportedOperati
 from fracterm.records import Record
 from fracterm.terms import TaxonomyFlags, classify, parse_term
 
+from gen import doubled
+
 SRC = Path(fracterm.__file__).parent
 
 
@@ -311,6 +313,48 @@ def test_a_number_of_at_most_1920_bits_fits_the_lowest_digit_limit():
             terms.numeral(10**640)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+# ---------------------------------------------------------------------------
+# Naming: records.named is how every message names a value, and
+# records.expect refuses a wrong kind of argument by it.
+
+
+@pytest.mark.parametrize("value,name", [
+    (7, "7"), ("x", "'x'"), (None, "None"), (True, "True"), ((1, "2"), "(1, '2')"),
+    (10**5000, "<int of 16610 bits>"), (-(10**5000), "<int of 16610 bits>"), ((10**5000,), "(<int of 16610 bits>,)"),
+    (parse_term("1/ft2 + x"), "1/ft2+x"), (ratio.RatioNumber(1, 2), "RatioNumber(a=1, b=2)"),
+    (shapes.encode(2, "nat.vn"), "Instance(shape_id='nat.vn', payload=frozenset({frozenset(), frozenset({frozenset()})}))"),
+], ids=["int", "str", "None", "bool", "tuple", "huge-int", "huge-negative-int", "huge-int-in-a-tuple", "term",
+        "record", "record-of-sets"])
+def test_named_follows_reprlib_but_bounds_ints_terms_and_records(value, name):
+    assert records.named(value) == name
+
+
+def test_named_gives_a_term_80_characters_of_its_text():
+    # The sum's text has 5 * 2**40 - 3 characters; only the first 81 are printed.
+    text = "1/2+1/2+(1/2+1/2)+(1/2+1/2+(1/2+1/2))+(1/2+1/2+(1/2+1/2)+(1/2+1/2+(1/2+1/2)))+(1"
+    assert records.named(doubled(40)) == text + "..."
+    assert records.named(doubled(3)) == text[:37]
+
+
+def test_named_prints_no_record_whole():
+    # A von Neumann k prints in 3 * 2**k - 2 characters; its name stops at
+    # reprlib's depth and width, and took 0.7 s at k = 20 when printed whole.
+    inst = shapes.encode(40, "nat.vn")
+    assert len(records.named(inst)) < 1000
+    with pytest.raises(UnsupportedOperation) as caught:
+        ratio.rn_neg(inst)
+    assert str(caught.value) == f"{records.named(inst)} is no RatioNumber"
+
+
+@pytest.mark.parametrize("value,kind,noun", [(True, int, "int"), (b"1", str, "str"), (1.0, terms.Term, "term")])
+def test_expect_refuses_a_wrong_kind_by_its_name(value, kind, noun):
+    with pytest.raises(UnsupportedOperation) as caught:
+        records.expect(value, kind, noun)
+    assert str(caught.value) == f"{records.named(value)} is no {noun}"
+    records.expect(parse_term("1/2"), terms.Term, "term")
+    records.expect(5, int, "int")
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,15 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import fracterm
-from fracterm.errors import FractermError, UnsupportedOperation
+from fracterm.errors import DivisionByZero, FractermError, NotAFracterm, NotSimple, OpenTerm, UnsupportedOperation
+
+from gen import doubled
 
 # The names ``fracterm`` re-exports, by the submodule defining them.
 EXPORTS = {
@@ -186,24 +189,56 @@ def _valid_arguments():
 SWEPT = [name for name in fracterm.__all__ if inspect.isfunction(getattr(fracterm, name))]
 
 
+HUGE = doubled(40)
+
+
 def test_the_sweep_covers_every_exported_function():
     assert sorted(SWEPT) == sorted(_valid_arguments())
 
 
 @pytest.mark.parametrize("name", SWEPT)
 def test_an_exported_function_ends_in_a_result_or_a_fracterm_error(name):
-    # Each required argument in turn is replaced by a number, a text and None:
-    # the call returns, or refuses with a FractermError, never a bare TypeError
-    # or AttributeError from inside.
+    # Each required argument in turn is replaced by a number, a text, None, an
+    # int past the int/str digit limit and, where no term is taken, a term of
+    # 2**40 leaves: the call returns, or refuses with a FractermError, never a
+    # bare TypeError, AttributeError or ValueError from inside, in under 100 ms,
+    # as no message prints the term or the int whole.
     fn, arguments = getattr(fracterm, name), _valid_arguments()[name]
     fn(*arguments)
     for position in range(len(arguments)):
-        for wrong in (5, "1/2", None):
+        takes_term = isinstance(arguments[position], fracterm.Term)
+        for wrong in (5, "1/2", None, 10**5000, *([] if takes_term else [HUGE])):
             called = [*arguments[:position], wrong, *arguments[position + 1:]]
+            start = time.perf_counter()
             try:
                 fn(*called)
             except FractermError:
                 pass
+            except Exception as exc:  # named by its class: a traceback would print the term whole
+                raise AssertionError(f"{type(exc).__name__} at {position} for {type(wrong).__name__}") from None
+            assert time.perf_counter() - start < 0.1, (position, type(wrong))
+
+
+@pytest.mark.parametrize("error,call", [
+    (NotSimple, lambda: fracterm.simplify(HUGE)),
+    (NotAFracterm, lambda: fracterm.num(HUGE)),
+    (OpenTerm, lambda: fracterm.flatten(fracterm.Add(HUGE, fracterm.Var("x")))),
+    (DivisionByZero, lambda: fracterm.eval_term(
+        fracterm.Div(fracterm.parse_term("1"), fracterm.Sub(HUGE, HUGE)), fracterm.EvalConfig("partial"))),
+], ids=["simplify", "num", "flatten-open", "partial-zero-divisor"])
+def test_a_message_names_a_shared_term_by_a_bounded_text(error, call):
+    # Each message quotes the term by at most 80 characters of its inline text.
+    start = time.perf_counter()
+    try:
+        call()
+    except error as exc:
+        message = str(exc)
+    except Exception as exc:  # named by its class: a traceback would print the term whole
+        raise AssertionError(type(exc).__name__) from None
+    else:
+        raise AssertionError(f"no {error.__name__}")
+    assert time.perf_counter() - start < 0.1
+    assert len(message) <= 150 and "(1/2+1/2+(1/2+1/2))+" in message and message.count("...") == 1
 
 
 @pytest.mark.parametrize("name,wrong", [
