@@ -149,7 +149,7 @@ def _occurrence(index: int, position: int, text: str, line: int, parsed: dict) -
     return _signed(text, index, position, term, annotation, marked)
 
 
-def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None) -> Claim:
+def _match_claim(body: str, index: int, line: int, parsed: dict) -> Claim:
     """The claim of the first row of CLAIM_KINDS, in table order, whose pattern matches.
 
     A row's pattern is tried only on a body that holds the row's literal.
@@ -160,7 +160,6 @@ def _match_claim(body: str, index: int, line: int, parsed: Optional[dict] = None
     text met so far to its term and annotation, so that equal texts share
     one term object, and with it the value that evaluation keeps on the term.
     """
-    parsed = {} if parsed is None else parsed
     for kind, literal, pattern, row in _claim_dispatch():
         if literal in body:
             found = pattern.match(body)

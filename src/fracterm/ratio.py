@@ -6,13 +6,13 @@ defined on the pairs themselves, which deliberately breaks congruence with
 label equality: that failure is the point of the construction, not a bug.
 
 One pair algebra, ``_pair_algebra``, folds terms for every reading of their
-value, here and in ``semantics``, through three choices: reduce each pair by
-its gcd or not; add by cross-multiplication, (a*d + b*c, b*d), or verbatim,
-(a*c + b*d, b*d), which does not agree with rational addition and serves
-fidelity experiments; and at a zero divisor, stop the fold, give zero, or
-give a zero denominator, the bottom class, which absorbs. The ratio-number
-readings never reduce and give bottom; those of ``semantics`` reduce, and
-stop or give zero.
+value, here and in ``semantics``, through two choices: add by
+cross-multiplication, (a*d + b*c, b*d), or verbatim, (a*c + b*d, b*d), which
+does not agree with rational addition and serves fidelity experiments; and
+at a zero divisor, stop the fold, give zero, or give a zero denominator, the
+bottom class, which absorbs. A fold reduces each pair by its gcd exactly
+when a zero divisor does not give bottom: the ratio-number readings keep
+their raw pairs, and those of ``semantics`` stop or give zero.
 
 The integer components are exact bignums.
 """
@@ -118,10 +118,10 @@ class _ZeroDivisor(Exception):
     """Stops the pair fold at the division node that args[0] names."""
 
 
-def _pair_algebra(reduce: bool, verbatim: bool, at_zero: str):
+def _pair_algebra(verbatim: bool, at_zero: str):
     """The fold in plain (a, b) int pairs, the sign left to whoever reads them;
-    ``reduce`` needs b != 0, and ``at_zero`` is "stop" (raise _ZeroDivisor),
-    "zero" (give (0, 1)) or "bottom"."""
+    ``at_zero`` is "stop" (raise _ZeroDivisor), "zero" (give (0, 1)), both in
+    lowest terms, or "bottom", in raw pairs."""
     stop, absorb = at_zero == "stop", at_zero == "bottom"
 
     def ev(node: Term, x=None, y=None) -> tuple[int, int]:
@@ -147,7 +147,7 @@ def _pair_algebra(reduce: bool, verbatim: bool, at_zero: str):
             raise _ZeroDivisor(node)
         else:
             return (0, 1)
-        if not reduce or m == 1:  # gcd(n, 1) is 1
+        if absorb or m == 1:  # gcd(n, 1) is 1
             return (n, m)
         g = gcd(n, m)
         return (n // g, m // g)
@@ -156,10 +156,10 @@ def _pair_algebra(reduce: bool, verbatim: bool, at_zero: str):
 
 
 # The four readings: semantics folds two, rn_eval two with their memo keys.
-_STOP = _pair_algebra(True, False, "stop")
-_SUPPES_ONO = _pair_algebra(True, False, "zero")
-_PLAIN = ("rn", _pair_algebra(False, False, "bottom"))
-_VERBATIM = ("rn-verbatim", _pair_algebra(False, True, "bottom"))
+_STOP = _pair_algebra(False, "stop")
+_SUPPES_ONO = _pair_algebra(False, "zero")
+_PLAIN = ("rn", _pair_algebra(False, "bottom"))
+_VERBATIM = ("rn-verbatim", _pair_algebra(True, "bottom"))
 
 
 def rn_eval(t: ExtTerm, verbatim: bool = False) -> RatioNumber:

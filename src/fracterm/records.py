@@ -158,6 +158,13 @@ def _namer():
         def repr_int(self, x, level):
             return super().repr_int(x, level) if fits_str_digits(x) else f"<int of {x.bit_length()} bits>"
 
+        def repr_frozenset(self, x, level):
+            # A set of sets in order of size: reprlib sorts by subset, in time
+            # quadratic in a von Neumann natural, whose two orders agree.
+            if not x or not all(type(e) is frozenset for e in x):
+                return super().repr_frozenset(x, level)
+            return self._repr_iterable(sorted(x, key=len), level, "frozenset({", "})", self.maxfrozenset)
+
         def repr_instance(self, x, level):
             if not isinstance(x, Record):
                 return super().repr_instance(x, level)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from .errors import CapacityError, NotSimple, OpenTerm, StrategyInapplicable
 from .ratio import rn_add, rn_eval, rn_label_eq, sign
-from .records import named, reduced
+from .records import expect, named, reduced
 from .terms import (
     Add,
     Div,
@@ -52,6 +52,7 @@ from .terms import (
     Var,
     _fmt,
     _pieces,
+    _rebuilt,
     check_term,
     classify,
     contains_div,
@@ -71,6 +72,11 @@ FLATTEN_DEPTH = 1024
 class RewriteStep(Record):
     __slots__ = ("rule", "before", "after")
 
+    def __post_init__(self):
+        expect(self.rule, str, "str")
+        check_term(self.before)
+        check_term(self.after)
+
 
 class RewriteTrace(Record):
     """The steps of a rewrite, each a RewriteStep(rule, before, after).
@@ -88,6 +94,9 @@ class RewriteTrace(Record):
     __slots__ = ("steps", "_patches", "_end")
 
     def __post_init__(self):
+        expect(self.steps, tuple, "tuple of RewriteSteps")
+        for s in self.steps:
+            expect(s, RewriteStep, "RewriteStep")
         patches = tuple([(s.rule, s.before, 0, (s.before,), (0,), s.before, s.after) for s in self.steps])
         RewriteTrace._patches.__set__(self, patches)
 
@@ -137,11 +146,6 @@ class RewriteTrace(Record):
 
 def _kids(node: Term) -> tuple:
     return (node.operand,) if type(node) is Neg else (node.left, node.right)
-
-
-def _rebuilt(node: Term, kids) -> Term:
-    """A node of node's class and decoration over kids."""
-    return Div(*kids, node.decoration) if type(node) is Div else type(node)(*kids)
 
 
 class _Splicer:

@@ -10,8 +10,8 @@ rational shape, or ``BOTTOM``. ``BOTTOM`` is ``shapes.BOT``, the one bottom
 of evaluation, shape arithmetic and fractalk; it equals only itself.
 
 Evaluation folds the term with ``ratio._pair_algebra``, the one pair
-algebra (reduce or not, plain or verbatim addition, and what a zero divisor
-does), in exact integer pairs (a, b) in lowest terms, b nonzero:
+algebra (plain or verbatim addition, and what a zero divisor does), in
+exact integer pairs (a, b) in lowest terms, b nonzero:
 ``eval_number`` gives the exact Fraction, or bottom, and
 ``eval_term`` encodes it into the configured shape once, at the root.
 ``terms.fold`` computes each distinct composite node once, so a term that
@@ -42,7 +42,7 @@ from typing import Optional
 
 from . import ratio, shapes
 from .errors import DivisionByZero, OpenTerm, ShapeMismatch, UnsupportedOperation
-from .terms import Record, Term, fold, named, value_memo
+from .terms import Record, Term, expect, fold, named, value_memo
 
 POLICIES = ("partial", "suppes-ono", "common-meadow")
 BOTTOM = shapes.BOT
@@ -91,6 +91,7 @@ def eval_term(t: Term, cfg: Optional[EvalConfig] = None):
     """Evaluate a closed term under cfg, by default ``EvalConfig()``: a NumberValue, or BOTTOM."""
     if cfg is None:
         cfg = EvalConfig()
+    expect(cfg, EvalConfig, "EvalConfig")
     if cfg.shape_id == "rat.rns":
         # The ratio-number algebra is total; zero-denominator pairs are the
         # bottom class, which matches only the common-meadow reading.

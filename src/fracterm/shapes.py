@@ -1,13 +1,15 @@
 """Number shapes: concrete presentations of nat/int/rat numbers.
 
 A label names a kind of number (nat, int, rat); a shape is one concrete way
-of presenting those numbers, carrying two equalities:
+of presenting those numbers, its id the label, a dot and a name, carrying
+two equalities:
 
 * instance equality ``=S`` - structural identity of representations;
 * label equality ``=L`` - "denotes the same number".
 
 A shape is normal when the two coincide on its whole domain, subnormal when
-label equality is strictly coarser.
+label equality is strictly coarser. No shape declares which it is:
+``normality_report`` finds it by a bounded search.
 
 A shape defines only its payloads: ``validate``, ``encode`` of an int, a
 Fraction or None (the bottom class), refusing anything else with
@@ -148,8 +150,7 @@ def _rat_pair(value, shape_id: str) -> Optional[tuple[int, int]]:
 
 class Shape:
     shape_id: str = ""
-    label: str = ""
-    normal: bool = True
+    label = property(lambda self: self.shape_id.partition(".")[0])  # nat, int or rat
     payload_operations: dict = {}  # op -> function of payloads, where results are not canonical
 
     @property
@@ -265,8 +266,6 @@ class _DecimalNat(Shape):
     """Digit strings, redundant leading zeroes allowed. Subnormal: 007 =L 7."""
 
     shape_id = "nat.dec"
-    label = "nat"
-    normal = False
 
     def validate(self, payload):
         if not _digits(payload):
@@ -290,7 +289,6 @@ class _StrictDecimalNat(_DecimalNat):
     """Digit strings without redundant leading zeroes."""
 
     shape_id = "nat.sdn"
-    normal = True
 
     def validate(self, payload):
         super().validate(payload)
@@ -304,8 +302,6 @@ class _DedekindNat(Shape):
     """Successor counts: the instance for k stands for k applications of S to 0."""
 
     shape_id = "nat.dedekind"
-    label = "nat"
-    normal = True
 
     def validate(self, payload):
         if type(payload) is not int or payload < 0:
@@ -360,8 +356,6 @@ class _SetNat(Shape):
     """Naturals as nested frozensets: k is ``_succ`` applied k times to the
     empty set. ``_succ(s, kind)`` builds with kind: frozenset, or list for JSON."""
 
-    label = "nat"
-    normal = True
     cap = SET_NAT_CAP
 
     def instance_eq(self, i, j):
@@ -489,8 +483,6 @@ class _SignedInt(Shape):
     """("+", magnitude) / ("-", magnitude) pairs plus a single unsigned zero."""
 
     shape_id = "int.signed"
-    label = "int"
-    normal = True
 
     def validate(self, payload):
         if payload == "0":
@@ -533,8 +525,6 @@ class _DiffPairInt(_PairShape):
     """Difference pairs (a, b) of naturals standing for a - b. Subnormal."""
 
     shape_id = "int.diffpair"
-    label = "int"
-    normal = False
     bad_pair = "bad difference pair"
 
     def _admits(self, a, b):
@@ -580,8 +570,6 @@ def _coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
 class _RatPair(_PairShape):
     """Integer pairs (a, b) standing for a/b; every (a, 0) is in the bottom class."""
 
-    label = "rat"
-
     def encode(self, value):
         pair = _rat_pair(value, self.shape_id)
         return Instance(self.shape_id, (0, 0) if pair is None else pair)
@@ -602,7 +590,6 @@ class _PairClassRat(_RatPair):
     """
 
     shape_id = "rat.pcs"
-    normal = True
     bad_pair = "not a canonical pair:"
 
     def _admits(self, a, b):
@@ -632,8 +619,6 @@ class _SimplifiedFractermRat(Shape):
     """
 
     shape_id = "rat.ssft"
-    label = "rat"
-    normal = True
 
     def validate(self, payload):
         terms = _term_layer()
@@ -684,7 +669,6 @@ class _RatioNumberRat(_RatPair):
     """Raw integer pairs as numbers: no canonicalization, hence subnormal."""
 
     shape_id = "rat.rns"
-    normal = False
     bad_pair = "bad ratio-number payload"
     payload_operations = {"add": _on_pairs("rn_add"), "mul": _on_pairs("rn_mul"),
                           "neg": _on_pairs("rn_neg"), "div": _on_pairs("rn_div")}

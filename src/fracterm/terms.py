@@ -637,6 +637,11 @@ def _erase(node: Term, *kids: Term) -> Term:
     return type(node)(*kids) if node._facts & _DECORATED else node
 
 
+def _rebuilt(node: Term, kids) -> Term:
+    """A node of node's class and decoration over kids."""
+    return Div(*kids, node.decoration) if type(node) is Div else type(node)(*kids)
+
+
 # --------------------------------------------------------------------------
 # Taxonomy
 
@@ -715,9 +720,7 @@ def expand_literal(n: int) -> Term:
 def _desugar(node: Term, *kids: Term) -> Term:
     if isinstance(node, Lit):
         return node if node.digits in ("0", "1") else expand_literal(node.value)
-    if isinstance(node, Div):
-        return Div(*kids, node.decoration)
-    return type(node)(*kids) if kids else node
+    return _rebuilt(node, kids) if kids else node
 
 
 def desugar_literals(t: Term) -> Term:

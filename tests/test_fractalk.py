@@ -305,7 +305,7 @@ def _table_scan():
 
 def _outcome(body):
     try:
-        return repr(_match_claim(body, 1, 1))
+        return repr(_match_claim(body, 1, 1, {}))
     except ScriptError as exc:
         return f"ScriptError: {exc}"
 
@@ -330,7 +330,7 @@ def test_claim_dispatch_agrees_with_the_table_scan(body, monkeypatch):
     assert expected is not None
     compiled = _outcome(body)
     if not compiled.startswith("ScriptError"):
-        assert _match_claim(body, 1, 1).kind == expected
+        assert _match_claim(body, 1, 1, {}).kind == expected
     # The whole claim, or the error, is the one the scan gives.
     monkeypatch.setattr(fractalk, "_claim_dispatch", _table_scan)
     assert _outcome(body) == compiled
@@ -399,7 +399,7 @@ def test_claim_dispatch_agrees_with_the_table_scan_on_generated_bodies(monkeypat
 def test_unrecognized_claim():
     assert _scan_kind("2/3 is purple") is None
     with pytest.raises(ScriptError, match=r"^line 1: unrecognized claim '2/3 is purple'$"):
-        _match_claim("2/3 is purple", 1, 1)
+        _match_claim("2/3 is purple", 1, 1, {})
 
 
 def test_long_blank_runs_are_read_in_linear_time():

@@ -10,8 +10,10 @@ import ast
 import copy
 import os
 import pickle
+import reprlib
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -346,6 +348,28 @@ def test_named_prints_no_record_whole():
     with pytest.raises(UnsupportedOperation) as caught:
         ratio.rn_neg(inst)
     assert str(caught.value) == f"{records.named(inst)} is no RatioNumber"
+
+
+def test_named_lists_a_set_of_sets_by_size():
+    # reprlib sorts by subset, which took 0.3 s on the nat.vn cap; by size
+    # the names are alike, and a set of sets holds no str whose hash could
+    # change its order under another PYTHONHASHSEED.
+    for k in (0, 1, 2, 7, 60):
+        payload = shapes.encode(k, "nat.vn").payload
+        assert records.named(payload) == reprlib.repr(payload)
+    code = "from fracterm import records, shapes; print(records.named(shapes.encode(200, 'nat.vn')))"
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(fracterm.__file__).parent.parent))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == records.named(shapes.encode(200, "nat.vn")) + "\n"
+    inst = shapes.encode(shapes.SET_NAT_VN_CAP, "nat.vn")
+    start = time.perf_counter()
+    assert len(records.named(inst)) == 864
+    assert time.perf_counter() - start < 0.01
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedOperation):
+        ratio.rn_neg(inst)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("value,kind,noun", [(True, int, "int"), (b"1", str, "str"), (1.0, terms.Term, "term")])

@@ -649,11 +649,6 @@ def test_normality_matrix_small_bound():
         assert not normality_report(shape_id, 15).normal, shape_id
 
 
-def test_descriptor_agrees_with_bounded_check():
-    for shape_id in SHAPE_IDS:
-        assert get_shape(shape_id).normal == normality_report(shape_id, 12).normal
-
-
 def reference_witness(shape_id, bound):
     """Brute force: pair each instance with the first earlier one of equal
     decode; the witness is the first such pair that is not instance-equal.

@@ -198,20 +198,25 @@ def test_the_sweep_covers_every_exported_function():
 
 @pytest.mark.parametrize("name", SWEPT)
 def test_an_exported_function_ends_in_a_result_or_a_fracterm_error(name):
-    # Each required argument in turn is replaced by a number, a text, None, an
-    # int past the int/str digit limit and, where no term is taken, a term of
-    # 2**40 leaves: the call returns, or refuses with a FractermError, never a
-    # bare TypeError, AttributeError or ValueError from inside, in under 100 ms,
-    # as no message prints the term or the int whole.
+    # Each required argument in turn, and each optional one by keyword, is
+    # replaced by a number, a text, None, an int past the int/str digit limit
+    # and, where no term is taken, a term of 2**40 leaves: the call returns,
+    # or refuses with a FractermError, never a bare TypeError, AttributeError
+    # or ValueError from inside, in under 100 ms, as no message prints the
+    # term or the int whole.
     fn, arguments = getattr(fracterm, name), _valid_arguments()[name]
     fn(*arguments)
-    for position in range(len(arguments)):
-        takes_term = isinstance(arguments[position], fracterm.Term)
+    optional = list(inspect.signature(fn).parameters)[len(arguments):]
+    for position in [*range(len(arguments)), *optional]:
+        takes_term = position not in optional and isinstance(arguments[position], fracterm.Term)
         for wrong in (5, "1/2", None, 10**5000, *([] if takes_term else [HUGE])):
-            called = [*arguments[:position], wrong, *arguments[position + 1:]]
+            if position in optional:
+                args, kwargs = arguments, {position: wrong}
+            else:
+                args, kwargs = [*arguments[:position], wrong, *arguments[position + 1:]], {}
             start = time.perf_counter()
             try:
-                fn(*called)
+                fn(*args, **kwargs)
             except FractermError:
                 pass
             except Exception as exc:  # named by its class: a traceback would print the term whole
@@ -246,7 +251,20 @@ def test_a_message_names_a_shared_term_by_a_bounded_text(error, call):
     ("simplify", None), ("erase_decorations", "1/2"), ("desugar_literals", 5), ("eval_term", "1/2"),
     ("rn_eval", None), ("check", "1/2"), ("infer_levels", 5), ("get_shape", None),
     ("rn_neg", 5), ("rn_inv", "1/2"), ("rn_num", None), ("rn_denom", 5),
+    ("RewriteTrace", 5), ("RewriteTrace", (5,)),
 ])
 def test_a_wrong_kind_of_argument_is_an_unsupported_operation(name, wrong):
-    with pytest.raises(UnsupportedOperation, match=r" is no (term|str|script|shape id|RatioNumber)$"):
+    nouns = "term|str|script|shape id|RatioNumber|tuple of RewriteSteps|RewriteStep"
+    with pytest.raises(UnsupportedOperation, match=rf" is no ({nouns})$"):
         getattr(fracterm, name)(wrong)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fracterm.RewriteTrace((fracterm.RewriteStep("r", 5, None),)).to_json(),
+    lambda: fracterm.RewriteStep(None, fracterm.parse_term("1"), fracterm.parse_term("1")),
+    lambda: fracterm.RewriteStep("r", fracterm.parse_term("1"), "1"),
+    lambda: fracterm.eval_term(fracterm.parse_term("1/2"), 5),
+], ids=["step-before-int", "step-rule-none", "step-after-str", "eval-config-int"])
+def test_a_wrong_kind_of_field_or_config_is_an_unsupported_operation(call):
+    with pytest.raises(UnsupportedOperation, match=r" is no (term|str|EvalConfig)$"):
+        call()
