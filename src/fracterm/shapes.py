@@ -706,14 +706,17 @@ def get_shape(shape_id: str) -> Shape:
     raise UnsupportedShape(f"unknown shape {shape_id!r}")
 
 
-def _shape_of(i: Instance, *others: Instance) -> Shape:
-    """The shape of i, which others must share; what is no Instance, BOT too, is refused."""
+def _shape_of(i: Instance, *others: Instance, validate: bool = True) -> Shape:
+    """i's shape, which others must share, payloads validated if validate; what is no Instance, BOT too, is refused."""
     for x in (i, *others):
         expect(x, Instance, "instance: a shape without a bottom class gives bot for bottom")
     for j in others:
         if i.shape_id != j.shape_id:
             raise ShapeMismatch(f"{i.shape_id} vs {j.shape_id}")
-    return get_shape(i.shape_id)
+    shape = get_shape(i.shape_id)
+    for x in (i, *others) if validate else ():
+        shape.validate(x.payload)
+    return shape
 
 
 def encode(k: int, shape_id: str) -> Instance:
@@ -725,7 +728,8 @@ def decode(inst: Instance) -> Optional[Number]:
 
 
 def instance_eq(i: Instance, j: Instance) -> bool:
-    return _shape_of(i, j).instance_eq(i, j)
+    # Structural on any payload, so unchecked: the set-nat walk compares non-naturals too.
+    return _shape_of(i, j, validate=False).instance_eq(i, j)
 
 
 def label_eq(i: Instance, j: Instance) -> bool:

@@ -8,22 +8,22 @@ see ``desugar_literals``). Division nodes may carry a level decoration,
 The parser, the printer, ``fold`` and a term's ``==`` keep their own
 stacks instead of recursing, so memory, not the recursion limit, bounds the
 depth of a term. ``fold`` computes each distinct composite node once, so
-evaluation, desugaring and erasing decorations are linear in distinct
-nodes.
+evaluation, desugaring, erasing decorations, copying and pickling are
+linear in distinct nodes.
 
 Terms are immutable, so they share freely. A parsed term has one leaf for
 each distinct literal or variable text (``parse_term("2+2")`` has
-``t.left is t.right``), and ``fold`` walks a parsed root in one pass.
+``t.left is t.right``). ``fold`` makes one walk, after a pass that counts
+the repeated nodes of any term but a parsed root.
 ``erase_decorations`` keeps each undecorated subtree, its argument itself
 included, and so do ``num`` and ``denom``.
 
-The leaves of short texts are shared across calls as well: the parser and
-``numeral`` take them from one table per process, which keeps, from its
-first use, the leaf of each numeral of at most three characters ("-99" to
-"999", leading zeroes included) and of each one-letter name, so never more
-than 1,272 leaves. A longer text gets a new leaf in each parse. A short
-literal carries its int from construction, so ``Lit.value`` reads no
-digits.
+The leaves of short texts are shared across calls as well: the parser,
+``numeral`` and copies take them from one table per process, which keeps,
+from its first use, the leaf of each numeral of at most three characters
+("-99" to "999", leading zeroes included) and of each one-letter name, so
+never more than 1,272 leaves; a longer text gets a new leaf in each parse.
+A short literal carries its int, so ``Lit.value`` reads no digits.
 """
 
 from __future__ import annotations
@@ -128,7 +128,9 @@ class Term(Record):
         return format_term(self)
 
     def __reduce__(self):
-        return parse_term, (format_term(self),)
+        table: list = []  # each distinct composite node and each leaf met, children by index
+        fold(self, lambda node, *kids: table.append(_entry(node, kids)) or len(table) - 1)
+        return _rebuild, (table, self._facts & _TREE)
 
     def _named(self) -> str:
         """How ``records.named`` names the term: its inline text, or the first
@@ -264,13 +266,8 @@ def _fill_lit(leaf: Lit, digits: str) -> None:
 
 
 def _leaf(cls: type, text: str) -> Term:
-    """The Lit or Var of text known to be well formed, such as a word or number token
-    of the lexer (a whole match of Lit's or Var's pattern), built without the check.
-
-    A short text, a numeral of at most three characters or a one-letter
-    name, has one leaf per process, kept in ``_LEAVES`` at its first use:
-    the table never holds more than 1,220 numerals and 52 names. A longer
-    text gets a new leaf at each call."""
+    """The Lit or Var of well-formed text, such as a word or number token of the lexer, built
+    without the check: for a short text, the one leaf of the process, kept in ``_LEAVES``."""
     leaf = _LEAVES.get(text)
     if leaf is None:
         leaf = object.__new__(cls)
@@ -547,79 +544,78 @@ def fold(t: Term, alg: Callable[..., R]) -> R:
     leaf is folded each time a distinct composite node names it as a child.
     Calls come in postorder, left subtree first, minus the repeats: if alg
     depends only on the node and its children's results, it raises where a
-    tree walk would. A parsed root, whose composite nodes cannot repeat, is
-    walked once; any other term is first walked to list the calls.
+    tree walk would. One walk makes the calls, after a pass that counts the
+    repeated nodes of any term but a parsed root, whose nodes cannot repeat.
     """
-    if getattr(t, "_facts", 0) & _TREE:
-        results: list[R] = []
+    shared: dict[int, int] = {}  # the meetings still to come of each repeated composite node
+    if not getattr(t, "_facts", 0) & _TREE:
+        if not isinstance(t, (Lit, Var, Neg, _Binary)):
+            raise TypeError(f"not a term: {t!r}")
+        seen: set[int] = set()
         todo = [t]
         while todo:
             node = todo.pop()
             cls = type(node)
             if cls is Lit or cls is Var:
-                results.append(alg(node))
-            elif node is _DONE:
-                node = todo.pop()
-                if type(node) is Neg:
-                    results[-1] = alg(node, results[-1])
-                else:
-                    right = results.pop()
-                    results[-1] = alg(node, results[-1], right)
-            elif cls is Neg:
-                todo += (node, _DONE, node.operand)
+                continue
+            if (key := id(node)) in seen:
+                shared[key] = shared.get(key, 0) + 1
             else:
-                todo += (node, _DONE, node.right, node.left)
-        return results[0]
-    # The first pass lists the calls in order, giving a repeated composite
-    # node by its id, and counts how often each repeated node is met.
-    seen: set[int] = set()
-    shared: dict[int, int] = {}  # the meetings of each repeated node; then those left to come
-    order: list = []
+                seen.add(key)
+                todo += (node.operand,) if cls is Neg else (node.right, node.left)
+    done: dict[int, R] = {}  # the result of each repeated node, until its last parent reads it
+    results: list[R] = []
     todo = [t]
     while todo:
         node = todo.pop()
         cls = type(node)
         if cls is Lit or cls is Var:
-            order.append(node)
-        elif node is _DONE:
-            order.append(todo.pop())
-        elif (key := id(node)) in seen:
-            shared[key] = shared.get(key, 1) + 1
-            order.append(key)
-        elif cls is Neg:
-            seen.add(key)
-            todo += (node, _DONE, node.operand)
-        elif isinstance(node, _Binary):
-            seen.add(key)
-            todo += (node, _DONE, node.right, node.left)
-        else:
-            raise TypeError(f"not a term: {node!r}")
-    done: dict[int, R] = {}  # the result of each repeated node, until its last parent reads it
-    results: list[R] = []
-    for node in order:
-        cls = type(node)
-        if cls is Lit or cls is Var:
             results.append(alg(node))
-        elif cls is int:
-            shared[node] -= 1
-            results.append(done[node] if shared[node] > 1 else done.pop(node))
-        else:
-            if cls is Neg:
+        elif node is _DONE:
+            node = todo.pop()
+            if type(node) is Neg:
                 results[-1] = alg(node, results[-1])
             else:
                 right = results.pop()
                 results[-1] = alg(node, results[-1], right)
             if shared and id(node) in shared:
                 done[id(node)] = results[-1]
+        elif shared and (key := id(node)) in done:
+            shared[key] -= 1
+            results.append(done[key] if shared[key] else done.pop(key))
+        elif cls is Neg:
+            todo += (node, _DONE, node.operand)
+        else:
+            todo += (node, _DONE, node.right, node.left)
     return results[0]
+
+
+def _entry(node: Term, kids: tuple):
+    """A leaf's text; a composite node's class, kids and, for a Div, decoration."""
+    if not kids:
+        return node.digits if type(node) is Lit else node.name
+    return (type(node), *kids, node.decoration) if type(node) is Div else (type(node), *kids)
 
 
 def _hash_node(node: Term, *kids: int) -> int:
     """The hash of node, given its children's; set on a composite node at the first call."""
     if not hasattr(node, "_hash"):
-        key = (type(node), *kids, node.decoration) if type(node) is Div else (type(node), *kids)
-        _set_hash(node, hash(key))
+        _set_hash(node, hash(_entry(node, kids)))
     return node._hash
+
+
+def _rebuild(table: list, tree: int) -> Term:
+    """The term of a ``Term.__reduce__`` table: one leaf per distinct text, as a parse makes; a parsed root if tree."""
+    made: dict[str, Term] = {}
+    nodes: list[Term] = []
+    for entry in table:
+        if type(entry) is str:
+            nodes.append(made.get(entry) or made.setdefault(entry, _leaf(Var if entry[0] in _LETTERS else Lit, entry)))
+        else:
+            nodes.append(entry[0](*[nodes[a] if type(a) is int else a for a in entry[1:]]))
+    if tree:
+        _set_facts(nodes[-1], nodes[-1]._facts | _TREE)
+    return nodes[-1]
 
 
 # Kept by name: the benchmark's tracer rebinds terms.contains_div and rewrite.contains_div.

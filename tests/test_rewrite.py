@@ -319,6 +319,13 @@ def test_trace_steps_are_the_same_read_before_or_after_printing(name):
         assert other == first and other.to_json() == printed
 
 
+def test_a_trace_replayed_from_another_start_names_its_first_rule():
+    _, trace = flatten(parse_term("1/(2/3)"))
+    assert trace.replay(parse_term("1/(2/3)")) == parse_term("(1*3)/2")
+    with pytest.raises(ValueError, match=f"^trace does not compose at rule {trace.steps[0].rule!r}$"):
+        trace.replay(parse_term("1/(2/4)"))
+
+
 def test_trace_json_memory_is_mostly_its_result():
     # The texts kept for splicing cover the last two steps only.
     _, trace = flatten(unit_sum(160))

@@ -404,6 +404,25 @@ def test_what_is_no_instance_is_refused_by_every_function_that_takes_one(thing):
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: decode(Instance("nat.vn", 5)),
+    lambda: decode(Instance("rat.pcs", "x")),
+    lambda: label_eq(Instance("rat.ssft", 1), Instance("rat.ssft", 1)),
+    lambda: get_shape("rat.pcs").operate("add", encode(1, "rat.pcs"), Instance("rat.pcs", (1,))),
+    lambda: instance_to_json(Instance("rat.pcs", 5)),
+], ids=["decode-vn", "decode-pcs", "label_eq-ssft", "operate-pcs", "to_json-pcs"])
+def test_a_payload_its_shape_does_not_hold_is_an_unsupported_shape(call):
+    # An Instance built directly is checked by its shape before it is read.
+    with pytest.raises(UnsupportedShape):
+        call()
+
+
+def test_instances_of_an_unknown_shape_compare_their_payloads():
+    assert Instance("foo.bar", 1) == Instance("foo.bar", 1)
+    assert Instance("foo.bar", 1) != Instance("foo.bar", 2)
+    assert hash(Instance("foo.bar", 1)) == hash(Instance("foo.bar", 1))
+
+
 def test_operate_refuses_an_instance_of_another_shape():
     # Decoding it would give a number of the label, so nat.vn once added two
     # nat.dec instances into a von Neumann 5.

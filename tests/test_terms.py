@@ -40,9 +40,10 @@ from fracterm.terms import (
     num,
     numeral,
     parse_term,
+    value_memo,
 )
 
-from gen import random_closed_term, random_dag, random_term
+from gen import doubled, random_closed_term, random_dag, random_term
 from oracle import eval_exact
 
 
@@ -807,6 +808,31 @@ def test_a_term_over_shared_leaves_copies_and_pickles():
         assert copied.right.right.right is not t.right.right.right
     for leaf in (Lit("7"), Var("x")):
         assert pickle.loads(pickle.dumps(leaf)) is parse_term(format_term(leaf))
+
+
+def test_copies_of_a_shared_term_take_time_linear_in_its_distinct_nodes():
+    # doubled(18) prints in 1.3 M characters, doubled(40) in 5.5 T: a copy
+    # is rebuilt from a table of the distinct nodes, never from the text.
+    for n in (18, 40):
+        t = doubled(n)
+        for copier in (copy.copy, copy.deepcopy, lambda u: pickle.loads(pickle.dumps(u))):
+            start = time.perf_counter()
+            copied = copier(t)
+            assert time.perf_counter() - start < 0.1
+            half = copied
+            while type(half) is Add:
+                half = half.left
+            # Compared apart, so that a failure does not print the tree.
+            shared = copied is not t and copied.left is copied.right and hash(copied) == hash(t)
+            assert shared and half.right is parse_term("2")  # the leaf of the process table
+    # A copy of a parsed root is flagged as one, a built term's is not, and
+    # neither carries the value memo.
+    parsed = parse_term("(1+x)*(1+x)/1000 - 1000")
+    value_memo(parsed)
+    for t in (parsed, Add(parsed, parsed)):
+        copied = copy.deepcopy(t)
+        assert copied == t and copied._facts == t._facts and not hasattr(copied, "_memo")
+    assert copied.left is copied.right and copied.left.right is copied.left.left.right  # one leaf "1000"
 
 
 def _exact(node, *kids):
