@@ -89,7 +89,7 @@ def _cmd_eval(args):
 def _cmd_flatten(args):
     from . import rewrite, terms
     t = _parse_args_term(args)
-    result, trace = rewrite.flatten(t)
+    result, trace = rewrite.flatten(t, args.policy)
     steps = trace.to_json()
     # The result is the term the last step ended on, already printed.
     data = {"result": steps[-1]["after"] if steps else terms.format_term(result), "trace": steps}
@@ -249,7 +249,7 @@ COMMANDS = {
     "parse": ("parse a term and print its renderings", _cmd_parse, TERM, FORMAT, JSON),
     "classify": ("syntactic taxonomy flags of a term", _cmd_classify, TERM, FORMAT, JSON),
     "eval": ("evaluate a closed term to a fracvalue", _cmd_eval, TERM, FORMAT, JSON, POLICY, SHAPE),
-    "flatten": ("rewrite into a flat fracterm with a trace", _cmd_flatten, TERM, FORMAT, JSON),
+    "flatten": ("rewrite into a flat fracterm with a trace", _cmd_flatten, TERM, FORMAT, JSON, POLICY),
     "simplify": ("reduce a flat fracterm to simplified form", _cmd_simplify, TERM, FORMAT, JSON),
     "add": ("one member of the addition family", _cmd_add, ("left", {"help": "the first summand"}),
             ("right", {"help": "the second summand"}), FORMAT, JSON, STRATEGY),

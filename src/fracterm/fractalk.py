@@ -303,7 +303,7 @@ class Verdict(Record):
 
 
 class _Env:
-    __slots__ = ("script", "cfg", "disjoint", "levels", "checked")
+    __slots__ = ("script", "cfg", "disjoint", "levels", "checked", "indexed", "positive", "equalities")
 
     def __init__(self, script: Script, cfg: EvalConfig, disjoint: bool, levels: dict[tuple[int, int], Level]):
         self.script = script
@@ -311,6 +311,23 @@ class _Env:
         self.disjoint = disjoint
         self.levels = levels
         self.checked: list[tuple[Assertion, bool]] = []  # (step, valid) so far
+        # The index of the first `indexed` steps, brought up to date when a
+        # checker asks for premises, so a script that asks for none builds
+        # none: where the positive steps of each kind sit in checked, and,
+        # from the first conclusion on, the last valid equality under the
+        # set of its terms.
+        self.indexed = 0
+        self.positive: dict[str, list[int]] = {}
+        self.equalities: Optional[dict[frozenset, Assertion]] = None
+
+    def _index(self) -> None:
+        for i in range(self.indexed, len(self.checked)):
+            a, valid = self.checked[i]
+            if a.claim.positive:
+                self.positive.setdefault(a.claim.kind, []).append(i)
+                if valid and a.claim.kind == "equals" and self.equalities is not None:
+                    self.equalities[_terms_of(a)] = a
+        self.indexed = len(self.checked)
 
     def level(self, occ: Occurrence) -> Level:
         return self.levels[occ.key()]
@@ -323,8 +340,21 @@ class _Env:
         return not self.disjoint and classify(term).simplified
 
     def premises(self, *kinds: str) -> list[tuple[Assertion, bool]]:
-        """The steps checked so far that affirm a claim of one of `kinds`."""
-        return [(a, ok) for a, ok in self.checked if a.claim.kind in kinds and a.claim.positive]
+        """The steps checked so far that affirm a claim of one of `kinds`, in order."""
+        self._index()
+        positions = sorted([i for kind in kinds for i in self.positive.get(kind, ())])
+        return [self.checked[i] for i in positions]
+
+    def equality(self, terms: frozenset) -> Optional[Assertion]:
+        """The last valid equality checked so far whose terms are `terms`."""
+        self._index()
+        if self.equalities is None:
+            self.equalities = {_terms_of(a): a for a, ok in self.premises("equals") if ok}
+        return self.equalities.get(terms)
+
+
+def _terms_of(a: Assertion) -> frozenset:
+    return frozenset(o.term for o in a.claim.occurrences)
 
 
 # A checker returns (status, explanation).
@@ -571,15 +601,9 @@ def _check_conclude(env: _Env, claim: Claim):
         return "invalid", "does not follow from the preceding assertions"
     left, right = left[-1], right[-1]
     l_level, r_level = env.level(left.claim.occ), env.level(right.claim.occ)
-    pair = {left.claim.occ.term, right.claim.occ.term}
-    matching = [
-        a
-        for a, ok in env.premises("equals")
-        if ok and {o.term for o in a.claim.occurrences} == pair
-    ]
-    if not matching:
+    eq = env.equality(frozenset((left.claim.occ.term, right.claim.occ.term)))
+    if eq is None:
         return "invalid", "no equality connects the two numerator bearers"
-    eq = matching[-1]
     eq_level = env.level(eq.claim.occ)
     unique = [a for a, ok in env.premises("unique-numerator") if ok]
     if not unique:

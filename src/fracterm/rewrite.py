@@ -18,9 +18,18 @@ as (a, b), a division-free x as (x, 1), with the factor 1 left out:
 The plain collapse would silently turn x/(c/0) into a number, so the guarded
 variant keeps the zero in the denominator. A sum or difference with a flat
 left and a division-free right operand writes b*c as c*b. The ``cross``
-addition is one ``add-lift`` step. Value preservation is stated for
-the common-meadow policy; the zero-totalizing policy is not preserved in
-general (a zero divisor can be multiplied away).
+addition is one ``add-lift`` step.
+
+``flatten`` keeps the value under the policy it is given. Under
+common-meadow (the default) and partial it applies the rules above: an
+input with a zero divisor flattens to a zero denominator, so partial
+refuses the flat form exactly when it refuses the input, and otherwise
+the value is the common-meadow one. Under suppes-ono, where a/0 is 0,
+``add-lift`` would multiply a zero divisor into the sum's denominator and
+turn 3 + 2/0, which is 3, into (3*0+2)/0, which is 0. So one more rule
+comes first on a sum or difference:
+
+* ``zero-div``             - a/b = 0/1 for an operand whose b evaluates to 0.
 
 Each phase (``numeral-eval`` first, then the other rules) rewrites the
 innermost-leftmost match until none is left. It runs as one postorder walk
@@ -37,7 +46,7 @@ writes or tests (``simplify``, ``numeral-eval``, the zero tests of
 
 from __future__ import annotations
 
-from .errors import CapacityError, NotSimple, OpenTerm, StrategyInapplicable
+from .errors import CapacityError, NotSimple, OpenTerm, StrategyInapplicable, UnsupportedOperation
 from .ratio import rn_add, rn_eval, rn_label_eq, sign
 from .records import expect, named, reduced
 from .terms import (
@@ -296,6 +305,20 @@ def _node_rule(t: Term):
     return ("add-lift" if cls is Add else "sub-lift", Div(cls(_times(a, d), bc), _times(b, d)))
 
 
+def _suppes_ono_rule(t: Term):
+    # zero-div on the first operand a/0 of a sum or difference, else the rules above.
+    if type(t) is Add or type(t) is Sub:
+        for side, p in enumerate((_pair(t.left), _pair(t.right))):
+            if p is not None and p[1] is not None and rn_eval(p[1]).a == 0:
+                zero = Div(numeral(0), numeral(1))
+                return ("zero-div", type(t)(zero, t.right) if side == 0 else type(t)(t.left, zero))
+    return _node_rule(t)
+
+
+# The rules of the second phase, by policy.
+_NODE_RULES = {"partial": _node_rule, "suppes-ono": _suppes_ono_rule, "common-meadow": _node_rule}
+
+
 def _rewrite_all(t: Term, rule, patches: list) -> Term:
     """Apply rule innermost-leftmost until no node matches, adding a patch per step.
 
@@ -344,12 +367,15 @@ def _rewrite_all(t: Term, rule, patches: list) -> Term:
         kept = len(frames)
 
 
-def flatten(t: Term) -> tuple[Term, RewriteTrace]:
+def flatten(t: Term, policy: str = "common-meadow") -> tuple[Term, RewriteTrace]:
     """Rewrite a closed term into a flat fracterm, recording every step.
 
     Division-free inputs are returned unchanged. The result evaluates to the
-    same fracvalue as the input under the common-meadow policy.
+    same fracvalue as the input under policy; partial refuses both or neither.
     """
+    node_rule = _NODE_RULES.get(policy) if type(policy) is str else None
+    if node_rule is None:
+        raise UnsupportedOperation(f"unknown policy {named(policy)}")
     check_term(t)
     if t.has_var:
         raise OpenTerm(f"cannot flatten open term {named(t)}")
@@ -358,7 +384,7 @@ def flatten(t: Term) -> tuple[Term, RewriteTrace]:
     if current is not t:
         patches.append(("erase-decorations", t, 0, (t,), (0,), t, current))
     if contains_div(current):
-        for phase in (_numeral_rule, _node_rule):
+        for phase in (_numeral_rule, node_rule):
             current = _rewrite_all(current, phase, patches)
     trace = object.__new__(RewriteTrace)
     RewriteTrace._patches.__set__(trace, tuple(patches))

@@ -13,7 +13,7 @@ Evaluation folds the term with ``ratio._pair_algebra``, the one pair
 algebra (plain or verbatim addition, and what a zero divisor does), in
 exact integer pairs (a, b) in lowest terms, b nonzero:
 ``eval_number`` gives the exact Fraction, or bottom, and
-``eval_term`` encodes it into the configured shape once, at the root.
+``eval_term`` encodes it into the configured shape, at the root.
 ``terms.fold`` computes each distinct composite node once, so a term that
 shares subterms, as a flat form does, evaluates in time linear in its
 distinct nodes. The value is the number, which the shape only presents:
@@ -28,11 +28,12 @@ one past the limit with CapacityError; ``rat.pcs`` holds plain ints.
 The ``stop`` reading ends the fold at the first zero divisor in postorder,
 where partial raises and common-meadow's bottom arises; only Suppes-Ono
 folds again, giving zero there. A term keeps its Fraction once evaluated,
-with ``rn_eval``'s pairs, in ``terms.value_memo``: a later evaluation of the
-term object, under any policy and shape, only encodes at the root. The memo
-keeps the value's integers alive as long as the term lives, keeps no
-exception, and is no part of the term's ``==``, ``hash``, ``repr`` or
-pickling.
+with ``rn_eval``'s pairs, in ``terms.value_memo``, and encodes it once per
+shape: policies that yield the one Fraction share one ``NumberValue``, and
+partial names its zero divisor once, keeping the text of its refusal. The
+memo keeps the value's integers alive as long as the term lives, keeps no
+exception and no bottom, and is no part of the term's ``==``, ``hash``,
+``repr`` or pickling.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ def eval_number(t: Term, policy: str = "common-meadow"):
     value, zero_divisor = memo["stop"]
     if zero_divisor is not None:
         if policy == "partial":
-            raise DivisionByZero(f"zero divisor in {named(zero_divisor)}")
+            if "partial" not in memo:
+                memo["partial"] = (f"zero divisor in {named(zero_divisor)}",)
+            raise DivisionByZero(memo["partial"][0])
         # On an open term, the Suppes-Ono fold raises OpenTerm at the first
         # variable, as common-meadow must too.
         if policy == "common-meadow" and not t.has_var:
@@ -100,7 +103,14 @@ def eval_term(t: Term, cfg: Optional[EvalConfig] = None):
         pair = ratio.rn_eval(t)
         return BOTTOM if pair.b == 0 else NumberValue(shapes.Instance("rat.rns", (pair.a, pair.b)))
     value = eval_number(t, cfg.policy)
-    return BOTTOM if value is BOTTOM else NumberValue(shapes.get_shape(cfg.shape_id).encode(value))
+    if value is BOTTOM:
+        return BOTTOM
+    # Policies that yield the one value object share its encoding in a shape.
+    memo = t._memo
+    kept = memo.get(cfg.shape_id)
+    if kept is None or kept[0] is not value:
+        kept = memo[cfg.shape_id] = (value, NumberValue(shapes.get_shape(cfg.shape_id).encode(value)))
+    return kept[1]
 
 
 def value_eq(v, w) -> bool:

@@ -13,8 +13,9 @@ linear in distinct nodes.
 
 Terms are immutable, so they share freely. A parsed term has one leaf for
 each distinct literal or variable text (``parse_term("2+2")`` has
-``t.left is t.right``). ``fold`` makes one walk, after a pass that counts
-the repeated nodes of any term but a parsed root.
+``t.left is t.right``). A parsed root keeps its nodes in the postorder in
+which the parser built them, so ``fold`` of it is one loop over them; any
+other term gets one walk, after a pass that counts its repeated nodes.
 ``erase_decorations`` keeps each undecorated subtree, its argument itself
 included, and so do ``num`` and ``denom``.
 
@@ -29,6 +30,7 @@ A short literal carries its int, so ``Lit.value`` reads no digits.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from enum import Enum
 from typing import Callable, Optional, TypeVar
@@ -67,7 +69,6 @@ def _slot_setters(cls: type) -> tuple[Callable, ...]:
 
 _DIV, _VAR, _DECORATED = 1, 2, 4  # the bits of a node's _facts that a parent inherits
 _INHERITED = _DIV | _VAR | _DECORATED
-_TREE = 8  # on a parsed root: every composite node under it is new and met once
 
 
 class Term(Record):
@@ -81,7 +82,11 @@ class Term(Record):
     the three recurses.
     """
 
-    __slots__ = ("_facts", "_hash", "_memo")
+    # _order is set on a parsed root only: the nodes of its tree below it,
+    # each leaf each time met, in postorder. Every composite node in it is
+    # new and met once. Holding the root itself would make a cycle, which
+    # only the garbage collector frees.
+    __slots__ = ("_facts", "_hash", "_memo", "_order")
     has_div = property(lambda self: self._facts & _DIV != 0)
     has_var = property(lambda self: self._facts & _VAR != 0)
     decorated = property(lambda self: self._facts & _DECORATED != 0)
@@ -93,7 +98,7 @@ class Term(Record):
         # The pairs of composite nodes met, each compared once, so shared
         # subterms cost one visit, not one per path; a parsed root meets
         # each of its nodes once, so then no pair repeats and none is kept.
-        met = None if (self._facts | getattr(other, "_facts", 0)) & _TREE else set()
+        met = None if hasattr(self, "_order") or hasattr(other, "_order") else set()
         todo = [(self, other)]
         while todo:
             x, y = todo.pop()
@@ -130,7 +135,7 @@ class Term(Record):
     def __reduce__(self):
         table: list = []  # each distinct composite node and each leaf met, children by index
         fold(self, lambda node, *kids: table.append(_entry(node, kids)) or len(table) - 1)
-        return _rebuild, (table, self._facts & _TREE)
+        return _rebuild, (table, hasattr(self, "_order"))
 
     def _named(self) -> str:
         """How ``records.named`` names the term: its inline text, or the first
@@ -252,7 +257,7 @@ _set_digits, _set_int = _slot_setters(Lit)
 (_set_operand,) = _slot_setters(Neg)
 _set_left, _set_right = _slot_setters(_Binary)
 (_set_decoration,) = _slot_setters(Div)
-_set_facts, _set_hash, _set_memo = _slot_setters(Term)
+_set_facts, _set_hash, _set_memo, _set_order = _slot_setters(Term)
 
 
 _SHORT = {Lit: 3, Var: 1}  # the longest text of each leaf class that _LEAVES keeps
@@ -383,6 +388,7 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
     operands: list[Term] = []
     ops: list[tuple] = [(0, "", None)]
     made: dict[str, Term] = {}  # the leaves made in this parse
+    order: list[Term] = []  # each leaf and node as it is pushed or built: the postorder
     i = 0
     while True:
         # Factor position: prefix minus and openers, until one atom.
@@ -406,6 +412,7 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
             ops.append(leaf)
             continue
         operands.append(leaf)
+        order.append(leaf)
         # Operator position: binary operators and closers, until the next
         # factor position or the end.
         while True:
@@ -416,10 +423,11 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
             while ops[-1][0] >= floor:
                 _, cls, deco = ops.pop()
                 if cls is Neg:
-                    operands[-1] = Neg(operands[-1])
+                    operands[-1] = node = Neg(operands[-1])
                 else:
                     right = operands.pop()
-                    operands[-1] = cls(operands[-1], right, deco) if deco else cls(operands[-1], right)
+                    operands[-1] = node = cls(operands[-1], right, deco) if deco else cls(operands[-1], right)
+                order.append(node)
             if op is not _CLOSE:
                 ops.append(op)
                 break
@@ -434,7 +442,8 @@ def parse_term(text: str, fmt: str = "inline") -> Term:
                     break
                 root = operands[0]
                 if type(root) is not Lit and type(root) is not Var:
-                    _set_facts(root, root._facts | _TREE)
+                    order.pop()
+                    _set_order(root, order)
                 return root
             if token[:1] == "-":
                 # A signed literal is here a binary minus and its digits: the
@@ -544,27 +553,39 @@ def fold(t: Term, alg: Callable[..., R]) -> R:
     leaf is folded each time a distinct composite node names it as a child.
     Calls come in postorder, left subtree first, minus the repeats: if alg
     depends only on the node and its children's results, it raises where a
-    tree walk would. One walk makes the calls, after a pass that counts the
-    repeated nodes of any term but a parsed root, whose nodes cannot repeat.
+    tree walk would. A parsed root's calls are one loop over the nodes it
+    keeps in postorder; any other term's are one walk, after a pass that
+    counts its repeated nodes.
     """
-    shared: dict[int, int] = {}  # the meetings still to come of each repeated composite node
-    if not getattr(t, "_facts", 0) & _TREE:
-        if not isinstance(t, (Lit, Var, Neg, _Binary)):
-            raise TypeError(f"not a term: {t!r}")
-        seen: set[int] = set()
-        todo = [t]
-        while todo:
-            node = todo.pop()
+    results: list[R] = []
+    order = getattr(t, "_order", None)
+    if order is not None:
+        for node in itertools.chain(order, (t,)):
             cls = type(node)
             if cls is Lit or cls is Var:
-                continue
-            if (key := id(node)) in seen:
-                shared[key] = shared.get(key, 0) + 1
+                results.append(alg(node))
+            elif cls is Neg:
+                results[-1] = alg(node, results[-1])
             else:
-                seen.add(key)
-                todo += (node.operand,) if cls is Neg else (node.right, node.left)
+                right = results.pop()
+                results[-1] = alg(node, results[-1], right)
+        return results[0]
+    if not isinstance(t, (Lit, Var, Neg, _Binary)):
+        raise TypeError(f"not a term: {t!r}")
+    shared: dict[int, int] = {}  # the meetings still to come of each repeated composite node
+    seen: set[int] = set()
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is Lit or cls is Var:
+            continue
+        if (key := id(node)) in seen:
+            shared[key] = shared.get(key, 0) + 1
+        else:
+            seen.add(key)
+            todo += (node.operand,) if cls is Neg else (node.right, node.left)
     done: dict[int, R] = {}  # the result of each repeated node, until its last parent reads it
-    results: list[R] = []
     todo = [t]
     while todo:
         node = todo.pop()
@@ -604,8 +625,9 @@ def _hash_node(node: Term, *kids: int) -> int:
     return node._hash
 
 
-def _rebuild(table: list, tree: int) -> Term:
-    """The term of a ``Term.__reduce__`` table: one leaf per distinct text, as a parse makes; a parsed root if tree."""
+def _rebuild(table: list, tree: bool) -> Term:
+    """The term of a ``Term.__reduce__`` table: one leaf per distinct text, as a parse makes; a parsed root if tree,
+    whose table lists its nodes in postorder."""
     made: dict[str, Term] = {}
     nodes: list[Term] = []
     for entry in table:
@@ -613,9 +635,10 @@ def _rebuild(table: list, tree: int) -> Term:
             nodes.append(made.get(entry) or made.setdefault(entry, _leaf(Var if entry[0] in _LETTERS else Lit, entry)))
         else:
             nodes.append(entry[0](*[nodes[a] if type(a) is int else a for a in entry[1:]]))
+    root = nodes.pop()
     if tree:
-        _set_facts(nodes[-1], nodes[-1]._facts | _TREE)
-    return nodes[-1]
+        _set_order(root, nodes)
+    return root
 
 
 # Kept by name: the benchmark's tracer rebinds terms.contains_div and rewrite.contains_div.

@@ -91,6 +91,13 @@ def test_flatten_trace_json(capsys):
     assert before == "(1+2/3)/5"
 
 
+def test_flatten_under_a_policy(capsys):
+    assert run_json(capsys, "flatten", "3+2/0")["result"] == "(3*0+2)/0"
+    data = run_json(capsys, "flatten", "3+2/0", "--policy", "suppes-ono")
+    assert data["result"] == "(3*1+0)/1"
+    assert [s["rule"] for s in data["trace"]] == ["zero-div", "add-lift"]
+
+
 def test_simplify_goldens(capsys):
     assert run_json(capsys, "simplify", "4/6")["result"] == "2/3"
     assert run_json(capsys, "simplify", "2/4")["result"] == "1/2"
@@ -529,8 +536,9 @@ def test_help_text(capsys, monkeypatch, argv):
 
 
 def test_choices_are_the_library_values(capsys, monkeypatch):
-    policies = re.search(r"--policy {([^}]*)}", help_text(capsys, monkeypatch, "eval")).group(1)
-    assert policies.split(",") == list(semantics.POLICIES)
+    for command in ("eval", "flatten"):
+        policies = re.search(r"--policy {([^}]*)}", help_text(capsys, monkeypatch, command)).group(1)
+        assert policies.split(",") == list(semantics.POLICIES)
     strategies = re.search(r"--strategy {([^}]*)}", help_text(capsys, monkeypatch, "add")).group(1)
     assert strategies.split(",") == [*rewrite.STRATEGIES, "all"]
     formats = re.search(r"--format {([^}]*)}", help_text(capsys, monkeypatch, "parse")).group(1)

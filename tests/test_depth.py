@@ -164,8 +164,8 @@ def test_rn_eval_long_sum_of_halves():
 def test_long_fold_keeps_no_result_its_parent_has_read(evaluate, text):
     # Keeping every node's result until the fold returns held each raw pair
     # of the sum, about 2i bits at step i: about 60 MB here, and 87 MB for
-    # the product. Dropping a result once read leaves about 4 MB, mostly
-    # the fold's list of calls and the ids it keeps to find repeated nodes.
+    # the product. Dropping a result once read leaves the fold's stack of
+    # pending results, a few KB over the parsed root's postorder list.
     t = parse_term(text)
     tracemalloc.start()
     try:

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -727,6 +728,20 @@ def test_no_script_concludes_two_distinct_numerators_equal():
             checked += 1
             assert not verdict.step(5).valid, lines
     assert (checked, conflicts) == (4608, 4608)
+
+
+def test_check_is_linear_in_conclusions_and_equalities():
+    # Each conclusion looks its connecting equality up by the set of its terms.
+    lines = ["num(1/2) = 1", "num(2/4) = 2", "fracterms have a unique numerator"]
+    lines += [f"{k}/{k + 1} == {k} / {k + 1} @ft" for k in range(1, 1201)]
+    lines += ["conclude 1 = 2"] * 600 + ["1/2 == 2/4 @fv"] + ["conclude 1 = 2"] * 600
+    script = parse_script("\n".join(f"{i}: {line}" for i, line in enumerate(lines, 1)))
+    start = time.perf_counter()
+    verdict = check(script)
+    assert time.perf_counter() - start < 1.0
+    conclusions = [s.explanation for s in verdict.steps if script.assertion(s.index).claim.kind == "conclude"]
+    assert set(conclusions[:600]) == {"no equality connects the two numerator bearers"}
+    assert len(set(conclusions[600:])) == 1 and "the equality in step 1804 holds" in conclusions[-1]
 
 
 def test_verdict_json_shape():

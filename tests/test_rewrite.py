@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracterm import ratio, rewrite, terms
-from fracterm.errors import NotSimple, OpenTerm, StrategyInapplicable
+from fracterm import ratio, rewrite, semantics, terms
+from fracterm.errors import NotSimple, OpenTerm, StrategyInapplicable, UnsupportedOperation
 from fracterm.rewrite import (
     RewriteStep,
     RewriteTrace,
@@ -41,7 +41,7 @@ from fracterm.terms import (
 )
 
 from gen import random_closed_term, random_flat_fracterm, random_simple_fracterm, unit_sum
-from oracle import eval_exact, eval_exact_bot
+from oracle import eval_exact, eval_exact_bot, eval_exact_zero
 
 CM = EvalConfig("common-meadow", "rat.pcs")
 
@@ -154,6 +154,61 @@ def test_flatten_sound_and_complete_on_random_terms():
             assert step.before != step.after
             assert parse_term(format_term(step.after)) == step.after
     assert bottoms > 20
+
+
+# ---------------------------------------------------------------------------
+# Flattening under each policy
+
+
+def _partial_oracle(t):
+    try:
+        return eval_exact(t)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+POLICY_ORACLES = {"partial": _partial_oracle, "suppes-ono": eval_exact_zero, "common-meadow": eval_exact_bot}
+
+
+def test_flatten_knows_every_policy():
+    assert set(rewrite._NODE_RULES) == set(POLICY_ORACLES) == set(semantics.POLICIES)
+    for policy in ("zero", None, ["partial"]):
+        with pytest.raises(UnsupportedOperation, match="^unknown policy"):
+            flatten(parse_term("1/2"), policy)
+
+
+@pytest.mark.parametrize("policy", list(POLICY_ORACLES))
+def test_flatten_keeps_the_value_under_its_policy(policy):
+    oracle = POLICY_ORACLES[policy]
+    rng = random.Random(46)
+    zero_divs = 0
+    for _ in range(600):
+        t = random_closed_term(rng, 5)
+        result, trace = flatten(t, policy)
+        assert _flat_or_division_free(result) and (classify(result).is_fracterm or not contains_div(t))
+        assert oracle(result) == oracle(t)
+        assert trace.replay(t) == result
+        rules = [s.rule for s in trace.steps]
+        if policy != "suppes-ono":
+            # Partial runs the common-meadow rules, and the common-meadow ones are the default.
+            assert trace.to_json() == flatten(t)[1].to_json()
+        elif "zero-div" in rules:
+            assert eval_exact_bot(t) is None
+            zero_divs += 1
+    assert zero_divs > 10 or policy != "suppes-ono"
+
+
+def test_flatten_under_suppes_ono_drops_a_summand_over_zero():
+    t = parse_term("3+2/0")
+    assert format_term(flatten(t)[0]) == "(3*0+2)/0"
+    result, trace = flatten(t, "suppes-ono")
+    assert [(s.rule, format_term(s.after)) for s in trace.steps] == [
+        ("zero-div", "3+0/1"), ("add-lift", "(3*1+0)/1"),
+    ]
+    assert eval_exact_zero(result) == eval_exact_zero(t) == 3
+    # Each other operator keeps the Suppes-Ono value with the common rules.
+    for text in ("-(2/0)", "3*(2/0)", "3/(2/0)", "(2/0)/3", "(1/0)/(2/0)"):
+        assert flatten(parse_term(text), "suppes-ono") == flatten(parse_term(text))
 
 
 # ---------------------------------------------------------------------------

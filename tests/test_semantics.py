@@ -373,8 +373,9 @@ def test_the_memo_is_no_part_of_the_term():
     fresh = parse_term("1/(1-1) + 2/3")
     for reading in READINGS:
         _outcome(t, reading)
-    assert set(t._memo) == {"stop", "suppes-ono", "rn", "rn-verbatim"}
+    assert set(t._memo) == {"stop", "suppes-ono", "partial", "rat.pcs", "rat.ssft", "rn", "rn-verbatim"}
     assert t._memo["stop"] == (None, t.left)
+    assert t._memo["partial"] == ("zero divisor in 1/(1-1)",)
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
     for copied in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
         assert copied == t and not hasattr(copied, "_memo")
@@ -400,6 +401,39 @@ def test_eval_number_keeps_one_fraction_a_term():
         t = parse_term(text)
         for policy in policies:
             assert type(eval_number(t, policy)) is Fraction and eval_number(t, policy) is eval_number(t, policy)
+
+
+@given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 7))
+def test_policies_that_agree_share_one_number_value_a_shape(rng, depth):
+    t = random_closed_term(rng, depth)
+    try:
+        eval_exact(t)
+    except ZeroDivisionError:
+        return
+    text = format_term(t)
+    for shape_id in ("rat.pcs", "rat.ssft"):
+        got = [eval_term(t, EvalConfig(policy, shape_id)) for policy in POLICIES]
+        assert all(v is got[0] for v in got)
+        assert got == [eval_term(parse_term(text), EvalConfig(policy, shape_id)) for policy in POLICIES]
+    assert all(type(v) is tuple for v in t._memo.values())
+
+
+def test_a_zero_divisor_keeps_suppes_ono_and_names_itself_once():
+    t = parse_term("1/(1-1) + 2/3")
+    for shape_id in ("rat.pcs", "rat.ssft"):
+        number = eval_term(t, EvalConfig("suppes-ono", shape_id))
+        assert _as_fraction(number) == Fraction(2, 3)
+        assert eval_term(t, EvalConfig("common-meadow", shape_id)) is BOTTOM
+        assert eval_term(t, EvalConfig("suppes-ono", shape_id)) is number
+    refusals = []
+    with pytest.MonkeyPatch.context() as m:
+        named = []
+        m.setattr(semantics, "named", lambda x: named.append(x) or terms.named(x))
+        for shape_id in ("rat.pcs", "rat.ssft"):
+            with pytest.raises(DivisionByZero) as caught:
+                eval_term(t, EvalConfig("partial", shape_id))
+            refusals.append(str(caught.value))
+    assert named == [t.left] and refusals[0] == refusals[1] == "zero divisor in 1/(1-1)"
 
 
 def test_a_kept_value_is_encoded_on_every_call():

@@ -1,5 +1,6 @@
 import ast
 import copy
+import gc
 import operator
 import pickle
 import random
@@ -825,14 +826,32 @@ def test_copies_of_a_shared_term_take_time_linear_in_its_distinct_nodes():
             # Compared apart, so that a failure does not print the tree.
             shared = copied is not t and copied.left is copied.right and hash(copied) == hash(t)
             assert shared and half.right is parse_term("2")  # the leaf of the process table
-    # A copy of a parsed root is flagged as one, a built term's is not, and
+    # A copy of a parsed root keeps its postorder as one, a built term's has none, and
     # neither carries the value memo.
     parsed = parse_term("(1+x)*(1+x)/1000 - 1000")
     value_memo(parsed)
     for t in (parsed, Add(parsed, parsed)):
         copied = copy.deepcopy(t)
         assert copied == t and copied._facts == t._facts and not hasattr(copied, "_memo")
+        assert hasattr(copied, "_order") == (t is parsed)
     assert copied.left is copied.right and copied.left.right is copied.left.left.right  # one leaf "1000"
+
+
+def test_a_parsed_term_and_its_copies_are_freed_without_the_collector():
+    # A root that held itself in its postorder would be a cycle.
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for text in ("(1+x)*(1+x)/1000 - 1000", "-(1/2)", "frac(1,2)"):
+            t = parse_term(text, "frac" if text.startswith("frac") else "inline")
+            copies = [copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+            assert all(fold(c, _describe) == fold(t, _describe) for c in copies)
+            del t, copies
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def _exact(node, *kids):
@@ -858,9 +877,11 @@ def _outcome(run, alg):
 
 @given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 7), fmt=st.sampled_from(FORMATS))
 def test_fold_of_a_parsed_term_calls_alg_as_a_recursive_walk_does(rng, depth, fmt):
-    t = _parsed(rng, depth, fmt)
-    for alg in (_describe, _exact):
-        assert _outcome(lambda a: fold(t, a), alg) == _outcome(lambda a: _recursive_fold(t, a, []), alg)
+    # A copy of a parsed root keeps its nodes in postorder too.
+    parsed = _parsed(rng, depth, fmt)
+    for t in (parsed, copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+        for alg in (_describe, _exact):
+            assert _outcome(lambda a: fold(t, a), alg) == _outcome(lambda a: _recursive_fold(t, a, []), alg)
 
 
 @given(rng=st.randoms(use_true_random=False), depth=st.integers(0, 6), fmt=st.sampled_from(FORMATS))
